@@ -19,11 +19,10 @@ race:
 bench:
 	$(GO) test -run NONE -bench . -benchtime 1x ./...
 
-# bench-inc measures the incremental SSTA engine against the legacy
-# full-sweep path (single-gate gradient steps in internal/ssta, fixed
-# 64-step greedy runs in internal/sizing) and collects ns/op and
-# allocs/op into BENCH_incremental.json. The greedy pair must show the
-# incremental engine at least 2x faster on the 1200-gate netlist.
+# bench-inc measures the incremental SSTA engine against a fresh full
+# sweep (single-gate gradient steps in internal/ssta) plus a fixed
+# 64-step greedy run on the incremental engine (internal/sizing), and
+# collects ns/op and allocs/op into BENCH_incremental.json.
 bench-inc:
 	$(GO) test -run NONE -bench 'Inc|FullSweep' -benchmem -count 1 \
 		./internal/ssta/ ./internal/sizing/ | tee /tmp/bench-inc.txt

@@ -56,7 +56,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	// SIGINT/SIGTERM cancel the analysis context: the ctx-aware sweeps
+	// SIGINT/SIGTERM cancel the analysis context: the analytic sweep
 	// and the Monte Carlo shards observe it at their level/shard
 	// boundaries and the run exits through the non-zero status line in
 	// deadline() instead of dying mid-write.
@@ -121,18 +121,11 @@ func main() {
 		circ.Name, stats.Gates, stats.Inputs, stats.Outputs, stats.Depth)
 
 	det := ssta.DetAnalyze(m, S)
-	// With a deadline the analytic sweep runs through the ctx-aware
-	// variant (cancellation polled at level boundaries); without one the
-	// recorded path is unchanged so traces stay byte-identical.
-	var r *ssta.Result
-	if *timeout > 0 {
-		var err error
-		r, err = ssta.AnalyzeWorkersCtx(ctx, m, S, false, *workers)
-		if err != nil {
-			deadline(err)
-		}
-	} else {
-		r = ssta.AnalyzeWorkersRec(m, S, false, *workers, rec)
+	// The analytic sweep polls ctx at level boundaries, so -timeout and
+	// SIGINT/SIGTERM stop it; the recorder sees the sweep either way.
+	r, err := ssta.AnalyzeCtx(ctx, m, S, false, ssta.SweepOptions{Workers: *workers, Recorder: rec})
+	if err != nil {
+		deadline(err)
 	}
 	if rec != nil {
 		rec.Event("ssta", "result",

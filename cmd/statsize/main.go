@@ -176,7 +176,10 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	unit := ssta.AnalyzeWorkersRec(m, m.UnitSizes(), false, *workers, rec).Tmax
+	// The unit-size sweep is not cancellable: a deadline or an
+	// interrupt is reported by the solver, with its best-so-far sizing.
+	unitR, _ := ssta.AnalyzeCtx(context.Background(), m, m.UnitSizes(), false, ssta.SweepOptions{Workers: *workers, Recorder: rec})
+	unit := unitR.Tmax
 	fmt.Printf("circuit %s: %d gates, %d inputs, %d outputs\n",
 		circ.Name, circ.NumGates(), circ.NumInputs(), len(circ.Outputs))
 	fmt.Printf("unsized:   mu = %.4f  sigma = %.4f  sum(Si) = %d\n",

@@ -25,7 +25,7 @@ import (
 //   - Fold phase: the coordinating goroutine accumulates the
 //     per-element results (merit sum, gradient scatter, H*v scatter)
 //     in exact serial element order — the same discipline as the SSTA
-//     adjoint sweep (ssta.BackwardWorkers) — so the result is
+//     adjoint sweep (ssta.Result.BackwardCtx) — so the result is
 //     bit-for-bit identical for every worker count.
 //
 // All element scratch lives in a handful of []float64 slabs allocated

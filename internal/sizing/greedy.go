@@ -40,16 +40,10 @@ type GreedyOptions struct {
 	// greedy optimizes the same weighted metric the NLP would have.
 	// Nil means uniform weights (plain area).
 	Weights []float64
-	// FullSweeps forces the legacy one-fresh-taped-sweep-per-step
-	// path instead of the incremental engine. The two paths are
-	// bit-identical (asserted in tests); this is the benchmark and
-	// equivalence-test escape hatch.
-	FullSweeps bool
 	// Recorder, when non-nil, receives one deterministic "greedy.step"
 	// event per sensitivity step, a final "greedy.result" event, and
-	// the incremental engine's "inc.update" events (or, with
-	// FullSweeps, the SSTA sweep spans). Nil disables instrumentation
-	// at zero cost.
+	// the incremental engine's "inc.update" events. Nil disables
+	// instrumentation at zero cost.
 	Recorder telemetry.Recorder
 }
 
@@ -119,24 +113,15 @@ func SizeGreedyCtx(ctx context.Context, m *delay.Model, opt GreedyOptions) (*Gre
 	// re-evaluates the changed cone, and the adjoint pass reuses the
 	// refreshed tape slabs — per-step allocations are zero (with
 	// Workers == 1) instead of a fresh O(V) slab set per sweep.
-	var inc *ssta.Inc
-	if !opt.FullSweeps {
-		inc = ssta.NewInc(m, S, ssta.IncOptions{Workers: opt.Workers, Recorder: rec})
-	}
+	inc := ssta.NewInc(m, S, ssta.IncOptions{Workers: opt.Workers, Recorder: rec})
 	for ; res.Steps < opt.MaxSteps; res.Steps++ {
 		if cancelled(done) {
 			break
 		}
 		stack.PopTo(1) // close the previous step's scope
 		stack.Push("greedy.step")
-		var phi float64
-		var grad []float64
 		stack.Push("greedy.grad")
-		if inc != nil {
-			phi, grad = inc.GradMuPlusKSigma(opt.K)
-		} else {
-			phi, grad = ssta.GradMuPlusKSigmaWorkersRec(m, S, opt.K, opt.Workers, rec)
-		}
+		phi, grad := inc.GradMuPlusKSigma(opt.K)
 		stack.Pop()
 		if rec != nil {
 			rec.Event("greedy", "step",
@@ -180,9 +165,7 @@ func SizeGreedyCtx(ctx context.Context, m *delay.Model, opt GreedyOptions) (*Gre
 		if S[best] > m.Limit {
 			S[best] = m.Limit
 		}
-		if inc != nil {
-			inc.SetSize(netlist.NodeID(best), S[best])
-		}
+		inc.SetSize(netlist.NodeID(best), S[best])
 	}
 	stack.PopTo(1)
 	stack.Push("greedy.finalize")

@@ -4,18 +4,13 @@ import (
 	"testing"
 )
 
-// The greedy benchmark pair runs a fixed number of sensitivity steps
-// (the deadline is infeasible, so the step count is exactly MaxSteps)
-// on the 1200-gate generated netlist: once on the incremental engine,
-// once on the legacy fresh-taped-sweep-per-step path. Both take the
-// identical trajectory (asserted in TestGreedyIncrementalMatchesFull-
-// Sweeps); the ratio is pure engine speedup.
-
-func benchGreedy1200(b *testing.B, fullSweeps bool) {
+// BenchmarkGreedyIncremental1200 runs a fixed number of sensitivity
+// steps (the deadline is infeasible, so the step count is exactly
+// MaxSteps) on the 1200-gate generated netlist, on the incremental
+// engine with serial sweeps.
+func BenchmarkGreedyIncremental1200(b *testing.B) {
 	m := genModel(b, 1200)
-	opt := GreedyOptions{
-		K: 3, Deadline: 0.01, MaxSteps: 64, Workers: 1, FullSweeps: fullSweeps,
-	}
+	opt := GreedyOptions{K: 3, Deadline: 0.01, MaxSteps: 64, Workers: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -24,6 +19,3 @@ func benchGreedy1200(b *testing.B, fullSweeps bool) {
 		}
 	}
 }
-
-func BenchmarkGreedyIncremental1200(b *testing.B) { benchGreedy1200(b, false) }
-func BenchmarkGreedyFullSweep1200(b *testing.B)   { benchGreedy1200(b, true) }

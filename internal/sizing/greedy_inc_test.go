@@ -22,46 +22,6 @@ func greedyDeadline(t *testing.T, m *delay.Model, k float64) float64 {
 	return 0.5 * (unit.Mu + k*unit.Sigma() + lim.Mu + k*lim.Sigma())
 }
 
-// TestGreedyIncrementalMatchesFullSweeps asserts the incremental
-// engine path (the default) takes the exact same trajectory as the
-// legacy fresh-sweep-per-step path — same sizes bit for bit, same step
-// count — for serial and parallel workers.
-func TestGreedyIncrementalMatchesFullSweeps(t *testing.T) {
-	models := map[string]*delay.Model{
-		"tree":   treeModel(t),
-		"gen300": genModel(t, 300),
-	}
-	for name, m := range models {
-		d := greedyDeadline(t, m, 3)
-		for _, workers := range []int{1, 4} {
-			ref, err := SizeGreedy(m, GreedyOptions{
-				K: 3, Deadline: d, Workers: workers, FullSweeps: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := SizeGreedy(m, GreedyOptions{
-				K: 3, Deadline: d, Workers: workers,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Steps != ref.Steps || got.Met != ref.Met ||
-				got.MuTmax != ref.MuTmax || got.SigmaTmax != ref.SigmaTmax {
-				t.Fatalf("%s/j%d: header differs: inc steps=%d met=%v mu=%v sigma=%v, full steps=%d met=%v mu=%v sigma=%v",
-					name, workers, got.Steps, got.Met, got.MuTmax, got.SigmaTmax,
-					ref.Steps, ref.Met, ref.MuTmax, ref.SigmaTmax)
-			}
-			for id := range ref.S {
-				if got.S[id] != ref.S[id] {
-					t.Fatalf("%s/j%d: S[%d] = %v != full-sweep %v",
-						name, workers, id, got.S[id], ref.S[id])
-				}
-			}
-		}
-	}
-}
-
 // TestGreedyWeightedImprovesWeightedCost asserts that ranking by
 // grad/w steers bumps away from expensive gates: at the same deadline,
 // the weighted run's weighted area must not exceed the unweighted

@@ -9,7 +9,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/nlp"
 	"repro/internal/ssta"
-	"repro/internal/telemetry"
 )
 
 // reducedEval adapts the SSTA forward/adjoint sweeps to nlp.Element
@@ -20,13 +19,15 @@ import (
 // evaluate distinct elements concurrently when nlp.Options.Workers
 // permits.
 type reducedEval struct {
-	m       *delay.Model
-	gates   []netlist.NodeID
-	workers int
-	// rec aggregates sweep spans ("ssta.forward"/"ssta.adjoint"); the
-	// metrics sinks are concurrency-safe, so recording stays correct
-	// when the NLP engine evaluates distinct elements in parallel.
-	rec telemetry.Recorder
+	m     *delay.Model
+	gates []netlist.NodeID
+	// opt carries the sweep workers and the recorder that aggregates
+	// sweep spans ("ssta.forward"/"ssta.adjoint"); the metrics sinks
+	// are concurrency-safe, so recording stays correct when the NLP
+	// engine evaluates distinct elements in parallel. The sweeps run
+	// under context.Background, which never cancels, so their errors
+	// are always nil: the solver polls cancellation itself.
+	opt ssta.SweepOptions
 }
 
 func (re *reducedEval) setS(S, x []float64) {
@@ -39,7 +40,7 @@ func (re *reducedEval) setS(S, x []float64) {
 // caller-owned S scratch.
 func (re *reducedEval) moments(S, x []float64) (mu, variance float64) {
 	re.setS(S, x)
-	r := ssta.AnalyzeWorkersRec(re.m, S, false, re.workers, re.rec)
+	r, _ := ssta.AnalyzeCtx(context.Background(), re.m, S, false, re.opt)
 	return r.Tmax.Mu, r.Tmax.Var
 }
 
@@ -47,8 +48,8 @@ func (re *reducedEval) moments(S, x []float64) (mu, variance float64) {
 // scattering the result into the dense gradient g.
 func (re *reducedEval) gradMoments(S, x, g []float64, seedMu, seedVar float64) {
 	re.setS(S, x)
-	r := ssta.AnalyzeWorkersRec(re.m, S, true, re.workers, re.rec)
-	full := r.BackwardWorkersRec(re.m, S, seedMu, seedVar, re.workers, re.rec)
+	r, _ := ssta.AnalyzeCtx(context.Background(), re.m, S, true, re.opt)
+	full, _ := r.BackwardCtx(context.Background(), re.m, S, seedMu, seedVar, re.opt)
 	for i, id := range re.gates {
 		g[i] = full[id]
 	}
@@ -111,7 +112,7 @@ func solveReduced(ctx context.Context, m *delay.Model, spec Spec) (*nlp.Result, 
 	if n == 0 {
 		return nil, nil, fmt.Errorf("sizing: circuit has no gates")
 	}
-	re := &reducedEval{m: m, gates: gates, workers: spec.Workers, rec: spec.Recorder}
+	re := &reducedEval{m: m, gates: gates, opt: ssta.SweepOptions{Workers: spec.Workers, Recorder: spec.Recorder}}
 
 	vars := make([]int, n)
 	lower := make([]float64, n)

@@ -2,6 +2,7 @@ package ssta
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -297,10 +298,14 @@ func (h *Hier) markBlock(b int32) {
 // SetSize sets gate id's speed factor and invalidates the macros of
 // the blocks holding the S-dependent gates (delay.Model.SDependents).
 // A bit-identical size is a no-op. The change takes effect at the
-// next Update.
+// next Update. A non-finite size panics, as in Inc.SetSize: NaN would
+// slip past the no-op guard and poison the slabs and the load cache.
 func (h *Hier) SetSize(id netlist.NodeID, s float64) {
 	if h.m.G.C.Nodes[id].Kind != netlist.KindGate {
 		panic("ssta: Hier.SetSize on a non-gate node")
+	}
+	if math.IsNaN(s) || math.IsInf(s, 0) {
+		panic("ssta: Hier.SetSize requires a finite speed factor, got " + formatFloat(s))
 	}
 	if h.s[id] == s {
 		return
@@ -689,7 +694,7 @@ func (h *Hier) backward(seedMu, seedVar float64) {
 // adjoint sweep with the given seed, returning d phi/d S indexed by
 // NodeID. The returned slice is engine-owned scratch, overwritten by
 // the next Backward — copy it to keep it. Bit-identical to
-// Result.Backward/BackwardWorkers for any worker count and block
+// Result.Backward/BackwardCtx for any worker count and block
 // size; allocation-free in the steady state with Workers == 1.
 func (h *Hier) Backward(seedMu, seedVar float64) []float64 {
 	h.Update()

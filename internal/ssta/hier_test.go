@@ -3,6 +3,7 @@ package ssta
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -125,7 +126,7 @@ func TestHierMatchesFlatFuzz(t *testing.T) {
 func TestHierCriticalityMatches(t *testing.T) {
 	for name, m := range parallelTestModels(t) {
 		S := rampSizes(m)
-		want := Criticality(m, S)
+		want := CriticalityWorkers(m, S, 1)
 		for _, w := range []int{1, 4} {
 			h := NewHier(m, S, HierOptions{BlockTarget: 64, Workers: w})
 			got := h.Criticality()
@@ -252,20 +253,35 @@ func TestHierSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestHierSetSizePanics pins the misuse contract.
+// TestHierSetSizePanics pins the misuse contracts: sizing a non-gate
+// node or passing a non-finite size panics, and the rejected sizes
+// leave the engine matching a fresh sweep bit for bit.
 func TestHierSetSizePanics(t *testing.T) {
 	m := parallelTestModels(t)["tree7"]
 	h := NewHier(m, m.UnitSizes(), HierOptions{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetSize on an input did not panic")
-		}
-	}()
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	input := netlist.NodeID(-1)
 	for i := range m.G.C.Nodes {
 		if m.G.C.Nodes[i].Kind == netlist.KindInput {
-			h.SetSize(netlist.NodeID(i), 2)
-			return
+			input = netlist.NodeID(i)
+			break
 		}
 	}
-	t.Fatal("no input node found")
+	if input < 0 {
+		t.Fatal("no input node found")
+	}
+	mustPanic("SetSize(input)", func() { h.SetSize(input, 2) })
+	gate := m.G.C.GateIDs()[0]
+	mustPanic("SetSize(NaN)", func() { h.SetSize(gate, math.NaN()) })
+	mustPanic("SetSize(+Inf)", func() { h.SetSize(gate, math.Inf(1)) })
+	mustPanic("SetSize(-Inf)", func() { h.SetSize(gate, math.Inf(-1)) })
+	checkHierMatchesFresh(t, h, m, 3)
 }

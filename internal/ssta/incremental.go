@@ -159,15 +159,9 @@ func NewInc(m *delay.Model, S []float64, opt IncOptions) *Inc {
 		inc.res.outFold = make([]stats.Jac2x4, no-1)
 		inc.savedOutFold = make([]stats.Jac2x4, no-1)
 	}
-	// Initial full sweep, level by level — identical fold order to
-	// AnalyzeWorkers, writing straight into the slabs.
-	for _, bucket := range g.Levels {
-		bucket := bucket
-		runLevel(inc.workers, len(bucket), func(i int) {
-			forwardNode(&inc.res, m, inc.s, bucket[i], true)
-		})
-	}
-	foldOutputs(&inc.res, g, true)
+	// Initial full sweep: the flat forward sweep, writing straight
+	// into the pre-carved slabs.
+	forwardInto(nil, &inc.res, m, inc.s, true, inc.workers, nil)
 	return inc
 }
 
@@ -319,7 +313,7 @@ func (inc *Inc) Update() stats.MV {
 // steady state with Workers == 1.
 func (inc *Inc) Backward(seedMu, seedVar float64) []float64 {
 	inc.Update()
-	return inc.res.backwardInto(inc.m, inc.s, seedMu, seedVar, inc.workers, &inc.sc)
+	return inc.res.backwardInto(nil, inc.m, inc.s, seedMu, seedVar, inc.workers, &inc.sc, nil)
 }
 
 // GradMuPlusKSigma flushes pending updates and returns phi =
@@ -406,7 +400,7 @@ func (inc *Inc) Rollback() stats.MV {
 // (Backward/GradMuPlusKSigma included) — copy it to keep it.
 func (inc *Inc) Criticality() []float64 {
 	inc.Update()
-	inc.res.backwardInto(inc.m, inc.s, 1, 0, inc.workers, &inc.sc)
+	inc.res.backwardInto(nil, inc.m, inc.s, 1, 0, inc.workers, &inc.sc, nil)
 	return inc.sc.dmu
 }
 

@@ -1,11 +1,11 @@
 package ssta
 
 import (
+	"context"
 	"runtime"
 	"sync"
 
 	"repro/internal/delay"
-	"repro/internal/stats"
 )
 
 // The parallel sweeps exploit the levelized structure of the circuit:
@@ -21,8 +21,8 @@ import (
 //     coordinating goroutine in the fixed bucket order after the level
 //     barrier, reproducing the serial accumulation order exactly.
 //
-// Both sweeps are therefore bit-identical to the serial Analyze and
-// Backward for any worker count.
+// Both sweeps (forwardInto and backwardInto) are therefore
+// bit-identical to their serial paths for any worker count.
 
 // parallelMinNodes is the circuit size below which the parallel entry
 // points fall back to the serial sweep: below a few hundred nodes the
@@ -74,52 +74,19 @@ func runLevel(workers, n int, fn func(int)) {
 	wg.Wait()
 }
 
-// AnalyzeWorkers is the levelized parallel variant of Analyze. The
-// result is bit-identical to Analyze for any worker count; workers <= 0
-// uses one worker per CPU, and small circuits fall back to the serial
-// sweep.
+// AnalyzeWorkers is the uncancellable AnalyzeCtx at the given worker
+// count.
 func AnalyzeWorkers(m *delay.Model, S []float64, withTape bool, workers int) *Result {
-	workers = resolveWorkers(workers)
-	g := m.G
-	n := len(g.C.Nodes)
-	if workers == 1 || n < parallelMinNodes {
-		return Analyze(m, S, withTape)
-	}
-	r := &Result{
-		Arrival:   make([]stats.MV, n),
-		GateDelay: make([]stats.MV, n),
-		withTape:  withTape,
-	}
-	if withTape {
-		r.gateFold = make([][]stats.Jac2x4, n)
-	}
-	for _, bucket := range g.Levels {
-		runLevel(workers, len(bucket), func(i int) {
-			forwardNode(r, m, S, bucket[i], withTape)
-		})
-	}
-	foldOutputs(r, g, withTape)
+	r, _ := AnalyzeCtx(context.Background(), m, S, withTape, SweepOptions{Workers: workers})
 	return r
 }
 
-// BackwardWorkers is the levelized parallel variant of Backward,
-// bit-identical to it for any worker count. Workers compute each
-// node's fanin contributions into per-node scratch; after the level
-// barrier the contributions are applied serially in bucket order, so
-// every floating-point accumulation happens in the same order as the
-// serial sweep.
-func (r *Result) BackwardWorkers(m *delay.Model, S []float64, seedMu, seedVar float64, workers int) []float64 {
-	if !r.withTape {
-		panic("ssta: BackwardWorkers requires a taped Analyze")
-	}
-	var sc adjointScratch
-	return r.backwardInto(m, S, seedMu, seedVar, resolveWorkers(workers), &sc)
-}
-
-// GradMuPlusKSigmaWorkers is GradMuPlusKSigma on the parallel sweeps:
-// one taped levelized forward pass plus one levelized adjoint pass.
+// GradMuPlusKSigmaWorkers returns phi = mu + k*sigma of the circuit
+// delay and d phi/d S: one taped forward sweep plus one adjoint sweep
+// at the given worker count.
 func GradMuPlusKSigmaWorkers(m *delay.Model, S []float64, k float64, workers int) (float64, []float64) {
 	r := AnalyzeWorkers(m, S, true, workers)
 	phi, sMu, sVar := ObjectiveMuPlusKSigma(r.Tmax, k)
-	return phi, r.BackwardWorkers(m, S, sMu, sVar, workers)
+	var sc adjointScratch
+	return phi, r.backwardInto(nil, m, S, sMu, sVar, workers, &sc, nil)
 }

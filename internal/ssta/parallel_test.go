@@ -1,6 +1,7 @@
 package ssta
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -75,7 +76,10 @@ func TestBackwardWorkersBitIdenticalToSerial(t *testing.T) {
 			want := r.Backward(m, S, seed[0], seed[1])
 			for _, w := range workerCounts {
 				rp := AnalyzeWorkers(m, S, true, w)
-				got := rp.BackwardWorkers(m, S, seed[0], seed[1], w)
+				got, err := rp.BackwardCtx(context.Background(), m, S, seed[0], seed[1], SweepOptions{Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
 				for id := range want {
 					if got[id] != want[id] {
 						t.Fatalf("%s workers=%d seed=%v: grad[%d] = %v != serial %v",
@@ -110,8 +114,8 @@ func TestBackwardWorkersRequiresTape(t *testing.T) {
 	r := Analyze(m, m.UnitSizes(), false)
 	defer func() {
 		if recover() == nil {
-			t.Error("BackwardWorkers without tape did not panic")
+			t.Error("BackwardCtx without tape did not panic")
 		}
 	}()
-	r.BackwardWorkers(m, m.UnitSizes(), 1, 0, 2)
+	r.BackwardCtx(context.Background(), m, m.UnitSizes(), 1, 0, SweepOptions{Workers: 2})
 }

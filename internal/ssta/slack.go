@@ -36,17 +36,9 @@ type SlackResult struct {
 // because sigma is sub-additive along a path: sqrt(sum of variances)
 // <= sum of sigmas).
 func Slacks(m *delay.Model, S []float64, k, deadline float64) *SlackResult {
-	return SlacksWorkers(m, S, k, deadline, 1)
-}
-
-// SlacksWorkers is Slacks with the forward sweep routed through the
-// shared workers-aware entry point (AnalyzeWorkers); the backward
-// required-time sweep is a cheap deterministic scan and stays serial.
-// Results are bit-identical to Slacks for any worker count.
-func SlacksWorkers(m *delay.Model, S []float64, k, deadline float64, workers int) *SlackResult {
 	g := m.G
 	n := len(g.C.Nodes)
-	fw := AnalyzeWorkers(m, S, false, workers)
+	fw := Analyze(m, S, false)
 
 	req := make([]float64, n)
 	for i := range req {

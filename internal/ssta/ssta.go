@@ -13,11 +13,14 @@
 package ssta
 
 import (
+	"context"
 	"math"
+	"time"
 
 	"repro/internal/delay"
 	"repro/internal/netlist"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // shiftMV translates a moment pair by a constant delay.
@@ -127,14 +130,82 @@ func foldOutputs(r *Result, g *netlist.Graph, withTape bool) {
 	r.Tmax = tmax
 }
 
-// Analyze runs the forward statistical sweep for the model under the
-// speed-factor assignment S (indexed by NodeID). When withTape is set,
-// the per-max Jacobians are recorded so Backward can run. Analyze is
-// the serial sweep; AnalyzeWorkers is the parallel variant and
-// produces bit-identical results.
-func Analyze(m *delay.Model, S []float64, withTape bool) *Result {
+// SweepOptions configures one flat forward or adjoint sweep.
+type SweepOptions struct {
+	// Workers bounds the level parallelism: <= 0 uses one worker per
+	// CPU, 1 forces the serial sweep. Results are bit-identical for
+	// every worker count.
+	Workers int
+	// Recorder, when non-nil, receives the sweep's wall-clock span
+	// ("ssta.forward"/"ssta.adjoint"), its sweep counter and, for the
+	// forward sweep, the levelization-shape gauges. Nil disables
+	// instrumentation at the cost of one branch.
+	Recorder telemetry.Recorder
+}
+
+// cancelled polls a done channel without blocking; nil never fires.
+func cancelled(done <-chan struct{}) bool {
+	if done == nil {
+		return false
+	}
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
+// forwardInto is the single flat forward sweep behind AnalyzeCtx (and
+// so Analyze and AnalyzeWorkers) and the incremental engine's initial
+// sweep. It fills r level by level: every node's moments are a pure
+// function of its fanins' final moments and each node owns its slots,
+// so the result is bit-identical for any worker count. done is polled
+// between levels only — never inside one — so every runLevel barrier
+// completes and no worker outlives a cancelled sweep; it reports false
+// when done fired, leaving r partial.
+func forwardInto(done <-chan struct{}, r *Result, m *delay.Model, S []float64, withTape bool, workers int, rec telemetry.Recorder) bool {
+	var t0 time.Time
+	if rec != nil {
+		t0 = time.Now()
+	}
 	g := m.G
-	n := len(g.C.Nodes)
+	workers = resolveWorkers(workers)
+	if len(g.C.Nodes) < parallelMinNodes {
+		workers = 1
+	}
+	for _, bucket := range g.Levels {
+		if cancelled(done) {
+			return false
+		}
+		if workers == 1 {
+			// Inline: runLevel's closure escapes into goroutines and
+			// would allocate on every level.
+			for _, id := range bucket {
+				forwardNode(r, m, S, id, withTape)
+			}
+			continue
+		}
+		runLevel(workers, len(bucket), func(i int) {
+			forwardNode(r, m, S, bucket[i], withTape)
+		})
+	}
+	foldOutputs(r, g, withTape)
+	if rec != nil {
+		rec.Span("ssta.forward", time.Since(t0))
+		rec.Count("ssta.forward_sweeps", 1)
+		recordGraphShape(m, rec)
+	}
+	return true
+}
+
+// AnalyzeCtx runs the forward statistical sweep for the model under
+// the speed-factor assignment S (indexed by NodeID). When withTape is
+// set, the per-max Jacobians are recorded so BackwardCtx can run. The
+// result is bit-identical for every opt.Workers. It returns
+// (nil, ctx.Err()) when ctx is cancelled before or between levels.
+func AnalyzeCtx(ctx context.Context, m *delay.Model, S []float64, withTape bool, opt SweepOptions) (*Result, error) {
+	n := len(m.G.C.Nodes)
 	r := &Result{
 		Arrival:   make([]stats.MV, n),
 		GateDelay: make([]stats.MV, n),
@@ -143,11 +214,15 @@ func Analyze(m *delay.Model, S []float64, withTape bool) *Result {
 	if withTape {
 		r.gateFold = make([][]stats.Jac2x4, n)
 	}
-	for _, id := range g.Topo {
-		forwardNode(r, m, S, id, withTape)
+	if !forwardInto(ctx.Done(), r, m, S, withTape, opt.Workers, opt.Recorder) {
+		return nil, ctx.Err()
 	}
-	foldOutputs(r, g, withTape)
-	return r
+	return r, nil
+}
+
+// Analyze is the serial, uncancellable AnalyzeCtx.
+func Analyze(m *delay.Model, S []float64, withTape bool) *Result {
+	return AnalyzeWorkers(m, S, withTape, 1)
 }
 
 // seedAdjoint unfolds the output max in reverse, seeding the adjoint
@@ -253,35 +328,42 @@ func (sc *adjointScratch) ensure(g *netlist.Graph, parallel bool) {
 	// slots the compute phase just wrote.
 }
 
-// backwardInto is the single implementation behind Backward,
-// BackwardWorkers and the incremental engine's adjoint pass: it runs
-// the sweep with all state in sc and returns sc.grad. The serial and
-// parallel paths fold every floating-point accumulation in the same
-// order, so the result is bit-identical for any worker count.
-func (r *Result) backwardInto(m *delay.Model, S []float64, seedMu, seedVar float64, workers int, sc *adjointScratch) []float64 {
+// backwardInto is the single flat adjoint sweep behind BackwardCtx,
+// the gradient and criticality entry points and the incremental
+// engine's adjoint pass: it runs the sweep with all state in sc and
+// returns sc.grad, or nil when done fired between levels. The serial
+// and parallel paths fold every floating-point accumulation in the
+// same order, so the result is bit-identical for any worker count.
+func (r *Result) backwardInto(done <-chan struct{}, m *delay.Model, S []float64, seedMu, seedVar float64, workers int, sc *adjointScratch, rec telemetry.Recorder) []float64 {
 	if !r.withTape {
 		panic("ssta: adjoint sweep requires a taped Analyze")
 	}
+	var t0 time.Time
+	if rec != nil {
+		t0 = time.Now()
+	}
 	g := m.G
-	n := len(g.C.Nodes)
-	if workers > 1 && n < parallelMinNodes {
+	workers = resolveWorkers(workers)
+	if len(g.C.Nodes) < parallelMinNodes {
 		workers = 1
 	}
 	sc.ensure(g, workers > 1)
 	r.seedAdjoint(g, seedMu, seedVar, sc.adjMu, sc.adjVar)
-	if workers <= 1 {
-		// Level 0 holds only primary inputs, which have no gradient.
-		for l := len(g.Levels) - 1; l >= 1; l-- {
-			for _, id := range g.Levels[l] {
-				r.backwardNode(m, S, id, sc.adjMu, sc.adjVar, sc.grad, sc.dmu)
-			}
-		}
-		return sc.grad
-	}
 	adjMu, adjVar, dmu := sc.adjMu, sc.adjVar, sc.dmu
 	cMu, cVar, off := sc.cMu, sc.cVar, g.FaninOff
+	// Level 0 holds only primary inputs, which have no gradient.
 	for l := len(g.Levels) - 1; l >= 1; l-- {
+		if cancelled(done) {
+			return nil
+		}
 		bucket := g.Levels[l]
+		if workers == 1 {
+			// Inline, as in forwardInto: no escaping closure.
+			for _, id := range bucket {
+				r.backwardNode(m, S, id, adjMu, adjVar, sc.grad, dmu)
+			}
+			continue
+		}
 		// Compute phase: pure reads of finalized adjoints and the
 		// tape; writes only to slots owned by the node.
 		runLevel(workers, len(bucket), func(i int) {
@@ -322,31 +404,45 @@ func (r *Result) backwardInto(m *delay.Model, S []float64, seedMu, seedVar float
 			adjVar[fanin[0]] += cVar[base]
 		}
 	}
+	if rec != nil {
+		rec.Span("ssta.adjoint", time.Since(t0))
+		rec.Count("ssta.adjoint_sweeps", 1)
+	}
 	return sc.grad
 }
 
-// Backward propagates the adjoint seed (d phi/d muTmax, d phi/d
+// BackwardCtx propagates the adjoint seed (d phi/d muTmax, d phi/d
 // varTmax) back through the recorded sweep, returning d phi/d S as a
 // vector indexed by NodeID (input entries are zero). The Result must
 // have been produced with withTape set and the same (m, S).
 //
 // The sweep visits levels in decreasing order and nodes inside a
-// level in bucket order — the canonical adjoint accumulation order
-// that BackwardWorkers reproduces exactly for any worker count.
-func (r *Result) Backward(m *delay.Model, S []float64, seedMu, seedVar float64) []float64 {
-	if !r.withTape {
-		panic("ssta: Backward requires a taped Analyze")
-	}
+// level in bucket order — the canonical adjoint accumulation order,
+// reproduced exactly for any opt.Workers: workers compute each node's
+// fanin contributions into per-node scratch, and after the level
+// barrier the coordinating goroutine applies them in bucket order. It
+// returns (nil, ctx.Err()) when ctx is cancelled before or between
+// levels.
+func (r *Result) BackwardCtx(ctx context.Context, m *delay.Model, S []float64, seedMu, seedVar float64, opt SweepOptions) ([]float64, error) {
 	var sc adjointScratch
-	return r.backwardInto(m, S, seedMu, seedVar, 1, &sc)
+	if grad := r.backwardInto(ctx.Done(), m, S, seedMu, seedVar, opt.Workers, &sc, opt.Recorder); grad != nil {
+		return grad, nil
+	}
+	return nil, ctx.Err()
+}
+
+// Backward is the serial, uncancellable BackwardCtx.
+func (r *Result) Backward(m *delay.Model, S []float64, seedMu, seedVar float64) []float64 {
+	var sc adjointScratch
+	return r.backwardInto(nil, m, S, seedMu, seedVar, 1, &sc, nil)
 }
 
 // ObjectiveMuPlusKSigma returns phi = mu + k*sigma of the circuit
 // delay together with the adjoint seed pair for Backward. At sigma ->
 // 0 with k != 0 the seed saturates using a variance floor to keep the
 // gradient finite. A non-finite k panics here, the single funnel every
-// mu + k*sigma objective path (serial, workers, ctx, batch) flows
-// through, so a NaN risk factor cannot surface downstream as a
+// mu + k*sigma objective path (flat, incremental, hierarchical, batch)
+// flows through, so a NaN risk factor cannot surface downstream as a
 // silently absurd circuit delay.
 func ObjectiveMuPlusKSigma(tmax stats.MV, k float64) (phi, seedMu, seedVar float64) {
 	checkRiskFactor(k, "ObjectiveMuPlusKSigma")
@@ -362,35 +458,23 @@ func ObjectiveMuPlusKSigma(tmax stats.MV, k float64) (phi, seedMu, seedVar float
 	return tmax.Mu + k*sigma, 1, k / (2 * sigma)
 }
 
-// GradMuPlusKSigma is a convenience wrapper: one taped sweep plus one
-// backward pass, returning phi and d phi/d S.
+// GradMuPlusKSigma is the serial GradMuPlusKSigmaWorkers.
 func GradMuPlusKSigma(m *delay.Model, S []float64, k float64) (float64, []float64) {
-	r := Analyze(m, S, true)
-	phi, sMu, sVar := ObjectiveMuPlusKSigma(r.Tmax, k)
-	return phi, r.Backward(m, S, sMu, sVar)
+	return GradMuPlusKSigmaWorkers(m, S, k, 1)
 }
 
-// Criticality returns d muTmax / d mu_t(gate) for every gate: how much
-// the mean circuit delay moves per unit of that gate's mean delay. In
-// deterministic STA this is the 0/1 indicator of critical-path
-// membership; statistically it is a smooth weight in [0, 1] spread
-// over competing paths — the "statistical criticality" used for
-// reporting in cmd/ssta.
-func Criticality(m *delay.Model, S []float64) []float64 {
-	return CriticalityWorkers(m, S, 1)
-}
-
-// CriticalityWorkers is Criticality on the shared workers-aware
-// sweeps (AnalyzeWorkers plus the levelized adjoint), bit-identical
-// to the serial Criticality for any worker count. The per-gate
-// criticality is exactly the gate's mean-delay adjoint under the
-// (d muTmax, d varTmax) = (1, 0) seed, which the adjoint sweep
-// records as a byproduct.
+// CriticalityWorkers returns d muTmax / d mu_t(gate) for every gate:
+// how much the mean circuit delay moves per unit of that gate's mean
+// delay. In deterministic STA this is the 0/1 indicator of
+// critical-path membership; statistically it is a smooth weight in
+// [0, 1] spread over competing paths — the "statistical criticality"
+// used for reporting in cmd/ssta. The per-gate criticality is exactly
+// the gate's mean-delay adjoint under the (d muTmax, d varTmax) =
+// (1, 0) seed, which the adjoint sweep records as a byproduct. The
+// result is bit-identical for any worker count.
 func CriticalityWorkers(m *delay.Model, S []float64, workers int) []float64 {
 	r := AnalyzeWorkers(m, S, true, workers)
 	var sc adjointScratch
-	r.backwardInto(m, S, 1, 0, resolveWorkers(workers), &sc)
-	crit := make([]float64, len(sc.dmu))
-	copy(crit, sc.dmu)
-	return crit
+	r.backwardInto(nil, m, S, 1, 0, workers, &sc, nil)
+	return sc.dmu
 }

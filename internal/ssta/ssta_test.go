@@ -213,7 +213,7 @@ func TestObjectiveMuPlusKSigma(t *testing.T) {
 func TestCriticalityTree(t *testing.T) {
 	m := treeModel(t)
 	S := m.UnitSizes()
-	crit := Criticality(m, S)
+	crit := CriticalityWorkers(m, S, 1)
 	c := m.G.C
 	// The output gate is fully critical.
 	if g := crit[c.MustID("G")]; !approxEq(g, 1, 1e-9) {
@@ -243,7 +243,7 @@ func TestCriticalityMatchesBackwardSeed(t *testing.T) {
 	g := netlist.MustCompile(netlist.Fig2Example())
 	m := delay.MustBind(g, delay.Default())
 	S := m.UnitSizes()
-	crit := Criticality(m, S)
+	crit := CriticalityWorkers(m, S, 1)
 	for _, id := range g.C.GateIDs() {
 		h := 1e-6
 		old := m.TInt[id]
