@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-inc bench-batch bench-hier bench-obsv bench-service bench-session test-batch test-hier test-obsv test-service test-session smoke-service check trace faults
+.PHONY: build test vet race bench bench-inc bench-batch bench-hier bench-obsv bench-service bench-session test-batch test-engine test-obsv test-service test-session smoke-service check trace faults
 
 build:
 	$(GO) build ./...
@@ -19,9 +19,9 @@ race:
 bench:
 	$(GO) test -run NONE -bench . -benchtime 1x ./...
 
-# bench-inc measures the incremental SSTA engine against a fresh full
-# sweep (single-gate gradient steps in internal/ssta) plus a fixed
-# 64-step greedy run on the incremental engine (internal/sizing), and
+# bench-inc measures the persistent SSTA engine's dirty-cone step
+# against a fresh full sweep (single-gate gradient steps in internal/ssta) plus a fixed
+# 64-step greedy run on the persistent engine (internal/sizing), and
 # collects ns/op and allocs/op into BENCH_incremental.json.
 bench-inc:
 	$(GO) test -run NONE -bench 'Inc|FullSweep' -benchmem -count 1 \
@@ -66,17 +66,18 @@ bench-batch:
 			print "\n]" }' /tmp/bench-batch.txt > BENCH_batch.json
 	cat BENCH_batch.json
 
-# bench-hier measures the hierarchical block-parallel SSTA engine
-# against the flat levelized sweeps on the streamed 100k-gate netlist
-# (the cmd/circuitgen gen100k preset): full forward+adjoint evaluations
-# at 1, 4 and 8 workers, and the warm single-gate sizing step where the
-# engine replays clean blocks as cached statistical timing macros.
+# bench-hier measures the persistent SSTA engine against the flat
+# levelized sweeps on the streamed 100k-gate netlist (the
+# cmd/circuitgen gen100k preset): full forward+adjoint evaluations at
+# 1, 4 and 8 workers (block-scheduled when parallel), and the warm
+# single-gate sizing step where the engine re-evaluates only the dirty
+# cone.
 # Each benchmark runs 3 times and the minimum ns/op is kept (the same
 # min-of-N noise suppression as internal/bench.timeBest). The results
 # (ns/op, B/op, allocs/op and the derived speedups) land in
-# BENCH_hier.json; the macro-replay step must be at least 3x faster
-# than the flat full resweep, and the warm serial hierarchical sweeps
-# must report zero allocations.
+# BENCH_hier.json; the warm step must be at least 3x faster than the
+# flat full resweep, and the warm serial sweeps must report zero
+# allocations.
 bench-hier:
 	$(GO) test -run NONE -bench 'Gen100k' -benchmem -count 3 -timeout 30m \
 		./internal/ssta/ | tee /tmp/bench-hier.txt
@@ -155,14 +156,17 @@ test-obsv:
 		./internal/telemetry/ ./internal/sizing/ ./internal/faults/ \
 		./cmd/statsize/ ./cmd/ssta/
 
-# test-hier runs the hierarchical timing suite under the race detector
-# (the CI hier job): partitioner invariants and determinism fuzz,
-# blocked-vs-flat bit-identity fuzz across worker counts and block
-# targets (macro replay included), the worker-invariant telemetry
-# byte-identity check and the streamed generator round-trip.
-test-hier:
-	$(GO) test -race -timeout 5m -run 'Hier|Partition|GenerateStream|GenPreset' \
-		./internal/ssta/ ./internal/partition/ ./internal/netlist/
+# test-engine runs the persistent SSTA engine suite under the race
+# detector (the CI engine job): the trial/rollback and block-target
+# fuzz against fresh sweeps, bit-identity across worker counts and
+# block targets, criticality, the worker-invariant event and trace
+# byte-identity checks, the 0-alloc pins, the greedy driver on the
+# engine, partitioner invariants and determinism fuzz, and the
+# streamed generator round-trip.
+test-engine:
+	$(GO) test -race -timeout 10m \
+		-run 'TestInc|TestGreedyFromSpec|TestGreedyWeighted|Hier|Partition|GenerateStream|GenPreset' \
+		./internal/ssta/ ./internal/sizing/ ./internal/partition/ ./internal/netlist/
 
 # test-batch runs the batch equivalence suite — bit-identity of the
 # K-lane statistical/deterministic/Monte Carlo sweeps against

@@ -157,10 +157,6 @@ func attribution(events []telemetry.TraceEvent) []phase {
 			add("alm.recover", "recoveries", 1, 1)
 		case "inc.update":
 			add("inc.update", "dirty gates", 1, get(e, "dirty"))
-		case "hier.update":
-			add("hier.update", "gates swept", 1, get(e, "gates"))
-		case "hier.block":
-			add("hier.block", "gates swept", 1, get(e, "gates"))
 		case "hier.sweep":
 			add("hier.sweep", "nodes", 1, get(e, "nodes"))
 		case "batch.sweep":
@@ -340,10 +336,6 @@ func writeFlame(w io.Writer, events []telemetry.TraceEvent, spans []spanRow) {
 			add("nlp.solve;alm.outer;nlp.inner", get(e, "inner"))
 		case "inc.update":
 			add("greedy;inc.update", get(e, "dirty"))
-		case "hier.block":
-			add("hier.sweep;hier.block", get(e, "gates"))
-		case "hier.update":
-			add("hier.sweep;hier.update", get(e, "changed"))
 		case "batch.sweep":
 			add("batch.sweep", get(e, "lanes")*get(e, "nodes"))
 		case "greedy.step":

@@ -24,8 +24,8 @@ type HierRow struct {
 	FlatFullNS, HierFullNS int64
 	// FlatStepNS / HierStepNS: one warm sizing step — a single-gate
 	// size change followed by a full gradient. The flat path must
-	// re-sweep everything; the hierarchical engine replays every clean
-	// block as a cached macro.
+	// re-sweep everything; the persistent engine re-evaluates only the
+	// dirty cone's nodes.
 	FlatStepNS, HierStepNS int64
 	FullSpeedup            float64
 	StepSpeedup            float64

@@ -15,7 +15,7 @@ import (
 // This file is the warm what-if session layer: the interactive
 // counterpart of the cold job pipeline. A client creates a session
 // once — the daemon parses the circuit, binds the delay model and runs
-// one full taped sweep into a persistent ssta.Inc engine — and then
+// one full taped sweep into a persistent ssta.Hier engine — and then
 // nudges gate sizes one PATCH at a time. Each nudge re-evaluates only
 // the dirty cone (SetSize/Update with bitwise early cutoff), each
 // what-if runs under Trial/Rollback without mutating session state,
@@ -27,14 +27,14 @@ import (
 // Warm engines are cached under an LRU with a byte budget: an evicted
 // session keeps only its spec and current sizes (a few hundred bytes)
 // and rebuilds transparently on the next touch — the rebuilt engine is
-// bit-identical to the evicted one because the incremental contract
-// pins engine state to a fresh sweep at the current sizes. Session
+// bit-identical to the evicted one because the engine contract pins
+// engine state to a fresh sweep at the current sizes. Session
 // creation reuses the job pipeline's admission (429/413/503) and
 // fsync-before-2xx journal machinery, so a restarted daemon recovers
 // its session roster (sizes reset to the baseline; the client sees
 // Recovered=true and the first touch reports rebuilt=true).
 //
-// One Inc engine is single-threaded, so every engine operation runs
+// One engine is single-threaded, so every engine operation runs
 // under the session's own mutex — the per-session queue. Concurrent
 // PATCHes therefore linearize: each applies its whole batch atomically
 // (in sorted gate order, so a batch's internal order is deterministic
@@ -113,7 +113,7 @@ type SessionStatus struct {
 
 // session is the in-memory record of one what-if session. The spec,
 // sizes and engine are guarded by the session's own mutex (the
-// per-session queue serializing the single-threaded Inc engine); the
+// per-session queue serializing the single-threaded engine); the
 // cache-management fields (eng pointer identity for the LRU, bytes,
 // lastUse, closed) are guarded by the server's session-table mutex.
 // Lock order: never acquire a session mutex while holding the table
@@ -128,7 +128,7 @@ type session struct {
 
 	mu       sync.Mutex // the per-session queue
 	sizes    []float64  // current speed factors; nil = baseline (unit)
-	eng      *ssta.Inc  // nil while evicted
+	eng      *ssta.Hier // nil while evicted
 	built    bool       // engine built at least once in this process
 	gates    int
 	rebuilds int
@@ -210,7 +210,7 @@ func (s *Server) CreateSession(spec SessionSpec) (SessionStatus, error) {
 	if workers <= 0 {
 		workers = 1
 	}
-	eng := ssta.NewInc(m, m.UnitSizes(), ssta.IncOptions{Workers: workers})
+	eng := ssta.NewHier(m, m.UnitSizes(), ssta.HierOptions{Workers: workers})
 	bytes := eng.MemoryBytes()
 
 	s.sessMu.Lock()
@@ -405,15 +405,15 @@ func (s *Server) reapIdleSessions(idle time.Duration) {
 // the spec and current sizes when evicted. The boolean reports a
 // transparent rebuild (surfaced to the client as `rebuilt`). Callers
 // hold the session mutex.
-func (s *Server) ensureEngine(ss *session) (*ssta.Inc, bool, error) {
+func (s *Server) ensureEngine(ss *session) (*ssta.Hier, bool, error) {
 	s.sessMu.Lock()
 	eng := ss.eng
 	s.sessMu.Unlock()
 	if eng != nil {
 		return eng, false, nil
 	}
-	// Rebuild outside both locks: the incremental contract makes the
-	// fresh engine at the session's current sizes bit-identical to the
+	// Rebuild outside both locks: the engine contract makes the fresh
+	// engine at the session's current sizes bit-identical to the
 	// evicted one, so the eviction is transparent to the client.
 	js := ss.spec.jobSpec()
 	m, err := buildModel(&js)
@@ -428,7 +428,7 @@ func (s *Server) ensureEngine(ss *session) (*ssta.Inc, bool, error) {
 	if workers <= 0 {
 		workers = 1
 	}
-	eng = ssta.NewInc(m, sizes, ssta.IncOptions{Workers: workers})
+	eng = ssta.NewHier(m, sizes, ssta.HierOptions{Workers: workers})
 	bytes := eng.MemoryBytes()
 
 	s.sessMu.Lock()
@@ -460,7 +460,7 @@ func (s *Server) ensureEngine(ss *session) (*ssta.Inc, bool, error) {
 // at its API boundary — so the service rejects them with a 400 here,
 // before they reach the PATCH path). The batch returns in sorted gate
 // order, making the application order deterministic.
-func resolveNudges(eng *ssta.Inc, sizes map[string]float64) ([]nudge, error) {
+func resolveNudges(eng *ssta.Hier, sizes map[string]float64) ([]nudge, error) {
 	if len(sizes) == 0 {
 		return nil, errors.New("service: empty sizes map")
 	}
@@ -618,10 +618,21 @@ type TimingReply struct {
 // SessionTiming reads the session's current timing view: circuit
 // delay moments, per-output arrivals, and per-gate criticality plus
 // mu+k*sigma sensitivities — all from the warm tape, no fresh sweep.
-// top bounds the Critical list (<= 0 returns every gate).
+// k == 0 selects the session's default risk factor; top bounds the
+// Critical list (<= 0 returns every gate).
 func (s *Server) SessionTiming(id string, k float64, top int) (TimingReply, error) {
-	if math.IsNaN(k) || math.IsInf(k, 0) {
-		return TimingReply{}, fmt.Errorf("service: risk factor k=%v is not finite", k)
+	if k == 0 {
+		return s.sessionTiming(id, nil, top)
+	}
+	return s.sessionTiming(id, &k, top)
+}
+
+// sessionTiming is SessionTiming with the risk factor passed as
+// present or absent (nil selects the session default), so an explicit
+// k = 0 — mean-only timing — is distinguishable from an omitted one.
+func (s *Server) sessionTiming(id string, kq *float64, top int) (TimingReply, error) {
+	if kq != nil && (math.IsNaN(*kq) || math.IsInf(*kq, 0)) {
+		return TimingReply{}, fmt.Errorf("service: risk factor k=%v is not finite", *kq)
 	}
 	ss, err := s.lookupSession(id)
 	if err != nil {
@@ -633,11 +644,12 @@ func (s *Server) SessionTiming(id string, k float64, top int) (TimingReply, erro
 	if err != nil {
 		return TimingReply{}, err
 	}
-	if k == 0 {
-		k = ss.spec.K
-	}
+	k := ss.spec.K
 	if k == 0 {
 		k = 3
+	}
+	if kq != nil {
+		k = *kq
 	}
 	tmax := eng.Update()
 	phi, grad := eng.GradMuPlusKSigma(k)

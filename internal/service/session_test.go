@@ -124,6 +124,29 @@ func TestSessionLifecycleHTTP(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestSessionTimingExplicitKZero pins the timing query's risk factor:
+// an explicit k=0 asks for mean-only timing (phi = mu), while an
+// omitted k falls back to the session default.
+func TestSessionTimingExplicitKZero(t *testing.T) {
+	srv, ts := testServer(t, Options{Pool: 1})
+	srv.Start()
+	resp := sessionReq(t, ts, http.MethodPost, "/v1/sessions", SessionSpec{ID: "s1", Circuit: "tree7", K: 2})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: HTTP %d, want 201", resp.StatusCode)
+	}
+	resp.Body.Close()
+
+	resp = sessionReq(t, ts, http.MethodGet, "/v1/sessions/s1/timing?k=0", nil)
+	tr := decodeBody[TimingReply](t, resp)
+	if tr.K != 0 || tr.Phi != tr.Mu {
+		t.Fatalf("k=0 timing: k=%v phi=%v mu=%v, want k=0 and phi=mu", tr.K, tr.Phi, tr.Mu)
+	}
+	resp = sessionReq(t, ts, http.MethodGet, "/v1/sessions/s1/timing", nil)
+	if tr = decodeBody[TimingReply](t, resp); tr.K != 2 || tr.Phi <= tr.Mu {
+		t.Fatalf("default timing: k=%v phi=%v mu=%v, want the session's k=2", tr.K, tr.Phi, tr.Mu)
+	}
+}
+
 // TestSessionAdmission pins the session error mapping: 400 bad spec,
 // 404 unknown, 409 duplicate, 413 oversized, 429 roster full, plus
 // 400s for bad nudge payloads.

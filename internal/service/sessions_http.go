@@ -119,14 +119,14 @@ func (s *Server) handleSessionWhatIf(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSessionTiming(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	var k float64
+	var k *float64 // nil: the session default
 	if v := q.Get("k"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, errors.New("service: bad k parameter"))
 			return
 		}
-		k = f
+		k = &f
 	}
 	top := 16
 	if v := q.Get("top"); v != "" {
@@ -137,7 +137,7 @@ func (s *Server) handleSessionTiming(w http.ResponseWriter, r *http.Request) {
 		}
 		top = n
 	}
-	rep, err := s.SessionTiming(r.PathValue("id"), k, top)
+	rep, err := s.sessionTiming(r.PathValue("id"), k, top)
 	if err != nil {
 		writeSessionErr(w, err)
 		return

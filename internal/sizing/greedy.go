@@ -17,9 +17,9 @@ import (
 // unit area until the mu + k*sigma quantile meets the deadline. The
 // exact adjoint gradient makes the sensitivity ranking cheap — one
 // taped sweep per step instead of one sweep per gate — and the
-// persistent incremental engine (ssta.Inc) makes each step cheaper
-// still: a bump re-evaluates only the changed cone and the backward
-// pass reuses the engine's tape slabs allocation-free.
+// persistent engine (ssta.Hier) makes each step cheaper still: a bump
+// re-evaluates only the changed cone and the backward pass reuses the
+// engine's tape slabs allocation-free.
 //
 // It is provided as a baseline: fast and simple, but greedy — the NLP
 // formulations reach the same deadlines with less area (measured in
@@ -42,7 +42,7 @@ type GreedyOptions struct {
 	Weights []float64
 	// Recorder, when non-nil, receives one deterministic "greedy.step"
 	// event per sensitivity step, a final "greedy.result" event, and
-	// the incremental engine's "inc.update" events. Nil disables
+	// the persistent engine's "inc.update" events. Nil disables
 	// instrumentation at zero cost.
 	Recorder telemetry.Recorder
 }
@@ -108,12 +108,12 @@ func SizeGreedyCtx(ctx context.Context, m *delay.Model, opt GreedyOptions) (*Gre
 	rec := opt.Recorder
 	stack := telemetry.NewStack(rec)
 	stack.Push("greedy")
-	// The steady-state loop runs on the persistent incremental engine:
-	// each bump dirties only the gate and its fanin drivers, Update
-	// re-evaluates the changed cone, and the adjoint pass reuses the
-	// refreshed tape slabs — per-step allocations are zero (with
+	// The steady-state loop runs on the persistent engine: each bump
+	// dirties only the gate and its fanin drivers, Update re-evaluates
+	// the changed cone, and the adjoint pass reuses the refreshed tape
+	// slabs — per-step allocations are zero (with
 	// Workers == 1) instead of a fresh O(V) slab set per sweep.
-	inc := ssta.NewInc(m, S, ssta.IncOptions{Workers: opt.Workers, Recorder: rec})
+	inc := ssta.NewHier(m, S, ssta.HierOptions{Workers: opt.Workers, Recorder: rec})
 	for ; res.Steps < opt.MaxSteps; res.Steps++ {
 		if cancelled(done) {
 			break

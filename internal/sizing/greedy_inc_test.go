@@ -112,7 +112,7 @@ func TestGreedyFromSpecThreadsWeights(t *testing.T) {
 func TestGreedyStepAllocFree(t *testing.T) {
 	m := genModel(t, 300)
 	gates := m.G.C.GateIDs()
-	inc := ssta.NewInc(m, m.UnitSizes(), ssta.IncOptions{Workers: 1})
+	inc := ssta.NewHier(m, m.UnitSizes(), ssta.HierOptions{Workers: 1})
 	doStep := func() {
 		_, grad := inc.GradMuPlusKSigma(3)
 		S := inc.Sizes()

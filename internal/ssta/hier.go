@@ -13,24 +13,49 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file implements the hierarchical block-parallel SSTA engine.
-// The flat levelized sweeps walk one global topological order: every
-// forward/adjoint pass streams the whole arrival/tape arena through
-// cache and the per-level barriers serialize unrelated logic cones.
-// Hier instead runs on a partition.Partition — the DAG cut into
-// ~cache-sized, level-pure blocks — and schedules *blocks*:
+// This file implements the persistent SSTA engine. Statistical-timing-
+// driven sizers are dominated by repeated localized re-evaluations —
+// one gate's speed factor changes, everything else stays put — yet a
+// fresh Analyze pays an allocating O(V) sweep every time. Hier keeps
+// the whole forward state (arrivals, gate delays, the adjoint tape,
+// every gate's load) alive in arena-backed slabs across evaluations
+// and re-runs only the dirty cone:
 //
-//   - Forward: a dataflow scheduler where workers claim whole blocks
-//     as their fanin blocks complete. No global level barrier: a deep
-//     narrow cone does not stall a wide independent one. Each node's
-//     moments are a pure function of its fanins' final moments and
-//     every node owns its slots, so any dependency-respecting
-//     schedule produces bit-identical arrivals — block-topological
-//     evaluation with exact boundary arrivals is a pure reordering
-//     of the flat sweep's float ops.
+//   - SetSize(g, s) marks dirty exactly the gates whose delay depends
+//     on S[g]: g itself and its fanin drivers, whose load term
+//     c*sum(C_in*S) contains C_in[g]*S[g] (delay.Model.SDependents).
+//   - Update() re-evaluates dirty nodes level by level; a node whose
+//     recomputed arrival moments are bit-identical to before does not
+//     propagate to its fanout (early cutoff), so the dirty region is
+//     the true changed cone, not the full structural cone. The unit is
+//     the node, not the block: a block-granular rule re-evaluates the
+//     whole block around every changed node, which costs more than the
+//     O(1) block skip saves on circuits of a few thousand gates.
+//   - Every recomputation runs the same forward fold in the same order
+//     as a fresh sweep, and unchanged nodes hold values a fresh sweep
+//     would recompute identically — so the engine state is
+//     bit-identical to Analyze/AnalyzeWorkers at the current sizes,
+//     for any worker count and block size.
+//
+// Trial/Commit/Rollback bound what-if moves: Rollback restores every
+// overwritten slab entry, the speed factors and the cached loads from
+// an undo log, so a rejected move costs O(touched) instead of a
+// recompute.
+//
+// With Workers > 1 the full passes are scheduled on a
+// partition.Partition — the DAG cut into ~cache-sized, level-pure
+// blocks (the statistical timing macros of Li et al.'s hierarchical
+// SSTA, here only the unit of parallel scheduling):
+//
+//   - Forward (Resweep): a dataflow scheduler where workers claim
+//     whole blocks as their fanin blocks complete. No global level
+//     barrier: a deep narrow cone does not stall a wide independent
+//     one. Each node's moments are a pure function of its fanins'
+//     final moments and every node owns its slots, so any
+//     dependency-respecting schedule produces bit-identical arrivals.
 //   - Adjoint: the same scheduler on the reversed block DAG. Bitwise
 //     determinism needs more care because adjoints *accumulate*
-//     across fanout edges; Hier therefore never accumulates
+//     across fanout edges; the engine therefore never accumulates
 //     concurrently. Every contribution goes to a writer-owned slot
 //     (per fanin-pin for arrival adjoints, per fanout-pin plus a
 //     self slot for the speed-factor gradient), and each node folds
@@ -40,46 +65,52 @@ import (
 //     performs the same additions in the same order as Backward, so
 //     the gradient is bit-identical for any worker count and any
 //     block size.
-//   - Statistical timing macros: the engine is persistent. A block
-//     whose member sizes and input boundary arrivals are unchanged
-//     since its last evaluation simply keeps its slab contents — the
-//     cached macro outputs are replayed by not touching them, an
-//     O(1) skip. SetSize dirties exactly the blocks holding the
-//     S-dependent gates (delay.Model.SDependents — the same dirty
-//     rule as ssta.Inc, lifted to block granularity), and Update
-//     re-evaluates dirty blocks level by level with bitwise early
-//     cutoff on block boundary outputs: a re-evaluated block whose
-//     arrivals come back bit-identical does not dirty its fanout
-//     blocks.
+//
+// A serial engine never reads the partition, the fold orders or the
+// per-edge slot slabs, so it does not build them: its full pass is
+// the levelized sweep and its adjoint the flat recursion over an
+// interleaved slab.
 //
 // Slab layout: arrivals and gate delays live in NodeID-indexed slabs
 // shared with the flat sweeps' code paths, while the adjoint tape is
-// one arena carved in block order — a block's tape span is
-// contiguous, so re-evaluating or back-propagating a block walks a
-// dense cache-resident range.
+// one arena carved in block order (level order when serial) — a
+// block's tape span is contiguous, so re-evaluating or
+// back-propagating a block walks a dense cache-resident range.
 
-// HierOptions configures a hierarchical engine.
+// HierOptions configures a persistent engine.
 type HierOptions struct {
-	// BlockTarget is the aimed-for nodes per block;
-	// <= 0 uses partition.DefaultBlockTarget.
+	// BlockTarget is the aimed-for nodes per block of the parallel
+	// schedule; <= 0 uses partition.DefaultBlockTarget. A serial
+	// engine cuts no blocks unless Partition is called.
 	BlockTarget int
-	// Workers bounds the dataflow scheduler's parallelism: <= 0 uses
-	// one worker per CPU, 1 forces serial execution. Results are
-	// bit-identical for every worker count; only the serial path is
-	// allocation-free in the steady state.
+	// Workers bounds the parallelism of Update, Resweep and the
+	// adjoint pass: <= 0 uses one worker per CPU, 1 forces serial
+	// execution. Results are bit-identical for every worker count;
+	// only the serial path is allocation-free in the steady state.
 	Workers int
-	// Recorder, when non-nil, receives worker-invariant "hier.block"
-	// and "hier.update" events per Update with work pending, and one
-	// "hier.sweep" event per full resweep. Nil disables
+	// Recorder, when non-nil, receives one "inc.update" event per
+	// Update that had work pending, carrying the dirty-node and
+	// frontier counts, and one "hier.sweep" event per Resweep — all
+	// worker-count-invariant by construction. Nil disables
 	// instrumentation at zero cost.
 	Recorder telemetry.Recorder
 }
 
-// Hier is a persistent hierarchical block-parallel SSTA engine. It is
-// not safe for concurrent use; one engine serves one evaluation loop.
+// Inc and IncOptions are the engine's former incremental names; the
+// benchmark module still builds against them.
+type (
+	Inc        = Hier
+	IncOptions = HierOptions
+)
+
+// NewInc is NewHier under the engine's former incremental name.
+func NewInc(m *delay.Model, S []float64, opt IncOptions) *Inc { return NewHier(m, S, opt) }
+
+// Hier is the persistent SSTA engine. It is not safe for concurrent
+// use; one engine serves one evaluation loop.
 type Hier struct {
 	m       *delay.Model
-	p       *partition.Partition
+	target  int // HierOptions.BlockTarget, for the partition
 	workers int
 	rec     telemetry.Recorder
 
@@ -87,8 +118,8 @@ type Hier struct {
 	s []float64
 
 	// res holds the forward state; res.gateFold[id] is a fixed
-	// subslice of tapeArena, carved once in block order so a block's
-	// tape span is contiguous.
+	// subslice of tapeArena, carved once, so re-evaluating a node
+	// rewrites its tape slots in place.
 	res       Result
 	tapeArena []stats.Jac2x4
 
@@ -100,24 +131,56 @@ type Hier struct {
 	// values are bitwise what Load would recompute.
 	load []float64
 
-	// Adjoint state. cMu/cVar are per fanin-pin arrival-adjoint
-	// contribution slots (offsets G.FaninOff); gSelf/gPin are the
-	// gradient's self and per fanout-pin slots (offsets G.FanoutOff).
-	// active[id] records whether gate id's folded adjoint was nonzero
-	// this sweep — the serial sweep's skip condition, needed so folds
-	// ignore slots of skipped writers exactly like Backward never
-	// accumulates them.
-	active      []bool
-	dmu, grad   []float64
-	cMu, cVar   []float64
-	gSelf, gPin []float64
 	// adj is the interleaved adjoint slab: adj[2id] / adj[2id+1] hold
 	// node id's (mu, var) arrival adjoint. The serial sweep
 	// accumulates into it directly and a node's pair shares a cache
 	// line, halving the lines touched by the scattered fanin
 	// accumulation; the parallel path only seeds it (outputs) and
-	// reads each node's pair once before folding slots.
-	adj []float64
+	// reads each node's pair once before folding slots. dmu and grad
+	// receive the criticality and the gradient.
+	adj, dmu, grad []float64
+
+	// markDirtyFn is the bound markDirty method, created once so the
+	// SetSize hot path does not allocate a method value per call.
+	markDirtyFn func(netlist.NodeID)
+
+	// Dirty tracking: dirty flags plus per-level pending lists
+	// (insertion-ordered, deterministic because all marking happens
+	// on the coordinating goroutine), and the dirty level span.
+	dirty          []bool
+	byLevel        [][]netlist.NodeID
+	changed        []bool
+	minLvl, maxLvl int
+
+	updates int // Update calls that had work, for the event stream
+
+	// Trial state: a generation-stamped undo log. gen identifies the
+	// open trial; nodeGen/sGen record which slabs and sizes were
+	// already saved this trial so each is logged at most once.
+	inTrial      bool
+	gen          uint64
+	nodeGen      []uint64
+	sGen         []uint64
+	logNodes     []nodeSave
+	logTape      []stats.Jac2x4
+	logS         []sizeSave
+	savedOutFold []stats.Jac2x4
+	savedTmax    stats.MV
+
+	// p is the block decomposition: built by NewHier when Workers > 1,
+	// otherwise on demand by Partition.
+	p *partition.Partition
+
+	// Parallel adjoint state, built only when Workers > 1. cMu/cVar
+	// are per fanin-pin arrival-adjoint contribution slots (offsets
+	// G.FaninOff); gSelf/gPin are the gradient's self and per
+	// fanout-pin slots (offsets G.FanoutOff). active[id] records
+	// whether gate id's folded adjoint was nonzero this sweep — the
+	// serial sweep's skip condition, needed so folds ignore slots of
+	// skipped writers exactly like Backward never accumulates them.
+	active      []bool
+	cMu, cVar   []float64
+	gSelf, gPin []float64
 	// inAdjSlot/inAdjFrom list, per node (CSR offsets G.FanoutOff —
 	// one incoming contribution per fanout pin), the cMu/cVar slot
 	// indices and their writer gates in the serial accumulation
@@ -127,42 +190,38 @@ type Hier struct {
 	inGradOff              []int
 	inGradSlot, inGradFrom []int32
 
-	// Dataflow scheduler scratch and bound method values (created
-	// once so the hot paths do not allocate).
-	pending   []int32
-	evalFwdFn func(int)
-	evalBwdFn func(int)
-	markFn    func(netlist.NodeID)
-
-	// Dirty tracking at block granularity: flags plus per-level
-	// pending block lists (insertion-ordered, deterministic because
-	// all marking happens on the coordinating goroutine), the dirty
-	// level span, per-node changed flags and per-block changed
-	// counts (written in the compute phase, each block owns its
-	// slot).
-	dirtyB         []bool
-	dirtyByLevel   [][]int32
-	minLvl, maxLvl int
-	changed        []bool
-	blkChanged     []int32
-	evalList       []int32
-
-	updates int // Update calls that had work, for the event stream
+	// pending holds the dataflow scheduler's per-block counters.
+	pending []int32
 }
 
-// NewHier partitions the model's graph and builds an engine at the
-// speed-factor assignment S (copied), running the initial full taped
-// sweep through the dataflow scheduler.
+// nodeSave is one undo-log entry: the node's pre-trial arrival and
+// gate delay, plus the offset of its saved tape steps in logTape
+// (the count is implied by the node's fanin arity).
+type nodeSave struct {
+	id      netlist.NodeID
+	arr, gd stats.MV
+	tapeAt  int
+}
+
+// sizeSave is one undo-log entry for a speed factor.
+type sizeSave struct {
+	id netlist.NodeID
+	s  float64
+}
+
+// NewHier builds an engine for the model at the speed-factor
+// assignment S (copied) and runs the initial full taped sweep. With
+// Workers > 1 it also cuts the graph into blocks and builds the
+// parallel adjoint's fold orders.
 func NewHier(m *delay.Model, S []float64, opt HierOptions) *Hier {
 	g := m.G
 	n := len(g.C.Nodes)
 	if len(S) != n {
 		panic(fmt.Sprintf("ssta: NewHier got %d sizes for %d nodes", len(S), n))
 	}
-	p := partition.New(g, partition.Options{BlockTarget: opt.BlockTarget})
 	h := &Hier{
 		m:       m,
-		p:       p,
+		target:  opt.BlockTarget,
 		workers: resolveWorkers(opt.Workers),
 		rec:     opt.Recorder,
 		s:       append([]float64(nil), S...),
@@ -172,33 +231,30 @@ func NewHier(m *delay.Model, S []float64, opt HierOptions) *Hier {
 			withTape:  true,
 			gateFold:  make([][]stats.Jac2x4, n),
 		},
-		load:         make([]float64, n),
-		active:       make([]bool, n),
-		dmu:          make([]float64, n),
-		grad:         make([]float64, n),
-		cMu:          make([]float64, g.Edges),
-		cVar:         make([]float64, g.Edges),
-		gSelf:        make([]float64, n),
-		gPin:         make([]float64, g.Edges),
-		adj:          make([]float64, 2*n),
-		pending:      make([]int32, len(p.Blocks)),
-		dirtyB:       make([]bool, len(p.Blocks)),
-		dirtyByLevel: make([][]int32, len(g.Levels)),
-		changed:      make([]bool, n),
-		blkChanged:   make([]int32, len(p.Blocks)),
+		load:    make([]float64, n),
+		adj:     make([]float64, 2*n),
+		dmu:     make([]float64, n),
+		grad:    make([]float64, n),
+		dirty:   make([]bool, n),
+		changed: make([]bool, n),
+		byLevel: make([][]netlist.NodeID, len(g.Levels)),
+		nodeGen: make([]uint64, n),
+		sGen:    make([]uint64, n),
 	}
 	h.clearSpan()
-	h.evalFwdFn = h.evalBlockForward
-	h.evalBwdFn = h.evalBlockBackward
-	h.markFn = func(id netlist.NodeID) { h.markBlock(p.BlockOf[id]) }
+	h.markDirtyFn = h.markDirty
 	for i := range g.C.Nodes {
 		if g.C.Nodes[i].Kind == netlist.KindGate {
 			h.load[i] = m.Load(netlist.NodeID(i), h.s)
 		}
 	}
+	if h.workers > 1 {
+		h.buildParallel()
+	}
 
-	// Carve the per-gate tape slots from one arena in block order:
-	// a block's tape span is contiguous.
+	// Carve the per-gate tape slots from one arena in evaluation
+	// order, so the whole tape is two allocations and re-evaluations
+	// are in-place.
 	total := 0
 	for i := range g.C.Nodes {
 		if k := len(g.C.Nodes[i].Fanin); k > 1 {
@@ -207,33 +263,58 @@ func NewHier(m *delay.Model, S []float64, opt HierOptions) *Hier {
 	}
 	h.tapeArena = make([]stats.Jac2x4, total)
 	at := 0
-	for b := range p.Blocks {
-		for _, id := range p.Blocks[b].Nodes {
+	carve := func(ids []netlist.NodeID) {
+		for _, id := range ids {
 			if k := len(g.C.Nodes[id].Fanin); k > 1 {
 				h.res.gateFold[id] = h.tapeArena[at : at+k-1 : at+k-1]
 				at += k - 1
 			}
 		}
 	}
+	if h.p != nil {
+		for b := range h.p.Blocks {
+			carve(h.p.Blocks[b].Nodes)
+		}
+	} else {
+		for _, bucket := range g.Levels {
+			carve(bucket)
+		}
+	}
 	if no := len(g.C.Outputs); no > 1 {
 		h.res.outFold = make([]stats.Jac2x4, no-1)
+		h.savedOutFold = make([]stats.Jac2x4, no-1)
 	}
-
-	h.buildFoldOrders()
-	h.Resweep()
+	h.resweep()
 	return h
 }
 
-// buildFoldOrders precomputes, for every node, its incoming adjoint
-// and gradient contribution slots in the exact accumulation order of
-// the serial Backward sweep: consumers visited by (level desc, level
-// position asc), fanin pins in the serial write order (high pin to
-// pin 0), gradient fanout pins ascending. Appending while iterating
-// consumers in that global order builds each node's list already
-// sorted — one O(E) pass, no per-node sorts.
-func (h *Hier) buildFoldOrders() {
+// Partition returns the engine's block decomposition, cutting it on
+// first use when the engine is serial.
+func (h *Hier) Partition() *partition.Partition {
+	if h.p == nil {
+		h.p = partition.New(h.m.G, partition.Options{BlockTarget: h.target})
+	}
+	return h.p
+}
+
+// buildParallel cuts the blocks and builds the parallel adjoint's
+// slot slabs and fold orders. The fold orders list, for every node,
+// its incoming adjoint and gradient contribution slots in the exact
+// accumulation order of the serial Backward sweep: consumers visited
+// by (level desc, level position asc), fanin pins in the serial write
+// order (high pin to pin 0), gradient fanout pins ascending. Appending
+// while iterating consumers in that global order builds each node's
+// list already sorted — one O(E) pass, no per-node sorts.
+func (h *Hier) buildParallel() {
 	g := h.m.G
 	n := len(g.C.Nodes)
+	h.pending = make([]int32, len(h.Partition().Blocks))
+	h.active = make([]bool, n)
+	h.cMu = make([]float64, g.Edges)
+	h.cVar = make([]float64, g.Edges)
+	h.gSelf = make([]float64, n)
+	h.gPin = make([]float64, g.Edges)
+
 	h.inAdjSlot = make([]int32, g.Edges)
 	h.inAdjFrom = make([]int32, g.Edges)
 	cur := make([]int, n)
@@ -279,14 +360,14 @@ func (h *Hier) clearSpan() {
 	h.minLvl, h.maxLvl = len(h.m.G.Levels), -1
 }
 
-// markBlock queues a block for re-evaluation (idempotent).
-func (h *Hier) markBlock(b int32) {
-	if h.dirtyB[b] {
+// markDirty queues a node for re-evaluation (idempotent).
+func (h *Hier) markDirty(id netlist.NodeID) {
+	if h.dirty[id] {
 		return
 	}
-	h.dirtyB[b] = true
-	l := h.p.Blocks[b].Level
-	h.dirtyByLevel[l] = append(h.dirtyByLevel[l], b)
+	h.dirty[id] = true
+	l := h.m.G.Level[id]
+	h.byLevel[l] = append(h.byLevel[l], id)
 	if l < h.minLvl {
 		h.minLvl = l
 	}
@@ -295,13 +376,31 @@ func (h *Hier) markBlock(b int32) {
 	}
 }
 
-// SetSize sets gate id's speed factor and invalidates the macros of
-// the blocks holding the S-dependent gates (delay.Model.SDependents).
-// A bit-identical size is a no-op. The change takes effect at the
-// next Update. A non-finite size panics, as in Inc.SetSize: NaN would
-// slip past the no-op guard and poison the slabs and the load cache.
+// discardPending drops every pending dirty mark.
+func (h *Hier) discardPending() {
+	for l := h.minLvl; l <= h.maxLvl; l++ {
+		for _, id := range h.byLevel[l] {
+			h.dirty[id] = false
+		}
+		h.byLevel[l] = h.byLevel[l][:0]
+	}
+	h.clearSpan()
+}
+
+// SetSize sets gate id's speed factor, marks the load-dependent gates
+// dirty (id and its fanin drivers — the SDependents rule) and
+// recomputes the drivers' cached loads. A bit-identical size is a
+// no-op. The change takes effect at the next Update.
+//
+// A non-finite size panics at this API boundary (the checkRiskFactor
+// convention): NaN would poison the slabs and the load cache and,
+// being != to itself, could never even no-op out through the
+// bit-compare guard below, so it must not reach the engine at all.
+// Callers exposing SetSize to untrusted input (the service's PATCH
+// path) validate first.
 func (h *Hier) SetSize(id netlist.NodeID, s float64) {
-	if h.m.G.C.Nodes[id].Kind != netlist.KindGate {
+	nodes := h.m.G.C.Nodes
+	if nodes[id].Kind != netlist.KindGate {
 		panic("ssta: Hier.SetSize on a non-gate node")
 	}
 	if math.IsNaN(s) || math.IsInf(s, 0) {
@@ -310,26 +409,160 @@ func (h *Hier) SetSize(id netlist.NodeID, s float64) {
 	if h.s[id] == s {
 		return
 	}
+	if h.inTrial && h.sGen[id] != h.gen {
+		h.sGen[id] = h.gen
+		h.logS = append(h.logS, sizeSave{id: id, s: h.s[id]})
+	}
 	h.s[id] = s
-	h.m.SDependents(id, h.markFn)
-	// S[id] appears in exactly the fanin drivers' load sums; their
-	// cached loads are recomputed from scratch (bitwise what Load
-	// returns). A driver wired through several pins is recomputed once
-	// per pin — idempotent.
-	for _, f := range h.m.G.C.Nodes[id].Fanin {
-		if h.m.G.C.Nodes[f].Kind == netlist.KindGate {
+	h.m.SDependents(id, h.markDirtyFn)
+	h.reloadDrivers(id)
+}
+
+// reloadDrivers recomputes the cached loads S[id] appears in — its
+// fanin drivers' — from scratch (bitwise what Load returns). A driver
+// wired through several pins is recomputed once per pin — idempotent.
+func (h *Hier) reloadDrivers(id netlist.NodeID) {
+	nodes := h.m.G.C.Nodes
+	for _, f := range nodes[id].Fanin {
+		if nodes[f].Kind == netlist.KindGate {
 			h.load[f] = h.m.Load(f, h.s)
 		}
 	}
 }
 
-// runBlocks executes eval for every block, honoring the block DAG:
-// forward order uses fanin-block dependencies, backward the reversed
-// DAG. With one worker the blocks run inline in (reverse) id order —
-// a valid dependency-respecting schedule, allocation-free. With more
-// workers a dataflow pool claims blocks as their dependencies
-// complete: per-block atomic pending counters, a buffered ready
-// queue, no level barriers.
+// saveNode logs a node's slabs once per trial before they are
+// overwritten.
+func (h *Hier) saveNode(id netlist.NodeID) {
+	if h.nodeGen[id] == h.gen {
+		return
+	}
+	h.nodeGen[id] = h.gen
+	at := len(h.logTape)
+	h.logTape = append(h.logTape, h.res.gateFold[id]...)
+	h.logNodes = append(h.logNodes, nodeSave{
+		id: id, arr: h.res.Arrival[id], gd: h.res.GateDelay[id], tapeAt: at,
+	})
+}
+
+// reeval re-runs node id's forward fold and flags whether its arrival
+// changed — a pure bit-compare, identical for every worker count.
+func (h *Hier) reeval(id netlist.NodeID) {
+	old := h.res.Arrival[id]
+	forwardNodeLoaded(&h.res, h.m, h.s, id, true, h.load[id])
+	h.changed[id] = h.res.Arrival[id] != old
+}
+
+// Update re-evaluates the dirty cone level by level and returns the
+// circuit delay moments. Nodes whose recomputed arrival is
+// bit-identical to before stop propagating (early cutoff). The
+// resulting state — arrivals, gate delays, tape, Tmax — is
+// bit-identical to a fresh taped Analyze/AnalyzeWorkers at the
+// current sizes, for any worker count and block size. With nothing
+// dirty it returns the cached Tmax untouched.
+func (h *Hier) Update() stats.MV {
+	if h.maxLvl < h.minLvl {
+		return h.res.Tmax
+	}
+	g := h.m.G
+	dirtyN, frontierN := 0, 0
+	// maxLvl may grow while we scan (changed nodes push fanouts to
+	// strictly higher levels), so walk every level from minLvl up and
+	// skip the empty buckets.
+	for l := h.minLvl; l < len(h.byLevel); l++ {
+		bucket := h.byLevel[l]
+		if len(bucket) == 0 {
+			continue
+		}
+		if h.inTrial {
+			for _, id := range bucket {
+				h.saveNode(id)
+			}
+		}
+		// Compute phase: fanins at lower levels are final and each
+		// node writes only its own slots. The serial path stays
+		// inline — the runLevel closure escapes into goroutines, and
+		// the steady state must not allocate.
+		if h.workers == 1 {
+			for _, id := range bucket {
+				h.reeval(id)
+			}
+		} else {
+			runLevel(h.workers, len(bucket), func(i int) { h.reeval(bucket[i]) })
+		}
+		// Apply phase: serial, in insertion order — propagate changed
+		// arrivals to fanout gates (all at strictly higher levels).
+		for _, id := range bucket {
+			h.dirty[id] = false
+			if !h.changed[id] {
+				continue
+			}
+			frontierN++
+			for _, f := range g.Fanout[id] {
+				h.markDirty(f)
+			}
+		}
+		dirtyN += len(bucket)
+		h.byLevel[l] = bucket[:0]
+	}
+	h.clearSpan()
+	// The output fold is always rebuilt in the fixed output order, so
+	// it matches a fresh sweep's fold bit for bit.
+	foldOutputs(&h.res, g, true)
+	h.updates++
+	if h.rec != nil {
+		h.rec.Event("inc", "update",
+			telemetry.I("update", h.updates),
+			telemetry.I("dirty", dirtyN),
+			telemetry.I("frontier", frontierN),
+			telemetry.F("mu", h.res.Tmax.Mu),
+			telemetry.F("var", h.res.Tmax.Var),
+		)
+	}
+	return h.res.Tmax
+}
+
+// Resweep unconditionally re-evaluates every node — through the
+// dataflow block scheduler when Workers > 1 — and returns the circuit
+// delay moments: the full blocked forward pass of the benchmarks.
+// Pending dirty marks are subsumed.
+func (h *Hier) Resweep() stats.MV {
+	if h.inTrial {
+		// Log and flush the dirty cone first: the full pass then
+		// rewrites every node with the bits it already holds, so the
+		// undo log stays complete.
+		h.Update()
+	}
+	h.discardPending()
+	h.resweep()
+	if h.rec != nil {
+		h.rec.Event("hier", "sweep",
+			telemetry.I("nodes", len(h.m.G.C.Nodes)),
+			telemetry.F("mu", h.res.Tmax.Mu),
+			telemetry.F("var", h.res.Tmax.Var),
+		)
+	}
+	return h.res.Tmax
+}
+
+// resweep is Resweep's full forward pass, without the event.
+func (h *Hier) resweep() {
+	if h.workers > 1 {
+		h.runBlocks(false, h.evalBlockForward)
+	} else {
+		for _, bucket := range h.m.G.Levels {
+			for _, id := range bucket {
+				forwardNodeLoaded(&h.res, h.m, h.s, id, true, h.load[id])
+			}
+		}
+	}
+	foldOutputs(&h.res, h.m.G, true)
+}
+
+// runBlocks executes eval for every block on a dataflow pool,
+// honoring the block DAG: forward order uses fanin-block
+// dependencies, backward the reversed DAG. Workers claim blocks as
+// their dependencies complete — per-block atomic pending counters, a
+// buffered ready queue, no level barriers.
 func (h *Hier) runBlocks(backward bool, eval func(int)) {
 	blocks := h.p.Blocks
 	nb := len(blocks)
@@ -339,23 +572,6 @@ func (h *Hier) runBlocks(backward bool, eval func(int)) {
 	scope := "hier.block.fwd"
 	if backward {
 		scope = "hier.block.bwd"
-	}
-	if h.workers <= 1 || nb < 2 {
-		st := telemetry.StackAt(h.rec, "hier.sweep")
-		if backward {
-			for b := nb - 1; b >= 0; b-- {
-				st.Push(scope)
-				eval(b)
-				st.Pop()
-			}
-		} else {
-			for b := 0; b < nb; b++ {
-				st.Push(scope)
-				eval(b)
-				st.Pop()
-			}
-		}
-		return
 	}
 	pending := h.pending
 	ready := make(chan int32, nb)
@@ -392,10 +608,7 @@ func (h *Hier) runBlocks(backward bool, eval func(int)) {
 			}
 		}
 	}
-	w := h.workers
-	if w > nb {
-		w = nb
-	}
+	w := min(h.workers, nb)
 	wg.Add(w)
 	for i := 1; i < w; i++ {
 		go work()
@@ -411,24 +624,6 @@ func (h *Hier) evalBlockForward(b int) {
 	for _, id := range h.p.Blocks[b].Nodes {
 		forwardNodeLoaded(&h.res, h.m, h.s, id, true, h.load[id])
 	}
-}
-
-// evalBlockDirty is evalBlockForward plus bitwise change tracking for
-// the macro cutoff: changed flags per node and the block's changed
-// count in its owned blkChanged slot.
-func (h *Hier) evalBlockDirty(b int) {
-	blk := &h.p.Blocks[b]
-	n := int32(0)
-	for _, id := range blk.Nodes {
-		old := h.res.Arrival[id]
-		forwardNodeLoaded(&h.res, h.m, h.s, id, true, h.load[id])
-		ch := h.res.Arrival[id] != old
-		h.changed[id] = ch
-		if ch {
-			n++
-		}
-	}
-	h.blkChanged[b] = n
 }
 
 // evalBlockBackward runs the adjoint step for block b: each node
@@ -525,179 +720,64 @@ func (h *Hier) foldGrad() {
 	}
 }
 
-// Resweep unconditionally re-evaluates every block through the
-// dataflow scheduler — the initial full sweep, and the full blocked
-// forward pass of the benchmarks. Pending dirty marks are subsumed.
-func (h *Hier) Resweep() stats.MV {
-	for l := h.minLvl; l >= 0 && l < len(h.dirtyByLevel); l++ {
-		for _, b := range h.dirtyByLevel[l] {
-			h.dirtyB[b] = false
-		}
-		h.dirtyByLevel[l] = h.dirtyByLevel[l][:0]
-	}
-	h.clearSpan()
-	h.runBlocks(false, h.evalFwdFn)
-	foldOutputs(&h.res, h.m.G, true)
-	if h.rec != nil {
-		h.rec.Event("hier", "sweep",
-			telemetry.I("blocks", len(h.p.Blocks)),
-			telemetry.I("nodes", len(h.m.G.C.Nodes)),
-			telemetry.F("mu", h.res.Tmax.Mu),
-			telemetry.F("var", h.res.Tmax.Var),
-		)
-	}
-	return h.res.Tmax
-}
-
-// Update re-evaluates the dirty blocks level by level and returns the
-// circuit delay moments. A clean block is a statistical timing macro
-// replay: its slabs already hold what a fresh sweep would recompute,
-// so it is skipped in O(1) by never being queued. A re-evaluated
-// block whose arrivals are bit-identical to before does not dirty
-// its fanout blocks (early cutoff). The resulting state is
-// bit-identical to a fresh taped Analyze/AnalyzeWorkers at the
-// current sizes, for any worker count and block size. With nothing
-// dirty it returns the cached Tmax untouched.
-func (h *Hier) Update() stats.MV {
-	if h.maxLvl < h.minLvl {
-		return h.res.Tmax
-	}
-	g := h.m.G
-	blocks := h.p.Blocks
-	h.evalList = h.evalList[:0]
-	sweptGates, changedGates := 0, 0
-	// maxLvl may grow while we scan (changed blocks dirty fanout
-	// blocks at strictly higher levels), so walk every level from
-	// minLvl up and skip the empty buckets.
-	for l := h.minLvl; l < len(h.dirtyByLevel); l++ {
-		bucket := h.dirtyByLevel[l]
-		if len(bucket) == 0 {
-			continue
-		}
-		// Compute phase: level-pure blocks of one level are mutually
-		// independent, so they evaluate concurrently; the changed
-		// flags are bit-compares, identical for every worker count.
-		// The serial path stays inline — the runLevel closure
-		// escapes, and the steady state must not allocate.
-		if h.workers == 1 {
-			for _, b := range bucket {
-				h.evalBlockDirty(int(b))
-			}
-		} else {
-			runLevel(h.workers, len(bucket), func(i int) {
-				h.evalBlockDirty(int(bucket[i]))
-			})
-		}
-		// Apply phase: serial, in insertion order — changed arrivals
-		// invalidate the macros of their fanout gates' blocks, all
-		// at strictly higher levels.
-		for _, b := range bucket {
-			h.dirtyB[b] = false
-			blk := &blocks[b]
-			sweptGates += len(blk.Nodes)
-			changedGates += int(h.blkChanged[b])
-			if h.blkChanged[b] > 0 {
-				for _, id := range blk.Nodes {
-					if !h.changed[id] {
-						continue
-					}
-					for _, f := range g.Fanout[id] {
-						h.markBlock(h.p.BlockOf[f])
-					}
-				}
-			}
-			h.evalList = append(h.evalList, b)
-		}
-		h.dirtyByLevel[l] = bucket[:0]
-	}
-	h.clearSpan()
-	// The output fold is rebuilt in the fixed output order, matching
-	// a fresh sweep's fold bit for bit.
-	foldOutputs(&h.res, g, true)
-	h.updates++
-	if h.rec != nil {
-		// All values are worker-count-invariant: the evaluated list
-		// and changed counts come from deterministic marking and
-		// bit-compares, emitted in the serial apply order.
-		for _, b := range h.evalList {
-			h.rec.Event("hier", "block",
-				telemetry.I("block", int(b)),
-				telemetry.I("gates", len(blocks[b].Nodes)),
-				telemetry.I("changed", int(h.blkChanged[b])),
-			)
-		}
-		h.rec.Event("hier", "update",
-			telemetry.I("update", h.updates),
-			telemetry.I("evaluated", len(h.evalList)),
-			telemetry.I("replayed", len(blocks)-len(h.evalList)),
-			telemetry.I("gates", sweptGates),
-			telemetry.I("changed", changedGates),
-			telemetry.F("mu", h.res.Tmax.Mu),
-			telemetry.F("var", h.res.Tmax.Var),
-		)
-	}
-	return h.res.Tmax
-}
-
-// backward dispatches one adjoint sweep. The slot-fold machinery
-// exists for deterministic parallel accumulation; with one worker the
-// flat canonical recursion runs in place instead — levels descending,
-// in-level nodes in bucket order, which visits the level-pure blocks
-// in (level desc, bucket asc) order, exactly the flat sweep's node
-// order. Accumulating adjoints and gradients directly is then the
-// same float program as Result.Backward — bit-identical by
-// construction — and skips the slot-write plus fold double pass and
-// the O(V+E) gradient gather.
+// backward flushes pending updates and runs one adjoint sweep. The
+// slot-fold machinery exists for deterministic parallel accumulation;
+// with one worker the flat canonical recursion runs in place instead
+// — levels descending, in-level nodes in bucket order, exactly the
+// flat sweep's node order. Accumulating adjoints and gradients
+// directly is then the same float program as Result.Backward —
+// bit-identical by construction — and skips the slot-write plus fold
+// double pass and the O(V+E) gradient gather.
 func (h *Hier) backward(seedMu, seedVar float64) {
-	if h.workers <= 1 {
-		clear(h.adj)
-		clear(h.grad)
-		clear(h.dmu)
+	h.Update()
+	if h.workers > 1 {
 		h.seed(seedMu, seedVar)
-		g := h.m.G
-		adj := h.adj
-		for l := len(g.Levels) - 1; l >= 1; l-- {
-			for _, id := range g.Levels[l] {
-				am, av := adj[2*id], adj[2*id+1]
-				if am == 0 && av == 0 {
-					continue
-				}
-				// The body of Result.backwardNodeActive over the
-				// interleaved slab: the same float ops in the same
-				// order (a node's pair shares a cache line, which is
-				// the point of the layout).
-				d := am + av*h.m.Sigma.DVar(h.res.GateDelay[id].Mu)
-				h.dmu[id] = d
-				h.m.GateMuGradLoaded(id, h.s, h.load[id], d, h.grad)
-				fanin := g.C.Nodes[id].Fanin
-				uMu, uVar := am, av
-				steps := h.res.gateFold[id]
-				for k := len(fanin) - 1; k >= 1; k-- {
-					j := steps[k-1]
-					f := fanin[k]
-					adj[2*f] += uMu*j[0][2] + uVar*j[1][2]
-					adj[2*f+1] += uMu*j[0][3] + uVar*j[1][3]
-					uMu, uVar = uMu*j[0][0]+uVar*j[1][0], uMu*j[0][1]+uVar*j[1][1]
-				}
-				adj[2*fanin[0]] += uMu
-				adj[2*fanin[0]+1] += uVar
-			}
-		}
+		h.runBlocks(true, h.evalBlockBackward)
+		h.foldGrad()
 		return
 	}
+	clear(h.adj)
+	clear(h.grad)
+	clear(h.dmu)
 	h.seed(seedMu, seedVar)
-	h.runBlocks(true, h.evalBwdFn)
-	h.foldGrad()
+	g := h.m.G
+	adj := h.adj
+	for l := len(g.Levels) - 1; l >= 1; l-- {
+		for _, id := range g.Levels[l] {
+			am, av := adj[2*id], adj[2*id+1]
+			if am == 0 && av == 0 {
+				continue
+			}
+			// The body of Result.backwardNode over the interleaved
+			// slab: the same float ops in the same order (a node's
+			// pair shares a cache line, which is the point of the
+			// layout).
+			d := am + av*h.m.Sigma.DVar(h.res.GateDelay[id].Mu)
+			h.dmu[id] = d
+			h.m.GateMuGradLoaded(id, h.s, h.load[id], d, h.grad)
+			fanin := g.C.Nodes[id].Fanin
+			uMu, uVar := am, av
+			steps := h.res.gateFold[id]
+			for k := len(fanin) - 1; k >= 1; k-- {
+				j := steps[k-1]
+				f := fanin[k]
+				adj[2*f] += uMu*j[0][2] + uVar*j[1][2]
+				adj[2*f+1] += uMu*j[0][3] + uVar*j[1][3]
+				uMu, uVar = uMu*j[0][0]+uVar*j[1][0], uMu*j[0][1]+uVar*j[1][1]
+			}
+			adj[2*fanin[0]] += uMu
+			adj[2*fanin[0]+1] += uVar
+		}
+	}
 }
 
-// Backward flushes pending updates and runs the block-parallel
-// adjoint sweep with the given seed, returning d phi/d S indexed by
-// NodeID. The returned slice is engine-owned scratch, overwritten by
-// the next Backward — copy it to keep it. Bit-identical to
-// Result.Backward/BackwardCtx for any worker count and block
-// size; allocation-free in the steady state with Workers == 1.
+// Backward flushes pending updates and runs the adjoint sweep with
+// the given seed, returning d phi/d S indexed by NodeID. The returned
+// slice is engine-owned scratch, overwritten by the next adjoint pass
+// — copy it to keep it. Bit-identical to Result.Backward/BackwardCtx
+// for any worker count and block size; allocation-free in the steady
+// state with Workers == 1.
 func (h *Hier) Backward(seedMu, seedVar float64) []float64 {
-	h.Update()
 	h.backward(seedMu, seedVar)
 	return h.grad
 }
@@ -707,19 +787,128 @@ func (h *Hier) Backward(seedMu, seedVar float64) []float64 {
 // Backward) — bit-identical to GradMuPlusKSigmaWorkers at the
 // engine's current sizes.
 func (h *Hier) GradMuPlusKSigma(k float64) (float64, []float64) {
-	tmax := h.Update()
-	phi, sMu, sVar := ObjectiveMuPlusKSigma(tmax, k)
+	phi, sMu, sVar := ObjectiveMuPlusKSigma(h.Update(), k)
 	return phi, h.Backward(sMu, sVar)
 }
 
-// Criticality flushes pending updates and returns d muTmax / d
-// mu_t(gate) for every gate — the blocked equivalent of
-// CriticalityWorkers, bit-identical to it. The returned slice is
-// engine-owned scratch, overwritten by the next adjoint pass.
+// Criticality flushes pending updates and returns each gate's
+// statistical criticality d muTmax / d mu_t — the adjoint sweep over
+// the engine's warm tape under a (1, 0) seed, bit-identical to
+// CriticalityWorkers at the engine's current sizes but without the
+// fresh O(V) taped sweep that entry point pays. The returned slice is
+// engine-owned scratch, overwritten by the next adjoint pass
+// (Backward/GradMuPlusKSigma included) — copy it to keep it.
 func (h *Hier) Criticality() []float64 {
-	h.Update()
 	h.backward(1, 0)
 	return h.dmu
+}
+
+// Trial opens a what-if scope (pending updates are flushed first so
+// the snapshot is consistent). Until Commit or Rollback, every slab
+// entry and speed factor is logged before its first overwrite.
+// Trials do not nest.
+func (h *Hier) Trial() {
+	if h.inTrial {
+		panic("ssta: Hier.Trial does not nest")
+	}
+	h.Update()
+	h.inTrial = true
+	h.gen++
+	h.logNodes = h.logNodes[:0]
+	h.logTape = h.logTape[:0]
+	h.logS = h.logS[:0]
+	h.savedTmax = h.res.Tmax
+	copy(h.savedOutFold, h.res.outFold)
+}
+
+// Commit accepts the trial's changes and drops the undo log. Dirty
+// marks from SetSize calls not yet flushed stay pending for the next
+// Update.
+func (h *Hier) Commit() {
+	if !h.inTrial {
+		panic("ssta: Hier.Commit outside a trial")
+	}
+	h.inTrial = false
+}
+
+// Rollback restores the engine — slabs, tape, speed factors, cached
+// loads, Tmax — to the state at the matching Trial call, bit for bit,
+// and returns the restored circuit moments. Cost is O(nodes touched
+// since Trial).
+func (h *Hier) Rollback() stats.MV {
+	if !h.inTrial {
+		panic("ssta: Hier.Rollback outside a trial")
+	}
+	// Discard pending dirty marks: the restored slabs are consistent,
+	// so nothing is left to re-evaluate.
+	h.discardPending()
+	// Restore in reverse log order; each node was logged once with
+	// its pre-trial state, so order only matters for symmetry.
+	for i := len(h.logNodes) - 1; i >= 0; i-- {
+		sv := h.logNodes[i]
+		h.res.Arrival[sv.id] = sv.arr
+		h.res.GateDelay[sv.id] = sv.gd
+		steps := h.res.gateFold[sv.id]
+		copy(steps, h.logTape[sv.tapeAt:sv.tapeAt+len(steps)])
+	}
+	for i := len(h.logS) - 1; i >= 0; i-- {
+		h.s[h.logS[i].id] = h.logS[i].s
+	}
+	// Every size is back, so recomputing the loads SetSize rewrote
+	// yields their pre-trial bits: a load is a pure function of the
+	// fanout sizes.
+	for _, sv := range h.logS {
+		h.reloadDrivers(sv.id)
+	}
+	copy(h.res.outFold, h.savedOutFold)
+	h.res.Tmax = h.savedTmax
+	h.logNodes = h.logNodes[:0]
+	h.logTape = h.logTape[:0]
+	h.logS = h.logS[:0]
+	h.inTrial = false
+	return h.res.Tmax
+}
+
+// MemoryBytes estimates the engine's resident footprint: the
+// forward/adjoint slabs, the tape arena, the trial log backing
+// arrays and, once built, the partition and the parallel slot slabs.
+// It is the byte cost a cache of warm engines pays to keep this one
+// alive (the session LRU's budget unit), not an exact accounting of
+// every header.
+func (h *Hier) MemoryBytes() int64 {
+	const (
+		mvSize    = 16 // stats.MV: 2 float64
+		jacSize   = 64 // stats.Jac2x4: 2x4 float64
+		hdrSize   = 24 // slice header
+		blockSize = 3*hdrSize + 8
+	)
+	n := int64(len(h.s))
+	b := 6 * n * 8      // s, load, dmu, grad, adj (2 per node)
+	b += 2 * n * mvSize // Arrival, GateDelay
+	b += 2 * n * 8      // nodeGen, sGen
+	b += 2 * n          // dirty, changed
+	b += n * hdrSize    // gateFold subslice headers
+	b += int64(len(h.tapeArena)) * jacSize
+	b += 2 * int64(len(h.res.outFold)) * jacSize // outFold + savedOutFold
+	for _, bucket := range h.byLevel {
+		b += hdrSize + int64(cap(bucket))*8
+	}
+	// Trial undo log backing arrays.
+	b += int64(cap(h.logTape)) * jacSize
+	b += int64(cap(h.logNodes)) * 48 // nodeSave: id + 2 MV + offset
+	b += int64(cap(h.logS)) * 16
+	if p := h.p; p != nil {
+		b += int64(len(p.BlockOf))*4 + int64(cap(p.Blocks))*blockSize
+		for i := range p.Blocks {
+			blk := &p.Blocks[i]
+			b += int64(cap(blk.Nodes))*8 + int64(cap(blk.Fanin)+cap(blk.Fanout))*4
+		}
+	}
+	// Parallel adjoint slabs (empty on a serial engine).
+	b += int64(len(h.active))
+	b += int64(len(h.cMu)+len(h.cVar)+len(h.gSelf)+len(h.gPin)+len(h.inGradOff)) * 8
+	b += int64(len(h.inAdjSlot)+len(h.inAdjFrom)+len(h.inGradSlot)+len(h.inGradFrom)+len(h.pending)) * 4
+	return b
 }
 
 // Tmax returns the circuit delay moments as of the last Update.
@@ -739,6 +928,3 @@ func (h *Hier) Sizes() []float64 { return h.s }
 // model parameter except the speed factors is frozen for its
 // lifetime.
 func (h *Hier) Model() *delay.Model { return h.m }
-
-// Partition returns the engine's block decomposition.
-func (h *Hier) Partition() *partition.Partition { return h.p }

@@ -51,8 +51,8 @@ func BenchmarkFlatGradGen100kW4(b *testing.B) { benchFlatGrad(b, 4) }
 func BenchmarkFlatGradGen100kW8(b *testing.B) { benchFlatGrad(b, 8) }
 
 // benchHierGrad is the same full forward+adjoint evaluation through
-// the persistent blocked engine: dataflow-scheduled blocks over
-// arena-backed slabs, no per-evaluation allocation.
+// the persistent engine: dataflow-scheduled blocks over arena-backed
+// slabs when parallel, no per-evaluation allocation when serial.
 func benchHierGrad(b *testing.B, workers int) {
 	m := gen100kModel(b)
 	h := NewHier(m, m.UnitSizes(), HierOptions{Workers: workers})
@@ -83,9 +83,8 @@ func BenchmarkFlatStepGen100k(b *testing.B) {
 }
 
 // BenchmarkHierStepGen100k is the same warm sizing step through the
-// hierarchical engine: only the dirty cone's blocks re-evaluate, every
-// clean block replays as a cached macro, and the warm serial loop runs
-// at zero allocations per step.
+// persistent engine: only the dirty cone's nodes re-evaluate, and the
+// warm serial loop runs at zero allocations per step.
 func BenchmarkHierStepGen100k(b *testing.B) {
 	m := gen100kModel(b)
 	h := NewHier(m, m.UnitSizes(), HierOptions{Workers: 1})

@@ -18,36 +18,36 @@ func hierBlockTargets(m *delay.Model) []int {
 	return []int{1, 64, len(m.G.C.Nodes)}
 }
 
-// checkHierMatchesFresh asserts the engine's full forward state, the
+// checkMatchesFresh asserts the engine's full forward state, the
 // objective and the gradient are bit-identical to a fresh flat taped
 // sweep at the engine's current sizes.
-func checkHierMatchesFresh(t *testing.T, h *Hier, m *delay.Model, k float64) {
+func checkMatchesFresh(t *testing.T, h *Hier, m *delay.Model, k float64) {
 	t.Helper()
 	phiH, gradH := h.GradMuPlusKSigma(k)
 	S := h.Sizes()
 	fresh := Analyze(m, S, true)
 	if h.Tmax() != fresh.Tmax {
-		t.Fatalf("Tmax diverged: hier %+v fresh %+v", h.Tmax(), fresh.Tmax)
+		t.Fatalf("Tmax diverged: engine %+v fresh %+v", h.Tmax(), fresh.Tmax)
 	}
 	for id := range fresh.Arrival {
 		nid := netlist.NodeID(id)
 		if h.Arrival(nid) != fresh.Arrival[id] {
-			t.Fatalf("node %d arrival diverged: hier %+v fresh %+v",
+			t.Fatalf("node %d arrival diverged: engine %+v fresh %+v",
 				id, h.Arrival(nid), fresh.Arrival[id])
 		}
 		if h.GateDelay(nid) != fresh.GateDelay[id] {
-			t.Fatalf("node %d gate delay diverged: hier %+v fresh %+v",
+			t.Fatalf("node %d gate delay diverged: engine %+v fresh %+v",
 				id, h.GateDelay(nid), fresh.GateDelay[id])
 		}
 	}
 	phiF, sMu, sVar := ObjectiveMuPlusKSigma(fresh.Tmax, k)
 	if phiH != phiF {
-		t.Fatalf("phi diverged: hier %v fresh %v", phiH, phiF)
+		t.Fatalf("phi diverged: engine %v fresh %v", phiH, phiF)
 	}
 	gradF := fresh.Backward(m, S, sMu, sVar)
 	for id := range gradF {
 		if gradH[id] != gradF[id] {
-			t.Fatalf("grad[%d] diverged: hier %v fresh %v", id, gradH[id], gradF[id])
+			t.Fatalf("grad[%d] diverged: engine %v fresh %v", id, gradH[id], gradF[id])
 		}
 	}
 }
@@ -82,8 +82,8 @@ func TestHierInitialSweepBitIdentical(t *testing.T) {
 // TestHierMatchesFlatFuzz drives the engine with random size bursts,
 // no-op updates and full resweeps for worker counts {1, 4} crossed
 // with block targets {1, 64, whole graph}, asserting bit-identity
-// against fresh flat sweeps throughout — macro replay included, since
-// most blocks stay clean across the small bursts.
+// against fresh flat sweeps throughout — early cutoff included, since
+// most nodes stay clean across the small bursts.
 func TestHierMatchesFlatFuzz(t *testing.T) {
 	for name, m := range parallelTestModels(t) {
 		for _, workers := range []int{1, 4} {
@@ -100,7 +100,7 @@ func TestHierMatchesFlatFuzz(t *testing.T) {
 								h.SetSize(gates[rng.Intn(len(gates))], randSize())
 							}
 							h.Update()
-						case 1: // bit-identical write must replay everything
+						case 1: // a bit-identical write must dirty nothing
 							id := gates[rng.Intn(len(gates))]
 							h.SetSize(id, h.Sizes()[id])
 							h.Update()
@@ -111,10 +111,10 @@ func TestHierMatchesFlatFuzz(t *testing.T) {
 							h.Update()
 						}
 						if step%4 == 0 {
-							checkHierMatchesFresh(t, h, m, 3)
+							checkMatchesFresh(t, h, m, 3)
 						}
 					}
-					checkHierMatchesFresh(t, h, m, 3)
+					checkMatchesFresh(t, h, m, 3)
 				})
 			}
 		}
@@ -159,39 +159,30 @@ func TestHierBackwardSeeds(t *testing.T) {
 	}
 }
 
-// TestHierMacroReplayCounts asserts the telemetry stream proves whole
-// clean blocks are skipped: a single-gate bump on the big generated
-// netlist must replay (not evaluate) most blocks.
+// TestHierMacroReplayCounts asserts the dirty cone is node-granular
+// on a blocked engine: a single-gate bump on the big generated netlist
+// re-evaluates fewer than half its nodes, and a no-op Update emits
+// nothing.
 func TestHierMacroReplayCounts(t *testing.T) {
 	m := parallelTestModels(t)["gen1200"]
 	gates := m.G.C.GateIDs()
 	sink := &eventSink{}
 	h := NewHier(m, m.UnitSizes(), HierOptions{BlockTarget: 16, Workers: 1, Recorder: sink})
-	total := len(h.Partition().Blocks)
-	sink.lines = nil
 	h.SetSize(gates[len(gates)/2], 2.0)
 	h.Update()
-	var evaluated, replayed int
+	var upd, dirty int
 	found := false
 	for _, ln := range sink.lines {
-		var upd int
-		if n, _ := fmt.Sscanf(ln, "hier.update update=%d evaluated=%d replayed=%d",
-			&upd, &evaluated, &replayed); n == 3 {
+		if n, _ := fmt.Sscanf(ln, "inc.update update=%d dirty=%d", &upd, &dirty); n == 2 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no hier.update event in %q", sink.lines)
+		t.Fatalf("no inc.update event in %q", sink.lines)
 	}
-	if evaluated+replayed != total {
-		t.Fatalf("evaluated %d + replayed %d != %d blocks", evaluated, replayed, total)
+	if nodes := len(m.G.C.Nodes); dirty == 0 || 2*dirty >= nodes {
+		t.Fatalf("single bump re-evaluated %d of %d nodes; want a nonempty cone under half", dirty, nodes)
 	}
-	if evaluated == 0 || replayed < total/2 {
-		t.Fatalf("single bump evaluated %d / replayed %d of %d blocks; expected mostly replays",
-			evaluated, replayed, total)
-	}
-	// A no-op Update must not emit anything: the whole netlist is one
-	// cached macro.
 	sink.lines = nil
 	h.Update()
 	if len(sink.lines) != 0 {
@@ -230,9 +221,9 @@ func TestHierTraceByteIdentical(t *testing.T) {
 	}
 }
 
-// TestHierSteadyStateAllocFree asserts the serial engine's warm
-// macro-replay loop — SetSize, Update, blocked adjoint — performs zero
-// heap allocations per step.
+// TestHierSteadyStateAllocFree asserts the serial engine's warm loop
+// on a blocked configuration — SetSize, Update, adjoint — performs
+// zero heap allocations per step.
 func TestHierSteadyStateAllocFree(t *testing.T) {
 	m := parallelTestModels(t)["gen1200"]
 	gates := m.G.C.GateIDs()
@@ -283,5 +274,5 @@ func TestHierSetSizePanics(t *testing.T) {
 	mustPanic("SetSize(NaN)", func() { h.SetSize(gate, math.NaN()) })
 	mustPanic("SetSize(+Inf)", func() { h.SetSize(gate, math.Inf(1)) })
 	mustPanic("SetSize(-Inf)", func() { h.SetSize(gate, math.Inf(-1)) })
-	checkHierMatchesFresh(t, h, m, 3)
+	checkMatchesFresh(t, h, m, 3)
 }

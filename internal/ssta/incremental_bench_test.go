@@ -4,8 +4,8 @@ import (
 	"testing"
 )
 
-// The Inc/FullSweep benchmark pairs measure what the incremental
-// engine buys a sizing loop: one "step" is a single-gate size change
+// The Inc/FullSweep benchmark pairs measure what the persistent
+// engine's dirty cone buys a sizing loop: one "step" is a single-gate size change
 // followed by a full gradient evaluation (forward + adjoint). The
 // full-sweep variant pays a fresh allocating taped O(V) sweep; the
 // incremental variant re-evaluates only the changed cone and reuses
@@ -15,7 +15,7 @@ import (
 func benchIncUpdate(b *testing.B, name string) {
 	m := parallelTestModels(b)[name]
 	gates := m.G.C.GateIDs()
-	inc := NewInc(m, m.UnitSizes(), IncOptions{Workers: 1})
+	inc := NewHier(m, m.UnitSizes(), HierOptions{Workers: 1})
 	inc.GradMuPlusKSigma(3)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -12,95 +13,73 @@ import (
 	"repro/internal/telemetry"
 )
 
-// checkIncMatchesFresh asserts the engine's full forward state and the
-// adjoint gradient are bit-identical to a fresh taped sweep at the
-// engine's current sizes.
-func checkIncMatchesFresh(t *testing.T, inc *Inc, m *delay.Model, k float64) {
-	t.Helper()
-	phiI, gradI := inc.GradMuPlusKSigma(k)
-	S := inc.Sizes()
-	fresh := Analyze(m, S, true)
-	if inc.Tmax() != fresh.Tmax {
-		t.Fatalf("Tmax diverged: inc %+v fresh %+v", inc.Tmax(), fresh.Tmax)
-	}
-	for id := range fresh.Arrival {
-		nid := netlist.NodeID(id)
-		if inc.Arrival(nid) != fresh.Arrival[id] {
-			t.Fatalf("node %d arrival diverged: inc %+v fresh %+v",
-				id, inc.Arrival(nid), fresh.Arrival[id])
-		}
-		if inc.GateDelay(nid) != fresh.GateDelay[id] {
-			t.Fatalf("node %d gate delay diverged: inc %+v fresh %+v",
-				id, inc.GateDelay(nid), fresh.GateDelay[id])
-		}
-	}
-	phiF, sMu, sVar := ObjectiveMuPlusKSigma(fresh.Tmax, k)
-	if phiI != phiF {
-		t.Fatalf("phi diverged: inc %v fresh %v", phiI, phiF)
-	}
-	gradF := fresh.Backward(m, S, sMu, sVar)
-	for id := range gradF {
-		if gradI[id] != gradF[id] {
-			t.Fatalf("grad[%d] diverged: inc %v fresh %v", id, gradI[id], gradF[id])
-		}
-	}
-}
-
-// TestIncMatchesAnalyzeFuzz drives the incremental engine with random
-// size bumps, trials, rollbacks and commits on every test circuit
-// (including a generated netlist large enough for the parallel path)
-// and asserts bit-identity against fresh taped sweeps throughout, for
-// worker counts 1 and 4.
+// TestIncMatchesAnalyzeFuzz drives the engine with random size bumps,
+// trials, rollbacks and commits on every test circuit (including a
+// generated netlist large enough for the parallel path) and asserts
+// bit-identity against fresh taped sweeps throughout, for worker
+// counts 1 and 4 crossed with block targets {1, 64, default} — so
+// trials are fuzzed against the slot-folded parallel adjoint and the
+// load cache as well as the serial recursion.
 func TestIncMatchesAnalyzeFuzz(t *testing.T) {
 	for name, m := range parallelTestModels(t) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/j%d", name, workers), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(42))
-				gates := m.G.C.GateIDs()
-				inc := NewInc(m, m.UnitSizes(), IncOptions{Workers: workers})
-				randSize := func() float64 { return 1 + rng.Float64()*(m.Limit-1) }
-				for step := 0; step < 40; step++ {
-					switch rng.Intn(4) {
-					case 0: // a burst of size changes, then one Update
-						for i := 0; i < 1+rng.Intn(4); i++ {
-							inc.SetSize(gates[rng.Intn(len(gates))], randSize())
-						}
-						inc.Update()
-					case 1: // rejected what-if move
-						before := inc.Update()
-						inc.Trial()
-						for i := 0; i < 1+rng.Intn(3); i++ {
-							inc.SetSize(gates[rng.Intn(len(gates))], randSize())
-						}
-						inc.Update()
-						if got := inc.Rollback(); got != before {
-							t.Fatalf("rollback Tmax %+v, want %+v", got, before)
-						}
-					case 2: // accepted what-if move
-						inc.Trial()
-						inc.SetSize(gates[rng.Intn(len(gates))], randSize())
-						inc.Update()
-						inc.Commit()
-					case 3: // no-op Update (cached path)
-						inc.Update()
-					}
-					if step%5 == 0 {
-						checkIncMatchesFresh(t, inc, m, 3)
-					}
+				for _, target := range []int{1, 64, 0} {
+					t.Run(fmt.Sprintf("t%d", target), func(t *testing.T) {
+						fuzzTrials(t, m, HierOptions{BlockTarget: target, Workers: workers})
+					})
 				}
-				checkIncMatchesFresh(t, inc, m, 3)
 			})
 		}
 	}
 }
 
+// fuzzTrials is one TestIncMatchesAnalyzeFuzz cell.
+func fuzzTrials(t *testing.T, m *delay.Model, opt HierOptions) {
+	rng := rand.New(rand.NewSource(42))
+	gates := m.G.C.GateIDs()
+	inc := NewHier(m, m.UnitSizes(), opt)
+	randSize := func() float64 { return 1 + rng.Float64()*(m.Limit-1) }
+	for step := 0; step < 40; step++ {
+		switch rng.Intn(4) {
+		case 0: // a burst of size changes, then one Update
+			for i := 0; i < 1+rng.Intn(4); i++ {
+				inc.SetSize(gates[rng.Intn(len(gates))], randSize())
+			}
+			inc.Update()
+		case 1: // rejected what-if move
+			before := inc.Update()
+			inc.Trial()
+			for i := 0; i < 1+rng.Intn(3); i++ {
+				inc.SetSize(gates[rng.Intn(len(gates))], randSize())
+			}
+			inc.Update()
+			if got := inc.Rollback(); got != before {
+				t.Fatalf("rollback Tmax %+v, want %+v", got, before)
+			}
+		case 2: // accepted what-if move
+			inc.Trial()
+			inc.SetSize(gates[rng.Intn(len(gates))], randSize())
+			inc.Update()
+			inc.Commit()
+		case 3: // no-op Update (cached path)
+			inc.Update()
+		}
+		if step%5 == 0 {
+			checkMatchesFresh(t, inc, m, 3)
+		}
+	}
+	checkMatchesFresh(t, inc, m, 3)
+}
+
 // TestIncRollbackRestores asserts Rollback restores every slab the
 // trial touched bit for bit — including sizes changed and then changed
-// back, and a rollback taken with dirty marks still pending.
+// back, a full Resweep inside the trial, and a rollback taken with
+// dirty marks still pending.
 func TestIncRollbackRestores(t *testing.T) {
 	m := parallelTestModels(t)["apex1"]
 	gates := m.G.C.GateIDs()
-	inc := NewInc(m, m.UnitSizes(), IncOptions{})
+	inc := NewHier(m, m.UnitSizes(), HierOptions{})
 	inc.SetSize(gates[0], 1.5)
 	want := inc.Update()
 
@@ -111,6 +90,24 @@ func TestIncRollbackRestores(t *testing.T) {
 		arr = append(arr, a.Mu, a.Var)
 	}
 	sizes := append([]float64(nil), inc.Sizes()...)
+
+	checkRestored := func() {
+		t.Helper()
+		if got := inc.Update(); got != want {
+			t.Fatalf("post-rollback Update Tmax %+v, want %+v", got, want)
+		}
+		for id := 0; id < n; id++ {
+			a := inc.Arrival(netlist.NodeID(id))
+			if a.Mu != arr[2*id] || a.Var != arr[2*id+1] {
+				t.Fatalf("node %d arrival not restored", id)
+			}
+		}
+		for id, s := range inc.Sizes() {
+			if s != sizes[id] {
+				t.Fatalf("size[%d] not restored: %v != %v", id, s, sizes[id])
+			}
+		}
+	}
 
 	inc.Trial()
 	for i, id := range gates {
@@ -123,20 +120,17 @@ func TestIncRollbackRestores(t *testing.T) {
 	if got := inc.Rollback(); got != want {
 		t.Fatalf("rollback Tmax %+v, want %+v", got, want)
 	}
-	if got := inc.Update(); got != want {
-		t.Fatalf("post-rollback Update Tmax %+v, want %+v", got, want)
+	checkRestored()
+
+	// A full pass inside a trial, with a mark pending, must leave the
+	// undo log complete.
+	inc.Trial()
+	inc.SetSize(gates[len(gates)-1], 1.9)
+	inc.Resweep()
+	if got := inc.Rollback(); got != want {
+		t.Fatalf("rollback after Resweep: Tmax %+v, want %+v", got, want)
 	}
-	for id := 0; id < n; id++ {
-		a := inc.Arrival(netlist.NodeID(id))
-		if a.Mu != arr[2*id] || a.Var != arr[2*id+1] {
-			t.Fatalf("node %d arrival not restored", id)
-		}
-	}
-	for id, s := range inc.Sizes() {
-		if s != sizes[id] {
-			t.Fatalf("size[%d] not restored: %v != %v", id, s, sizes[id])
-		}
-	}
+	checkRestored()
 }
 
 // eventSink captures Event calls as formatted lines; the metric
@@ -162,7 +156,7 @@ func TestIncUpdateEventsWorkerInvariant(t *testing.T) {
 	gates := m.G.C.GateIDs()
 	run := func(workers int) []string {
 		sink := &eventSink{}
-		inc := NewInc(m, m.UnitSizes(), IncOptions{Workers: workers, Recorder: sink})
+		inc := NewHier(m, m.UnitSizes(), HierOptions{Workers: workers, Recorder: sink})
 		for step := 0; step < 10; step++ {
 			inc.SetSize(gates[(step*37)%len(gates)], 1+0.2*float64(step%7))
 			inc.Update()
@@ -189,7 +183,7 @@ func TestIncUpdateEventsWorkerInvariant(t *testing.T) {
 func TestIncSteadyStateAllocFree(t *testing.T) {
 	m := parallelTestModels(t)["gen1200"]
 	gates := m.G.C.GateIDs()
-	inc := NewInc(m, m.UnitSizes(), IncOptions{Workers: 1})
+	inc := NewHier(m, m.UnitSizes(), HierOptions{Workers: 1})
 	// The schedule is cyclic so one warm pass stretches every per-level
 	// dirty bucket and the adjoint scratch to its steady-state size.
 	step := 0
@@ -214,7 +208,7 @@ func TestIncSteadyStateAllocFree(t *testing.T) {
 func TestIncTrialSteadyStateAllocFree(t *testing.T) {
 	m := parallelTestModels(t)["tree7"]
 	gates := m.G.C.GateIDs()
-	inc := NewInc(m, m.UnitSizes(), IncOptions{Workers: 1})
+	inc := NewHier(m, m.UnitSizes(), HierOptions{Workers: 1})
 	step := 0
 	cycle := func() {
 		inc.Trial()
@@ -236,7 +230,7 @@ func TestIncTrialSteadyStateAllocFree(t *testing.T) {
 // node and nesting trials both panic.
 func TestIncSetSizePanics(t *testing.T) {
 	m := parallelTestModels(t)["tree7"]
-	inc := NewInc(m, m.UnitSizes(), IncOptions{})
+	inc := NewHier(m, m.UnitSizes(), HierOptions{})
 	mustPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {
@@ -265,7 +259,7 @@ func TestIncSetSizePanics(t *testing.T) {
 	mustPanic("Rollback outside trial", func() { inc.Rollback() })
 	// The rejected non-finite sizes must not have poisoned the engine:
 	// its state still matches a fresh sweep bit for bit.
-	checkIncMatchesFresh(t, inc, m, 3)
+	checkMatchesFresh(t, inc, m, 3)
 }
 
 // TestIncCriticalityMatchesWorkers pins the warm-engine criticality
@@ -277,7 +271,7 @@ func TestIncCriticalityMatchesWorkers(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/j%d", name, workers), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(7))
 				gates := m.G.C.GateIDs()
-				inc := NewInc(m, m.UnitSizes(), IncOptions{Workers: workers})
+				inc := NewHier(m, m.UnitSizes(), HierOptions{Workers: workers})
 				for step := 0; step < 8; step++ {
 					g := gates[rng.Intn(len(gates))]
 					inc.SetSize(g, 1+rng.Float64()*(m.Limit-1))
@@ -296,12 +290,14 @@ func TestIncCriticalityMatchesWorkers(t *testing.T) {
 }
 
 // TestIncMemoryBytes sanity-checks the footprint estimate: positive,
-// larger for larger circuits, and covering at least the dominant
-// moment slabs.
+// larger for larger circuits, covering at least the dominant moment
+// slabs — and within 15% of the heap an engine actually retains after
+// a gradient and a trial, serial and parallel, since the session
+// LRU's byte budget is built on it.
 func TestIncMemoryBytes(t *testing.T) {
 	models := parallelTestModels(t)
-	small := NewInc(models["tree7"], models["tree7"].UnitSizes(), IncOptions{})
-	large := NewInc(models["k2"], models["k2"].UnitSizes(), IncOptions{})
+	small := NewHier(models["tree7"], models["tree7"].UnitSizes(), HierOptions{})
+	large := NewHier(models["k2"], models["k2"].UnitSizes(), HierOptions{})
 	sb, lb := small.MemoryBytes(), large.MemoryBytes()
 	if sb <= 0 || lb <= 0 {
 		t.Fatalf("non-positive footprints: %d, %d", sb, lb)
@@ -311,5 +307,33 @@ func TestIncMemoryBytes(t *testing.T) {
 	}
 	if min := int64(len(models["k2"].G.C.Nodes)) * 2 * 16; lb < min {
 		t.Fatalf("k2 footprint %d below its moment slabs alone (%d)", lb, min)
+	}
+
+	for _, name := range []string{"k2", "gen1200"} {
+		m := models[name]
+		gates := m.G.C.GateIDs()
+		for _, workers := range []int{1, 4} {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			h := NewHier(m, m.UnitSizes(), HierOptions{Workers: workers})
+			h.GradMuPlusKSigma(3)
+			h.Trial()
+			for _, id := range gates[:len(gates)/4] {
+				h.SetSize(id, 2)
+			}
+			h.Update()
+			h.Rollback()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			retained := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+			ratio := retained / float64(h.MemoryBytes())
+			runtime.KeepAlive(h)
+			t.Logf("%s/j%d: retained/MemoryBytes = %.3f", name, workers, ratio)
+			if ratio < 0.85 || ratio > 1.15 {
+				t.Errorf("%s/j%d: retained heap %.0f B is %.2fx MemoryBytes %d, want within 15%%",
+					name, workers, retained, ratio, h.MemoryBytes())
+			}
+		}
 	}
 }

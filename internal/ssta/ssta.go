@@ -64,7 +64,7 @@ func forwardNode(r *Result, m *delay.Model, S []float64, id netlist.NodeID, with
 }
 
 // forwardNodeLoaded is forwardNode with the gate's capacitive load
-// supplied by the caller — the hierarchical engine caches loads under
+// supplied by the caller — the persistent engine caches loads under
 // the SDependents invalidation rule, so warm sweeps skip the
 // per-node fanout scan. Bit-identical to forwardNode when the cached
 // load equals the recomputed one (delay.Model.GateMVLoaded).
@@ -88,7 +88,7 @@ func forwardGate(r *Result, m *delay.Model, nd *netlist.Node, id netlist.NodeID,
 	u := shiftMV(r.Arrival[nd.Fanin[0]], m.PinOff(id, 0))
 	if withTape && len(nd.Fanin) > 1 {
 		// Reuse the node's tape slots when already sized (the
-		// incremental engine pre-carves them from one arena, so
+		// persistent engine pre-carves them from one arena, so
 		// re-evaluating a node is allocation-free); a fresh Result
 		// allocates them here once.
 		steps := r.gateFold[id]
@@ -157,13 +157,13 @@ func cancelled(done <-chan struct{}) bool {
 }
 
 // forwardInto is the single flat forward sweep behind AnalyzeCtx (and
-// so Analyze and AnalyzeWorkers) and the incremental engine's initial
-// sweep. It fills r level by level: every node's moments are a pure
-// function of its fanins' final moments and each node owns its slots,
-// so the result is bit-identical for any worker count. done is polled
-// between levels only — never inside one — so every runLevel barrier
-// completes and no worker outlives a cancelled sweep; it reports false
-// when done fired, leaving r partial.
+// so Analyze and AnalyzeWorkers). It fills r level by level: every
+// node's moments are a pure function of its fanins' final moments and
+// each node owns its slots, so the result is bit-identical for any
+// worker count. done is polled between levels only — never inside
+// one — so every runLevel barrier completes and no worker outlives a
+// cancelled sweep; it reports false when done fired, leaving r
+// partial.
 func forwardInto(done <-chan struct{}, r *Result, m *delay.Model, S []float64, withTape bool, workers int, rec telemetry.Recorder) bool {
 	var t0 time.Time
 	if rec != nil {
@@ -254,22 +254,13 @@ func (r *Result) backwardNode(m *delay.Model, S []float64, id netlist.NodeID, ad
 	if am == 0 && av == 0 {
 		return
 	}
-	r.backwardNodeActive(m, S, id, m.Load(id, S), am, av, adjMu, adjVar, grad, dmu)
-}
-
-// backwardNodeActive is backwardNode's body past the zero-adjoint
-// skip, with the gate's capacitive load supplied by the caller. The
-// flat sweeps recompute it (above); the hierarchical engine passes
-// its cached load — bitwise the same value — so warm adjoint sweeps
-// skip the fanout scan inside the gradient accumulation.
-func (r *Result) backwardNodeActive(m *delay.Model, S []float64, id netlist.NodeID, load, am, av float64, adjMu, adjVar, grad, dmu []float64) {
 	// T = U + t: both summands inherit the adjoint unchanged.
 	// Gate delay: var_t = Sigma.Var(mu_t), so the variance
 	// adjoint folds into the mean-delay adjoint...
 	muT := r.GateDelay[id].Mu
 	d := am + av*m.Sigma.DVar(muT)
 	dmu[id] = d
-	m.GateMuGradLoaded(id, S, load, d, grad)
+	m.GateMuGrad(id, S, d, grad)
 
 	// U side: unfold the fanin max in reverse.
 	fanin := m.G.C.Nodes[id].Fanin
@@ -286,10 +277,8 @@ func (r *Result) backwardNodeActive(m *delay.Model, S []float64, id netlist.Node
 	adjVar[fanin[0]] += uVar
 }
 
-// adjointScratch holds every slab one adjoint sweep needs. The
-// entry-point wrappers allocate one per call; the incremental engine
-// owns one persistently so repeated backward passes are
-// allocation-free.
+// adjointScratch holds every slab one adjoint sweep needs; the
+// entry-point wrappers allocate one per call.
 type adjointScratch struct {
 	// adjMu/adjVar accumulate d phi / d Arrival[id].{Mu, Var}; grad
 	// receives d phi / d S; dmu receives each gate's mean-delay
@@ -328,12 +317,12 @@ func (sc *adjointScratch) ensure(g *netlist.Graph, parallel bool) {
 	// slots the compute phase just wrote.
 }
 
-// backwardInto is the single flat adjoint sweep behind BackwardCtx,
-// the gradient and criticality entry points and the incremental
-// engine's adjoint pass: it runs the sweep with all state in sc and
-// returns sc.grad, or nil when done fired between levels. The serial
-// and parallel paths fold every floating-point accumulation in the
-// same order, so the result is bit-identical for any worker count.
+// backwardInto is the single flat adjoint sweep behind BackwardCtx
+// and the gradient and criticality entry points: it runs the sweep
+// with all state in sc and returns sc.grad, or nil when done fired
+// between levels. The serial and parallel paths fold every
+// floating-point accumulation in the same order, so the result is
+// bit-identical for any worker count.
 func (r *Result) backwardInto(done <-chan struct{}, m *delay.Model, S []float64, seedMu, seedVar float64, workers int, sc *adjointScratch, rec telemetry.Recorder) []float64 {
 	if !r.withTape {
 		panic("ssta: adjoint sweep requires a taped Analyze")
@@ -441,7 +430,7 @@ func (r *Result) Backward(m *delay.Model, S []float64, seedMu, seedVar float64) 
 // delay together with the adjoint seed pair for Backward. At sigma ->
 // 0 with k != 0 the seed saturates using a variance floor to keep the
 // gradient finite. A non-finite k panics here, the single funnel every
-// mu + k*sigma objective path (flat, incremental, hierarchical, batch)
+// mu + k*sigma objective path (flat, persistent, batch)
 // flows through, so a NaN risk factor cannot surface downstream as a
 // silently absurd circuit delay.
 func ObjectiveMuPlusKSigma(tmax stats.MV, k float64) (phi, seedMu, seedVar float64) {

@@ -8,7 +8,7 @@ import (
 // Watchdog is the solve-health monitor: a Recorder middleware that
 // forwards everything to the wrapped sink while tailing the solver's
 // progress events — "alm.outer" (merit), "inc.update" and
-// "hier.sweep"/"hier.update" (mu) — and raising a "solve.stalled"
+// "hier.sweep" (mu) — and raising a "solve.stalled"
 // event when the tracked figure of merit stops improving for Patience
 // consecutive iterations. For "alm.outer" an improvement in the KKT
 // residual also counts as progress: near a constrained optimum the
@@ -37,7 +37,7 @@ import (
 const (
 	StallSrcALM  = 0 // alm.outer merit
 	StallSrcInc  = 1 // inc.update mu
-	StallSrcHier = 2 // hier.sweep / hier.update mu
+	StallSrcHier = 2 // hier.sweep mu
 )
 
 // WatchdogOptions tunes stall detection.
@@ -149,7 +149,7 @@ func (w *Watchdog) Event(scope, name string, fields ...KV) {
 		key, src, metric, altMetric = "alm", StallSrcALM, "merit", "kkt"
 	case scope == "inc" && name == "update":
 		key, src, metric = "inc", StallSrcInc, "mu"
-	case scope == "hier" && (name == "sweep" || name == "update"):
+	case scope == "hier" && name == "sweep":
 		key, src, metric = "hier", StallSrcHier, "mu"
 	default:
 		return

@@ -70,7 +70,7 @@ func TestWatchdogTracksSourcesIndependently(t *testing.T) {
 	wd := NewWatchdog(nil, WatchdogOptions{Patience: 2})
 	for i := 0; i < 5; i++ {
 		wd.Event("inc", "update", F("mu", 7.0))
-		wd.Event("hier", "update", F("mu", 3.0))
+		wd.Event("hier", "sweep", F("mu", 3.0))
 	}
 	stalls := wd.Stalls()
 	if len(stalls) != 2 {
