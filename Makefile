@@ -161,11 +161,13 @@ test-obsv:
 # fuzz against fresh sweeps, bit-identity across worker counts and
 # block targets, criticality, the worker-invariant event and trace
 # byte-identity checks, the 0-alloc pins, the greedy driver on the
-# engine, partitioner invariants and determinism fuzz, and the
-# streamed generator round-trip.
+# engine, the reduced NLP elements on the engine (point-walk fuzz
+# against fresh sweeps, non-finite points, the 0-alloc pin and the
+# sweep counters), partitioner invariants and determinism fuzz, and
+# the streamed generator round-trip.
 test-engine:
 	$(GO) test -race -timeout 10m \
-		-run 'TestInc|TestGreedyFromSpec|TestGreedyWeighted|Hier|Partition|GenerateStream|GenPreset' \
+		-run 'TestInc|TestGreedyFromSpec|TestGreedyWeighted|Hier|Partition|GenerateStream|GenPreset|TestReduced' \
 		./internal/ssta/ ./internal/sizing/ ./internal/partition/ ./internal/netlist/
 
 # test-batch runs the batch equivalence suite — bit-identity of the

@@ -4,54 +4,111 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/delay"
 	"repro/internal/netlist"
 	"repro/internal/nlp"
 	"repro/internal/ssta"
+	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
-// reducedEval adapts the SSTA forward/adjoint sweeps to nlp.Element
+// reducedEval adapts the persistent SSTA engine to nlp.Element
 // callbacks. The problem variables are the speed factors of the gates
-// in dense order. Each element owns a private full-length S scratch
-// buffer (passed explicitly to the helpers below), which makes every
-// Eval/Grad a pure function of its local point: the NLP engine may
-// evaluate distinct elements concurrently when nlp.Options.Workers
-// permits.
+// in dense order. Each sweep-based element owns a private engine (see
+// sweepEngine), which makes every Eval/Grad a pure function of its
+// local point: the NLP engine may evaluate distinct elements
+// concurrently when nlp.Options.Workers permits.
 type reducedEval struct {
-	m     *delay.Model
-	gates []netlist.NodeID
-	// opt carries the sweep workers and the recorder that aggregates
-	// sweep spans ("ssta.forward"/"ssta.adjoint"); the metrics sinks
-	// are concurrency-safe, so recording stays correct when the NLP
-	// engine evaluates distinct elements in parallel. The sweeps run
-	// under context.Background, which never cancels, so their errors
-	// are always nil: the solver polls cancellation itself.
-	opt ssta.SweepOptions
+	m       *delay.Model
+	gates   []netlist.NodeID
+	workers int
+	// rec receives the engines' sweep spans ("ssta.forward"/
+	// "ssta.adjoint") and sweep counters; the metrics sinks are
+	// concurrency-safe, so recording stays correct when the NLP engine
+	// evaluates distinct elements in parallel. The engines themselves
+	// get no recorder: a sizing trace carries one event per solver
+	// iteration, not one per element evaluation.
+	rec telemetry.Recorder
 }
 
-func (re *reducedEval) setS(S, x []float64) {
+// sweepEngine is one element's persistent SSTA engine. It is built at
+// the element's first evaluation point; every later point moves it by
+// SetSize, which no-ops on bit-identical sizes, and one Update over
+// the changed cone. The engine state is bit-identical to a fresh taped
+// sweep at the current point, so element values and gradients are
+// bitwise those of AnalyzeCtx plus BackwardCtx.
+type sweepEngine struct {
+	re *reducedEval
+	h  *ssta.Hier
+}
+
+// at moves the engine to the dense point x and returns the circuit
+// delay moments. A non-finite x reports false and leaves the engine
+// untouched: SetSize rejects such sizes, and the caller answers NaN so
+// the solver's finiteness guard can backtrack.
+func (e *sweepEngine) at(x []float64) (stats.MV, bool) {
+	for _, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return stats.MV{}, false
+		}
+	}
+	re := e.re
+	var t0 time.Time
+	if re.rec != nil {
+		t0 = time.Now()
+	}
+	if e.h == nil {
+		S := re.m.UnitSizes()
+		for i, id := range re.gates {
+			S[id] = x[i]
+		}
+		e.h = ssta.NewHier(re.m, S, ssta.HierOptions{Workers: re.workers})
+	} else {
+		s := e.h.Sizes()
+		moved := false
+		for i, id := range re.gates {
+			if s[id] != x[i] {
+				e.h.SetSize(id, x[i])
+				moved = true
+			}
+		}
+		if !moved {
+			return e.h.Tmax(), true
+		}
+		e.h.Update()
+	}
+	if re.rec != nil {
+		re.rec.Span("ssta.forward", time.Since(t0))
+		re.rec.Count("ssta.forward_sweeps", 1)
+	}
+	return e.h.Tmax(), true
+}
+
+// grad runs one adjoint pass over the engine's tape with the given
+// seed and scatters d phi/d S into the dense gradient g. The engine
+// must already sit at the point (see at).
+func (e *sweepEngine) grad(g []float64, seedMu, seedVar float64) {
+	re := e.re
+	var t0 time.Time
+	if re.rec != nil {
+		t0 = time.Now()
+	}
+	full := e.h.Backward(seedMu, seedVar)
 	for i, id := range re.gates {
-		S[id] = x[i]
+		g[i] = full[id]
+	}
+	if re.rec != nil {
+		re.rec.Span("ssta.adjoint", time.Since(t0))
+		re.rec.Count("ssta.adjoint_sweeps", 1)
 	}
 }
 
-// moments runs the forward sweep at the dense point x using the
-// caller-owned S scratch.
-func (re *reducedEval) moments(S, x []float64) (mu, variance float64) {
-	re.setS(S, x)
-	r, _ := ssta.AnalyzeCtx(context.Background(), re.m, S, false, re.opt)
-	return r.Tmax.Mu, r.Tmax.Var
-}
-
-// gradMoments runs a taped sweep and the adjoint with the given seed,
-// scattering the result into the dense gradient g.
-func (re *reducedEval) gradMoments(S, x, g []float64, seedMu, seedVar float64) {
-	re.setS(S, x)
-	r, _ := ssta.AnalyzeCtx(context.Background(), re.m, S, true, re.opt)
-	full, _ := r.BackwardCtx(context.Background(), re.m, S, seedMu, seedVar, re.opt)
-	for i, id := range re.gates {
-		g[i] = full[id]
+// nanGrad fills g with NaN: the gradient at a non-finite point.
+func nanGrad(g []float64) {
+	for i := range g {
+		g[i] = math.NaN()
 	}
 }
 
@@ -60,44 +117,59 @@ func (re *reducedEval) gradMoments(S, x, g []float64, seedMu, seedVar float64) {
 const sigmaFloor = 1e-9
 
 // muKSigmaElement returns an element computing
-// muTmax + k*sigmaTmax + shift over all speed factors. The captured S
-// buffer is private to the element.
+// muTmax + k*sigmaTmax + shift over all speed factors, on its own
+// engine.
 func (re *reducedEval) muKSigmaElement(vars []int, k, shift float64) nlp.Element {
-	S := re.m.UnitSizes()
+	e := &sweepEngine{re: re}
 	return nlp.Element{
 		Vars: vars,
 		Eval: func(x []float64) float64 {
-			mu, v := re.moments(S, x)
-			if k == 0 {
-				return mu + shift
+			t, ok := e.at(x)
+			if !ok {
+				return math.NaN()
 			}
-			return mu + k*math.Sqrt(v) + shift
+			if k == 0 {
+				return t.Mu + shift
+			}
+			return t.Mu + k*math.Sqrt(t.Var) + shift
 		},
 		Grad: func(x []float64, g []float64) {
-			if k == 0 {
-				re.gradMoments(S, x, g, 1, 0)
+			t, ok := e.at(x)
+			if !ok {
+				nanGrad(g)
 				return
 			}
-			_, v := re.moments(S, x)
-			sigma := math.Max(math.Sqrt(v), sigmaFloor)
-			re.gradMoments(S, x, g, 1, k/(2*sigma))
+			if k == 0 {
+				e.grad(g, 1, 0)
+				return
+			}
+			sigma := math.Max(math.Sqrt(t.Var), sigmaFloor)
+			e.grad(g, 1, k/(2*sigma))
 		},
 	}
 }
 
-// sigmaElement returns an element computing sign * sigmaTmax.
+// sigmaElement returns an element computing sign * sigmaTmax, on its
+// own engine.
 func (re *reducedEval) sigmaElement(vars []int, sign float64) nlp.Element {
-	S := re.m.UnitSizes()
+	e := &sweepEngine{re: re}
 	return nlp.Element{
 		Vars: vars,
 		Eval: func(x []float64) float64 {
-			_, v := re.moments(S, x)
-			return sign * math.Sqrt(v)
+			t, ok := e.at(x)
+			if !ok {
+				return math.NaN()
+			}
+			return sign * math.Sqrt(t.Var)
 		},
 		Grad: func(x []float64, g []float64) {
-			_, v := re.moments(S, x)
-			sigma := math.Max(math.Sqrt(v), sigmaFloor)
-			re.gradMoments(S, x, g, 0, sign/(2*sigma))
+			t, ok := e.at(x)
+			if !ok {
+				nanGrad(g)
+				return
+			}
+			sigma := math.Max(math.Sqrt(t.Var), sigmaFloor)
+			e.grad(g, 0, sign/(2*sigma))
 		},
 	}
 }
@@ -112,7 +184,7 @@ func solveReduced(ctx context.Context, m *delay.Model, spec Spec) (*nlp.Result, 
 	if n == 0 {
 		return nil, nil, fmt.Errorf("sizing: circuit has no gates")
 	}
-	re := &reducedEval{m: m, gates: gates, opt: ssta.SweepOptions{Workers: spec.Workers, Recorder: spec.Recorder}}
+	re := &reducedEval{m: m, gates: gates, workers: spec.Workers, rec: spec.Recorder}
 
 	vars := make([]int, n)
 	lower := make([]float64, n)

@@ -187,3 +187,35 @@ func TestWatchdogSilentOnTree7(t *testing.T) {
 		t.Fatalf("watchdog fired on a healthy tree7 greedy run: %+v", wd2.Stalls())
 	}
 }
+
+// TestReducedSweepCounters: the reduced path keeps recording the sweep
+// counters, now as engine work — at most one forward per merit
+// evaluation (the engine moves only when the point does) and at most
+// one adjoint per gradient evaluation.
+func TestReducedSweepCounters(t *testing.T) {
+	m := treeModel(t)
+	metrics := telemetry.NewMetrics()
+	out, err := Size(m, Spec{
+		Objective:   MinArea(),
+		Constraints: []Constraint{DelayLE(3, 8)},
+		Formulation: Reduced,
+		Solver:      nlp.Options{Method: nlp.LBFGS},
+		Workers:     1,
+		Recorder:    metrics,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := metrics.CounterValue("ssta.forward_sweeps")
+	adj := metrics.CounterValue("ssta.adjoint_sweeps")
+	grads := metrics.CounterValue("engine.grad_evals")
+	if fwd == 0 || adj == 0 {
+		t.Fatalf("sweep counters not recorded: forward %d, adjoint %d", fwd, adj)
+	}
+	if fwd > int64(out.Solver.FuncEvals) {
+		t.Errorf("forward sweeps %d exceed merit evaluations %d", fwd, out.Solver.FuncEvals)
+	}
+	if adj > grads {
+		t.Errorf("adjoint sweeps %d exceed gradient evaluations %d", adj, grads)
+	}
+}
