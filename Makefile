@@ -22,16 +22,25 @@ bench:
 # bench-inc measures the persistent SSTA engine's dirty-cone step
 # against a fresh full sweep (single-gate gradient steps in internal/ssta) plus a fixed
 # 64-step greedy run on the persistent engine (internal/sizing), and
-# collects ns/op and allocs/op into BENCH_incremental.json.
+# collects ns/op, allocs/op and — for the engine steps — the nodes
+# re-evaluated per step (nodes/op, counted from the engine's
+# inc.update events) into BENCH_incremental.json. Benchmark columns are
+# read by their unit, since a custom metric shifts the memory columns.
 bench-inc:
 	$(GO) test -run NONE -bench 'Inc|FullSweep' -benchmem -count 1 \
 		./internal/ssta/ ./internal/sizing/ | tee /tmp/bench-inc.txt
 	awk 'BEGIN { print "["; n = 0 } \
 		/^Benchmark(Inc|FullSweep|Greedy)/ { \
-			name = $$1; sub(/-[0-9]+$$/, "", name); \
+			name = $$1; sub(/-[0-9]+$$/, "", name); by = al = nodes = ""; \
+			for (i = 4; i <= NF; i++) { \
+				if ($$i == "B/op") by = $$(i-1); \
+				if ($$i == "allocs/op") al = $$(i-1); \
+				if ($$i == "nodes/op") nodes = $$(i-1) } \
 			if (n++) printf ",\n"; \
-			printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-				name, $$3, $$5, $$7 } \
+			printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", \
+				name, $$3, by, al; \
+			if (nodes != "") printf ", \"reeval_nodes_per_op\": %s", nodes; \
+			printf "}" } \
 		END { print "\n]" }' /tmp/bench-inc.txt > BENCH_incremental.json
 	cat BENCH_incremental.json
 
@@ -75,21 +84,28 @@ bench-batch:
 # Each benchmark runs 3 times and the minimum ns/op is kept (the same
 # min-of-N noise suppression as internal/bench.timeBest). The results
 # (ns/op, B/op, allocs/op and the derived speedups) land in
-# BENCH_hier.json; the warm step must be at least 3x faster than the
-# flat full resweep, and the warm serial sweeps must report zero
-# allocations.
+# BENCH_hier.json, with the warm step's nodes re-evaluated per step
+# (nodes/op, from the kept run; columns are read by their unit); the
+# warm step must be at least 3x faster than the flat full resweep, and
+# the warm serial sweeps must report zero allocations.
 bench-hier:
 	$(GO) test -run NONE -bench 'Gen100k' -benchmem -count 3 -timeout 30m \
 		./internal/ssta/ | tee /tmp/bench-hier.txt
 	awk 'function emit(name) { \
-			printf "%s  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-				(m++ ? ",\n" : ""), name, ns[name], by[name], al[name] } \
+			printf "%s  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", \
+				(m++ ? ",\n" : ""), name, ns[name], by[name], al[name]; \
+			if (nodes[name] != "") printf ", \"reeval_nodes_per_op\": %s", nodes[name]; \
+			printf "}" } \
 		BEGIN { print "["; n = 0; m = 0 } \
 		/^Benchmark(Flat|Hier)(Grad|Step)Gen100k/ { \
 			name = $$1; sub(/-[0-9]+$$/, "", name); \
-			if (!(name in ns)) { order[n++] = name; ns[name] = $$3 } \
-			else if ($$3 + 0 < ns[name] + 0) ns[name] = $$3; \
-			by[name] = $$5; al[name] = $$7 } \
+			if (!(name in ns)) order[n++] = name; \
+			else if ($$3 + 0 >= ns[name] + 0) next; \
+			ns[name] = $$3; \
+			for (i = 4; i <= NF; i++) { \
+				if ($$i == "B/op") by[name] = $$(i-1); \
+				if ($$i == "allocs/op") al[name] = $$(i-1); \
+				if ($$i == "nodes/op") nodes[name] = $$(i-1) } } \
 		END { \
 			for (i = 0; i < n; i++) emit(order[i]); \
 			if (ns["BenchmarkHierGradGen100kW8"]) \
@@ -163,11 +179,12 @@ test-obsv:
 # byte-identity checks, the 0-alloc pins, the greedy driver on the
 # engine, the reduced NLP elements on the engine (point-walk fuzz
 # against fresh sweeps, non-finite points, the 0-alloc pin and the
-# sweep counters), partitioner invariants and determinism fuzz, and
-# the streamed generator round-trip.
+# sweep counters), the compiled sweep schedule's invariants, the
+# sizing drivers' rejection of bad inputs, partitioner invariants and
+# determinism fuzz, and the streamed generator round-trip.
 test-engine:
 	$(GO) test -race -timeout 10m \
-		-run 'TestInc|TestGreedyFromSpec|TestGreedyWeighted|Hier|Partition|GenerateStream|GenPreset|TestReduced' \
+		-run 'TestInc|TestGreedyFromSpec|TestGreedyWeighted|Hier|Partition|GenerateStream|GenPreset|TestReduced|Schedule|TestGreedyRejects|TestSizeRejects' \
 		./internal/ssta/ ./internal/sizing/ ./internal/partition/ ./internal/netlist/
 
 # test-batch runs the batch equivalence suite — bit-identity of the

@@ -133,12 +133,15 @@ func (m *Model) GateMVLoaded(id netlist.NodeID, S []float64, load float64) stats
 // A gate driving the same fanout gate through k pins accumulates the
 // pin term k times, matching the load model.
 func (m *Model) GateMuGrad(id netlist.NodeID, S []float64, scale float64, grad []float64) {
-	m.GateMuGradLoaded(id, S, m.Load(id, S), scale, grad)
+	m.GateMuGradLoaded(id, S, m.Load(id, S), scale, m.G.Fanout[id], grad)
 }
 
 // GateMuGradLoaded is GateMuGrad with a caller-supplied load (see
-// GateMVLoaded for the caching contract).
-func (m *Model) GateMuGradLoaded(id netlist.NodeID, S []float64, load, scale float64, grad []float64) {
+// GateMVLoaded for the caching contract) and fanout list, which must
+// equal G.Fanout[id] element by element: an engine walking a compiled
+// sweep schedule passes its own contiguous copy instead of chasing the
+// graph's per-node slice header.
+func (m *Model) GateMuGradLoaded(id netlist.NodeID, S []float64, load, scale float64, fanout []netlist.NodeID, grad []float64) {
 	grad[id] += scale * -m.Coef * load / (S[id] * S[id])
 	// The pin factor is hoisted out of the fanout loop — one divide
 	// per gate instead of per pin. Every other producer of these
@@ -146,7 +149,7 @@ func (m *Model) GateMuGradLoaded(id netlist.NodeID, S []float64, load, scale flo
 	// the same (scale*c/S)*CIn expression shape, which is what keeps
 	// their results bit-identical to this accumulation.
 	pin := scale * m.Coef / S[id]
-	for _, f := range m.G.Fanout[id] {
+	for _, f := range fanout {
 		grad[f] += pin * m.CIn[f]
 	}
 }
@@ -161,15 +164,15 @@ func (m *Model) GateMuGradLoaded(id netlist.NodeID, S []float64, load, scale flo
 // result bit for bit — the contract the block-parallel adjoint sweep
 // of internal/ssta is built on.
 func (m *Model) GateMuGradTerms(id netlist.NodeID, S []float64, scale float64, self *float64, pins []float64) {
-	m.GateMuGradTermsLoaded(id, S, m.Load(id, S), scale, self, pins)
+	m.GateMuGradTermsLoaded(id, S, m.Load(id, S), scale, m.G.Fanout[id], self, pins)
 }
 
 // GateMuGradTermsLoaded is GateMuGradTerms with a caller-supplied
-// load (see GateMVLoaded for the caching contract).
-func (m *Model) GateMuGradTermsLoaded(id netlist.NodeID, S []float64, load, scale float64, self *float64, pins []float64) {
+// load and fanout list (see GateMuGradLoaded for both contracts).
+func (m *Model) GateMuGradTermsLoaded(id netlist.NodeID, S []float64, load, scale float64, fanout []netlist.NodeID, self *float64, pins []float64) {
 	*self = scale * -m.Coef * load / (S[id] * S[id])
 	pin := scale * m.Coef / S[id]
-	for j, f := range m.G.Fanout[id] {
+	for j, f := range fanout {
 		pins[j] = pin * m.CIn[f]
 	}
 }

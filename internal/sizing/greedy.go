@@ -3,6 +3,7 @@ package sizing
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/delay"
 	"repro/internal/netlist"
@@ -38,7 +39,8 @@ type GreedyOptions struct {
 	// NodeID): the sensitivity rank divides each gate's quantile
 	// gradient by its weight, so a power-weighted spec degrading to
 	// greedy optimizes the same weighted metric the NLP would have.
-	// Nil means uniform weights (plain area).
+	// Nil means uniform weights (plain area); otherwise it needs one
+	// finite, non-negative weight per node.
 	Weights []float64
 	// Recorder, when non-nil, receives one deterministic "greedy.step"
 	// event per sensitivity step, a final "greedy.result" event, and
@@ -58,10 +60,51 @@ type GreedyResult struct {
 	MuTmax, SigmaTmax float64
 	SumS              float64
 	Steps             int
-	// Met reports whether the deadline was reached (false when every
-	// gate is at the limit and the target is still missed).
+	// Met reports whether the final sizing meets the deadline. It is
+	// false when the loop stopped first — MaxSteps reached, the
+	// context cancelled, or no gate with headroom left a negative
+	// sensitivity (every gate at the limit included) — and the target
+	// is still missed.
 	Met bool
 }
+
+// validate rejects options the loop cannot run on, for a circuit of n
+// nodes: a non-finite K would panic in the objective, a NaN deadline
+// would never be met and run every gate to the limit, a non-finite
+// step would poison the engine, and a short or negative weight vector
+// would panic or invert the ranking. Step defaults are applied first.
+func (opt *GreedyOptions) validate(n int) error {
+	if !isFinite(opt.K) {
+		return fmt.Errorf("sizing: greedy risk factor K must be finite, got %v", opt.K)
+	}
+	if !isFinite(opt.Deadline) || opt.Deadline <= 0 {
+		return fmt.Errorf("sizing: greedy needs a positive finite deadline, got %v", opt.Deadline)
+	}
+	if !isFinite(opt.Step) || opt.Step <= 1 {
+		return fmt.Errorf("sizing: greedy step must be finite and exceed 1, got %v", opt.Step)
+	}
+	return checkWeights(opt.Weights, n)
+}
+
+// checkWeights accepts a nil weight vector (uniform weights) or one
+// finite, non-negative weight per node.
+func checkWeights(w []float64, n int) error {
+	if w == nil {
+		return nil
+	}
+	if len(w) != n {
+		return fmt.Errorf("sizing: %d weights for %d nodes", len(w), n)
+	}
+	for id, v := range w {
+		if !isFinite(v) || v < 0 {
+			return fmt.Errorf("sizing: weight of node %d is %v, want finite and non-negative", id, v)
+		}
+	}
+	return nil
+}
+
+// isFinite reports whether v is neither NaN nor infinite.
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // SizeGreedy runs the sensitivity heuristic.
 func SizeGreedy(m *delay.Model, opt GreedyOptions) (*GreedyResult, error) {
@@ -88,14 +131,11 @@ func cancelled(done <-chan struct{}) bool {
 // unfinished) result — the greedy sizer is the bottom of the
 // degradation ladder and must not fail.
 func SizeGreedyCtx(ctx context.Context, m *delay.Model, opt GreedyOptions) (*GreedyResult, error) {
-	if opt.Deadline <= 0 {
-		return nil, fmt.Errorf("sizing: greedy needs a positive deadline, got %v", opt.Deadline)
-	}
 	if opt.Step == 0 {
 		opt.Step = 1.05
 	}
-	if opt.Step <= 1 {
-		return nil, fmt.Errorf("sizing: greedy step must exceed 1, got %v", opt.Step)
+	if err := opt.validate(len(m.G.C.Nodes)); err != nil {
+		return nil, err
 	}
 	gates := m.G.C.GateIDs()
 	if opt.MaxSteps == 0 {
@@ -159,7 +199,10 @@ func SizeGreedyCtx(ctx context.Context, m *delay.Model, opt GreedyOptions) (*Gre
 			}
 		}
 		if best < 0 {
-			break // everything at the limit
+			// No gate with headroom has a negative sensitivity: no
+			// bump can lower the quantile (every gate at the limit
+			// included).
+			break
 		}
 		S[best] *= opt.Step
 		if S[best] > m.Limit {

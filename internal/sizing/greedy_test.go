@@ -1,6 +1,7 @@
 package sizing
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/ssta"
@@ -89,5 +90,55 @@ func TestGreedyOptionValidation(t *testing.T) {
 	}
 	if _, err := SizeGreedy(m, GreedyOptions{K: 0, Deadline: 5, Step: 0.9}); err == nil {
 		t.Error("shrinking step accepted")
+	}
+}
+
+// rejects runs call and asserts it returns an error — neither a
+// result nor a panic.
+func rejects(t *testing.T, call func() error) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("panicked instead of returning an error: %v", r)
+		}
+	}()
+	if err := call(); err == nil {
+		t.Fatal("accepted")
+	}
+}
+
+// TestGreedyRejectsBadInputs pins the greedy driver's boundary: each
+// option below used to panic deep in the engine or the objective, or
+// to run to completion on a target it could never meet or rank by.
+func TestGreedyRejectsBadInputs(t *testing.T) {
+	m := treeModel(t)
+	n := len(m.G.C.Nodes)
+	weights := func(edit func(w []float64) []float64) []float64 {
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = 1
+		}
+		return edit(w)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, opt := range map[string]GreedyOptions{
+		"weights-short":    {K: 3, Deadline: 5, Weights: weights(func(w []float64) []float64 { return w[:n-1] })},
+		"weights-long":     {K: 3, Deadline: 5, Weights: weights(func(w []float64) []float64 { return append(w, 1) })},
+		"weights-nan":      {K: 3, Deadline: 5, Weights: weights(func(w []float64) []float64 { w[n-1] = nan; return w })},
+		"weights-inf":      {K: 3, Deadline: 5, Weights: weights(func(w []float64) []float64 { w[n-1] = inf; return w })},
+		"weights-negative": {K: 3, Deadline: 5, Weights: weights(func(w []float64) []float64 { w[n-1] = -1; return w })},
+		"step-nan":         {K: 3, Deadline: 5, Step: nan},
+		"step-inf":         {K: 3, Deadline: 5, Step: inf},
+		"k-nan":            {K: nan, Deadline: 5},
+		"k-inf":            {K: inf, Deadline: 5},
+		"deadline-nan":     {K: 3, Deadline: nan},
+		"deadline-inf":     {K: 3, Deadline: inf},
+	} {
+		t.Run(name, func(t *testing.T) {
+			rejects(t, func() error {
+				_, err := SizeGreedy(m, opt)
+				return err
+			})
+		})
 	}
 }

@@ -383,3 +383,43 @@ func TestSymmetricGatesSizedEqually(t *testing.T) {
 		}
 	}
 }
+
+// TestSizeRejectsBadInputs pins the solver entry point's boundary, in
+// both formulations: a weight vector that is not one finite,
+// non-negative weight per node, and non-finite risk factors or bounds,
+// used to panic mid-solve or be absorbed into the problem.
+func TestSizeRejectsBadInputs(t *testing.T) {
+	m := treeModel(t)
+	n := len(m.G.C.Nodes)
+	weights := func(edit func(w []float64) []float64) []float64 {
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = 1
+		}
+		return edit(w)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	deadline := []Constraint{DelayLE(3, 6)}
+	for name, spec := range map[string]Spec{
+		"weights-short": {Objective: MinWeightedArea(), Constraints: deadline,
+			Weights: weights(func(w []float64) []float64 { return w[:n-1] })},
+		"weights-nan": {Objective: MinWeightedArea(), Constraints: deadline,
+			Weights: weights(func(w []float64) []float64 { w[n-1] = nan; return w })},
+		"weights-negative": {Objective: MinWeightedArea(), Constraints: deadline,
+			Weights: weights(func(w []float64) []float64 { w[n-1] = -1; return w })},
+		"objective-k-nan":  {Objective: MinMuPlusKSigma(nan)},
+		"constraint-k-inf": {Objective: MinArea(), Constraints: []Constraint{DelayLE(inf, 6)}},
+		"bound-nan":        {Objective: MinArea(), Constraints: []Constraint{DelayLE(3, nan)}},
+	} {
+		for _, f := range []Formulation{Reduced, FullSpace} {
+			t.Run(name+"/"+f.String(), func(t *testing.T) {
+				spec := spec
+				spec.Formulation = f
+				rejects(t, func() error {
+					_, err := Size(m, spec)
+					return err
+				})
+			})
+		}
+	}
+}

@@ -218,7 +218,8 @@ type Spec struct {
 	// NodeID; nil starts from all ones.
 	Start []float64
 	// Weights holds per-gate objective weights (indexed by NodeID)
-	// for ObjWeightedArea; see internal/power for power weights.
+	// for ObjWeightedArea; see internal/power for power weights. When
+	// set it needs one finite, non-negative weight per node.
 	Weights []float64
 	// Workers bounds the parallelism of the heavy kernels inside the
 	// solver loop — the SSTA forward/adjoint sweeps and the NLP
@@ -294,6 +295,9 @@ func Size(m *delay.Model, spec Spec) (*Outcome, error) {
 // sizer runs as the final fallback so the run still produces a valid
 // sizing; Outcome.Fallback flags it.
 func SizeCtx(ctx context.Context, m *delay.Model, spec Spec) (*Outcome, error) {
+	if err := spec.validate(len(m.G.C.Nodes)); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	var (
 		res *nlp.Result
@@ -346,6 +350,22 @@ func SizeCtx(ctx context.Context, m *delay.Model, spec Spec) (*Outcome, error) {
 		rec.Span("sizing.total", out.Runtime)
 	}
 	return out, nil
+}
+
+// validate rejects a spec the formulations would panic on or absorb
+// into the solve, for a circuit of n nodes: non-finite risk factors
+// or bounds, and a weight vector that is not one finite, non-negative
+// weight per node.
+func (spec *Spec) validate(n int) error {
+	if !isFinite(spec.Objective.K) {
+		return fmt.Errorf("sizing: objective risk factor must be finite, got %v", spec.Objective.K)
+	}
+	for _, c := range spec.Constraints {
+		if !isFinite(c.K) || !isFinite(c.Bound) {
+			return fmt.Errorf("sizing: constraint %v must have a finite risk factor and bound", c)
+		}
+	}
+	return checkWeights(spec.Weights, n)
 }
 
 // GreedyFromSpec derives the greedy sizer's options from a spec: the

@@ -75,7 +75,10 @@ import (
 // shared with the flat sweeps' code paths, while the adjoint tape is
 // one arena carved in block order (level order when serial) — a
 // block's tape span is contiguous, so re-evaluating or
-// back-propagating a block walks a dense cache-resident range.
+// back-propagating a block walks a dense cache-resident range. Every
+// pass reads each node's fanin pins, fanout pins and tape offset from
+// the compiled sweep schedule (sched.go), laid out in sweep order,
+// instead of the graph's NodeID-ordered per-node slices.
 
 // HierOptions configures a persistent engine.
 type HierOptions struct {
@@ -117,9 +120,13 @@ type Hier struct {
 	// s is the engine's current speed-factor assignment (owned copy).
 	s []float64
 
-	// res holds the forward state; res.gateFold[id] is a fixed
-	// subslice of tapeArena, carved once, so re-evaluating a node
-	// rewrites its tape slots in place.
+	// sc is the compiled sweep schedule every pass walks.
+	sc schedule
+
+	// res holds the forward state (its per-node gateFold is unused).
+	// The fold steps live in tapeArena at the schedule's fixed
+	// offsets, carved once, so re-evaluating a node rewrites its tape
+	// slots in place.
 	res       Result
 	tapeArena []stats.Jac2x4
 
@@ -156,11 +163,12 @@ type Hier struct {
 
 	// Trial state: a generation-stamped undo log. gen identifies the
 	// open trial; nodeGen/sGen record which slabs and sizes were
-	// already saved this trial so each is logged at most once.
+	// already saved this trial so each is logged at most once. The
+	// stamps are 32-bit; Trial clears them when gen wraps.
 	inTrial      bool
-	gen          uint64
-	nodeGen      []uint64
-	sGen         []uint64
+	gen          uint32
+	nodeGen      []uint32
+	sGen         []uint32
 	logNodes     []nodeSave
 	logTape      []stats.Jac2x4
 	logS         []sizeSave
@@ -171,23 +179,24 @@ type Hier struct {
 	// otherwise on demand by Partition.
 	p *partition.Partition
 
-	// Parallel adjoint state, built only when Workers > 1. cMu/cVar
-	// are per fanin-pin arrival-adjoint contribution slots (offsets
-	// G.FaninOff); gSelf/gPin are the gradient's self and per
-	// fanout-pin slots (offsets G.FanoutOff). active[id] records
+	// Parallel adjoint state, built only when Workers > 1; every slot
+	// slab is numbered by schedule position. cMu/cVar are per
+	// fanin-pin arrival-adjoint contribution slots (offsets
+	// sc.finOff); gSelf/gPin are the gradient's per-position self and
+	// per fanout-pin slots (offsets sc.foutOff). active[id] records
 	// whether gate id's folded adjoint was nonzero this sweep — the
 	// serial sweep's skip condition, needed so folds ignore slots of
 	// skipped writers exactly like Backward never accumulates them.
 	active      []bool
 	cMu, cVar   []float64
 	gSelf, gPin []float64
-	// inAdjSlot/inAdjFrom list, per node (CSR offsets G.FanoutOff —
+	// inAdjSlot/inAdjFrom list, per position (CSR offsets sc.foutOff —
 	// one incoming contribution per fanout pin), the cMu/cVar slot
 	// indices and their writer gates in the serial accumulation
 	// order. inGrad* is the analogue for gradient pin terms (CSR
 	// offsets inGradOff — one entry per gate-driven fanin pin).
 	inAdjSlot, inAdjFrom   []int32
-	inGradOff              []int
+	inGradOff              []int32
 	inGradSlot, inGradFrom []int32
 
 	// pending holds the dataflow scheduler's per-block counters.
@@ -210,9 +219,9 @@ type sizeSave struct {
 }
 
 // NewHier builds an engine for the model at the speed-factor
-// assignment S (copied) and runs the initial full taped sweep. With
-// Workers > 1 it also cuts the graph into blocks and builds the
-// parallel adjoint's fold orders.
+// assignment S (copied), compiles its sweep schedule and runs the
+// initial full taped sweep. With Workers > 1 it also cuts the graph
+// into blocks and builds the parallel adjoint's fold orders.
 func NewHier(m *delay.Model, S []float64, opt HierOptions) *Hier {
 	g := m.G
 	n := len(g.C.Nodes)
@@ -229,8 +238,8 @@ func NewHier(m *delay.Model, S []float64, opt HierOptions) *Hier {
 			Arrival:   make([]stats.MV, n),
 			GateDelay: make([]stats.MV, n),
 			withTape:  true,
-			gateFold:  make([][]stats.Jac2x4, n),
 		},
+		sc:      compileSchedule(g),
 		load:    make([]float64, n),
 		adj:     make([]float64, 2*n),
 		dmu:     make([]float64, n),
@@ -238,8 +247,8 @@ func NewHier(m *delay.Model, S []float64, opt HierOptions) *Hier {
 		dirty:   make([]bool, n),
 		changed: make([]bool, n),
 		byLevel: make([][]netlist.NodeID, len(g.Levels)),
-		nodeGen: make([]uint64, n),
-		sGen:    make([]uint64, n),
+		nodeGen: make([]uint32, n),
+		sGen:    make([]uint32, n),
 	}
 	h.clearSpan()
 	h.markDirtyFn = h.markDirty
@@ -250,36 +259,16 @@ func NewHier(m *delay.Model, S []float64, opt HierOptions) *Hier {
 	}
 	if h.workers > 1 {
 		h.buildParallel()
-	}
-
-	// Carve the per-gate tape slots from one arena in evaluation
-	// order, so the whole tape is two allocations and re-evaluations
-	// are in-place.
-	total := 0
-	for i := range g.C.Nodes {
-		if k := len(g.C.Nodes[i].Fanin); k > 1 {
-			total += k - 1
-		}
-	}
-	h.tapeArena = make([]stats.Jac2x4, total)
-	at := 0
-	carve := func(ids []netlist.NodeID) {
-		for _, id := range ids {
-			if k := len(g.C.Nodes[id].Fanin); k > 1 {
-				h.res.gateFold[id] = h.tapeArena[at : at+k-1 : at+k-1]
-				at += k - 1
-			}
-		}
-	}
-	if h.p != nil {
+		// The schedule carved the tape in level order; the dataflow
+		// passes evaluate whole blocks, so re-carve it block by block.
+		at := int32(0)
 		for b := range h.p.Blocks {
-			carve(h.p.Blocks[b].Nodes)
-		}
-	} else {
-		for _, bucket := range g.Levels {
-			carve(bucket)
+			at = h.sc.carve(at, h.p.Blocks[b].Nodes)
 		}
 	}
+	// One arena holds every gate's fold steps, so re-evaluations are
+	// in-place.
+	h.tapeArena = make([]stats.Jac2x4, h.sc.tapeLen)
 	if no := len(g.C.Outputs); no > 1 {
 		h.res.outFold = make([]stats.Jac2x4, no-1)
 		h.savedOutFold = make([]stats.Jac2x4, no-1)
@@ -307,7 +296,8 @@ func (h *Hier) Partition() *partition.Partition {
 // list already sorted — one O(E) pass, no per-node sorts.
 func (h *Hier) buildParallel() {
 	g := h.m.G
-	n := len(g.C.Nodes)
+	sc := &h.sc
+	n := len(sc.order)
 	h.pending = make([]int32, len(h.Partition().Blocks))
 	h.active = make([]bool, n)
 	h.cMu = make([]float64, g.Edges)
@@ -317,39 +307,40 @@ func (h *Hier) buildParallel() {
 
 	h.inAdjSlot = make([]int32, g.Edges)
 	h.inAdjFrom = make([]int32, g.Edges)
-	cur := make([]int, n)
-	copy(cur, g.FanoutOff[:n])
-	for l := len(g.Levels) - 1; l >= 1; l-- {
-		for _, v := range g.Levels[l] {
-			fanin := g.C.Nodes[v].Fanin
+	cur := make([]int32, n)
+	copy(cur, sc.foutOff[:n])
+	for l := len(sc.lvl) - 2; l >= 1; l-- {
+		for pv := int(sc.lvl[l]); pv < int(sc.lvl[l+1]); pv++ {
+			fanin := sc.fanin(pv)
 			for k := len(fanin) - 1; k >= 0; k-- {
-				f := fanin[k]
-				h.inAdjSlot[cur[f]] = int32(g.FaninOff[v] + k)
-				h.inAdjFrom[cur[f]] = int32(v)
-				cur[f]++
+				pf := sc.pos[fanin[k]]
+				h.inAdjSlot[cur[pf]] = sc.finOff[pv] + int32(k)
+				h.inAdjFrom[cur[pf]] = sc.order[pv]
+				cur[pf]++
 			}
 		}
 	}
 
-	h.inGradOff = make([]int, n+1)
-	for i := range g.C.Nodes {
-		cnt := 0
-		for _, f := range g.C.Nodes[i].Fanin {
+	h.inGradOff = make([]int32, n+1)
+	for p := 0; p < n; p++ {
+		cnt := int32(0)
+		for _, f := range sc.fanin(p) {
 			if g.C.Nodes[f].Kind == netlist.KindGate {
 				cnt++
 			}
 		}
-		h.inGradOff[i+1] = h.inGradOff[i] + cnt
+		h.inGradOff[p+1] = h.inGradOff[p] + cnt
 	}
 	h.inGradSlot = make([]int32, h.inGradOff[n])
 	h.inGradFrom = make([]int32, h.inGradOff[n])
 	copy(cur, h.inGradOff[:n])
-	for l := len(g.Levels) - 1; l >= 1; l-- {
-		for _, u := range g.Levels[l] {
-			for j, v := range g.Fanout[u] {
-				h.inGradSlot[cur[v]] = int32(g.FanoutOff[u] + j)
-				h.inGradFrom[cur[v]] = int32(u)
-				cur[v]++
+	for l := len(sc.lvl) - 2; l >= 1; l-- {
+		for pu := int(sc.lvl[l]); pu < int(sc.lvl[l+1]); pu++ {
+			for j, v := range sc.fanout(pu) {
+				pv := sc.pos[v]
+				h.inGradSlot[cur[pv]] = sc.foutOff[pu] + int32(j)
+				h.inGradFrom[cur[pv]] = sc.order[pu]
+				cur[pv]++
 			}
 		}
 	}
@@ -438,17 +429,41 @@ func (h *Hier) saveNode(id netlist.NodeID) {
 	}
 	h.nodeGen[id] = h.gen
 	at := len(h.logTape)
-	h.logTape = append(h.logTape, h.res.gateFold[id]...)
+	h.logTape = append(h.logTape, h.tape(int(h.sc.pos[id]))...)
 	h.logNodes = append(h.logNodes, nodeSave{
 		id: id, arr: h.res.Arrival[id], gd: h.res.GateDelay[id], tapeAt: at,
 	})
+}
+
+// tape returns the fold steps of the node at schedule position p: a
+// fixed span of the arena, nil for nodes with fewer than two fanins.
+func (h *Hier) tape(p int) []stats.Jac2x4 {
+	k := int(h.sc.finOff[p+1]-h.sc.finOff[p]) - 1
+	if k <= 0 {
+		return nil
+	}
+	o := int(h.sc.tape[p])
+	return h.tapeArena[o : o+k : o+k]
+}
+
+// forward re-runs the forward fold of the node at schedule position
+// p: the flat sweep's gate body fed from the schedule, the tape arena
+// and the load cache.
+func (h *Hier) forward(p int) {
+	id := h.sc.node(p)
+	fanin := h.sc.fanin(p)
+	if len(fanin) == 0 { // a primary input
+		h.res.Arrival[id] = h.m.Arrival[id]
+		return
+	}
+	forwardGate(&h.res, h.m, id, fanin, h.tape(p), h.m.GateMVLoaded(id, h.s, h.load[id]))
 }
 
 // reeval re-runs node id's forward fold and flags whether its arrival
 // changed — a pure bit-compare, identical for every worker count.
 func (h *Hier) reeval(id netlist.NodeID) {
 	old := h.res.Arrival[id]
-	forwardNodeLoaded(&h.res, h.m, h.s, id, true, h.load[id])
+	h.forward(int(h.sc.pos[id]))
 	h.changed[id] = h.res.Arrival[id] != old
 }
 
@@ -497,7 +512,7 @@ func (h *Hier) Update() stats.MV {
 				continue
 			}
 			frontierN++
-			for _, f := range g.Fanout[id] {
+			for _, f := range h.sc.fanout(int(h.sc.pos[id])) {
 				h.markDirty(f)
 			}
 		}
@@ -549,10 +564,10 @@ func (h *Hier) resweep() {
 	if h.workers > 1 {
 		h.runBlocks(false, h.evalBlockForward)
 	} else {
-		for _, bucket := range h.m.G.Levels {
-			for _, id := range bucket {
-				forwardNodeLoaded(&h.res, h.m, h.s, id, true, h.load[id])
-			}
+		// Positions ascending are levels ascending: the flat sweep's
+		// order over dense schedule slabs.
+		for p := range h.sc.order {
+			h.forward(p)
 		}
 	}
 	foldOutputs(&h.res, h.m.G, true)
@@ -622,7 +637,7 @@ func (h *Hier) runBlocks(backward bool, eval func(int)) {
 // only its own slots.
 func (h *Hier) evalBlockForward(b int) {
 	for _, id := range h.p.Blocks[b].Nodes {
-		forwardNodeLoaded(&h.res, h.m, h.s, id, true, h.load[id])
+		h.forward(int(h.sc.pos[id]))
 	}
 }
 
@@ -637,11 +652,11 @@ func (h *Hier) evalBlockBackward(b int) {
 	if blk.Level == 0 {
 		return // primary inputs carry no adjoint work
 	}
-	g := h.m.G
-	inOff := g.FanoutOff
+	sc := &h.sc
 	for _, id := range blk.Nodes {
+		p := int(sc.pos[id])
 		am, av := h.adj[2*id], h.adj[2*id+1]
-		for t := inOff[id]; t < inOff[id+1]; t++ {
+		for t := sc.foutOff[p]; t < sc.foutOff[p+1]; t++ {
 			if !h.active[h.inAdjFrom[t]] {
 				continue
 			}
@@ -657,11 +672,11 @@ func (h *Hier) evalBlockBackward(b int) {
 		h.active[id] = true
 		d := am + av*h.m.Sigma.DVar(h.res.GateDelay[id].Mu)
 		h.dmu[id] = d
-		h.m.GateMuGradTermsLoaded(id, h.s, h.load[id], d, &h.gSelf[id], h.gPin[g.FanoutOff[id]:g.FanoutOff[id+1]])
-		fanin := g.C.Nodes[id].Fanin
-		base := g.FaninOff[id]
+		h.m.GateMuGradTermsLoaded(id, h.s, h.load[id], d, sc.fanout(p), &h.gSelf[p], h.gPin[sc.foutOff[p]:sc.foutOff[p+1]])
+		fanin := sc.fanin(p)
+		base := int(sc.finOff[p])
 		uMu, uVar := am, av
-		steps := h.res.gateFold[id]
+		steps := h.tape(p)
 		for k := len(fanin) - 1; k >= 1; k-- {
 			j := steps[k-1]
 			h.cMu[base+k] = uMu*j[0][2] + uVar*j[1][2]
@@ -701,22 +716,22 @@ func (h *Hier) seed(seedMu, seedVar float64) {
 // skipped (zero-adjoint) writers are skipped exactly as the serial
 // sweep never accumulates them.
 func (h *Hier) foldGrad() {
-	g := h.m.G
-	for i := range g.C.Nodes {
-		if g.C.Nodes[i].Kind != netlist.KindGate {
-			continue // inputs carry no gradient; grad stays 0
-		}
+	sc := &h.sc
+	// Level 0 holds exactly the inputs, which carry no gradient (their
+	// grad entries stay 0), so the walk starts at the first gate.
+	for p := int(sc.lvl[1]); p < len(sc.order); p++ {
 		acc := 0.0
-		if h.active[i] {
-			acc += h.gSelf[i]
+		id := sc.node(p)
+		if h.active[id] {
+			acc += h.gSelf[p]
 		}
-		for t := h.inGradOff[i]; t < h.inGradOff[i+1]; t++ {
+		for t := h.inGradOff[p]; t < h.inGradOff[p+1]; t++ {
 			if !h.active[h.inGradFrom[t]] {
 				continue
 			}
 			acc += h.gPin[h.inGradSlot[t]]
 		}
-		h.grad[i] = acc
+		h.grad[id] = acc
 	}
 }
 
@@ -740,10 +755,13 @@ func (h *Hier) backward(seedMu, seedVar float64) {
 	clear(h.grad)
 	clear(h.dmu)
 	h.seed(seedMu, seedVar)
-	g := h.m.G
+	sc := &h.sc
 	adj := h.adj
-	for l := len(g.Levels) - 1; l >= 1; l-- {
-		for _, id := range g.Levels[l] {
+	// Levels descending, positions inside a level ascending: the flat
+	// adjoint's accumulation order (see schedule).
+	for l := len(sc.lvl) - 2; l >= 1; l-- {
+		for p := int(sc.lvl[l]); p < int(sc.lvl[l+1]); p++ {
+			id := sc.node(p)
 			am, av := adj[2*id], adj[2*id+1]
 			if am == 0 && av == 0 {
 				continue
@@ -754,10 +772,10 @@ func (h *Hier) backward(seedMu, seedVar float64) {
 			// layout).
 			d := am + av*h.m.Sigma.DVar(h.res.GateDelay[id].Mu)
 			h.dmu[id] = d
-			h.m.GateMuGradLoaded(id, h.s, h.load[id], d, h.grad)
-			fanin := g.C.Nodes[id].Fanin
+			h.m.GateMuGradLoaded(id, h.s, h.load[id], d, sc.fanout(p), h.grad)
+			fanin := sc.fanin(p)
 			uMu, uVar := am, av
-			steps := h.res.gateFold[id]
+			steps := h.tape(p)
 			for k := len(fanin) - 1; k >= 1; k-- {
 				j := steps[k-1]
 				f := fanin[k]
@@ -814,6 +832,13 @@ func (h *Hier) Trial() {
 	h.Update()
 	h.inTrial = true
 	h.gen++
+	if h.gen == 0 {
+		// The stamps wrapped: a stale stamp could now equal gen and
+		// skip a save, so forget them all.
+		clear(h.nodeGen)
+		clear(h.sGen)
+		h.gen = 1
+	}
 	h.logNodes = h.logNodes[:0]
 	h.logTape = h.logTape[:0]
 	h.logS = h.logS[:0]
@@ -848,7 +873,7 @@ func (h *Hier) Rollback() stats.MV {
 		sv := h.logNodes[i]
 		h.res.Arrival[sv.id] = sv.arr
 		h.res.GateDelay[sv.id] = sv.gd
-		steps := h.res.gateFold[sv.id]
+		steps := h.tape(int(h.sc.pos[sv.id]))
 		copy(steps, h.logTape[sv.tapeAt:sv.tapeAt+len(steps)])
 	}
 	for i := len(h.logS) - 1; i >= 0; i-- {
@@ -870,8 +895,9 @@ func (h *Hier) Rollback() stats.MV {
 }
 
 // MemoryBytes estimates the engine's resident footprint: the
-// forward/adjoint slabs, the tape arena, the trial log backing
-// arrays and, once built, the partition and the parallel slot slabs.
+// forward/adjoint slabs, the sweep schedule, the tape arena, the
+// trial log backing arrays and, once built, the partition and the
+// parallel slot slabs.
 // It is the byte cost a cache of warm engines pays to keep this one
 // alive (the session LRU's budget unit), not an exact accounting of
 // every header.
@@ -885,9 +911,9 @@ func (h *Hier) MemoryBytes() int64 {
 	n := int64(len(h.s))
 	b := 6 * n * 8      // s, load, dmu, grad, adj (2 per node)
 	b += 2 * n * mvSize // Arrival, GateDelay
-	b += 2 * n * 8      // nodeGen, sGen
+	b += 2 * n * 4      // nodeGen, sGen
 	b += 2 * n          // dirty, changed
-	b += n * hdrSize    // gateFold subslice headers
+	b += h.sc.memoryBytes()
 	b += int64(len(h.tapeArena)) * jacSize
 	b += 2 * int64(len(h.res.outFold)) * jacSize // outFold + savedOutFold
 	for _, bucket := range h.byLevel {
@@ -906,8 +932,8 @@ func (h *Hier) MemoryBytes() int64 {
 	}
 	// Parallel adjoint slabs (empty on a serial engine).
 	b += int64(len(h.active))
-	b += int64(len(h.cMu)+len(h.cVar)+len(h.gSelf)+len(h.gPin)+len(h.inGradOff)) * 8
-	b += int64(len(h.inAdjSlot)+len(h.inAdjFrom)+len(h.inGradSlot)+len(h.inGradFrom)+len(h.pending)) * 4
+	b += int64(len(h.cMu)+len(h.cVar)+len(h.gSelf)+len(h.gPin)) * 8
+	b += int64(len(h.inAdjSlot)+len(h.inAdjFrom)+len(h.inGradOff)+len(h.inGradSlot)+len(h.inGradFrom)+len(h.pending)) * 4
 	return b
 }
 

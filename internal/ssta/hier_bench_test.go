@@ -4,10 +4,50 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/delay"
 	"repro/internal/netlist"
+	"repro/internal/telemetry"
 )
+
+// reevalCounter sums the dirty-node counts of the engine's
+// "inc.update" events: the nodes Update re-evaluated, a deterministic
+// work unit reported next to ns/op.
+type reevalCounter struct{ nodes int64 }
+
+func (c *reevalCounter) Event(scope, name string, fields ...telemetry.KV) {
+	if scope != "inc" || name != "update" {
+		return
+	}
+	for _, f := range fields {
+		if f.Key == "dirty" {
+			c.nodes += int64(f.Val)
+		}
+	}
+}
+func (c *reevalCounter) Count(string, int64)        {}
+func (c *reevalCounter) Gauge(string, float64)      {}
+func (c *reevalCounter) Span(string, time.Duration) {}
+
+// reportReevals replays a benchmark's step script — warm uncounted
+// steps, then b.N counted ones — on a fresh serial engine with a
+// reevalCounter attached, and reports the nodes Update re-evaluated
+// per counted step as nodes/op. The timed loop itself runs without a
+// recorder: an attached one moves each update event's fields to the
+// heap, which would show in allocs/op.
+func reportReevals(b *testing.B, m *delay.Model, warm int, step func(h *Hier, i int)) {
+	rc := &reevalCounter{}
+	h := NewHier(m, m.UnitSizes(), HierOptions{Workers: 1, Recorder: rc})
+	for i := 0; i < warm; i++ {
+		step(h, i)
+	}
+	rc.nodes = 0
+	for i := 0; i < b.N; i++ {
+		step(h, i)
+	}
+	b.ReportMetric(float64(rc.nodes)/float64(b.N), "nodes/op")
+}
 
 // gen100k is the canonical 100k-gate benchmark netlist (the
 // cmd/circuitgen gen100k preset), streamed and compiled once per test
@@ -84,19 +124,25 @@ func BenchmarkFlatStepGen100k(b *testing.B) {
 
 // BenchmarkHierStepGen100k is the same warm sizing step through the
 // persistent engine: only the dirty cone's nodes re-evaluate, and the
-// warm serial loop runs at zero allocations per step.
+// warm serial loop runs at zero allocations per step. It reports the
+// nodes re-evaluated per step (nodes/op).
 func BenchmarkHierStepGen100k(b *testing.B) {
 	m := gen100kModel(b)
-	h := NewHier(m, m.UnitSizes(), HierOptions{Workers: 1})
 	gates := m.G.C.GateIDs()
-	for i := 0; i < 50; i++ { // stretch the dirty buckets to steady state
+	step := func(h *Hier, i int) {
 		h.SetSize(gates[(i*7919)%len(gates)], 1+0.3*float64(i%5))
 		h.GradMuPlusKSigma(3)
+	}
+	const warm = 50 // stretch the dirty buckets to steady state
+	h := NewHier(m, m.UnitSizes(), HierOptions{Workers: 1})
+	for i := 0; i < warm; i++ {
+		step(h, i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.SetSize(gates[(i*7919)%len(gates)], 1+0.3*float64(i%5))
-		h.GradMuPlusKSigma(3)
+		step(h, i)
 	}
+	b.StopTimer()
+	reportReevals(b, m, warm, step)
 }

@@ -12,18 +12,24 @@ import (
 // every slab. `make bench-inc` collects both into
 // BENCH_incremental.json.
 
+// benchIncUpdate also reports the nodes re-evaluated per step
+// (nodes/op).
 func benchIncUpdate(b *testing.B, name string) {
 	m := parallelTestModels(b)[name]
 	gates := m.G.C.GateIDs()
+	step := func(h *Hier, i int) {
+		h.SetSize(gates[(i*31)%len(gates)], 1+0.3*float64(i%5))
+		h.GradMuPlusKSigma(3)
+	}
 	inc := NewHier(m, m.UnitSizes(), HierOptions{Workers: 1})
 	inc.GradMuPlusKSigma(3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := gates[(i*31)%len(gates)]
-		inc.SetSize(id, 1+0.3*float64(i%5))
-		inc.GradMuPlusKSigma(3)
+		step(inc, i)
 	}
+	b.StopTimer()
+	reportReevals(b, m, 0, step)
 }
 
 func benchFullSweep(b *testing.B, name string) {

@@ -133,6 +133,37 @@ func TestIncRollbackRestores(t *testing.T) {
 	checkRestored()
 }
 
+// TestIncTrialGenerationWrap asserts a trial opened as the 32-bit
+// generation counter wraps still logs every overwritten slab: stamps
+// left over from an earlier generation with the same number must not
+// suppress a save.
+func TestIncTrialGenerationWrap(t *testing.T) {
+	m := parallelTestModels(t)["apex1"]
+	gates := m.G.C.GateIDs()
+	h := NewHier(m, m.UnitSizes(), HierOptions{Workers: 1})
+	want := h.Update()
+	// Pretend generation 1 stamped every node long ago and the counter
+	// is about to wrap back onto it.
+	for i := range h.nodeGen {
+		h.nodeGen[i], h.sGen[i] = 1, 1
+	}
+	h.gen = math.MaxUint32
+	h.Trial()
+	for _, id := range gates[:len(gates)/2] {
+		h.SetSize(id, 2.2)
+	}
+	h.Update()
+	if got := h.Rollback(); got != want {
+		t.Fatalf("rollback after wrap: Tmax %+v, want %+v", got, want)
+	}
+	for _, id := range gates {
+		if h.Sizes()[id] != 1 {
+			t.Fatalf("size of gate %d not restored: %v", id, h.Sizes()[id])
+		}
+	}
+	checkMatchesFresh(t, h, m, 3)
+}
+
 // eventSink captures Event calls as formatted lines; the metric
 // channels (which may carry wall-clock data) are discarded.
 type eventSink struct{ lines []string }
@@ -309,7 +340,15 @@ func TestIncMemoryBytes(t *testing.T) {
 		t.Fatalf("k2 footprint %d below its moment slabs alone (%d)", lb, min)
 	}
 
-	for _, name := range []string{"k2", "gen1200"} {
+	// session10k is the what-if sessions' circuit shape: the unit the
+	// session LRU budgets in.
+	session, err := netlist.Generate(netlist.GenSpec{Name: "session10k", Gates: 10_000, Inputs: 128, Outputs: 32,
+		Depth: 40, MaxFanin: 4, Seed: 10_007})
+	if err != nil {
+		t.Fatal(err)
+	}
+	models["session10k"] = delay.MustBind(netlist.MustCompile(session), delay.Default())
+	for _, name := range []string{"k2", "gen1200", "session10k"} {
 		m := models[name]
 		gates := m.G.C.GateIDs()
 		for _, workers := range []int{1, 4} {

@@ -63,17 +63,12 @@ func AnalyzeScenario(m *delay.Model, sc Scenario) *Result {
 			r.Arrival[id] = m.Arrival[id]
 			continue
 		}
-		u := shiftMV(r.Arrival[nd.Fanin[0]], m.PinOff(id, 0))
+		var steps []stats.Jac2x4
 		if len(nd.Fanin) > 1 {
-			steps := make([]stats.Jac2x4, len(nd.Fanin)-1)
+			steps = make([]stats.Jac2x4, len(nd.Fanin)-1)
 			r.gateFold[id] = steps
-			for k, f := range nd.Fanin[1:] {
-				u, steps[k] = stats.Max2Jac(u, shiftMV(r.Arrival[f], m.PinOff(id, k+1)))
-			}
 		}
-		t := scenarioGateMV(m, id, sc)
-		r.GateDelay[id] = t
-		r.Arrival[id] = stats.Add(u, t)
+		forwardGate(r, m, id, nd.Fanin, steps, scenarioGateMV(m, id, sc))
 	}
 	foldOutputs(r, g, true)
 	return r

@@ -60,47 +60,33 @@ func forwardNode(r *Result, m *delay.Model, S []float64, id netlist.NodeID, with
 		r.Arrival[id] = m.Arrival[id]
 		return
 	}
-	forwardGate(r, m, nd, id, m.GateMV(id, S), withTape)
-}
-
-// forwardNodeLoaded is forwardNode with the gate's capacitive load
-// supplied by the caller — the persistent engine caches loads under
-// the SDependents invalidation rule, so warm sweeps skip the
-// per-node fanout scan. Bit-identical to forwardNode when the cached
-// load equals the recomputed one (delay.Model.GateMVLoaded).
-func forwardNodeLoaded(r *Result, m *delay.Model, S []float64, id netlist.NodeID, withTape bool, load float64) {
-	nd := &m.G.C.Nodes[id]
-	if nd.Kind == netlist.KindInput {
-		r.Arrival[id] = m.Arrival[id]
-		return
+	var steps []stats.Jac2x4
+	if withTape && len(nd.Fanin) > 1 {
+		steps = make([]stats.Jac2x4, len(nd.Fanin)-1)
+		r.gateFold[id] = steps
 	}
-	forwardGate(r, m, nd, id, m.GateMVLoaded(id, S, load), withTape)
+	forwardGate(r, m, id, nd.Fanin, steps, m.GateMV(id, S))
 }
 
-// forwardGate is the shared gate body of the forward sweep: the fanin
-// max fold (taped or not) plus the delay add, with the gate delay
-// moments t already evaluated.
-func forwardGate(r *Result, m *delay.Model, nd *netlist.Node, id netlist.NodeID, t stats.MV, withTape bool) {
+// forwardGate is the one gate body of every forward sweep: the fanin
+// max fold plus the delay add, with the gate delay moments t already
+// evaluated. fanin is the gate's fanin list in pin order; a non-nil
+// steps receives the fold's len(fanin)-1 max Jacobians. The flat
+// sweep passes the node's own fanin list and its fresh tape, the
+// persistent engine its compiled schedule's copy and a span of its
+// tape arena.
+func forwardGate(r *Result, m *delay.Model, id netlist.NodeID, fanin []netlist.NodeID, steps []stats.Jac2x4, t stats.MV) {
 	// U = max over fanin arrivals, folded two at a time
 	// (paper eq 18b); each operand is shifted by its pin's
 	// additive delay (eq 1's per-pin t_i). Constant shifts leave
 	// the max Jacobians valid as-is, so the tape is unchanged.
-	u := shiftMV(r.Arrival[nd.Fanin[0]], m.PinOff(id, 0))
-	if withTape && len(nd.Fanin) > 1 {
-		// Reuse the node's tape slots when already sized (the
-		// persistent engine pre-carves them from one arena, so
-		// re-evaluating a node is allocation-free); a fresh Result
-		// allocates them here once.
-		steps := r.gateFold[id]
-		if len(steps) != len(nd.Fanin)-1 {
-			steps = make([]stats.Jac2x4, len(nd.Fanin)-1)
-			r.gateFold[id] = steps
-		}
-		for k, f := range nd.Fanin[1:] {
+	u := shiftMV(r.Arrival[fanin[0]], m.PinOff(id, 0))
+	if steps != nil {
+		for k, f := range fanin[1:] {
 			u, steps[k] = stats.Max2Jac(u, shiftMV(r.Arrival[f], m.PinOff(id, k+1)))
 		}
 	} else {
-		for k, f := range nd.Fanin[1:] {
+		for k, f := range fanin[1:] {
 			u = stats.Max2(u, shiftMV(r.Arrival[f], m.PinOff(id, k+1)))
 		}
 	}
@@ -115,7 +101,8 @@ func foldOutputs(r *Result, g *netlist.Graph, withTape bool) {
 	outs := g.C.Outputs
 	tmax := r.Arrival[outs[0]]
 	if withTape && len(outs) > 1 {
-		// As in forwardNode, reuse the fold slots when already sized.
+		// Reuse the fold slots when already sized (the persistent
+		// engine refolds its outputs after every update).
 		if len(r.outFold) != len(outs)-1 {
 			r.outFold = make([]stats.Jac2x4, len(outs)-1)
 		}
