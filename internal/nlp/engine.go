@@ -86,7 +86,7 @@ type elemRef struct {
 
 	// rows aliases the element's flat Hessian block in slabH as the
 	// row-major [][]float64 view the Element.Hess contract wants; the
-	// headers are allocated once here and reused forever.
+	// headers are allocated once, with the slab, and reused forever.
 	rows [][]float64
 
 	// Compute-phase outputs.
@@ -116,7 +116,8 @@ type engine struct {
 	slabLG []float64 // cached constraint gradients (rank-one terms)
 	slabV  []float64 // hessVec masked local input
 	slabHV []float64 // hessVec per-element contributions
-	slabH  []float64 // cached local Hessian blocks
+	slabH  []float64 // cached local Hessian blocks; see reserveHessians
+	sumH   int       // len(slabH) once reserved
 
 	// Dispatch state, written by the coordinator before the barrier
 	// opens and read-only for workers during a phase.
@@ -193,18 +194,7 @@ func newEngine(p *Problem, st *almState, workers int) *engine {
 	e.slabLG = make([]float64, sumN)
 	e.slabV = make([]float64, sumN)
 	e.slabHV = make([]float64, sumN)
-	e.slabH = make([]float64, sumH)
-	for i := range e.refs {
-		r := &e.refs[i]
-		if r.hOff < 0 {
-			continue
-		}
-		r.rows = make([][]float64, r.n)
-		for j := 0; j < r.n; j++ {
-			lo := r.hOff + j*r.n
-			r.rows[j] = e.slabH[lo : lo+r.n]
-		}
-	}
+	e.sumH = sumH
 
 	w := resolveWorkers(workers)
 	if w > 1 && len(e.refs) >= engineMinElements {
@@ -225,6 +215,29 @@ func newEngine(p *Problem, st *almState, workers int) *engine {
 		}
 	}
 	return e
+}
+
+// reserveHessians allocates the Hessian slab and its row views once,
+// for the Newton solver, the only reader of second-order data. The
+// first-order methods never call Element.Hess, and a dense element
+// over every variable (LinearElement's zero Hessian) would otherwise
+// cost n*n floats that no solve touches.
+func (e *engine) reserveHessians() {
+	if e.slabH != nil || e.sumH == 0 {
+		return
+	}
+	e.slabH = make([]float64, e.sumH)
+	for i := range e.refs {
+		r := &e.refs[i]
+		if r.hOff < 0 {
+			continue
+		}
+		r.rows = make([][]float64, r.n)
+		for j := 0; j < r.n; j++ {
+			lo := r.hOff + j*r.n
+			r.rows[j] = e.slabH[lo : lo+r.n]
+		}
+	}
 }
 
 // worker drains chunk indices until close() shuts the channel.

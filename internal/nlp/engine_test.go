@@ -303,3 +303,40 @@ func TestObjEvalsCounted(t *testing.T) {
 		t.Errorf("FuncEvals = %d suspiciously low for %d outer iterations", r.FuncEvals, r.Outer)
 	}
 }
+
+// TestHessianSlabReservedForNewtonOnly pins that the dense Hessian
+// blocks are allocated only for the Newton inner solver: a first-order
+// solve over a linear element spanning every variable must not carry
+// an n*n slab it never reads.
+func TestHessianSlabReservedForNewtonOnly(t *testing.T) {
+	const n = 200
+	p := chainProblem(n)
+	all := make([]int, n)
+	ones := make([]float64, n)
+	for i := range all {
+		all[i], ones[i] = i, 1
+	}
+	p.Objective = append(p.Objective, LinearElement(all, ones, 0))
+	opt := Options{}.withDefaults()
+	st := newTestState(p, 1)
+	defer st.eng.close()
+	newLBFGSSolver(p, st, opt)
+	newPGSolver(p, st, opt)
+	if st.eng.slabH != nil {
+		t.Fatalf("first-order solvers reserved a %d-float Hessian slab", len(st.eng.slabH))
+	}
+	ns := newNewtonSolver(p, st, opt)
+	want := 0
+	for _, r := range st.eng.refs {
+		want += r.n * r.n
+	}
+	if len(st.eng.slabH) != want {
+		t.Fatalf("Newton solver reserved %d floats, want %d", len(st.eng.slabH), want)
+	}
+	for _, r := range st.eng.refs {
+		if len(r.rows) != r.n || &r.rows[0][0] != &st.eng.slabH[r.hOff] {
+			t.Fatalf("element rows do not alias the slab at offset %d", r.hOff)
+		}
+	}
+	ns.buildCache(testPoint(n, 0.4))
+}

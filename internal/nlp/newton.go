@@ -31,6 +31,7 @@ type newtonSolver struct {
 }
 
 func newNewtonSolver(p *Problem, st *almState, opt Options) *newtonSolver {
+	st.eng.reserveHessians()
 	return &newtonSolver{
 		p: p, st: st, opt: opt,
 		grad: make([]float64, p.N),
