@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-inc bench-batch bench-hier bench-obsv bench-service bench-session test-batch test-engine test-obsv test-service test-session smoke-service check trace faults
+.PHONY: build test vet race bench bench-inc bench-batch bench-hier bench-obsv bench-service bench-session test-batch test-engine test-obsv test-service test-session smoke-service check trace faults fuzz-kernels
 
 build:
 	$(GO) build ./...
@@ -244,6 +244,14 @@ bench-service:
 bench-session:
 	$(GO) run ./cmd/sizingd -sessionbench -out BENCH_session.json
 	cat BENCH_session.json
+
+# fuzz-kernels runs the native fuzzer that holds the erfc core behind
+# dist.CDFPair — and so every Clark max in stats.Max2/Max2Jac — bit
+# for bit equal to 0.5*math.Erfc(∓x/Sqrt2), for a fixed 15 s (the CI
+# kernels job). The seed corpus is every branch boundary of the core
+# with its Nextafter neighbours.
+fuzz-kernels:
+	$(GO) test -run '^$$' -fuzz '^FuzzCDFPair$$' -fuzztime 15s ./internal/dist/
 
 # check is the CI gate: vet + build + tests + race-checked tests.
 check: vet build test race

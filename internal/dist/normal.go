@@ -30,9 +30,11 @@ func PDF(x float64) float64 {
 
 // CDF returns the standard normal cumulative distribution at x,
 // Phi(x) = P(Z <= x) for Z ~ N(0,1). This is the paper's phi-function
-// (eq 11), implemented through the error function.
+// (eq 11), implemented through the complementary error function: the
+// first output of CDFPair, bit for bit 0.5*math.Erfc(-x/Sqrt2).
 func CDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/Sqrt2)
+	p, _ := CDFPair(x)
+	return p
 }
 
 // LogPDF returns log(phi(x)) without underflowing for large |x|.
@@ -40,15 +42,16 @@ func LogPDF(x float64) float64 {
 	return -0.5*x*x - 0.9189385332046727417803297364056176398613974736378
 }
 
-// Mills returns the Mills ratio (1-Phi(x))/phi(x), computed stably for
-// large positive x via a continued-fraction-free asymptotic fallback.
-// It is used when evaluating conditional tail moments.
+// Mills returns the Mills ratio (1-Phi(x))/phi(x). The upper tail
+// 1-Phi(x) is read as Phi(-x) from CDFPair, so it keeps full relative
+// precision where 1 - CDF(x) would cancel to zero (x >= 8.5); from 30
+// on the asymptotic series takes over. Far in the lower tail phi(x)
+// underflows and the ratio is +Inf, its correctly rounded value. It is
+// used when evaluating conditional tail moments.
 func Mills(x float64) float64 {
 	if x < 30 {
-		p := PDF(x)
-		if p > 0 {
-			return (1 - CDF(x)) / p
-		}
+		_, q := CDFPair(x)
+		return q / PDF(x)
 	}
 	// Asymptotic expansion 1/x - 1/x^3 + 3/x^5 - 15/x^7 for x -> inf.
 	ix := 1 / x

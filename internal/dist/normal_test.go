@@ -96,12 +96,52 @@ func TestLogPDF(t *testing.T) {
 	}
 }
 
-func TestMills(t *testing.T) {
-	for _, x := range []float64{-5, -1, 0, 1, 5, 10, 25} {
-		want := (1 - CDF(x)) / PDF(x)
-		if got := Mills(x); !almostEqual(got, want, 1e-9) {
-			t.Errorf("Mills(%v) = %v, want %v", x, got, want)
+// millsSeries is an independent reference for the Mills ratio at
+// x >= 10: the asymptotic series 1/x - 1/x^3 + 3/x^5 - 15/x^7 + ...,
+// summed up to its smallest term, where its truncation error
+// (about exp(-x^2/2)) is far below double precision.
+func millsSeries(x float64) float64 {
+	ix2 := 1 / (x * x)
+	term, sum := 1/x, 1/x
+	for k := 1; ; k++ {
+		next := -term * float64(2*k-1) * ix2
+		if math.Abs(next) >= math.Abs(term) {
+			return sum
 		}
+		sum += next
+		term = next
+	}
+}
+
+// TestMills checks the Mills ratio (1-Phi(x))/phi(x) against values
+// that do not go through CDF: high-precision references in the upper
+// tail, where 1 - CDF(x) cancels (it is 0 from x = 8.5 on), the
+// asymptotic series over [10, 30), and the overflow to +Inf far in the
+// lower tail.
+func TestMills(t *testing.T) {
+	cases := []struct{ x, want float64 }{
+		{8, 0.12313196325793229628},
+		{8.5, 0.11608206338598229034},
+		{10, 0.099028596471731921395},
+		{15, 0.066374235823250173591},
+		{20, 0.049875925981836783658},
+		{25, 0.039936304769535592529},
+		{29.9, 0.033407531001675072806},
+	}
+	for _, c := range cases {
+		if got := Mills(c.x); !almostEqual(got, c.want, 1e-13) {
+			t.Errorf("Mills(%v) = %v, want %v", c.x, got, c.want)
+		}
+	}
+	for x := 10.0; x < 30; x += 0.25 {
+		if got, want := Mills(x), millsSeries(x); !almostEqual(got, want, 1e-13) {
+			t.Errorf("Mills(%v) = %v, asymptotic series %v", x, got, want)
+		}
+	}
+	// phi(-40) underflows while 1-Phi(-40) is 1: the ratio (6.8e347)
+	// overflows.
+	if got := Mills(-40); !math.IsInf(got, 1) {
+		t.Errorf("Mills(-40) = %v, want +Inf", got)
 	}
 	// Large-x asymptotic branch: Mills(x) ~ 1/x - 1/x^3.
 	want := 1/50.0 - 1/math.Pow(50, 3)
@@ -250,6 +290,26 @@ func TestTruncatedBelowMoments(t *testing.T) {
 	mu, sg = TruncatedBelowMoments(0, 1, 60)
 	if mu != 60 || sg != 0 {
 		t.Errorf("collapsed: %v %v", mu, sg)
+	}
+}
+
+// TestTruncatedBelowMomentsUpperTail truncates a standard normal far
+// into its upper tail, where the kept mass 1-Phi(alpha) must not be
+// formed as 1 - CDF(alpha) (which loses 7 digits at 6 and is 0 from
+// 8.5 on). References are high-precision evaluations of the closed
+// form.
+func TestTruncatedBelowMomentsUpperTail(t *testing.T) {
+	cases := []struct{ lo, wantMu, wantSigma float64 }{
+		{6, 6.1584826045445989173, 0.15487942661685822159},
+		{9, 9.1085231050028687978, 0.10730699257139365605},
+		{12, 12.08221417525428433, 0.081674514604286840085},
+	}
+	for _, c := range cases {
+		mu, sg := TruncatedBelowMoments(0, 1, c.lo)
+		if !almostEqual(mu, c.wantMu, 1e-12) || !almostEqual(sg, c.wantSigma, 1e-9) {
+			t.Errorf("TruncatedBelowMoments(0, 1, %v) = (%v, %v), want (%v, %v)",
+				c.lo, mu, sg, c.wantMu, c.wantSigma)
+		}
 	}
 }
 

@@ -17,10 +17,12 @@ func TruncatedBelowMoments(mu, sigma, lo float64) (tmu, tsigma float64) {
 		return lo, 0
 	}
 	alpha := (lo - mu) / sigma
-	z := 1 - CDF(alpha)
+	// The kept mass 1-Phi(alpha), read as Phi(-alpha) so that it keeps
+	// full precision in the upper tail instead of cancelling to zero.
+	_, z := CDFPair(alpha)
 	if z <= 0 {
-		// The entire mass sits below the truncation point; the
-		// truncated law collapses onto the boundary.
+		// Phi(-alpha) underflows (alpha beyond ~38): the truncated law
+		// sits within sigma/alpha of the boundary; collapse onto it.
 		return lo, 0
 	}
 	lambda := PDF(alpha) / z

@@ -235,10 +235,11 @@ type Result struct {
 	// LambdaEq and LambdaIneq are the final multiplier estimates.
 	LambdaEq, LambdaIneq []float64
 	// FuncEvals counts full merit (augmented-Lagrangian) evaluations:
-	// each one evaluates every element of the problem exactly once,
-	// plus the element gradients when the caller asked for them. It is
-	// the paper's "function evaluations" cost measure for the inner
-	// solvers.
+	// each one evaluates every element of the problem exactly once.
+	// Element gradients are computed at accepted points only — each
+	// inner solve's starting point and every step the line search
+	// accepts — never at a rejected trial. It is the paper's "function
+	// evaluations" cost measure for the inner solvers.
 	FuncEvals int
 	// ObjEvals counts raw-objective-only evaluations (objective
 	// elements, no constraints): the outer loop's progress logging and
@@ -340,22 +341,22 @@ func (s *almState) objective(x []float64) float64 {
 	return f
 }
 
-// merit evaluates the augmented Lagrangian and, when grad is non-nil,
-// its gradient (grad is overwritten). Constraint values are cached in
-// cEq / cIneq for the outer loop.
+// merit evaluates the augmented Lagrangian at x and, when grad is
+// non-nil, its gradient through meritGrad at the same point (grad is
+// overwritten). Constraint values are cached in cEq / cIneq for the
+// outer loop.
 //
-// The engine computes element values (and then gradients) in parallel;
-// the folds below accumulate phi and scatter the gradient in exact
-// serial element order, so the result is bit-identical for any worker
-// count. The fold also fixes each element's gradient weight w (the ALM
-// chain-rule factor), which the gradient dispatch uses to skip
-// elements that cannot contribute — inactive inequalities exactly as
-// the serial code always did.
+// The engine computes element values in parallel; the fold below
+// accumulates phi in exact serial element order, so the result is
+// bit-identical for any worker count. The fold also fixes each
+// element's gradient weight w (the ALM chain-rule factor), which the
+// gradient dispatch uses to skip elements that cannot contribute —
+// inactive inequalities exactly as the serial code always did.
 //
 // The fold doubles as the solver's non-finite guard: every element
-// value and the assembled gradient are screened with the x-x != 0
-// trick (true exactly for NaN and ±Inf), setting s.finite / s.badElem
-// without branching into any allocation.
+// value and phi are screened with the x-x != 0 trick (true exactly for
+// NaN and ±Inf), setting s.finite / s.badElem without branching into
+// any allocation.
 func (s *almState) merit(x []float64, grad []float64) float64 {
 	s.fnEvals++
 	s.finite, s.badElem = true, -1
@@ -398,9 +399,22 @@ func (s *almState) merit(x []float64, grad []float64) float64 {
 	if phi-phi != 0 {
 		s.finite = false
 	}
-	if grad == nil {
-		return phi
+	if grad != nil {
+		s.meritGrad(grad)
 	}
+	return phi
+}
+
+// meritGrad is the gradient fold of the augmented Lagrangian at the
+// last merit point, written into grad. It must follow that merit call
+// with no other element evaluation in between: each element's Grad
+// runs at the point of its latest Eval (the reduced sweep elements
+// answer Grad with one adjoint over the tape Eval left warm), and the
+// scatter weights come from the value fold. The scatter runs in exact
+// serial element order, like the value fold. A non-finite gradient
+// clears s.finite.
+func (s *almState) meritGrad(grad []float64) {
+	e := s.eng
 	e.dispatch(modeGrad)
 	for i := range grad {
 		grad[i] = 0
@@ -425,7 +439,6 @@ func (s *almState) merit(x []float64, grad []float64) float64 {
 	if acc-acc != 0 {
 		s.finite = false
 	}
-	return phi
 }
 
 // violation returns the constraint infinity norm at the last merit

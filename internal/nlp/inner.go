@@ -218,8 +218,14 @@ func (sl *lbfgsSolver) lineSearch(x []float64, phi, gd float64) (float64, bool) 
 // fully interior steps. A step that projection reduces to no movement
 // is rejected — it cannot make progress.
 //
+// The gradient is lazy: each trial evaluates the merit value only, and
+// meritGrad runs once a trial has a finite value, passes Armijo and
+// has moved — so a rejected trial costs no gradient (for the reduced
+// formulation, no adjoint sweep). gNew is meaningful only when the
+// search succeeds.
+//
 // A trial whose merit or gradient evaluates non-finite (st.finite,
-// screened in the merit fold) is treated exactly like a failed Armijo
+// screened in both folds) is treated exactly like a failed Armijo
 // test: the step is halved and retried. This is the first line of
 // non-finite recovery — a transient NaN/Inf is backtracked away from
 // before it can be accepted into the iterate or the curvature history.
@@ -234,7 +240,7 @@ func projectedArmijo(p *Problem, st *almState, x, grad, d, xNew, gNew []float64,
 			xNew[k] = x[k] + alpha*d[k]
 		}
 		p.project(xNew)
-		phiNew := st.merit(xNew, gNew)
+		phiNew := st.merit(xNew, nil)
 		if st.finite {
 			var ref float64
 			for k := range x {
@@ -244,15 +250,26 @@ func projectedArmijo(p *Problem, st *almState, x, grad, d, xNew, gNew []float64,
 				ref = alpha * gd
 			}
 			if phiNew <= phi+c1*ref {
-				for k := range x {
-					if xNew[k] != x[k] {
-						return phiNew, true
-					}
+				if !moved(x, xNew) {
+					return phi, false
 				}
-				return phi, false
+				st.meritGrad(gNew)
+				if st.finite {
+					return phiNew, true
+				}
 			}
 		}
 		alpha *= 0.5
 	}
 	return phi, false
+}
+
+// moved reports whether xNew differs from x in any component.
+func moved(x, xNew []float64) bool {
+	for k := range x {
+		if xNew[k] != x[k] {
+			return true
+		}
+	}
+	return false
 }

@@ -88,8 +88,7 @@ func Max2(a, b MV) MV {
 	bm := b.Mu - shift
 	alpha := (am - bm) / theta
 
-	cdfP := dist.CDF(alpha)  // Phi(alpha)
-	cdfN := dist.CDF(-alpha) // Phi(-alpha)
+	cdfP, cdfN := dist.CDFPair(alpha) // Phi(alpha), Phi(-alpha)
 	pdf := dist.PDF(alpha)
 
 	mu := am*cdfP + bm*cdfN + theta*pdf
@@ -160,8 +159,7 @@ func Max2Jac(a, b MV) (MV, Jac2x4) {
 	bm := b.Mu - shift
 	alpha := (am - bm) / theta
 
-	cdfP := dist.CDF(alpha)
-	cdfN := dist.CDF(-alpha)
+	cdfP, cdfN := dist.CDFPair(alpha)
 	pdf := dist.PDF(alpha)
 
 	muS := am*cdfP + bm*cdfN + theta*pdf // shifted mean
