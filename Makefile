@@ -181,10 +181,11 @@ test-obsv:
 # against fresh sweeps, non-finite points, the 0-alloc pin and the
 # sweep counters), the compiled sweep schedule's invariants, the
 # sizing drivers' rejection of bad inputs, partitioner invariants and
-# determinism fuzz, and the streamed generator round-trip.
+# determinism fuzz, the streamed generator round-trip, and the top-k
+# criticality ranking against a full sort.
 test-engine:
 	$(GO) test -race -timeout 10m \
-		-run 'TestInc|TestGreedyFromSpec|TestGreedyWeighted|Hier|Partition|GenerateStream|GenPreset|TestReduced|Schedule|TestGreedyRejects|TestSizeRejects' \
+		-run 'TestInc|TestGreedyFromSpec|TestGreedyWeighted|Hier|Partition|GenerateStream|GenPreset|TestReduced|Schedule|TestGreedyRejects|TestSizeRejects|TopCritical' \
 		./internal/ssta/ ./internal/sizing/ ./internal/partition/ ./internal/netlist/
 
 # test-batch runs the batch equivalence suite — bit-identity of the

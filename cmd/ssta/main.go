@@ -17,7 +17,6 @@ import (
 	"math"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 
@@ -187,21 +186,9 @@ func main() {
 
 	if *critN > 0 {
 		crit := ssta.CriticalityWorkers(m, S, *workers)
-		type gc struct {
-			name string
-			c    float64
-		}
-		var list []gc
-		for _, id := range circ.GateIDs() {
-			list = append(list, gc{circ.Nodes[id].Name, crit[id]})
-		}
-		sort.Slice(list, func(i, j int) bool { return list[i].c > list[j].c })
-		if len(list) > *critN {
-			list = list[:*critN]
-		}
 		fmt.Println("statistical criticality (d muTmax / d mu_gate):")
-		for _, e := range list {
-			fmt.Printf("  %-12s %.4f\n", e.name, e.c)
+		for _, id := range ssta.TopCritical(circ, crit, *critN) {
+			fmt.Printf("  %-12s %.4f\n", circ.Nodes[id].Name, crit[id])
 		}
 	}
 

@@ -4,9 +4,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/delay"
+	"repro/internal/netlist"
+	"repro/internal/ssta"
 	"repro/internal/telemetry"
 )
 
@@ -74,5 +78,61 @@ func TestTraceFlagCreatesParentDirs(t *testing.T) {
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("trace file missing: %v", err)
+	}
+}
+
+// TestCritListsTiesByName pins the -crit listing's order on a netlist
+// full of exact ties: a 6-level balanced NAND tree has 63 gates but
+// only 6 distinct criticalities. Gates must come by criticality
+// descending, ties by name ascending.
+func TestCritListsTiesByName(t *testing.T) {
+	c := netlist.BalancedTree(6)
+	path := filepath.Join(t.TempDir(), "btree6.ckt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := netlist.WriteCKT(f, c); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-circuit", path, "-crit", "20")
+	cmd.Env = append(os.Environ(), "SSTA_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("ssta -crit 20: %v\n%s", err, out)
+	}
+	_, listing, ok := strings.Cut(string(out), "statistical criticality (d muTmax / d mu_gate):\n")
+	if !ok {
+		t.Fatalf("no criticality listing:\n%s", out)
+	}
+	var got []string
+	for _, line := range strings.Split(listing, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 || !strings.HasPrefix(line, "  ") {
+			break
+		}
+		got = append(got, f[0])
+	}
+
+	// The reference: every gate, sorted by exact criticality
+	// descending, then name.
+	m := delay.MustBind(netlist.MustCompile(c), delay.Default())
+	crit := ssta.CriticalityWorkers(m, m.UnitSizes(), 1)
+	ids := c.GateIDs()
+	sort.SliceStable(ids, func(i, j int) bool {
+		if a, b := crit[ids[i]], crit[ids[j]]; a != b {
+			return a > b
+		}
+		return c.Nodes[ids[i]].Name < c.Nodes[ids[j]].Name
+	})
+	want := make([]string, 20)
+	for i := range want {
+		want[i] = c.Nodes[ids[i]].Name
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("-crit 20 lists\n  %s\nwant\n  %s", strings.Join(got, " "), strings.Join(want, " "))
 	}
 }

@@ -146,9 +146,10 @@ func (c *Circuit) NumInputs() int {
 // NumGates returns the number of gate instances.
 func (c *Circuit) NumGates() int { return len(c.Nodes) - c.NumInputs() }
 
-// InputIDs returns the ids of all primary inputs in insertion order.
+// InputIDs returns the ids of all primary inputs in insertion order,
+// in one allocation of the exact length.
 func (c *Circuit) InputIDs() []NodeID {
-	var ids []NodeID
+	ids := make([]NodeID, 0, c.NumInputs())
 	for i, nd := range c.Nodes {
 		if nd.Kind == KindInput {
 			ids = append(ids, NodeID(i))
@@ -157,9 +158,10 @@ func (c *Circuit) InputIDs() []NodeID {
 	return ids
 }
 
-// GateIDs returns the ids of all gates in insertion order.
+// GateIDs returns the ids of all gates in insertion order, in one
+// allocation of the exact length.
 func (c *Circuit) GateIDs() []NodeID {
-	var ids []NodeID
+	ids := make([]NodeID, 0, c.NumGates())
 	for i, nd := range c.Nodes {
 		if nd.Kind == KindGate {
 			ids = append(ids, NodeID(i))

@@ -317,3 +317,39 @@ func TestNodeKindString(t *testing.T) {
 		t.Error("unknown kind string")
 	}
 }
+
+// TestIDListsAllocateOnce pins GateIDs and InputIDs to one allocation
+// of the exact length, in insertion order.
+func TestIDListsAllocateOnce(t *testing.T) {
+	c, err := Generate(GenSpec{Name: "ids", Gates: 2000, Inputs: 64, Outputs: 16, Depth: 20, MaxFanin: 4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		ids  func() []NodeID
+		kind NodeKind
+	}{
+		{"GateIDs", c.GateIDs, KindGate},
+		{"InputIDs", c.InputIDs, KindInput},
+	} {
+		ids := tc.ids()
+		var want []NodeID
+		for i, nd := range c.Nodes {
+			if nd.Kind == tc.kind {
+				want = append(want, NodeID(i))
+			}
+		}
+		if len(ids) != len(want) || cap(ids) != len(want) {
+			t.Fatalf("%s: len %d cap %d, want both %d", tc.name, len(ids), cap(ids), len(want))
+		}
+		for i := range ids {
+			if ids[i] != want[i] {
+				t.Fatalf("%s[%d] = %d, want %d", tc.name, i, ids[i], want[i])
+			}
+		}
+		if a := testing.AllocsPerRun(20, func() { tc.ids() }); a != 1 {
+			t.Errorf("%s: %v allocations per call, want 1", tc.name, a)
+		}
+	}
+}

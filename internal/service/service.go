@@ -413,7 +413,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, fmt.Errorf("service: bad spec: %w", err)
 	}
 	if s.opt.MaxGates > 0 {
-		if n := len(m.G.C.GateIDs()); n > s.opt.MaxGates {
+		if n := m.G.C.NumGates(); n > s.opt.MaxGates {
 			return JobStatus{}, fmt.Errorf("%w: %d gates > limit %d", ErrTooLarge, n, s.opt.MaxGates)
 		}
 	}

@@ -196,7 +196,7 @@ func (s *Server) CreateSession(spec SessionSpec) (SessionStatus, error) {
 	if err != nil {
 		return SessionStatus{}, fmt.Errorf("service: bad circuit: %w", err)
 	}
-	gates := len(m.G.C.GateIDs())
+	gates := m.G.C.NumGates()
 	if s.opt.MaxGates > 0 && gates > s.opt.MaxGates {
 		return SessionStatus{}, fmt.Errorf("%w: %d gates > limit %d", ErrTooLarge, gates, s.opt.MaxGates)
 	}
@@ -434,7 +434,7 @@ func (s *Server) ensureEngine(ss *session) (*ssta.Hier, bool, error) {
 	s.sessMu.Lock()
 	ss.eng = eng
 	ss.bytes = bytes
-	ss.gates = len(m.G.C.GateIDs())
+	ss.gates = m.G.C.NumGates()
 	if ss.sizes == nil {
 		ss.sizes = append([]float64(nil), eng.Sizes()...)
 	}
@@ -611,7 +611,8 @@ type TimingReply struct {
 	// Outputs lists every primary output's arrival moments.
 	Outputs []OutputTiming `json:"outputs"`
 	// Critical lists the top gates by criticality (all gates when the
-	// query asks top=0), ties broken by node id for determinism.
+	// query asks top=0), ties broken by gate name ascending (the order
+	// of ssta.TopCritical).
 	Critical []GateTiming `json:"critical"`
 }
 
@@ -619,7 +620,9 @@ type TimingReply struct {
 // delay moments, per-output arrivals, and per-gate criticality plus
 // mu+k*sigma sensitivities — all from the warm tape, no fresh sweep.
 // k == 0 selects the session's default risk factor; top bounds the
-// Critical list (<= 0 returns every gate).
+// Critical list (<= 0 returns every gate), ranked by criticality
+// descending with ties by gate name ascending. The cost is two O(V)
+// adjoints plus an O(V log top) ranking, with O(top) allocation.
 func (s *Server) SessionTiming(id string, k float64, top int) (TimingReply, error) {
 	if k == 0 {
 		return s.sessionTiming(id, nil, top)
@@ -652,36 +655,26 @@ func (s *Server) sessionTiming(id string, kq *float64, top int) (TimingReply, er
 		k = *kq
 	}
 	tmax := eng.Update()
-	phi, grad := eng.GradMuPlusKSigma(k)
-	m := eng.Model()
-	gates := m.G.C.GateIDs()
-	rows := make([]GateTiming, 0, len(gates))
-	for _, g := range gates {
-		rows = append(rows, GateTiming{
-			Gate:        m.G.C.Nodes[g].Name,
-			Sensitivity: grad[g],
-			Size:        eng.Sizes()[g],
-		})
-	}
-	// grad is engine-owned scratch; the adjoint pass below overwrites
-	// it, so the sensitivities were copied into rows first.
+	c := eng.Model().G.C
 	crit := eng.Criticality()
-	for i, g := range gates {
-		rows[i].Criticality = crit[g]
+	ids := ssta.TopCritical(c, crit, top)
+	rows := make([]GateTiming, len(ids))
+	sizes := eng.Sizes()
+	for i, g := range ids {
+		rows[i] = GateTiming{Gate: c.Nodes[g].Name, Criticality: crit[g], Size: sizes[g]}
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Criticality != rows[j].Criticality {
-			return rows[i].Criticality > rows[j].Criticality
-		}
-		return rows[i].Gate < rows[j].Gate
-	})
-	if top > 0 && top < len(rows) {
-		rows = rows[:top]
+	// crit is engine-owned scratch; the adjoint pass below overwrites
+	// it, so the criticalities were copied into rows first. Each pass
+	// clears and recomputes its slabs, so running criticality first
+	// changes no bit of phi or the gradient.
+	phi, grad := eng.GradMuPlusKSigma(k)
+	for i, g := range ids {
+		rows[i].Sensitivity = grad[g]
 	}
-	outs := make([]OutputTiming, 0, len(m.G.C.Outputs))
-	for _, o := range m.G.C.Outputs {
+	outs := make([]OutputTiming, 0, len(c.Outputs))
+	for _, o := range c.Outputs {
 		arr := eng.Arrival(o)
-		outs = append(outs, OutputTiming{Name: m.G.C.Nodes[o].Name, Mu: arr.Mu, Sigma: arr.Sigma()})
+		outs = append(outs, OutputTiming{Name: c.Nodes[o].Name, Mu: arr.Mu, Sigma: arr.Sigma()})
 	}
 	s.metrics.Count("service.sessions.timing", 1)
 	return TimingReply{

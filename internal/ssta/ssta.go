@@ -454,3 +454,93 @@ func CriticalityWorkers(m *delay.Model, S []float64, workers int) []float64 {
 	r.backwardInto(nil, m, S, 1, 0, workers, &sc, nil)
 	return sc.dmu
 }
+
+// TopCritical ranks c's gates by crit (indexed by NodeID, as
+// CriticalityWorkers and Hier.Criticality return it) and returns the
+// first top of them: criticality descending, ties by gate name
+// ascending — the one order every criticality listing uses. NaN ranks
+// after every number and -0 ties with +0, so the order is total.
+// top <= 0 or top >= the gate count returns every gate. A bounded heap
+// keeps the best k = min(top, #gates) gates seen so far and only those
+// survivors are sorted: O(V log k) time, one O(k) allocation.
+func TopCritical(c *netlist.Circuit, crit []float64, top int) []netlist.NodeID {
+	k := c.NumGates()
+	if top > 0 && top < k {
+		k = top
+	}
+	r := critRank{c: c, crit: crit, h: make([]netlist.NodeID, 0, k)}
+	for i := range c.Nodes {
+		if c.Nodes[i].Kind != netlist.KindGate {
+			continue
+		}
+		id := netlist.NodeID(i)
+		switch {
+		case len(r.h) < k:
+			r.h = append(r.h, id)
+			r.up(len(r.h) - 1)
+		case r.before(id, r.h[0]):
+			r.h[0] = id
+			r.down(0, k)
+		}
+	}
+	// Heapsort the survivors in place: moving the worst-ranked root to
+	// the back each round leaves the slice best first.
+	for n := len(r.h) - 1; n > 0; n-- {
+		r.h[0], r.h[n] = r.h[n], r.h[0]
+		r.down(0, n)
+	}
+	return r.h
+}
+
+// critRank is TopCritical's heap: h[0] is the worst-ranked gate kept.
+type critRank struct {
+	c    *netlist.Circuit
+	crit []float64
+	h    []netlist.NodeID
+}
+
+// before reports whether gate a ranks ahead of gate b. The node id is
+// the last tie-break, for hand-built circuits that reuse a name.
+func (r *critRank) before(a, b netlist.NodeID) bool {
+	ca, cb := r.crit[a], r.crit[b]
+	if na, nb := math.IsNaN(ca), math.IsNaN(cb); na || nb {
+		if na != nb {
+			return nb
+		}
+	} else if ca != cb {
+		return ca > cb
+	}
+	if x, y := r.c.Nodes[a].Name, r.c.Nodes[b].Name; x != y {
+		return x < y
+	}
+	return a < b
+}
+
+func (r *critRank) up(j int) {
+	for j > 0 {
+		p := (j - 1) / 2
+		if !r.before(r.h[p], r.h[j]) {
+			return
+		}
+		r.h[p], r.h[j] = r.h[j], r.h[p]
+		j = p
+	}
+}
+
+// down restores the heap below i over h[:n].
+func (r *critRank) down(i, n int) {
+	for {
+		w := 2*i + 1
+		if w >= n {
+			return
+		}
+		if c := w + 1; c < n && r.before(r.h[w], r.h[c]) {
+			w = c
+		}
+		if !r.before(r.h[i], r.h[w]) {
+			return
+		}
+		r.h[i], r.h[w] = r.h[w], r.h[i]
+		i = w
+	}
+}
