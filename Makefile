@@ -46,18 +46,17 @@ bench-inc:
 
 # bench-batch measures the K-lane structure-of-arrays sweeps against
 # K independent scalar traversals on the 1200-gate netlist — the
-# deterministic corner k-sweep (DetBatch), the statistical scenario
-# sweep (Batch forward and forward+adjoint) and the batched Monte
-# Carlo shard runner — and collects ns/op, allocs/op and the derived
-# K=8 speedups into BENCH_batch.json. The corner pair must show the
+# deterministic corner k-sweep (DetBatch) and the batched Monte Carlo
+# shard runner — and collects ns/op, allocs/op and the derived K=8
+# speedups into BENCH_batch.json. The corner pair must show the
 # batched path at least 4x faster at K=8.
 bench-batch:
-	$(GO) test -run NONE -bench 'Corner(Scalar|Batch)|Forward(Scalar|Batch)|GradBatch' \
+	$(GO) test -run NONE -bench 'Corner(Scalar|Batch)' \
 		-benchmem -count 1 ./internal/ssta/ | tee /tmp/bench-batch.txt
 	$(GO) test -run NONE -bench 'MCLanes' -benchmem -count 1 \
 		./internal/montecarlo/ | tee -a /tmp/bench-batch.txt
 	awk 'BEGIN { print "["; n = 0 } \
-		/^Benchmark(Corner|Forward|Grad|MCLanes)/ { \
+		/^Benchmark(Corner|MCLanes)/ { \
 			name = $$1; sub(/-[0-9]+$$/, "", name); ns[name] = $$3; \
 			if (n++) printf ",\n"; \
 			printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
@@ -66,9 +65,6 @@ bench-batch:
 			if (ns["BenchmarkCornerBatchK8Gen1200"]) \
 				printf ",\n  {\"name\": \"CornerK8Speedup\", \"speedup\": %.2f}", \
 					ns["BenchmarkCornerScalarX8Gen1200"] / ns["BenchmarkCornerBatchK8Gen1200"]; \
-			if (ns["BenchmarkForwardBatchK8Gen1200"]) \
-				printf ",\n  {\"name\": \"ForwardK8Speedup\", \"speedup\": %.2f}", \
-					ns["BenchmarkForwardScalarX8Gen1200"] / ns["BenchmarkForwardBatchK8Gen1200"]; \
 			if (ns["BenchmarkMCLanes8Gen1200"]) \
 				printf ",\n  {\"name\": \"MCLanes8Speedup\", \"speedup\": %.2f}", \
 					ns["BenchmarkMCLanes1Gen1200"] / ns["BenchmarkMCLanes8Gen1200"]; \
@@ -189,12 +185,13 @@ test-engine:
 		./internal/ssta/ ./internal/sizing/ ./internal/partition/ ./internal/netlist/
 
 # test-batch runs the batch equivalence suite — bit-identity of the
-# K-lane statistical/deterministic/Monte Carlo sweeps against
-# independent scalar runs, the quantile edge-case tables and the
-# risk-factor guards — under the race detector (the CI batch job).
+# K-lane deterministic corner (DetBatch, KSweep, Corners) and Monte
+# Carlo sweeps against independent scalar runs, the quantile edge-case
+# tables and the risk-factor guards — under the race detector (the CI
+# batch job).
 test-batch:
 	$(GO) test -race -timeout 5m \
-		-run 'Batch|KSweep|Corners|NonFinite|LaneWidth|QuantileMaxN|Scenario' \
+		-run 'Batch|KSweep|Corners|NonFinite|LaneWidth|QuantileMaxN' \
 		./internal/ssta/ ./internal/montecarlo/ ./internal/stats/
 
 # test-service runs the sizing-as-a-service suite under the race

@@ -48,6 +48,15 @@ func main() {
 		timeout     = flag.Duration("timeout", 0, "abort the analysis after this wall-clock budget and exit non-zero (0 = no limit)")
 	)
 	flag.Parse()
+	if math.IsNaN(*cornersK) || math.IsInf(*cornersK, 0) || *cornersK < 0 {
+		fatal(fmt.Errorf("-corners must be finite and non-negative, got %v", *cornersK))
+	}
+	sigma := delay.Proportional{K: *sigmaK}
+	// The model is linear in the mean, so one unit of mean delay
+	// exposes a bad factor.
+	if err := delay.ValidateSigmaModel(sigma, 0, 1); err != nil {
+		fatal(fmt.Errorf("-sigmak %v: %w", *sigmaK, err))
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -112,7 +121,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	m.Sigma = delay.Proportional{K: *sigmaK}
+	m.Sigma = sigma
 	S := m.UnitSizes()
 
 	stats, _ := circ.ComputeStats()

@@ -136,3 +136,35 @@ func TestCritListsTiesByName(t *testing.T) {
 		t.Fatalf("-crit 20 lists\n  %s\nwant\n  %s", strings.Join(got, " "), strings.Join(want, " "))
 	}
 }
+
+// TestBadNumericFlagsExitOne pins the flag boundary: a non-finite or
+// negative -corners, or a -sigmak whose sigma model is negative or
+// NaN, must exit 1 with a single "ssta:" line instead of panicking,
+// silently skipping a report or printing a NaN sigma.
+func TestBadNumericFlagsExitOne(t *testing.T) {
+	for _, args := range [][]string{
+		{"-corners", "Inf"},
+		{"-corners", "NaN"},
+		{"-corners", "-1"},
+		{"-sigmak", "NaN"},
+		{"-sigmak", "-0.25"},
+	} {
+		t.Run(strings.Join(args, "="), func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], append([]string{"-circuit", "tree7"}, args...)...)
+			cmd.Env = append(os.Environ(), "SSTA_TEST_MAIN=1")
+			var stdout, stderr strings.Builder
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			if code := cmd.ProcessState.ExitCode(); code != 1 {
+				t.Fatalf("exit %d (%v), want 1\nstderr:\n%s", code, err, stderr.String())
+			}
+			msg := stderr.String()
+			if !strings.HasPrefix(msg, "ssta: ") || strings.Count(msg, "\n") != 1 {
+				t.Errorf("stderr is not one ssta: line:\n%s", msg)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("rejected run printed a report:\n%s", stdout.String())
+			}
+		})
+	}
+}

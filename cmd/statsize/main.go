@@ -60,6 +60,12 @@ func main() {
 	)
 	flag.Var(&constraints, "constraint", `timing constraint, repeatable: "mu<=120", "mu+3sigma<=120", "mu=6.5"`)
 	flag.Parse()
+	sigma := delay.Proportional{K: *sigmaK}
+	// The model is linear in the mean, so one unit of mean delay
+	// exposes a bad factor.
+	if err := delay.ValidateSigmaModel(sigma, 0, 1); err != nil {
+		fatal(fmt.Errorf("-sigmak %v: %w", *sigmaK, err))
+	}
 
 	// Assemble the telemetry pipeline: every enabled sink consumes the
 	// same event stream, so -v, -trace and -metrics cannot disagree.
@@ -122,7 +128,7 @@ func main() {
 		fatal(err)
 	}
 	m.Limit = *limit
-	m.Sigma = delay.Proportional{K: *sigmaK}
+	m.Sigma = sigma
 
 	spec := sizing.Spec{Workers: *workers}
 	spec.Objective, err = sizing.ParseObjective(*objectiveFlag)

@@ -2,12 +2,51 @@ package main
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/sizing"
 	"repro/internal/telemetry"
 )
+
+// TestMain lets a test re-run this binary as the statsize command
+// itself: with STATSIZE_TEST_MAIN=1 set, the process runs main on its
+// arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("STATSIZE_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadSigmaKExitsOne pins the flag boundary: a -sigmak whose sigma
+// model is negative or NaN must exit 1 with a single "statsize:" line
+// before any solve, instead of reporting a converged solve with a NaN
+// sigma.
+func TestBadSigmaKExitsOne(t *testing.T) {
+	for _, k := range []string{"NaN", "-0.25", "Inf"} {
+		t.Run(k, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-circuit", "tree7", "-objective", "mu", "-sigmak", k)
+			cmd.Env = append(os.Environ(), "STATSIZE_TEST_MAIN=1")
+			var stdout, stderr strings.Builder
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			if code := cmd.ProcessState.ExitCode(); code != 1 {
+				t.Fatalf("exit %d (%v), want 1\nstderr:\n%s", code, err, stderr.String())
+			}
+			msg := stderr.String()
+			if !strings.HasPrefix(msg, "statsize: ") || strings.Count(msg, "\n") != 1 {
+				t.Errorf("stderr is not one statsize: line:\n%s", msg)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("rejected run printed a report:\n%s", stdout.String())
+			}
+		})
+	}
+}
 
 func TestParseObjective(t *testing.T) {
 	cases := map[string]sizing.Objective{

@@ -159,8 +159,6 @@ func attribution(events []telemetry.TraceEvent) []phase {
 			add("inc.update", "dirty gates", 1, get(e, "dirty"))
 		case "hier.sweep":
 			add("hier.sweep", "nodes", 1, get(e, "nodes"))
-		case "batch.sweep":
-			add("batch.sweep", "lane-nodes", 1, get(e, "lanes")*get(e, "nodes"))
 		case "greedy.step":
 			add("greedy.step", "steps", 1, 1)
 		case "mc.result":
@@ -336,8 +334,6 @@ func writeFlame(w io.Writer, events []telemetry.TraceEvent, spans []spanRow) {
 			add("nlp.solve;alm.outer;nlp.inner", get(e, "inner"))
 		case "inc.update":
 			add("greedy;inc.update", get(e, "dirty"))
-		case "batch.sweep":
-			add("batch.sweep", get(e, "lanes")*get(e, "nodes"))
 		case "greedy.step":
 			add("greedy;greedy.step", 1)
 		case "mc.result":

@@ -144,31 +144,21 @@ func (m *Model) GateMuGrad(id netlist.NodeID, S []float64, scale float64, grad [
 func (m *Model) GateMuGradLoaded(id netlist.NodeID, S []float64, load, scale float64, fanout []netlist.NodeID, grad []float64) {
 	grad[id] += scale * -m.Coef * load / (S[id] * S[id])
 	// The pin factor is hoisted out of the fanout loop — one divide
-	// per gate instead of per pin. Every other producer of these
-	// terms (GateMuGradTermsLoaded, the K-lane GateMuGradLanes) uses
-	// the same (scale*c/S)*CIn expression shape, which is what keeps
-	// their results bit-identical to this accumulation.
+	// per gate instead of per pin. The other producer of these terms,
+	// GateMuGradTermsLoaded, uses the same (scale*c/S)*CIn expression
+	// shape, which is what keeps its results bit-identical to this
+	// accumulation.
 	pin := scale * m.Coef / S[id]
 	for _, f := range fanout {
 		grad[f] += pin * m.CIn[f]
 	}
 }
 
-// GateMuGradTerms computes exactly the terms GateMuGrad would
-// accumulate, but writes them to caller-owned slots instead of
-// adding them into a shared gradient vector: self receives the
-// d mu / d S_id term and pins[j] the term for fanout entry j
-// (pins must have len(G.Fanout[id])). Each term is produced by the
-// same floating-point expression as in GateMuGrad, so a caller that
-// folds the slots in GateMuGrad's accumulation order reproduces its
-// result bit for bit — the contract the block-parallel adjoint sweep
-// of internal/ssta is built on.
-func (m *Model) GateMuGradTerms(id netlist.NodeID, S []float64, scale float64, self *float64, pins []float64) {
-	m.GateMuGradTermsLoaded(id, S, m.Load(id, S), scale, m.G.Fanout[id], self, pins)
-}
-
-// GateMuGradTermsLoaded is GateMuGradTerms with a caller-supplied
-// load and fanout list (see GateMuGradLoaded for both contracts).
+// GateMuGradTermsLoaded writes the terms GateMuGradLoaded would
+// accumulate into caller-owned slots: self gets d mu / d S_id and
+// pins[j] (len(fanout) slots) the term for fanout entry j. Each term
+// is GateMuGradLoaded's own expression, so folding the slots in its
+// order reproduces its result bit for bit.
 func (m *Model) GateMuGradTermsLoaded(id netlist.NodeID, S []float64, load, scale float64, fanout []netlist.NodeID, self *float64, pins []float64) {
 	*self = scale * -m.Coef * load / (S[id] * S[id])
 	pin := scale * m.Coef / S[id]

@@ -10,7 +10,7 @@ import (
 // This file holds the batched shard runner: instead of propagating
 // one sample per topology walk, a shard propagates blocks of K
 // samples over K-strided structure-of-arrays slabs
-// (slab[int(id)*K + lane], the layout shared with ssta.Batch), so one
+// (slab[int(id)*K + lane], the layout shared with ssta.DetBatch), so one
 // traversal's graph overhead — node metadata, fanin walks, pin
 // offsets — is amortized across K samples and the per-node inner
 // loops run over contiguous spans.

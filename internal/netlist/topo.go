@@ -39,26 +39,13 @@ type Graph struct {
 	// per call and dominates repeated evaluations.
 	Levels [][]NodeID
 
-	// LevelPos[id] is the index of id inside its level bucket:
-	// Levels[Level[id]][LevelPos[id]] == id. The adjoint sweeps use
-	// (Level, LevelPos) as the canonical serial accumulation order.
-	LevelPos []int
-
 	// FaninOff is the CSR offset table over fanin edges: node id's
 	// fanin pins own the edge slots [FaninOff[id], FaninOff[id+1]).
 	// Len is len(Nodes)+1; FaninOff[len(Nodes)] == Edges.
 	FaninOff []int
 
-	// FanoutOff is the CSR offset table over the Fanout lists: node
-	// id's fanout entries own the edge slots
-	// [FanoutOff[id], FanoutOff[id+1]). Len is len(Nodes)+1.
-	FanoutOff []int
-
 	// Edges is the total fanin pin count (== total fanout entries).
 	Edges int
-
-	// gateTopo memoizes GateTopo.
-	gateTopo []NodeID
 }
 
 // ErrCycle is returned when the fanin relation is cyclic.
@@ -136,23 +123,14 @@ func Compile(c *Circuit) (*Graph, error) {
 		}
 	}
 	g.Levels = make([][]NodeID, maxLvl+1)
-	g.LevelPos = make([]int, n)
 	for _, id := range topo {
-		g.LevelPos[id] = len(g.Levels[g.Level[id]])
 		g.Levels[g.Level[id]] = append(g.Levels[g.Level[id]], id)
 	}
 	g.FaninOff = make([]int, n+1)
-	g.FanoutOff = make([]int, n+1)
 	for i := range c.Nodes {
 		g.FaninOff[i+1] = g.FaninOff[i] + len(c.Nodes[i].Fanin)
-		g.FanoutOff[i+1] = g.FanoutOff[i] + len(g.Fanout[i])
 	}
 	g.Edges = g.FaninOff[n]
-	for _, id := range topo {
-		if c.Nodes[id].Kind == KindGate {
-			g.gateTopo = append(g.gateTopo, id)
-		}
-	}
 	return g, nil
 }
 
@@ -164,13 +142,6 @@ func MustCompile(c *Circuit) *Graph {
 		panic(err)
 	}
 	return g
-}
-
-// GateTopo returns only the gate ids of the topological order. The
-// slice is memoized on the graph (computed once in Compile); callers
-// must not mutate it.
-func (g *Graph) GateTopo() []NodeID {
-	return g.gateTopo
 }
 
 // IsOutput reports whether id is marked as a primary output.

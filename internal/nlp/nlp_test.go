@@ -74,6 +74,8 @@ func TestValidate(t *testing.T) {
 		{N: 2, Lower: []float64{0}, Objective: []Element{{Vars: []int{0}, Eval: dummyF, Grad: dummyG}}},
 		{N: 1, Lower: []float64{1}, Upper: []float64{0},
 			Objective: []Element{{Vars: []int{0}, Eval: dummyF, Grad: dummyG}}},
+		{N: 1, Lower: []float64{1}, Upper: []float64{math.NaN()}, // NaN bound
+			Objective: []Element{{Vars: []int{0}, Eval: dummyF, Grad: dummyG}}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

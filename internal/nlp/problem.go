@@ -78,6 +78,15 @@ func (p *Problem) Validate() error {
 	if p.Upper != nil && len(p.Upper) != p.N {
 		return fmt.Errorf("nlp: upper bounds have length %d, want %d", len(p.Upper), p.N)
 	}
+	// ±Inf means unbounded, but a NaN bound fails every comparison and
+	// would silently drop the box.
+	for _, b := range [][]float64{p.Lower, p.Upper} {
+		for i, v := range b {
+			if math.IsNaN(v) {
+				return fmt.Errorf("nlp: bound of variable %d is NaN", i)
+			}
+		}
+	}
 	if p.Lower != nil && p.Upper != nil {
 		for i := range p.Lower {
 			if p.Lower[i] > p.Upper[i] {

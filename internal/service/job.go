@@ -169,7 +169,23 @@ func validID(id string) bool {
 }
 
 // buildModel resolves the spec's circuit and binds the delay model.
+// A limit below 1 or a sigma factor whose model yields a negative or
+// NaN sigma is rejected here, at admission, rather than inside the
+// job.
 func buildModel(spec *JobSpec) (*delay.Model, error) {
+	if spec.Limit != 0 && !(spec.Limit >= 1) {
+		return nil, fmt.Errorf("limit %v is below 1", spec.Limit)
+	}
+	sigmaK := spec.SigmaK
+	if sigmaK == 0 {
+		sigmaK = 0.25
+	}
+	sigma := delay.Proportional{K: sigmaK}
+	// The model is linear in the mean, so one unit of mean delay
+	// exposes a bad factor.
+	if err := delay.ValidateSigmaModel(sigma, 0, 1); err != nil {
+		return nil, fmt.Errorf("sigma_k %v: %w", sigmaK, err)
+	}
 	var (
 		circ *netlist.Circuit
 		lib  *delay.Library
@@ -210,11 +226,7 @@ func buildModel(spec *JobSpec) (*delay.Model, error) {
 	if spec.Limit != 0 {
 		m.Limit = spec.Limit
 	}
-	sigmaK := spec.SigmaK
-	if sigmaK == 0 {
-		sigmaK = 0.25
-	}
-	m.Sigma = delay.Proportional{K: sigmaK}
+	m.Sigma = sigma
 	return m, nil
 }
 

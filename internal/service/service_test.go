@@ -219,6 +219,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad constraint", JobSpec{ID: "x4", Circuit: "fig2", Objective: "mu", Constraints: []string{"mu>>1"}}, http.StatusBadRequest},
 		{"greedy without deadline", JobSpec{ID: "x5", Circuit: "fig2", Objective: "mu", Greedy: true}, http.StatusBadRequest},
 		{"too large", JobSpec{ID: "x6", Circuit: "tree7", Objective: "mu"}, http.StatusRequestEntityTooLarge},
+		{"negative sigma_k", JobSpec{ID: "x7", Circuit: "fig2", Objective: "mu", SigmaK: -0.25}, http.StatusBadRequest},
+		{"limit below 1", JobSpec{ID: "x8", Circuit: "fig2", Objective: "mu", Limit: 0.5}, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp := postJob(t, ts, c.spec)

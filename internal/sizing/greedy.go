@@ -68,12 +68,16 @@ type GreedyResult struct {
 	Met bool
 }
 
-// validate rejects options the loop cannot run on, for a circuit of n
-// nodes: a non-finite K would panic in the objective, a NaN deadline
-// would never be met and run every gate to the limit, a non-finite
-// step would poison the engine, and a short or negative weight vector
-// would panic or invert the ranking. Step defaults are applied first.
-func (opt *GreedyOptions) validate(n int) error {
+// validate rejects options the loop cannot run on for model m: a
+// non-finite K would panic in the objective, a NaN deadline would
+// never be met and run every gate to the limit, a non-finite step
+// would poison the engine, a short or negative weight vector would
+// panic or invert the ranking, and a bad speed limit would disable
+// the saturation test and the clamp. Step defaults are applied first.
+func (opt *GreedyOptions) validate(m *delay.Model) error {
+	if err := checkLimit(m.Limit); err != nil {
+		return err
+	}
 	if !isFinite(opt.K) {
 		return fmt.Errorf("sizing: greedy risk factor K must be finite, got %v", opt.K)
 	}
@@ -83,7 +87,16 @@ func (opt *GreedyOptions) validate(n int) error {
 	if !isFinite(opt.Step) || opt.Step <= 1 {
 		return fmt.Errorf("sizing: greedy step must be finite and exceed 1, got %v", opt.Step)
 	}
-	return checkWeights(opt.Weights, n)
+	return checkWeights(opt.Weights, len(m.G.C.Nodes))
+}
+
+// checkLimit accepts a finite speed limit of at least 1: a NaN limit
+// fails every bound comparison and silently removes the size box.
+func checkLimit(limit float64) error {
+	if !isFinite(limit) || limit < 1 {
+		return fmt.Errorf("sizing: speed limit must be finite and at least 1, got %v", limit)
+	}
+	return nil
 }
 
 // checkWeights accepts a nil weight vector (uniform weights) or one
@@ -134,7 +147,7 @@ func SizeGreedyCtx(ctx context.Context, m *delay.Model, opt GreedyOptions) (*Gre
 	if opt.Step == 0 {
 		opt.Step = 1.05
 	}
-	if err := opt.validate(len(m.G.C.Nodes)); err != nil {
+	if err := opt.validate(m); err != nil {
 		return nil, err
 	}
 	gates := m.G.C.GateIDs()

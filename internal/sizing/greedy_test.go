@@ -141,4 +141,12 @@ func TestGreedyRejectsBadInputs(t *testing.T) {
 			})
 		})
 	}
+	t.Run("limit-nan", func(t *testing.T) {
+		bad := *m
+		bad.Limit = nan
+		rejects(t, func() error {
+			_, err := SizeGreedy(&bad, GreedyOptions{K: 3, Deadline: 5})
+			return err
+		})
+	})
 }

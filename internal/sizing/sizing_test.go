@@ -422,4 +422,14 @@ func TestSizeRejectsBadInputs(t *testing.T) {
 			})
 		}
 	}
+	bad := *m
+	bad.Limit = nan
+	for _, f := range []Formulation{Reduced, FullSpace} {
+		t.Run("limit-nan/"+f.String(), func(t *testing.T) {
+			rejects(t, func() error {
+				_, err := Size(&bad, Spec{Objective: MinMuPlusKSigma(0), Formulation: f})
+				return err
+			})
+		})
+	}
 }

@@ -295,7 +295,7 @@ func Size(m *delay.Model, spec Spec) (*Outcome, error) {
 // sizer runs as the final fallback so the run still produces a valid
 // sizing; Outcome.Fallback flags it.
 func SizeCtx(ctx context.Context, m *delay.Model, spec Spec) (*Outcome, error) {
-	if err := spec.validate(len(m.G.C.Nodes)); err != nil {
+	if err := spec.validate(m); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -353,10 +353,13 @@ func SizeCtx(ctx context.Context, m *delay.Model, spec Spec) (*Outcome, error) {
 }
 
 // validate rejects a spec the formulations would panic on or absorb
-// into the solve, for a circuit of n nodes: non-finite risk factors
-// or bounds, and a weight vector that is not one finite, non-negative
-// weight per node.
-func (spec *Spec) validate(n int) error {
+// into the solve on model m: non-finite risk factors or bounds, a
+// weight vector that is not one finite, non-negative weight per node,
+// and a speed limit that is not finite and at least 1.
+func (spec *Spec) validate(m *delay.Model) error {
+	if err := checkLimit(m.Limit); err != nil {
+		return err
+	}
 	if !isFinite(spec.Objective.K) {
 		return fmt.Errorf("sizing: objective risk factor must be finite, got %v", spec.Objective.K)
 	}
@@ -365,7 +368,7 @@ func (spec *Spec) validate(n int) error {
 			return fmt.Errorf("sizing: constraint %v must have a finite risk factor and bound", c)
 		}
 	}
-	return checkWeights(spec.Weights, n)
+	return checkWeights(spec.Weights, len(m.G.C.Nodes))
 }
 
 // GreedyFromSpec derives the greedy sizer's options from a spec: the

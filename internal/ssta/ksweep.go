@@ -7,13 +7,12 @@ import (
 	"repro/internal/netlist"
 )
 
-// DetBatch is the deterministic sibling of Batch: a K-lane
-// structure-of-arrays sweep where every lane is a corner at a
-// different risk level k, all sharing one speed-factor assignment.
-// The expensive per-gate work — the fanout load scan and the sigma
-// model behind GateMV — runs once per node visit and is amortized
-// across all lanes (CornerDelayLanes), which is where the batched
-// corner sweep earns its speedup. The slab layout is the shared
+// DetBatch is a K-lane deterministic structure-of-arrays sweep where
+// every lane is a corner at a different risk level k, all sharing one
+// speed-factor assignment. The expensive per-gate work — the fanout
+// load scan and the sigma model behind GateMV — runs once per node
+// visit and is amortized across all lanes (sweepNode), which is where
+// the batched corner sweep earns its speedup. The slab layout is the shared
 // lane-stride contract slab[int(id)*K + lane]; lane l is
 // bit-identical to the scalar cornerSweep at ks[l] by construction.
 type DetBatch struct {

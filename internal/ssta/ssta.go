@@ -413,13 +413,40 @@ func (r *Result) Backward(m *delay.Model, S []float64, seedMu, seedVar float64) 
 	return r.backwardInto(nil, m, S, seedMu, seedVar, 1, &sc, nil)
 }
 
+// checkRiskFactor rejects NaN and infinite risk factors at the API
+// boundary: a non-finite k would otherwise poison every lane of a
+// sweep with NaN and surface as a silently absurd circuit delay far
+// from its cause (the quantile clamps floor extreme values, but a NaN
+// k sails through any clamp because every comparison with NaN is
+// false).
+func checkRiskFactor(k float64, where string) {
+	if math.IsNaN(k) || math.IsInf(k, 0) {
+		panic("ssta: " + where + " requires a finite risk factor k, got " +
+			formatFloat(k))
+	}
+}
+
+// formatFloat renders k for panic messages without pulling fmt into
+// the hot-path file.
+func formatFloat(k float64) string {
+	switch {
+	case math.IsNaN(k):
+		return "NaN"
+	case math.IsInf(k, 1):
+		return "+Inf"
+	case math.IsInf(k, -1):
+		return "-Inf"
+	}
+	return "non-finite"
+}
+
 // ObjectiveMuPlusKSigma returns phi = mu + k*sigma of the circuit
 // delay together with the adjoint seed pair for Backward. At sigma ->
 // 0 with k != 0 the seed saturates using a variance floor to keep the
 // gradient finite. A non-finite k panics here, the single funnel every
-// mu + k*sigma objective path (flat, persistent, batch)
-// flows through, so a NaN risk factor cannot surface downstream as a
-// silently absurd circuit delay.
+// mu + k*sigma objective path (flat and persistent) flows through, so
+// a NaN risk factor cannot surface downstream as a silently absurd
+// circuit delay.
 func ObjectiveMuPlusKSigma(tmax stats.MV, k float64) (phi, seedMu, seedVar float64) {
 	checkRiskFactor(k, "ObjectiveMuPlusKSigma")
 	if k == 0 {
