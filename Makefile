@@ -20,11 +20,14 @@ bench:
 	$(GO) test -run NONE -bench . -benchtime 1x ./...
 
 # bench-inc measures the persistent SSTA engine's dirty-cone step
-# against a fresh full sweep (single-gate gradient steps in internal/ssta) plus a fixed
-# 64-step greedy run on the persistent engine (internal/sizing), and
-# collects ns/op, allocs/op and — for the engine steps — the nodes
-# re-evaluated per step (nodes/op, counted from the engine's
-# inc.update events) into BENCH_incremental.json. Benchmark columns are
+# against a fresh full sweep (single-gate gradient steps in internal/ssta),
+# the two ways to move the engine by a whole size vector (per-gate
+# SetSize plus a dirty-cone Update against one SetSizes, on the reduced
+# solver's line-search traffic), plus a fixed 64-step greedy run on the
+# persistent engine (internal/sizing), and collects ns/op, allocs/op
+# and — for the engine steps — the nodes re-evaluated per step
+# (nodes/op, counted from the engine's inc.update and hier.sweep
+# events) into BENCH_incremental.json. Benchmark columns are
 # read by their unit, since a custom metric shifts the memory columns.
 bench-inc:
 	$(GO) test -run NONE -bench 'Inc|FullSweep' -benchmem -count 1 \
@@ -170,7 +173,8 @@ test-obsv:
 
 # test-engine runs the persistent SSTA engine suite under the race
 # detector (the CI engine job): the trial/rollback and block-target
-# fuzz against fresh sweeps, bit-identity across worker counts and
+# fuzz against fresh sweeps, the whole-vector SetSizes fuzz and misuse
+# panics, bit-identity across worker counts and
 # block targets, criticality, the worker-invariant event and trace
 # byte-identity checks, the 0-alloc pins, the greedy driver on the
 # engine, the reduced NLP elements on the engine (point-walk fuzz

@@ -48,6 +48,19 @@ func main() {
 		timeout     = flag.Duration("timeout", 0, "abort the analysis after this wall-clock budget and exit non-zero (0 = no limit)")
 	)
 	flag.Parse()
+	// Zero turns each of these off; a negative value is a typo, not a
+	// quieter "off".
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"mc", *mcSamples}, {"crit", *critN}, {"blocks", *blocksFlag}} {
+		if f.v < 0 {
+			fatal(fmt.Errorf("-%s must be non-negative (0 = off), got %d", f.name, f.v))
+		}
+	}
+	if *timeout < 0 {
+		fatal(fmt.Errorf("-timeout must be non-negative (0 = no limit), got %v", *timeout))
+	}
 	if math.IsNaN(*cornersK) || math.IsInf(*cornersK, 0) || *cornersK < 0 {
 		fatal(fmt.Errorf("-corners must be finite and non-negative, got %v", *cornersK))
 	}

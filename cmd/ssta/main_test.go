@@ -138,9 +138,10 @@ func TestCritListsTiesByName(t *testing.T) {
 }
 
 // TestBadNumericFlagsExitOne pins the flag boundary: a non-finite or
-// negative -corners, or a -sigmak whose sigma model is negative or
-// NaN, must exit 1 with a single "ssta:" line instead of panicking,
-// silently skipping a report or printing a NaN sigma.
+// negative -corners, a -sigmak whose sigma model is negative or NaN,
+// or a negative -mc, -crit, -blocks or -timeout must exit 1 with a
+// single "ssta:" line instead of panicking, silently skipping a
+// report, running without a time limit or printing a NaN sigma.
 func TestBadNumericFlagsExitOne(t *testing.T) {
 	for _, args := range [][]string{
 		{"-corners", "Inf"},
@@ -148,6 +149,10 @@ func TestBadNumericFlagsExitOne(t *testing.T) {
 		{"-corners", "-1"},
 		{"-sigmak", "NaN"},
 		{"-sigmak", "-0.25"},
+		{"-mc", "-5"},
+		{"-crit", "-3"},
+		{"-blocks", "-4"},
+		{"-timeout", "-1s"},
 	} {
 		t.Run(strings.Join(args, "="), func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], append([]string{"-circuit", "tree7"}, args...)...)

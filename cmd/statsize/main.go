@@ -60,6 +60,14 @@ func main() {
 	)
 	flag.Var(&constraints, "constraint", `timing constraint, repeatable: "mu<=120", "mu+3sigma<=120", "mu=6.5"`)
 	flag.Parse()
+	// Zero turns each of these off; a negative value is a typo, not a
+	// quieter "off".
+	if *blocksFlag < 0 {
+		fatal(fmt.Errorf("-blocks must be non-negative (0 = off), got %d", *blocksFlag))
+	}
+	if *timeout < 0 {
+		fatal(fmt.Errorf("-timeout must be non-negative (0 = no limit), got %v", *timeout))
+	}
 	sigma := delay.Proportional{K: *sigmaK}
 	// The model is linear in the mean, so one unit of mean delay
 	// exposes a bad factor.

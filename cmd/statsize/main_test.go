@@ -48,6 +48,35 @@ func TestBadSigmaKExitsOne(t *testing.T) {
 	}
 }
 
+// TestBadNumericFlagsExitOne pins the flag boundary for the flags
+// whose zero means "off": a negative -blocks or -timeout must exit 1
+// with a single "statsize:" line before any solve, instead of
+// silently skipping the verification or solving without a time limit.
+func TestBadNumericFlagsExitOne(t *testing.T) {
+	for _, args := range [][]string{
+		{"-blocks", "-3"},
+		{"-timeout", "-1s"},
+	} {
+		t.Run(strings.Join(args, "="), func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], append([]string{"-circuit", "tree7", "-objective", "mu"}, args...)...)
+			cmd.Env = append(os.Environ(), "STATSIZE_TEST_MAIN=1")
+			var stdout, stderr strings.Builder
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			if code := cmd.ProcessState.ExitCode(); code != 1 {
+				t.Fatalf("exit %d (%v), want 1\nstderr:\n%s", code, err, stderr.String())
+			}
+			msg := stderr.String()
+			if !strings.HasPrefix(msg, "statsize: ") || strings.Count(msg, "\n") != 1 {
+				t.Errorf("stderr is not one statsize: line:\n%s", msg)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("rejected run printed a report:\n%s", stdout.String())
+			}
+		})
+	}
+}
+
 func TestParseObjective(t *testing.T) {
 	cases := map[string]sizing.Objective{
 		"mu":          sizing.MinMu(),

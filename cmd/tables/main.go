@@ -30,6 +30,9 @@ func main() {
 		checkTrace = flag.String("checktrace", "", "validate a JSONL telemetry trace and print an event census instead of running tables")
 	)
 	flag.Parse()
+	if *hierGates <= 0 {
+		fatal(fmt.Errorf("-gates must be positive, got %d", *hierGates))
+	}
 
 	if *checkTrace != "" {
 		if err := runCheckTrace(*checkTrace); err != nil {

@@ -35,10 +35,13 @@ type reducedEval struct {
 
 // sweepEngine is one element's persistent SSTA engine. It is built at
 // the element's first evaluation point; every later point moves it by
-// SetSize, which no-ops on bit-identical sizes, and one Update over
-// the changed cone. The engine state is bit-identical to a fresh taped
-// sweep at the current point, so element values and gradients are
-// bitwise those of AnalyzeCtx plus BackwardCtx.
+// one SetSizes, which no-ops on a bit-identical point and otherwise
+// runs one full forward pass. A line search moves every free variable
+// at once, so the changed cone is nearly the whole graph and per-gate
+// dirty-cone bookkeeping would buy nothing. The engine state is
+// bit-identical to a fresh taped sweep at the current point, so
+// element values and gradients are bitwise those of AnalyzeCtx plus
+// BackwardCtx.
 type sweepEngine struct {
 	re *reducedEval
 	h  *ssta.Hier
@@ -46,7 +49,7 @@ type sweepEngine struct {
 
 // at moves the engine to the dense point x and returns the circuit
 // delay moments. A non-finite x reports false and leaves the engine
-// untouched: SetSize rejects such sizes, and the caller answers NaN so
+// untouched: SetSizes rejects such sizes, and the caller answers NaN so
 // the solver's finiteness guard can backtrack.
 func (e *sweepEngine) at(x []float64) (stats.MV, bool) {
 	for _, v := range x {
@@ -65,19 +68,8 @@ func (e *sweepEngine) at(x []float64) (stats.MV, bool) {
 			S[id] = x[i]
 		}
 		e.h = ssta.NewHier(re.m, S, ssta.HierOptions{Workers: re.workers})
-	} else {
-		s := e.h.Sizes()
-		moved := false
-		for i, id := range re.gates {
-			if s[id] != x[i] {
-				e.h.SetSize(id, x[i])
-				moved = true
-			}
-		}
-		if !moved {
-			return e.h.Tmax(), true
-		}
-		e.h.Update()
+	} else if !e.h.SetSizes(re.gates, x) {
+		return e.h.Tmax(), true
 	}
 	if re.rec != nil {
 		re.rec.Span("ssta.forward", time.Since(t0))

@@ -31,6 +31,11 @@ import (
 //     the node, not the block: a block-granular rule re-evaluates the
 //     whole block around every changed node, which costs more than the
 //     O(1) block skip saves on circuits of a few thousand gates.
+//   - SetSizes(ids, x) is the whole-vector move for callers that change
+//     most gates at once (the reduced NLP's line search): it skips the
+//     marking and cutoff bookkeeping, recomputes every load and runs
+//     the full forward pass, which is what the dirty cone would have
+//     covered anyway.
 //   - Every recomputation runs the same forward fold in the same order
 //     as a fresh sweep, and unchanged nodes hold values a fresh sweep
 //     would recompute identically — so the engine state is
@@ -93,9 +98,9 @@ type HierOptions struct {
 	Workers int
 	// Recorder, when non-nil, receives one "inc.update" event per
 	// Update that had work pending, carrying the dirty-node and
-	// frontier counts, and one "hier.sweep" event per Resweep — all
-	// worker-count-invariant by construction. Nil disables
-	// instrumentation at zero cost.
+	// frontier counts, and one "hier.sweep" event per Resweep or
+	// moving SetSizes — all worker-count-invariant by construction.
+	// Nil disables instrumentation at zero cost.
 	Recorder telemetry.Recorder
 }
 
@@ -133,9 +138,10 @@ type Hier struct {
 	// load caches every gate's capacitive load (delay.Model.Load, a
 	// pure function of the fanout speed factors). SetSize recomputes
 	// exactly the fanin drivers' entries — the only loads S[id]
-	// appears in — so warm sweeps skip the per-gate fanout scan in
-	// both the forward delay and the gradient accumulation. Cached
-	// values are bitwise what Load would recompute.
+	// appears in — and SetSizes all of them, so warm sweeps skip the
+	// per-gate fanout scan in both the forward delay and the gradient
+	// accumulation. Cached values are bitwise what Load would
+	// recompute.
 	load []float64
 
 	// adj is the interleaved adjoint slab: adj[2id] / adj[2id+1] hold
@@ -252,11 +258,7 @@ func NewHier(m *delay.Model, S []float64, opt HierOptions) *Hier {
 	}
 	h.clearSpan()
 	h.markDirtyFn = h.markDirty
-	for i := range g.C.Nodes {
-		if g.C.Nodes[i].Kind == netlist.KindGate {
-			h.load[i] = m.Load(netlist.NodeID(i), h.s)
-		}
-	}
+	h.reloadAll()
 	if h.workers > 1 {
 		h.buildParallel()
 		// The schedule carved the tape in level order; the dataflow
@@ -409,6 +411,65 @@ func (h *Hier) SetSize(id netlist.NodeID, s float64) {
 	h.reloadDrivers(id)
 }
 
+// SetSizes moves the engine to a whole new assignment: gate ids[i]
+// takes speed factor x[i]. It is the bulk counterpart of SetSize for
+// callers that move most gates at once — a line search moves every
+// free variable — where the dirty cone covers nearly the whole graph
+// and per-gate marking, early-cutoff compares and level buckets are
+// pure overhead. It writes the sizes that changed, recomputes every
+// cached load in one O(E) pass, drops pending marks and runs the full
+// forward pass (Resweep's), so the state is bit-identical to a fresh
+// taped sweep at the new sizes, like Update's. It reports whether any
+// size changed; if none did, the engine is left as it was, pending
+// marks included.
+//
+// Misuse panics before anything is written, like SetSize: unequal
+// lengths, a non-gate id, a non-finite size, or a call inside a trial
+// (the bulk pass keeps no undo log).
+func (h *Hier) SetSizes(ids []netlist.NodeID, x []float64) bool {
+	if len(ids) != len(x) {
+		panic(fmt.Sprintf("ssta: Hier.SetSizes got %d ids and %d sizes", len(ids), len(x)))
+	}
+	if h.inTrial {
+		panic("ssta: Hier.SetSizes inside a trial")
+	}
+	nodes := h.m.G.C.Nodes
+	for i, id := range ids {
+		if nodes[id].Kind != netlist.KindGate {
+			panic("ssta: Hier.SetSizes on a non-gate node")
+		}
+		if math.IsNaN(x[i]) || math.IsInf(x[i], 0) {
+			panic("ssta: Hier.SetSizes requires finite speed factors, got " + formatFloat(x[i]))
+		}
+	}
+	moved := false
+	for i, id := range ids {
+		if h.s[id] != x[i] {
+			h.s[id] = x[i]
+			moved = true
+		}
+	}
+	if !moved {
+		return false
+	}
+	h.reloadAll()
+	h.discardPending()
+	h.resweep()
+	h.sweepEvent()
+	return true
+}
+
+// reloadAll recomputes every gate's cached load from scratch (bitwise
+// what Load returns): one O(E) pass over the fanout lists.
+func (h *Hier) reloadAll() {
+	nodes := h.m.G.C.Nodes
+	for i := range nodes {
+		if nodes[i].Kind == netlist.KindGate {
+			h.load[i] = h.m.Load(netlist.NodeID(i), h.s)
+		}
+	}
+}
+
 // reloadDrivers recomputes the cached loads S[id] appears in — its
 // fanin drivers' — from scratch (bitwise what Load returns). A driver
 // wired through several pins is recomputed once per pin — idempotent.
@@ -549,6 +610,12 @@ func (h *Hier) Resweep() stats.MV {
 	}
 	h.discardPending()
 	h.resweep()
+	h.sweepEvent()
+	return h.res.Tmax
+}
+
+// sweepEvent records one "hier.sweep" event for a full forward pass.
+func (h *Hier) sweepEvent() {
 	if h.rec != nil {
 		h.rec.Event("hier", "sweep",
 			telemetry.I("nodes", len(h.m.G.C.Nodes)),
@@ -556,7 +623,6 @@ func (h *Hier) Resweep() stats.MV {
 			telemetry.F("var", h.res.Tmax.Var),
 		)
 	}
-	return h.res.Tmax
 }
 
 // resweep is Resweep's full forward pass, without the event.
@@ -947,7 +1013,7 @@ func (h *Hier) Arrival(id netlist.NodeID) stats.MV { return h.res.Arrival[id] }
 func (h *Hier) GateDelay(id netlist.NodeID) stats.MV { return h.res.GateDelay[id] }
 
 // Sizes returns the engine's current speed factors as a read-only
-// view (indexed by NodeID). Mutate through SetSize only.
+// view (indexed by NodeID). Mutate through SetSize or SetSizes only.
 func (h *Hier) Sizes() []float64 { return h.s }
 
 // Model returns the engine's delay model. The engine assumes every

@@ -11,17 +11,24 @@ import (
 	"repro/internal/telemetry"
 )
 
-// reevalCounter sums the dirty-node counts of the engine's
-// "inc.update" events: the nodes Update re-evaluated, a deterministic
-// work unit reported next to ns/op.
+// reevalCounter sums the nodes the engine re-evaluated — the dirty
+// counts of its "inc.update" events plus the node counts of its
+// "hier.sweep" full passes — a deterministic work unit reported next
+// to ns/op.
 type reevalCounter struct{ nodes int64 }
 
 func (c *reevalCounter) Event(scope, name string, fields ...telemetry.KV) {
-	if scope != "inc" || name != "update" {
+	key := ""
+	switch {
+	case scope == "inc" && name == "update":
+		key = "dirty"
+	case scope == "hier" && name == "sweep":
+		key = "nodes"
+	default:
 		return
 	}
 	for _, f := range fields {
-		if f.Key == "dirty" {
+		if f.Key == key {
 			c.nodes += int64(f.Val)
 		}
 	}
@@ -32,8 +39,8 @@ func (c *reevalCounter) Span(string, time.Duration) {}
 
 // reportReevals replays a benchmark's step script — warm uncounted
 // steps, then b.N counted ones — on a fresh serial engine with a
-// reevalCounter attached, and reports the nodes Update re-evaluated
-// per counted step as nodes/op. The timed loop itself runs without a
+// reevalCounter attached, and reports the nodes re-evaluated per
+// counted step as nodes/op. The timed loop itself runs without a
 // recorder: an attached one moves each update event's fields to the
 // heap, which would show in allocs/op.
 func reportReevals(b *testing.B, m *delay.Model, warm int, step func(h *Hier, i int)) {

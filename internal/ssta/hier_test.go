@@ -276,3 +276,168 @@ func TestHierSetSizePanics(t *testing.T) {
 	mustPanic("SetSize(-Inf)", func() { h.SetSize(gate, math.Inf(-1)) })
 	checkMatchesFresh(t, h, m, 3)
 }
+
+// TestHierSetSizesMatchesFreshFuzz drives the engine with random
+// whole-vector moves — bit-identical (no-op), partial, and pinned at 1
+// or Limit — interleaved with SetSize/Update bursts, trials that
+// commit or roll back, and SetSize marks left pending across a bulk
+// move, for worker counts {1, 4} crossed with block targets {1, 64,
+// default}. After every step the engine must match a fresh taped
+// sweep and adjoint bit for bit (checkMatchesFresh: Tmax, arrivals,
+// gate delays, phi and the gradient).
+func TestHierSetSizesMatchesFreshFuzz(t *testing.T) {
+	for name, m := range parallelTestModels(t) {
+		for _, workers := range []int{1, 4} {
+			for _, target := range []int{1, 64, 0} {
+				t.Run(fmt.Sprintf("%s/j%d/t%d", name, workers, target), func(t *testing.T) {
+					fuzzSetSizes(t, m, HierOptions{BlockTarget: target, Workers: workers})
+				})
+			}
+		}
+	}
+}
+
+// fuzzSetSizes is one TestHierSetSizesMatchesFreshFuzz cell.
+func fuzzSetSizes(t *testing.T, m *delay.Model, opt HierOptions) {
+	rng := rand.New(rand.NewSource(7))
+	gates := m.G.C.GateIDs()
+	h := NewHier(m, m.UnitSizes(), opt)
+	randSize := func() float64 { return 1 + rng.Float64()*(m.Limit-1) }
+	x := make([]float64, len(gates))
+	current := func() {
+		for i, id := range gates {
+			x[i] = h.Sizes()[id]
+		}
+	}
+	for step := 0; step < 30; step++ {
+		switch rng.Intn(6) {
+		case 0: // no-op: the engine's own sizes
+			current()
+			before := h.Tmax()
+			if h.SetSizes(gates, x) {
+				t.Fatalf("step %d: a bit-identical vector reported a move", step)
+			}
+			if h.Tmax() != before {
+				t.Fatalf("step %d: a no-op SetSizes changed Tmax", step)
+			}
+		case 1: // partial move: a random fraction of the gates
+			current()
+			frac := rng.Float64()
+			for i := range x {
+				if rng.Float64() < frac {
+					x[i] = randSize()
+				}
+			}
+			h.SetSizes(gates, x)
+		case 2: // line-search shape: the rest pinned at a bound
+			for i := range x {
+				switch rng.Intn(3) {
+				case 0:
+					x[i] = 1
+				case 1:
+					x[i] = m.Limit
+				default:
+					x[i] = randSize()
+				}
+			}
+			h.SetSizes(gates, x)
+		case 3: // SetSize marks left pending, then a bulk move
+			h.SetSize(gates[rng.Intn(len(gates))], randSize())
+			current()
+			x[rng.Intn(len(x))] = randSize()
+			h.SetSizes(gates, x)
+		case 4: // a SetSize burst and one Update
+			for i := 0; i < 1+rng.Intn(4); i++ {
+				h.SetSize(gates[rng.Intn(len(gates))], randSize())
+			}
+			h.Update()
+		case 5: // a trial that commits or rolls back
+			before := h.Update()
+			h.Trial()
+			h.SetSize(gates[rng.Intn(len(gates))], randSize())
+			h.Update()
+			if rng.Intn(2) == 0 {
+				h.Commit()
+			} else if got := h.Rollback(); got != before {
+				t.Fatalf("step %d: rollback Tmax %+v, want %+v", step, got, before)
+			}
+		}
+		checkMatchesFresh(t, h, m, 3)
+	}
+}
+
+// TestHierSetSizesPanics pins SetSizes' misuse contracts: a non-finite
+// entry, a non-gate id, unequal lengths and a call inside a trial all
+// panic before anything is written, so the engine still matches a
+// fresh sweep at its old sizes bit for bit.
+func TestHierSetSizesPanics(t *testing.T) {
+	m := parallelTestModels(t)["apex1"]
+	gates := m.G.C.GateIDs()
+	h := NewHier(m, rampSizes(m), HierOptions{Workers: 1})
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	old := append([]float64(nil), h.Sizes()...)
+	untouched := func(name string) {
+		t.Helper()
+		for id := range old {
+			if h.Sizes()[id] != old[id] {
+				t.Fatalf("%s wrote S[%d] = %v, was %v", name, id, h.Sizes()[id], old[id])
+			}
+		}
+		checkMatchesFresh(t, h, m, 3)
+	}
+	// Every entry but the last is a valid move, so a check that wrote
+	// as it scanned would leave them behind.
+	x := make([]float64, len(gates))
+	for i := range x {
+		x[i] = m.Limit
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		x[len(x)-1] = bad
+		mustPanic(fmt.Sprintf("SetSizes(%v)", bad), func() { h.SetSizes(gates, x) })
+		untouched(fmt.Sprintf("SetSizes(%v)", bad))
+	}
+	x[len(x)-1] = m.Limit
+	ids := append([]netlist.NodeID(nil), gates...)
+	ids[len(ids)-1] = m.G.Levels[0][0] // level 0 holds exactly the inputs
+	mustPanic("SetSizes(input)", func() { h.SetSizes(ids, x) })
+	untouched("SetSizes(input)")
+	mustPanic("SetSizes(short x)", func() { h.SetSizes(gates, x[:len(x)-1]) })
+	untouched("SetSizes(short x)")
+	h.Trial()
+	mustPanic("SetSizes in a trial", func() { h.SetSizes(gates, x) })
+	h.Rollback()
+	untouched("SetSizes in a trial")
+}
+
+// TestHierSetSizesWarmAllocFree pins the reduced solver's steady state
+// on the engine: a warm whole-vector move plus an adjoint pass
+// allocates nothing at Workers 1.
+func TestHierSetSizesWarmAllocFree(t *testing.T) {
+	m := parallelTestModels(t)["gen1200"]
+	gates := m.G.C.GateIDs()
+	h := NewHier(m, m.UnitSizes(), HierOptions{Workers: 1})
+	x := make([]float64, len(gates))
+	step := 0
+	doStep := func() {
+		for i := range x {
+			x[i] = 1 + 0.25*float64((i+step)%7)
+		}
+		h.SetSizes(gates, x)
+		h.Backward(1, 0.5)
+		step++
+	}
+	for i := 0; i < 10; i++ {
+		doStep()
+	}
+	if allocs := testing.AllocsPerRun(20, doStep); allocs != 0 {
+		t.Fatalf("warm SetSizes+Backward allocates %.1f per step, want 0", allocs)
+	}
+}
