@@ -90,6 +90,37 @@ func TestBindLoads(t *testing.T) {
 	}
 }
 
+// TestBindLoadsMatchOutputScan checks every gate's bound CLoad bit for
+// bit against the load formula with output membership taken from a
+// linear scan of Outputs, on circuits with many outputs and on one
+// generated the way Generate marks them (compile first, mark after).
+func TestBindLoadsMatchOutputScan(t *testing.T) {
+	gen, err := netlist.Generate(netlist.GenSpec{Name: "g", Gates: 600, Inputs: 24, Outputs: 40, Depth: 12, MaxFanin: 4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := Default()
+	for _, c := range []*netlist.Circuit{netlist.Tree7(), netlist.Apex2Like(), netlist.K2Like(), gen} {
+		g := netlist.MustCompile(c)
+		m := MustBind(g, lib)
+		for i, nd := range c.Nodes {
+			if nd.Kind != netlist.KindGate {
+				continue
+			}
+			id := netlist.NodeID(i)
+			want := lib.WireBase + lib.WirePerFanout*float64(len(g.Fanout[id]))
+			for _, o := range c.Outputs {
+				if o == id {
+					want += lib.OutputLoad
+				}
+			}
+			if m.CLoad[id] != want {
+				t.Fatalf("%s: CLoad[%s] = %v, want %v", c.Name, nd.Name, m.CLoad[id], want)
+			}
+		}
+	}
+}
+
 func TestGateMuMatchesEq14(t *testing.T) {
 	m, g1, g2 := chain2(t)
 	S := m.UnitSizes()

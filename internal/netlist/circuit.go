@@ -48,11 +48,17 @@ type Node struct {
 // the Add* methods; most consumers then compile it once into a Graph
 // (see topo.go) for traversal.
 type Circuit struct {
-	Name    string
-	Nodes   []Node
+	Name  string
+	Nodes []Node
+	// Outputs lists the primary outputs in marking order. Add to it
+	// only through MarkOutput, which also keeps the output index.
 	Outputs []NodeID
 
 	byName map[string]NodeID
+	// isOut[id] reports whether id is in Outputs; MarkOutput is its
+	// only writer, so output lookups are O(1). It may be shorter than
+	// Nodes: nodes past its end are not outputs.
+	isOut []bool
 }
 
 // New returns an empty circuit with the given name.
@@ -107,13 +113,20 @@ func (c *Circuit) MarkOutput(name string) error {
 	if c.Nodes[id].Kind == KindInput {
 		return fmt.Errorf("netlist: output %q is a primary input", name)
 	}
-	for _, o := range c.Outputs {
-		if o == id {
-			return fmt.Errorf("netlist: output %q marked twice", name)
-		}
+	if c.isOutput(id) {
+		return fmt.Errorf("netlist: output %q marked twice", name)
 	}
+	if int(id) >= len(c.isOut) {
+		c.isOut = append(c.isOut, make([]bool, len(c.Nodes)-len(c.isOut))...)
+	}
+	c.isOut[id] = true
 	c.Outputs = append(c.Outputs, id)
 	return nil
+}
+
+// isOutput reports whether id is marked as a primary output.
+func (c *Circuit) isOutput(id NodeID) bool {
+	return uint(id) < uint(len(c.isOut)) && c.isOut[id]
 }
 
 // Lookup returns the id of the named node.
@@ -228,6 +241,7 @@ func (c *Circuit) Clone() *Circuit {
 		cp.byName[nd.Name] = NodeID(i)
 	}
 	cp.Outputs = append([]NodeID(nil), c.Outputs...)
+	cp.isOut = append([]bool(nil), c.isOut...)
 	return cp
 }
 

@@ -353,3 +353,100 @@ func TestIDListsAllocateOnce(t *testing.T) {
 		}
 	}
 }
+
+// scanIsOutput is the reference output test: a linear scan of Outputs.
+func scanIsOutput(c *Circuit, id NodeID) bool {
+	for _, o := range c.Outputs {
+		if o == id {
+			return true
+		}
+	}
+	return false
+}
+
+// checkOutputIndex compares the output index, read on the circuit and
+// through g, against the reference scan for every node.
+func checkOutputIndex(t *testing.T, when string, c *Circuit, g *Graph) {
+	t.Helper()
+	for i := range c.Nodes {
+		id := NodeID(i)
+		want := scanIsOutput(c, id)
+		if got := c.isOutput(id); got != want {
+			t.Fatalf("%s: Circuit.isOutput(%s) = %v, want %v", when, c.Nodes[i].Name, got, want)
+		}
+		if got := g.IsOutput(id); got != want {
+			t.Fatalf("%s: Graph.IsOutput(%s) = %v, want %v", when, c.Nodes[i].Name, got, want)
+		}
+	}
+}
+
+// TestIsOutputIndex checks the O(1) output index against a scan of
+// Outputs for every node after each MarkOutput, on a graph compiled
+// before the later marks (the order Generate marks in), and checks
+// that a clone's index is independent of the original's.
+func TestIsOutputIndex(t *testing.T) {
+	c := New("idx")
+	for _, in := range []string{"a", "b"} {
+		if _, err := c.AddInput(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gates := []struct {
+		name, typ string
+		fanin     []string
+	}{
+		{"g1", "nand2", []string{"a", "b"}},
+		{"g2", "inv", []string{"g1"}},
+		{"g3", "nand2", []string{"g1", "b"}},
+		{"g4", "nand2", []string{"g2", "g3"}},
+	}
+	for _, gt := range gates {
+		if _, err := c.AddGate(gt.name, gt.typ, gt.fanin...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := MustCompile(c)
+	checkOutputIndex(t, "unmarked", c, g)
+	for _, name := range []string{"g4", "g2", "g3"} {
+		if err := c.MarkOutput(name); err != nil {
+			t.Fatal(err)
+		}
+		checkOutputIndex(t, "after "+name, c, g)
+	}
+	if err := c.MarkOutput("g2"); err == nil {
+		t.Error("second mark of g2 accepted")
+	}
+	if err := c.MarkOutput("a"); err == nil {
+		t.Error("primary input marked as an output")
+	}
+	checkOutputIndex(t, "after rejected marks", c, g)
+	if g.IsOutput(-1) || g.IsOutput(NodeID(len(c.Nodes))) {
+		t.Error("IsOutput true for an out-of-range id")
+	}
+
+	cp := c.Clone()
+	gc := MustCompile(cp)
+	if err := cp.MarkOutput("g1"); err != nil {
+		t.Fatal(err)
+	}
+	checkOutputIndex(t, "clone after g1", cp, gc)
+	checkOutputIndex(t, "original after the clone's mark", c, g)
+	if g.IsOutput(c.MustID("g1")) {
+		t.Error("marking the clone's g1 marked the original's")
+	}
+	if err := c.MarkOutput("g1"); err != nil {
+		t.Fatalf("original g1 rejected after the clone marked its own: %v", err)
+	}
+	checkOutputIndex(t, "original after g1", c, g)
+
+	// A node added after marks starts unmarked.
+	if _, err := c.AddGate("g5", "inv", "g4"); err != nil {
+		t.Fatal(err)
+	}
+	g = MustCompile(c)
+	checkOutputIndex(t, "after a later gate", c, g)
+	if err := c.MarkOutput("g5"); err != nil {
+		t.Fatal(err)
+	}
+	checkOutputIndex(t, "after g5", c, g)
+}

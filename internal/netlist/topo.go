@@ -145,14 +145,7 @@ func MustCompile(c *Circuit) *Graph {
 }
 
 // IsOutput reports whether id is marked as a primary output.
-func (g *Graph) IsOutput(id NodeID) bool {
-	for _, o := range g.C.Outputs {
-		if o == id {
-			return true
-		}
-	}
-	return false
-}
+func (g *Graph) IsOutput(id NodeID) bool { return g.C.isOutput(id) }
 
 // DanglingGates returns gates with no fanout that are not primary
 // outputs. Such gates are legal but usually indicate a malformed

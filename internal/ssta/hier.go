@@ -3,6 +3,7 @@ package ssta
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -24,13 +25,17 @@ import (
 //   - SetSize(g, s) marks dirty exactly the gates whose delay depends
 //     on S[g]: g itself and its fanin drivers, whose load term
 //     c*sum(C_in*S) contains C_in[g]*S[g] (delay.Model.SDependents).
-//   - Update() re-evaluates dirty nodes level by level; a node whose
-//     recomputed arrival moments are bit-identical to before does not
-//     propagate to its fanout (early cutoff), so the dirty region is
-//     the true changed cone, not the full structural cone. The unit is
-//     the node, not the block: a block-granular rule re-evaluates the
-//     whole block around every changed node, which costs more than the
-//     O(1) block skip saves on circuits of a few thousand gates.
+//   - Pending work is one bitset over schedule positions. Update()
+//     scans it once in ascending position — levels ascending, the full
+//     sweep's own order — so the cone walks the dense schedule, tape
+//     and arrival slabs forward. A node whose recomputed arrival
+//     moments are bit-identical to before does not propagate to its
+//     fanout (early cutoff), so the dirty region is the true changed
+//     cone, not the full structural cone; a node that did change sets
+//     its fanouts' bits, which always lie ahead of the scan. The unit
+//     is the node, not the block: a block-granular rule re-evaluates
+//     the whole block around every changed node, which costs more than
+//     the O(1) block skip saves on circuits of a few thousand gates.
 //   - SetSizes(ids, x) is the whole-vector move for callers that change
 //     most gates at once (the reduced NLP's line search): it skips the
 //     marking and cutoff bookkeeping, recomputes every load and runs
@@ -157,13 +162,18 @@ type Hier struct {
 	// SetSize hot path does not allocate a method value per call.
 	markDirtyFn func(netlist.NodeID)
 
-	// Dirty tracking: dirty flags plus per-level pending lists
-	// (insertion-ordered, deterministic because all marking happens
-	// on the coordinating goroutine), and the dirty level span.
-	dirty          []bool
-	byLevel        [][]netlist.NodeID
-	changed        []bool
-	minLvl, maxLvl int
+	// Dirty tracking: bit p of pend is set while the node at schedule
+	// position p awaits re-evaluation; [loW, hiW] spans the words that
+	// may hold set bits (empty when hiW < loW). All marking happens on
+	// the coordinating goroutine.
+	pend     []uint64
+	loW, hiW int
+
+	// batch and batchChanged are the parallel Update's reused scratch:
+	// one level's pending positions and whether each one's arrival
+	// changed.
+	batch        []int32
+	batchChanged []bool
 
 	updates int // Update calls that had work, for the event stream
 
@@ -250,9 +260,7 @@ func NewHier(m *delay.Model, S []float64, opt HierOptions) *Hier {
 		adj:     make([]float64, 2*n),
 		dmu:     make([]float64, n),
 		grad:    make([]float64, n),
-		dirty:   make([]bool, n),
-		changed: make([]bool, n),
-		byLevel: make([][]netlist.NodeID, len(g.Levels)),
+		pend:    make([]uint64, (n+63)/64),
 		nodeGen: make([]uint32, n),
 		sGen:    make([]uint32, n),
 	}
@@ -348,34 +356,45 @@ func (h *Hier) buildParallel() {
 	}
 }
 
-// clearSpan resets the dirty level span to the empty sentinel.
+// clearSpan resets the pending word span to the empty sentinel.
 func (h *Hier) clearSpan() {
-	h.minLvl, h.maxLvl = len(h.m.G.Levels), -1
+	h.loW, h.hiW = len(h.pend), -1
 }
 
 // markDirty queues a node for re-evaluation (idempotent).
 func (h *Hier) markDirty(id netlist.NodeID) {
-	if h.dirty[id] {
-		return
+	p := h.sc.pos[id]
+	w := int(p >> 6)
+	h.pend[w] |= 1 << (p & 63)
+	if w < h.loW {
+		h.loW = w
 	}
-	h.dirty[id] = true
-	l := h.m.G.Level[id]
-	h.byLevel[l] = append(h.byLevel[l], id)
-	if l < h.minLvl {
-		h.minLvl = l
+	if w > h.hiW {
+		h.hiW = w
 	}
-	if l > h.maxLvl {
-		h.maxLvl = l
+}
+
+// nextDirty returns the lowest pending position at or after p, or -1.
+func (h *Hier) nextDirty(p int) int {
+	w := p >> 6
+	if w > h.hiW {
+		return -1
 	}
+	if word := h.pend[w] >> (p & 63); word != 0 {
+		return p + bits.TrailingZeros64(word)
+	}
+	for w++; w <= h.hiW; w++ {
+		if word := h.pend[w]; word != 0 {
+			return w<<6 | bits.TrailingZeros64(word)
+		}
+	}
+	return -1
 }
 
 // discardPending drops every pending dirty mark.
 func (h *Hier) discardPending() {
-	for l := h.minLvl; l <= h.maxLvl; l++ {
-		for _, id := range h.byLevel[l] {
-			h.dirty[id] = false
-		}
-		h.byLevel[l] = h.byLevel[l][:0]
+	if h.hiW >= h.loW {
+		clear(h.pend[h.loW : h.hiW+1])
 	}
 	h.clearSpan()
 }
@@ -415,13 +434,13 @@ func (h *Hier) SetSize(id netlist.NodeID, s float64) {
 // takes speed factor x[i]. It is the bulk counterpart of SetSize for
 // callers that move most gates at once — a line search moves every
 // free variable — where the dirty cone covers nearly the whole graph
-// and per-gate marking, early-cutoff compares and level buckets are
-// pure overhead. It writes the sizes that changed, recomputes every
-// cached load in one O(E) pass, drops pending marks and runs the full
-// forward pass (Resweep's), so the state is bit-identical to a fresh
-// taped sweep at the new sizes, like Update's. It reports whether any
-// size changed; if none did, the engine is left as it was, pending
-// marks included.
+// and per-gate marking and early-cutoff compares are pure overhead.
+// It writes the sizes that changed, recomputes every cached load in
+// one O(E) pass, drops pending marks and runs the full forward pass
+// (Resweep's), so the state is bit-identical to a fresh taped sweep
+// at the new sizes, like Update's. It reports whether any size
+// changed; if none did, the engine is left as it was, pending marks
+// included.
 //
 // Misuse panics before anything is written, like SetSize: unequal
 // lengths, a non-gate id, a non-finite size, or a call inside a trial
@@ -520,15 +539,7 @@ func (h *Hier) forward(p int) {
 	forwardGate(&h.res, h.m, id, fanin, h.tape(p), h.m.GateMVLoaded(id, h.s, h.load[id]))
 }
 
-// reeval re-runs node id's forward fold and flags whether its arrival
-// changed — a pure bit-compare, identical for every worker count.
-func (h *Hier) reeval(id netlist.NodeID) {
-	old := h.res.Arrival[id]
-	h.forward(int(h.sc.pos[id]))
-	h.changed[id] = h.res.Arrival[id] != old
-}
-
-// Update re-evaluates the dirty cone level by level and returns the
+// Update re-evaluates the dirty cone in schedule order and returns the
 // circuit delay moments. Nodes whose recomputed arrival is
 // bit-identical to before stop propagating (early cutoff). The
 // resulting state — arrivals, gate delays, tape, Tmax — is
@@ -536,54 +547,19 @@ func (h *Hier) reeval(id netlist.NodeID) {
 // current sizes, for any worker count and block size. With nothing
 // dirty it returns the cached Tmax untouched.
 func (h *Hier) Update() stats.MV {
-	if h.maxLvl < h.minLvl {
+	if h.hiW < h.loW {
 		return h.res.Tmax
 	}
-	g := h.m.G
-	dirtyN, frontierN := 0, 0
-	// maxLvl may grow while we scan (changed nodes push fanouts to
-	// strictly higher levels), so walk every level from minLvl up and
-	// skip the empty buckets.
-	for l := h.minLvl; l < len(h.byLevel); l++ {
-		bucket := h.byLevel[l]
-		if len(bucket) == 0 {
-			continue
-		}
-		if h.inTrial {
-			for _, id := range bucket {
-				h.saveNode(id)
-			}
-		}
-		// Compute phase: fanins at lower levels are final and each
-		// node writes only its own slots. The serial path stays
-		// inline — the runLevel closure escapes into goroutines, and
-		// the steady state must not allocate.
-		if h.workers == 1 {
-			for _, id := range bucket {
-				h.reeval(id)
-			}
-		} else {
-			runLevel(h.workers, len(bucket), func(i int) { h.reeval(bucket[i]) })
-		}
-		// Apply phase: serial, in insertion order — propagate changed
-		// arrivals to fanout gates (all at strictly higher levels).
-		for _, id := range bucket {
-			h.dirty[id] = false
-			if !h.changed[id] {
-				continue
-			}
-			frontierN++
-			for _, f := range h.sc.fanout(int(h.sc.pos[id])) {
-				h.markDirty(f)
-			}
-		}
-		dirtyN += len(bucket)
-		h.byLevel[l] = bucket[:0]
+	var dirtyN, frontierN int
+	if h.workers == 1 {
+		dirtyN, frontierN = h.updateSerial()
+	} else {
+		dirtyN, frontierN = h.updateLevels()
 	}
-	h.clearSpan()
+	h.discardPending()
 	// The output fold is always rebuilt in the fixed output order, so
 	// it matches a fresh sweep's fold bit for bit.
-	foldOutputs(&h.res, g, true)
+	foldOutputs(&h.res, h.m.G, true)
 	h.updates++
 	if h.rec != nil {
 		h.rec.Event("inc", "update",
@@ -595,6 +571,85 @@ func (h *Hier) Update() stats.MV {
 		)
 	}
 	return h.res.Tmax
+}
+
+// updateSerial walks the pending positions in one ascending scan and
+// returns the re-evaluated and changed node counts. A changed node's
+// fanouts sit at higher levels, hence at higher positions, so the
+// bits it sets lie ahead of the scan and each node is evaluated at
+// most once, after all of its fanins. Bits are not cleared one by
+// one: nextDirty only looks ahead, and Update clears the span after.
+func (h *Hier) updateSerial() (dirtyN, frontierN int) {
+	sc := &h.sc
+	arr := h.res.Arrival
+	for p := h.nextDirty(h.loW << 6); p >= 0; p = h.nextDirty(p + 1) {
+		id := sc.node(p)
+		if h.inTrial {
+			h.saveNode(id)
+		}
+		old := arr[id]
+		h.forward(p)
+		dirtyN++
+		if arr[id] == old {
+			continue
+		}
+		frontierN++
+		for _, f := range sc.fanout(p) {
+			h.markDirty(f)
+		}
+	}
+	return dirtyN, frontierN
+}
+
+// updateLevels is updateSerial with each level's pending nodes
+// evaluated in parallel: gather the level's set bits, run them on the
+// worker pool (fanins at lower levels are final and each node writes
+// only its own slots), then propagate changes serially. In-level order
+// does not affect any forward value, so the state and the counts match
+// the serial scan's bit for bit.
+func (h *Hier) updateLevels() (dirtyN, frontierN int) {
+	sc := &h.sc
+	l := 0
+	for p := h.nextDirty(h.loW << 6); p >= 0; {
+		for int(sc.lvl[l+1]) <= p {
+			l++
+		}
+		end := int(sc.lvl[l+1])
+		batch := h.batch[:0]
+		for ; p >= 0 && p < end; p = h.nextDirty(p + 1) {
+			batch = append(batch, int32(p))
+		}
+		h.batch = batch
+		if h.inTrial {
+			for _, q := range batch {
+				h.saveNode(sc.node(int(q)))
+			}
+		}
+		if cap(h.batchChanged) < len(batch) {
+			h.batchChanged = make([]bool, len(batch))
+		}
+		changed := h.batchChanged[:len(batch)]
+		runLevel(h.workers, len(batch), func(i int) {
+			q := int(batch[i])
+			id := sc.node(q)
+			old := h.res.Arrival[id]
+			h.forward(q)
+			changed[i] = h.res.Arrival[id] != old
+		})
+		for i, q := range batch {
+			if !changed[i] {
+				continue
+			}
+			frontierN++
+			for _, f := range sc.fanout(int(q)) {
+				h.markDirty(f)
+			}
+		}
+		dirtyN += len(batch)
+		// The level's changes may have set bits below p.
+		p = h.nextDirty(end)
+	}
+	return dirtyN, frontierN
 }
 
 // Resweep unconditionally re-evaluates every node — through the
@@ -978,13 +1033,11 @@ func (h *Hier) MemoryBytes() int64 {
 	b := 6 * n * 8      // s, load, dmu, grad, adj (2 per node)
 	b += 2 * n * mvSize // Arrival, GateDelay
 	b += 2 * n * 4      // nodeGen, sGen
-	b += 2 * n          // dirty, changed
+	b += int64(len(h.pend)) * 8
+	b += int64(cap(h.batch))*4 + int64(cap(h.batchChanged))
 	b += h.sc.memoryBytes()
 	b += int64(len(h.tapeArena)) * jacSize
 	b += 2 * int64(len(h.res.outFold)) * jacSize // outFold + savedOutFold
-	for _, bucket := range h.byLevel {
-		b += hdrSize + int64(cap(bucket))*8
-	}
 	// Trial undo log backing arrays.
 	b += int64(cap(h.logTape)) * jacSize
 	b += int64(cap(h.logNodes)) * 48 // nodeSave: id + 2 MV + offset

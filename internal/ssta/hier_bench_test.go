@@ -140,7 +140,9 @@ func BenchmarkHierStepGen100k(b *testing.B) {
 		h.SetSize(gates[(i*7919)%len(gates)], 1+0.3*float64(i%5))
 		h.GradMuPlusKSigma(3)
 	}
-	const warm = 50 // stretch the dirty buckets to steady state
+	// Time from a mixed-size state; the dirty bitset is sized at
+	// construction, so the warm-up grows nothing.
+	const warm = 50
 	h := NewHier(m, m.UnitSizes(), HierOptions{Workers: 1})
 	for i := 0; i < warm; i++ {
 		step(h, i)

@@ -6,9 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/delay"
 	"repro/internal/netlist"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -439,5 +441,162 @@ func TestHierSetSizesWarmAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, doStep); allocs != 0 {
 		t.Fatalf("warm SetSizes+Backward allocates %.1f per step, want 0", allocs)
+	}
+}
+
+// lastUpdate records the counts of the most recent "inc.update" event.
+type lastUpdate struct {
+	events          int
+	dirty, frontier int
+}
+
+func (u *lastUpdate) Event(scope, name string, fields ...telemetry.KV) {
+	if scope != "inc" || name != "update" {
+		return
+	}
+	u.events++
+	for _, f := range fields {
+		switch f.Key {
+		case "dirty":
+			u.dirty = int(f.Val)
+		case "frontier":
+			u.frontier = int(f.Val)
+		}
+	}
+}
+func (u *lastUpdate) Count(string, int64)        {}
+func (u *lastUpdate) Gauge(string, float64)      {}
+func (u *lastUpdate) Span(string, time.Duration) {}
+
+// TestHierConeMatchesOracle checks the nodes each Update re-evaluates
+// against an oracle built from two fresh sweeps: the SDependents of the
+// gates whose size moved, plus the fanouts of every node whose arrival
+// differs between a fresh Analyze before and after the moves. The
+// reported dirty count must equal that set's size (so no node is
+// evaluated twice), the evaluated nodes must be exactly that set (so
+// none is skipped or added), and the frontier must equal the number of
+// changed nodes. Random bump scripts run with 1 and 4 workers, outside
+// trials and inside committed and rolled-back ones.
+//
+// Outside a trial the evaluated set is read back by overwriting every
+// gate delay with a sentinel before Update (a node's forward fold
+// reads only its fanins' arrivals, never another gate's delay) and
+// collecting the gates that no longer hold it; inside a trial it is
+// the undo log, which saves each re-evaluated node once.
+func TestHierConeMatchesOracle(t *testing.T) {
+	models := parallelTestModels(t)
+	sentinel := stats.MV{Mu: -1, Var: -1}
+	choices := []float64{1, 1.3, 1.6, 2, 2.5}
+	for _, name := range []string{"gen1200", "k2"} {
+		m := models[name]
+		g := m.G
+		gates := g.C.GateIDs()
+		for _, workers := range []int{1, 4} {
+			rng := rand.New(rand.NewSource(int64(7 + workers)))
+			rec := &lastUpdate{}
+			h := NewHier(m, rampSizes(m), HierOptions{Workers: workers, Recorder: rec})
+			saved := make([]stats.MV, len(g.C.Nodes))
+			for round := 0; round < 80; round++ {
+				before := Analyze(m, h.Sizes(), false)
+				mode := rng.Intn(3) // 0 plain, 1 trial+commit, 2 trial+rollback
+				if mode > 0 {
+					h.Trial()
+				}
+				var moved []netlist.NodeID
+				move := func(id netlist.NodeID, s float64) {
+					if h.Sizes()[id] != s {
+						moved = append(moved, id)
+					}
+					h.SetSize(id, s)
+				}
+				for k := rng.Intn(5); k > 0; k-- {
+					id := gates[rng.Intn(len(gates))]
+					orig := h.Sizes()[id]
+					move(id, choices[rng.Intn(len(choices))])
+					if rng.Intn(3) == 0 {
+						// Moving back leaves the gate's dependents dirty
+						// with nothing changed: early cutoff's case.
+						move(id, orig)
+					}
+				}
+				after := Analyze(m, h.Sizes(), false)
+				want := map[netlist.NodeID]bool{}
+				for _, id := range moved {
+					m.SDependents(id, func(d netlist.NodeID) { want[d] = true })
+				}
+				changed := 0
+				for v := range g.C.Nodes {
+					if before.Arrival[v] == after.Arrival[v] {
+						continue
+					}
+					changed++
+					for _, f := range g.Fanout[v] {
+						want[f] = true
+					}
+				}
+
+				if mode == 0 {
+					copy(saved, h.res.GateDelay)
+					for _, id := range gates {
+						h.res.GateDelay[id] = sentinel
+					}
+				}
+				events := rec.events
+				h.Update()
+				got := map[netlist.NodeID]bool{}
+				if mode == 0 {
+					for _, id := range gates {
+						if h.res.GateDelay[id] == sentinel {
+							h.res.GateDelay[id] = saved[id]
+						} else {
+							got[id] = true
+						}
+					}
+				} else {
+					for _, sv := range h.logNodes {
+						got[sv.id] = true
+					}
+				}
+
+				where := fmt.Sprintf("%s/j%d round %d mode %d", name, workers, round, mode)
+				if h.Tmax() != after.Tmax {
+					t.Fatalf("%s: Tmax %+v, fresh %+v", where, h.Tmax(), after.Tmax)
+				}
+				if len(want) == 0 {
+					if rec.events != events || len(got) != 0 {
+						t.Fatalf("%s: nothing pending, yet %d event(s) and %d node(s) re-evaluated",
+							where, rec.events-events, len(got))
+					}
+				} else {
+					if rec.events != events+1 {
+						t.Fatalf("%s: %d inc.update events, want 1", where, rec.events-events)
+					}
+					if rec.dirty != len(want) || rec.frontier != changed {
+						t.Fatalf("%s: dirty=%d frontier=%d, oracle %d and %d",
+							where, rec.dirty, rec.frontier, len(want), changed)
+					}
+					for id := range want {
+						if !got[id] {
+							t.Fatalf("%s: node %s skipped", where, g.C.Nodes[id].Name)
+						}
+					}
+					for id := range got {
+						if !want[id] {
+							t.Fatalf("%s: node %s re-evaluated outside the cone", where, g.C.Nodes[id].Name)
+						}
+					}
+				}
+
+				switch mode {
+				case 1:
+					h.Commit()
+				case 2:
+					if h.Rollback() != before.Tmax {
+						t.Fatalf("%s: rollback Tmax %+v, want %+v", where, h.Tmax(), before.Tmax)
+					}
+				}
+			}
+			checkMatchesFresh(t, h, m, 3)
+		}
 	}
 }

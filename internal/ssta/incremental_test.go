@@ -215,8 +215,9 @@ func TestIncSteadyStateAllocFree(t *testing.T) {
 	m := parallelTestModels(t)["gen1200"]
 	gates := m.G.C.GateIDs()
 	inc := NewHier(m, m.UnitSizes(), HierOptions{Workers: 1})
-	// The schedule is cyclic so one warm pass stretches every per-level
-	// dirty bucket and the adjoint scratch to its steady-state size.
+	// The schedule is cyclic, so one warm pass reaches the steady state:
+	// the dirty bitset is sized at construction and the adjoint scratch
+	// never grows.
 	step := 0
 	doStep := func() {
 		id := gates[(step*31)%len(gates)]
