@@ -247,13 +247,18 @@ bench-session:
 	$(GO) run ./cmd/sizingd -sessionbench -out BENCH_session.json
 	cat BENCH_session.json
 
-# fuzz-kernels runs the native fuzzer that holds the erfc core behind
-# dist.CDFPair — and so every Clark max in stats.Max2/Max2Jac — bit
-# for bit equal to 0.5*math.Erfc(∓x/Sqrt2), for a fixed 15 s (the CI
-# kernels job). The seed corpus is every branch boundary of the core
-# with its Nextafter neighbours.
+# fuzz-kernels runs the two native fuzzers behind every Clark max, each
+# for a fixed 15 s (the CI kernels job). FuzzCDFPair holds the erfc
+# core behind dist.CDFPair bit for bit equal to 0.5*math.Erfc(∓x/Sqrt2);
+# its seeds are every branch boundary of the core with its Nextafter
+# neighbours. FuzzMax2Kernels holds stats.Max2, Max2Jac, Max2JacInto
+# and Max2SigmaJac bit for bit equal to a frozen copy of the kernels
+# before the in-place Jacobian; its seeds put |α|/√2 on each core
+# branch boundary and cover ties, the θ floor, the pdf/θ halving guard,
+# ±0 and NaN/±Inf operands.
 fuzz-kernels:
 	$(GO) test -run '^$$' -fuzz '^FuzzCDFPair$$' -fuzztime 15s ./internal/dist/
+	$(GO) test -run '^$$' -fuzz '^FuzzMax2Kernels$$' -fuzztime 15s ./internal/stats/
 
 # check is the CI gate: vet + build + tests + race-checked tests.
 check: vet build test race

@@ -24,6 +24,7 @@ package repro
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -97,6 +98,72 @@ func BenchmarkStochMax2Jac(b *testing.B) {
 	c := stats.MV{Mu: 5.5, Var: 0.8}
 	for i := 0; i < b.N; i++ {
 		sinkMV, sinkJac = stats.Max2Jac(a, c)
+	}
+}
+
+// max2MixShares is the share of Clark maxes whose |α|/√2 falls in each
+// branch of the erfc core — [0, 0.84375), [0.84375, 1.25),
+// [1.25, 1/0.35), [1/0.35, 6), [6, 28) — measured over a table1 pass,
+// in pairs out of 4,096. No table1 max reaches 28.
+var max2MixShares = [...]struct {
+	lo, hi float64
+	n      int
+}{
+	{0, 0.84375, 2384}, // 58.2%
+	{0.84375, 1.25, 520},
+	{1.25, 1 / 0.35, 881},
+	{1 / 0.35, 6, 287},
+	{6, 28, 24}, // 0.6%
+}
+
+// max2Mix returns a fixed, shuffled table of 4,096 operand pairs whose
+// α lands in the erfc core's branches at table1's shares, with both
+// signs of α and variances spread over four decades.
+func max2Mix() [][2]stats.MV {
+	rng := rand.New(rand.NewSource(7))
+	var ps [][2]stats.MV
+	for _, sh := range max2MixShares {
+		for i := 0; i < sh.n; i++ {
+			alpha := (sh.lo + (sh.hi-sh.lo)*rng.Float64()) * math.Sqrt2
+			if i&1 == 1 {
+				alpha = -alpha
+			}
+			va, vb := math.Pow(10, -2+4*rng.Float64()), math.Pow(10, -2+4*rng.Float64())
+			base := 10 * rng.Float64()
+			ps = append(ps, [2]stats.MV{{Mu: base + alpha*math.Sqrt(va+vb), Var: va}, {Mu: base, Var: vb}})
+		}
+	}
+	rng.Shuffle(len(ps), func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
+	return ps
+}
+
+func BenchmarkStochMax2Mix(b *testing.B) {
+	ps := max2Mix()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := &ps[i&(len(ps)-1)]
+		sinkMV = stats.Max2(p[0], p[1])
+	}
+}
+
+func BenchmarkStochMax2JacMix(b *testing.B) {
+	ps := max2Mix()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := &ps[i&(len(ps)-1)]
+		sinkMV, sinkJac = stats.Max2Jac(p[0], p[1])
+	}
+}
+
+func BenchmarkStochMax2JacIntoMix(b *testing.B) {
+	ps := max2Mix()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := &ps[i&(len(ps)-1)]
+		sinkMV = stats.Max2JacInto(p[0], p[1], &sinkJac)
 	}
 }
 

@@ -17,11 +17,14 @@ import "math"
 
 // This file holds the module's one complementary-error-function core:
 // the algorithm of the pure-Go math.Erfc, evaluated once on |y| and
-// read off on both sides: erfc(-y) = 2 - erfc(y) comes from the same polynomial
-// quotients and exponentials as erfc(y). Every expression below is the
-// stdlib's own, in the same association, so each output is bit for
-// bit what math.Erfc returns on platforms without an assembly Erfc
-// (all but s390x); TestCDFPairBitwise and FuzzCDFPair pin that.
+// read off on both sides: erfc(-y) = 2 - erfc(y) comes from the same
+// polynomial quotients and exponentials as erfc(y). Every expression
+// below is the stdlib's own, in the same association, so each output
+// is bit for bit what math.Erfc returns on platforms without an
+// assembly Erfc (all but s390x); TestCDFPairBitwise and FuzzCDFPair pin
+// that. The core also does the sign swap and the exact 0.5 scaling, so
+// CDFPair is a one-line wrapper the compiler inlines: the Clark max in
+// internal/stats reaches the core in one call.
 
 // Coefficients of the erfc approximations, copied from math/erf.go.
 const (
@@ -89,25 +92,22 @@ const (
 // sides of zero, from one run of the erfc core: bit for bit
 // 0.5*math.Erfc(-x/Sqrt2) and 0.5*math.Erfc(x/Sqrt2), at roughly the
 // cost of one. Clark's max needs both tightness probabilities, so
-// stats.Max2 and Max2Jac call this once per operand pair. Division by
-// Sqrt2 is sign-symmetric in IEEE arithmetic, so one quotient serves
-// both sides.
-func CDFPair(x float64) (float64, float64) {
-	y := x / Sqrt2
-	lo, hi := erfcPair(math.Abs(y))
-	if y < 0 {
-		return 0.5 * lo, 0.5 * hi
-	}
-	return 0.5 * hi, 0.5 * lo
-}
+// stats.Max2 and Max2JacInto call this once per operand pair. Division
+// by Sqrt2 is sign-symmetric in IEEE arithmetic, so one quotient serves
+// both sides. The wrapper inlines, so a caller reaches the core in one
+// call.
+func CDFPair(x float64) (float64, float64) { return cdfPair(x / Sqrt2) }
 
-// erfcPair returns (erfc(a), erfc(-a)) for a >= 0, +Inf or NaN,
-// following math.Erfc branch by branch: the negative side is 1 + temp,
-// 1 + erx + P/Q and 2 - r/a where the positive side is 1 - temp,
-// 1 - erx - P/Q and r/a, with the stdlib's exact 2 below -6 and the
-// 0 / 2 saturation from 28 on.
-func erfcPair(a float64) (lo, hi float64) {
+// cdfPair returns (0.5*erfc(-y), 0.5*erfc(y)) for any y, following
+// math.Erfc branch by branch on a = |y|: lo = erfc(a) and hi = erfc(-a)
+// are 1 - temp and 1 + temp, 1 - erx - P/Q and 1 + erx + P/Q, r/a and
+// 2 - r/a, with the stdlib's exact 2 for hi above 6 and the 0 / 2
+// saturation from 28 on. The sign of y then picks which side is which,
+// and the halving is exact, as in the stdlib callers' 0.5*math.Erfc.
+func cdfPair(y float64) (float64, float64) {
 	const tiny = 1.0 / (1 << 56) // 2**-56
+	a := math.Abs(y)
+	var lo, hi float64
 	switch {
 	case a < 0.84375:
 		temp := a
@@ -122,12 +122,12 @@ func erfcPair(a float64) (lo, hi float64) {
 				temp = 0.5 + (a*y + (a - 0.5))
 			}
 		}
-		return 1 - temp, 1 + temp
+		lo, hi = 1-temp, 1+temp
 	case a < 1.25:
 		s := a - 1
 		P := pa0 + s*(pa1+s*(pa2+s*(pa3+s*(pa4+s*(pa5+s*pa6)))))
 		Q := 1 + s*(qa1+s*(qa2+s*(qa3+s*(qa4+s*(qa5+s*qa6)))))
-		return 1 - erx - P/Q, 1 + erx + P/Q
+		lo, hi = 1-erx-P/Q, 1+erx+P/Q
 	case a < 28:
 		s := 1 / (a * a)
 		var R, S float64
@@ -142,11 +142,17 @@ func erfcPair(a float64) (lo, hi float64) {
 		r := math.Exp(-z*z-0.5625) * math.Exp((z-a)*(z+a)+R/S)
 		lo = r / a
 		if a > 6 {
-			return lo, 2
+			hi = 2
+		} else {
+			hi = 2 - lo
 		}
-		return lo, 2 - lo
 	case a >= 28: // including +Inf
-		return 0, 2
+		lo, hi = 0, 2
+	default: // NaN
+		lo, hi = a, a
 	}
-	return a, a // NaN
+	if y < 0 {
+		return 0.5 * lo, 0.5 * hi
+	}
+	return 0.5 * hi, 0.5 * lo
 }

@@ -79,15 +79,28 @@ func forwardGate(r *Result, m *delay.Model, id netlist.NodeID, fanin []netlist.N
 	// U = max over fanin arrivals, folded two at a time
 	// (paper eq 18b); each operand is shifted by its pin's
 	// additive delay (eq 1's per-pin t_i). Constant shifts leave
-	// the max Jacobians valid as-is, so the tape is unchanged.
-	u := shiftMV(r.Arrival[fanin[0]], m.PinOff(id, 0))
+	// the max Jacobians valid as-is, so the tape is unchanged. The
+	// pin offsets are read once per gate (nil: uniform pins).
+	off := m.PinOffset[id]
+	u := r.Arrival[fanin[0]]
+	if off != nil {
+		u = shiftMV(u, off[0])
+	}
 	if steps != nil {
 		for k, f := range fanin[1:] {
-			u, steps[k] = stats.Max2Jac(u, shiftMV(r.Arrival[f], m.PinOff(id, k+1)))
+			v := r.Arrival[f]
+			if off != nil {
+				v = shiftMV(v, off[k+1])
+			}
+			u = stats.Max2JacInto(u, v, &steps[k])
 		}
 	} else {
 		for k, f := range fanin[1:] {
-			u = stats.Max2(u, shiftMV(r.Arrival[f], m.PinOff(id, k+1)))
+			v := r.Arrival[f]
+			if off != nil {
+				v = shiftMV(v, off[k+1])
+			}
+			u = stats.Max2(u, v)
 		}
 	}
 	// T = U + t (paper eq 18c), with t from the sizable model.
@@ -107,7 +120,7 @@ func foldOutputs(r *Result, g *netlist.Graph, withTape bool) {
 			r.outFold = make([]stats.Jac2x4, len(outs)-1)
 		}
 		for i, o := range outs[1:] {
-			tmax, r.outFold[i] = stats.Max2Jac(tmax, r.Arrival[o])
+			tmax = stats.Max2JacInto(tmax, r.Arrival[o], &r.outFold[i])
 		}
 	} else {
 		for _, o := range outs[1:] {
