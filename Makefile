@@ -75,11 +75,12 @@ bench-batch:
 	cat BENCH_batch.json
 
 # bench-hier measures the persistent SSTA engine against the flat
-# levelized sweeps on the streamed 100k-gate netlist (the
-# cmd/circuitgen gen100k preset): full forward+adjoint evaluations at
-# 1, 4 and 8 workers (block-scheduled when parallel), and the warm
-# single-gate sizing step where the engine re-evaluates only the dirty
-# cone.
+# serial sweeps on the streamed 100k-gate netlist (the cmd/circuitgen
+# gen100k preset): full forward+adjoint evaluations — the flat one
+# serial, the engine's at 1, 4 and 8 workers (block-scheduled when
+# parallel) — and the warm single-gate sizing step where the engine
+# re-evaluates only the dirty cone. HierFullSpeedupW8 sets the
+# engine's 8-worker evaluation against the flat serial one.
 # Each benchmark runs 3 times and the minimum ns/op is kept (the same
 # min-of-N noise suppression as internal/bench.timeBest). The results
 # (ns/op, B/op, allocs/op and the derived speedups) land in
@@ -109,7 +110,7 @@ bench-hier:
 			for (i = 0; i < n; i++) emit(order[i]); \
 			if (ns["BenchmarkHierGradGen100kW8"]) \
 				printf ",\n  {\"name\": \"HierFullSpeedupW8\", \"speedup\": %.2f}", \
-					ns["BenchmarkFlatGradGen100kW8"] / ns["BenchmarkHierGradGen100kW8"]; \
+					ns["BenchmarkFlatGradGen100kW1"] / ns["BenchmarkHierGradGen100kW8"]; \
 			if (ns["BenchmarkHierStepGen100k"]) \
 				printf ",\n  {\"name\": \"HierStepSpeedup\", \"speedup\": %.2f}", \
 					ns["BenchmarkFlatStepGen100k"] / ns["BenchmarkHierStepGen100k"]; \
@@ -266,9 +267,9 @@ check: vet build test race
 # faults runs the resilience acceptance suite: the deterministic
 # fault-injection harness (internal/faults) driving the solver's
 # recovery, degradation, cancellation and checkpoint paths, plus the
-# cancellation tests of the parallel SSTA and Monte Carlo engines —
-# race-checked, because these are exactly the paths where goroutines
-# could leak.
+# cancellation tests of the SSTA sweep and the parallel Monte Carlo
+# engine — race-checked, because the sharded Monte Carlo is where
+# goroutines could leak.
 faults:
 	$(GO) test -race -timeout 5m ./internal/faults/ ./internal/nlp/ \
 		./internal/ssta/ ./internal/montecarlo/

@@ -251,52 +251,6 @@ var benchWorkerCounts = func() []int {
 	return out
 }()
 
-// BenchmarkParallelSSTASweep compares the serial forward sweep with
-// the levelized parallel sweep at several worker counts on the k2
-// stand-in and a 2000-gate generated circuit.
-func BenchmarkParallelSSTASweep(b *testing.B) {
-	models := map[string]*delay.Model{
-		"k2":      sstaModel(b, netlist.K2Like),
-		"gen2000": genBenchModel(b, 2000),
-	}
-	for name, m := range models {
-		S := m.UnitSizes()
-		b.Run(name+"/serial", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkF = ssta.Analyze(m, S, false).Tmax.Mu
-			}
-		})
-		for _, w := range benchWorkerCounts {
-			b.Run(fmt.Sprintf("%s/j%d", name, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					sinkF = ssta.AnalyzeWorkers(m, S, false, w).Tmax.Mu
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkParallelGradient compares serial and parallel taped sweep
-// plus adjoint — the sizing inner-loop cost.
-func BenchmarkParallelGradient(b *testing.B) {
-	m := genBenchModel(b, 2000)
-	S := m.UnitSizes()
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			phi, grad := ssta.GradMuPlusKSigma(m, S, 3)
-			sinkF = phi + grad[len(grad)-1]
-		}
-	})
-	for _, w := range benchWorkerCounts {
-		b.Run(fmt.Sprintf("j%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				phi, grad := ssta.GradMuPlusKSigmaWorkers(m, S, 3, w)
-				sinkF = phi + grad[len(grad)-1]
-			}
-		})
-	}
-}
-
 // BenchmarkParallelMonteCarlo compares sharded Monte Carlo at several
 // worker counts; every worker count draws the identical sample set.
 func BenchmarkParallelMonteCarlo(b *testing.B) {

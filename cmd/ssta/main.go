@@ -36,7 +36,7 @@ func main() {
 		cornersK    = flag.Float64("corners", 0, "corner/pessimism report at mu +- k*sigma (0 = off)")
 		seed        = flag.Int64("seed", 1, "Monte Carlo seed")
 		canonical   = flag.Bool("canonical", false, "also run the correlation-aware canonical sweep")
-		workers     = flag.Int("j", 0, "worker goroutines for the SSTA sweep and Monte Carlo (0 = all CPUs, 1 = serial; results are identical for any value)")
+		workers     = flag.Int("j", 0, "worker goroutines for Monte Carlo and the -blocks engine pass; the analytic sweeps are serial (0 = all CPUs, 1 = serial; results are identical for any value)")
 		blocksFlag  = flag.Int("blocks", 0, "hierarchical verification pass with this block-size target (0 = off): partition the DAG, re-run the sweep block-parallel and check bit-identity")
 		traceFile   = flag.String("trace", "", "write a JSONL analysis trace to this file (byte-identical for every -j)")
 		metricsFlag = flag.Bool("metrics", false, "print the telemetry metrics summary table after the run")
@@ -144,7 +144,7 @@ func main() {
 	det := ssta.DetAnalyze(m, S)
 	// The analytic sweep polls ctx at level boundaries, so -timeout and
 	// SIGINT/SIGTERM stop it; the recorder sees the sweep either way.
-	r, err := ssta.AnalyzeCtx(ctx, m, S, false, ssta.SweepOptions{Workers: *workers, Recorder: rec})
+	r, err := ssta.AnalyzeCtx(ctx, m, S, false, ssta.SweepOptions{Recorder: rec})
 	if err != nil {
 		deadline(err)
 	}
@@ -188,11 +188,11 @@ func main() {
 	// The three sigma-level corner sweeps run as lanes of one batched
 	// traversal (ssta.DetBatch); each lane is bit-identical to its
 	// scalar corner sweep.
-	ck := ssta.KSweep(m, S, []float64{0, 1, 3}, *workers)
+	ck := ssta.KSweep(m, S, []float64{0, 1, 3})
 	fmt.Printf("corner sweep (batched): k=0 %.4f  k=1 %.4f  k=3 %.4f\n", ck[0], ck[1], ck[2])
 
 	if *cornersK > 0 {
-		cr := ssta.CornersWorkers(m, S, *cornersK, *workers)
+		cr := ssta.Corners(m, S, *cornersK)
 		fmt.Printf("corners (k=%.3g): best %.4f  typical %.4f  worst %.4f\n",
 			cr.K, cr.Best, cr.Typical, cr.Worst)
 		fmt.Printf("statistical mu+k*sigma = %.4f  pessimism vs worst corner = %.4f\n",
@@ -207,7 +207,7 @@ func main() {
 	fmt.Printf("deterministic critical path: %s\n", strings.Join(names, " -> "))
 
 	if *critN > 0 {
-		crit := ssta.CriticalityWorkers(m, S, *workers)
+		crit := ssta.Criticality(m, S)
 		fmt.Println("statistical criticality (d muTmax / d mu_gate):")
 		for _, id := range ssta.TopCritical(circ, crit, *critN) {
 			fmt.Printf("  %-12s %.4f\n", circ.Nodes[id].Name, crit[id])

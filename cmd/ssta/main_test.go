@@ -120,7 +120,7 @@ func TestCritListsTiesByName(t *testing.T) {
 	// The reference: every gate, sorted by exact criticality
 	// descending, then name.
 	m := delay.MustBind(netlist.MustCompile(c), delay.Default())
-	crit := ssta.CriticalityWorkers(m, m.UnitSizes(), 1)
+	crit := ssta.Criticality(m, m.UnitSizes())
 	ids := c.GateIDs()
 	sort.SliceStable(ids, func(i, j int) bool {
 		if a, b := crit[ids[i]], crit[ids[j]]; a != b {
@@ -171,5 +171,32 @@ func TestBadNumericFlagsExitOne(t *testing.T) {
 				t.Errorf("rejected run printed a report:\n%s", stdout.String())
 			}
 		})
+	}
+}
+
+// TestWorkerCountInvariantStdout pins the -j contract end to end: a
+// run that reaches every report — the analytic sweep, the block
+// verification pass, the batched corner sweep, the corner/pessimism
+// report, the criticality listing and the sharded Monte Carlo — prints
+// byte-identical stdout at -j 1 and -j 4.
+func TestWorkerCountInvariantStdout(t *testing.T) {
+	run := func(j string) []byte {
+		cmd := exec.Command(os.Args[0], "-circuit", "k2", "-crit", "10", "-corners", "3",
+			"-mc", "4096", "-blocks", "256", "-j", j)
+		cmd.Env = append(os.Environ(), "SSTA_TEST_MAIN=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("ssta -j %s: %v", j, err)
+		}
+		return out
+	}
+	serial, parallel := run("1"), run("4")
+	for _, want := range []string{"hierarchical:", "corners (k=3):", "statistical criticality", "monte carlo (4096 samples)"} {
+		if !strings.Contains(string(serial), want) {
+			t.Fatalf("-j 1 output lacks %q:\n%s", want, serial)
+		}
+	}
+	if string(serial) != string(parallel) {
+		t.Fatalf("stdout differs between -j 1 and -j 4:\n-j 1:\n%s\n-j 4:\n%s", serial, parallel)
 	}
 }

@@ -44,7 +44,7 @@ func main() {
 		showSizes     = flag.Bool("sizes", false, "print per-gate speed factors")
 		greedyFlag    = flag.Bool("greedy", false, "use the TILOS-style greedy sensitivity sizer (incremental SSTA engine) instead of the NLP solver; needs a mu+Ksigma<= constraint")
 		verbose       = flag.Bool("v", false, "log solver progress (the telemetry event stream, rendered as text)")
-		workers       = flag.Int("j", 0, "worker goroutines for the SSTA sweeps and the NLP element evaluation engine (0 = all CPUs, 1 = serial; results are identical for any value)")
+		workers       = flag.Int("j", 0, "worker goroutines for the persistent SSTA engine's passes and the NLP element evaluation engine; one-shot sweeps are serial (0 = all CPUs, 1 = serial; results are identical for any value)")
 		blocksFlag    = flag.Int("blocks", 0, "verify the final sizes through the hierarchical block-parallel engine with this block-size target (0 = off)")
 		traceFile     = flag.String("trace", "", "write a JSONL solver trace to this file (byte-identical for every -j)")
 		metricsFlag   = flag.Bool("metrics", false, "print the telemetry metrics summary table after the run")
@@ -192,7 +192,7 @@ func main() {
 
 	// The unit-size sweep is not cancellable: a deadline or an
 	// interrupt is reported by the solver, with its best-so-far sizing.
-	unitR, _ := ssta.AnalyzeCtx(context.Background(), m, m.UnitSizes(), false, ssta.SweepOptions{Workers: *workers, Recorder: rec})
+	unitR, _ := ssta.AnalyzeCtx(context.Background(), m, m.UnitSizes(), false, ssta.SweepOptions{Recorder: rec})
 	unit := unitR.Tmax
 	fmt.Printf("circuit %s: %d gates, %d inputs, %d outputs\n",
 		circ.Name, circ.NumGates(), circ.NumInputs(), len(circ.Outputs))
@@ -247,7 +247,7 @@ func main() {
 			return
 		}
 		h := ssta.NewHier(m, S, ssta.HierOptions{BlockTarget: *blocksFlag, Workers: *workers})
-		flat := ssta.AnalyzeWorkers(m, S, false, *workers)
+		flat := ssta.Analyze(m, S, false)
 		p := h.Partition()
 		if h.Tmax() != flat.Tmax {
 			fatal(fmt.Errorf("hierarchical verification diverged: blocked %+v flat %+v", h.Tmax(), flat.Tmax))

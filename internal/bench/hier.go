@@ -19,8 +19,9 @@ type HierRow struct {
 	Blocks  int // blocks the partitioner produced
 	Workers int
 	// FlatFullNS / HierFullNS: one full forward+adjoint evaluation
-	// (taped sweep + gradient) through the flat levelized path vs the
-	// persistent blocked engine (Resweep + blocked adjoint).
+	// (taped sweep + gradient) through the flat serial path vs the
+	// persistent blocked engine (Resweep + blocked adjoint). The flat
+	// columns do not depend on the row: they are timed once per table.
 	FlatFullNS, HierFullNS int64
 	// FlatStepNS / HierStepNS: one warm sizing step — a single-gate
 	// size change followed by a full gradient. The flat path must
@@ -72,7 +73,7 @@ func timeBest(reps int, f func()) int64 {
 }
 
 // RunHier measures the hierarchical block-parallel engine against the
-// flat levelized sweeps on a streamed synthetic netlist with the given
+// flat serial sweeps on a streamed synthetic netlist with the given
 // gate count (>= 100000 uses the canonical gen100k preset), across
 // block targets and worker counts. Every hierarchical evaluation is
 // bit-identity-checked against the flat result before it is timed.
@@ -107,6 +108,18 @@ func RunHier(gates int, logf func(string, ...any)) (*HierResult, error) {
 
 	const k = 3.0
 	phiFlat, gradFlat := ssta.GradMuPlusKSigma(m, S, k)
+	// The flat baseline is serial, so one timing serves every row.
+	flatFull := timeBest(3, func() { ssta.GradMuPlusKSigma(m, S, k) })
+	// Warm single-gate steps: cycle a handful of gates so the dirty
+	// cone stays realistic and the slabs stay warm.
+	step := 0
+	flatS := append([]float64(nil), S...)
+	flatStep := timeBest(3, func() {
+		id := gateIDs[(step*7919)%len(gateIDs)]
+		flatS[id] = 1 + 0.3*float64(step%5)
+		step++
+		ssta.GradMuPlusKSigma(m, flatS, k)
+	})
 	for _, target := range []int{128, 512, 2048} {
 		for _, workers := range []int{1, 4, 8} {
 			h := ssta.NewHier(m, S, ssta.HierOptions{BlockTarget: target, Workers: workers})
@@ -121,23 +134,13 @@ func RunHier(gates int, logf func(string, ...any)) (*HierResult, error) {
 						id, target, workers)
 				}
 			}
-			row := HierRow{Target: target, Blocks: len(h.Partition().Blocks), Workers: workers}
-			row.FlatFullNS = timeBest(3, func() {
-				ssta.GradMuPlusKSigmaWorkers(m, S, k, workers)
-			})
+			row := HierRow{
+				Target: target, Blocks: len(h.Partition().Blocks), Workers: workers,
+				FlatFullNS: flatFull, FlatStepNS: flatStep,
+			}
 			row.HierFullNS = timeBest(3, func() {
 				h.Resweep()
 				h.GradMuPlusKSigma(k)
-			})
-			// Warm single-gate steps: cycle a handful of gates so the
-			// dirty cone stays realistic and the slabs stay warm.
-			step := 0
-			flatS := append([]float64(nil), S...)
-			row.FlatStepNS = timeBest(3, func() {
-				id := gateIDs[(step*7919)%len(gateIDs)]
-				flatS[id] = 1 + 0.3*float64(step%5)
-				step++
-				ssta.GradMuPlusKSigmaWorkers(m, flatS, k, workers)
 			})
 			step = 0
 			h.Resweep()

@@ -72,7 +72,7 @@ func RunKSweep() (*KSweepResult, error) {
 		S := cc.m.UnitSizes()
 		row := KSweepRow{
 			Circuit: cc.name,
-			Corner:  ssta.KSweep(cc.m, S, res.Ks, 0),
+			Corner:  ssta.KSweep(cc.m, S, res.Ks),
 			Stat:    make([]float64, len(res.Ks)),
 		}
 		an := ssta.Analyze(cc.m, S, false).Tmax

@@ -29,20 +29,17 @@ type Graph struct {
 	// order inside each bucket: Levels[l] lists every node with
 	// Level[id] == l. Because the level strictly increases along every
 	// fanin edge, all nodes in one bucket are mutually independent —
-	// the parallel SSTA sweep processes one bucket at a time behind a
-	// level barrier. Levels[0] holds exactly the primary inputs.
+	// the persistent SSTA engine's parallel dirty-cone update runs one
+	// bucket at a time behind a level barrier, and the adjoint sweeps
+	// accumulate in (level descending, bucket order). Levels[0] holds
+	// exactly the primary inputs.
 	//
 	// Levels — like every derived table on the Graph — is computed
 	// exactly once, in Compile. Sweep engines must index these
-	// memoized tables rather than re-derive level buckets or edge
-	// offsets per sweep: on large graphs that bookkeeping is O(V+E)
-	// per call and dominates repeated evaluations.
+	// memoized tables rather than re-derive level buckets per sweep:
+	// on large graphs that bookkeeping is O(V+E) per call and
+	// dominates repeated evaluations.
 	Levels [][]NodeID
-
-	// FaninOff is the CSR offset table over fanin edges: node id's
-	// fanin pins own the edge slots [FaninOff[id], FaninOff[id+1]).
-	// Len is len(Nodes)+1; FaninOff[len(Nodes)] == Edges.
-	FaninOff []int
 
 	// Edges is the total fanin pin count (== total fanout entries).
 	Edges int
@@ -102,6 +99,7 @@ func Compile(c *Circuit) (*Graph, error) {
 		Level:  make([]int, n),
 	}
 	for i, nd := range c.Nodes {
+		g.Edges += len(nd.Fanin)
 		for _, f := range nd.Fanin {
 			g.Fanout[f] = append(g.Fanout[f], NodeID(i))
 		}
@@ -126,11 +124,6 @@ func Compile(c *Circuit) (*Graph, error) {
 	for _, id := range topo {
 		g.Levels[g.Level[id]] = append(g.Levels[g.Level[id]], id)
 	}
-	g.FaninOff = make([]int, n+1)
-	for i := range c.Nodes {
-		g.FaninOff[i+1] = g.FaninOff[i] + len(c.Nodes[i].Fanin)
-	}
-	g.Edges = g.FaninOff[n]
 	return g, nil
 }
 

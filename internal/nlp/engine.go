@@ -24,9 +24,9 @@ import (
 //     scheduling cannot influence a single bit.
 //   - Fold phase: the coordinating goroutine accumulates the
 //     per-element results (merit sum, gradient scatter, H*v scatter)
-//     in exact serial element order — the same discipline as the SSTA
-//     adjoint sweep (ssta.Result.BackwardCtx) — so the result is
-//     bit-for-bit identical for every worker count.
+//     in exact serial element order — the same discipline as the
+//     persistent SSTA engine's parallel adjoint (ssta.Hier) — so the
+//     result is bit-for-bit identical for every worker count.
 //
 // All element scratch lives in a handful of []float64 slabs allocated
 // once at engine construction and reused for the life of the solve:

@@ -32,8 +32,8 @@ type GreedyOptions struct {
 	Step float64
 	// MaxSteps bounds the iterations (default 200 * gate count).
 	MaxSteps int
-	// Workers bounds the parallelism of the SSTA sweeps: <= 0 uses
-	// one worker per CPU, 1 forces the serial sweep.
+	// Workers bounds the parallelism of the persistent SSTA engine's
+	// sweeps: <= 0 uses one worker per CPU, 1 forces the serial sweep.
 	Workers int
 	// Weights optionally holds per-gate area weights (indexed by
 	// NodeID): the sensitivity rank divides each gate's quantile
@@ -226,7 +226,7 @@ func SizeGreedyCtx(ctx context.Context, m *delay.Model, opt GreedyOptions) (*Gre
 	stack.PopTo(1)
 	stack.Push("greedy.finalize")
 	m.ClampSizes(S)
-	r := ssta.AnalyzeWorkers(m, S, false, opt.Workers)
+	r := ssta.Analyze(m, S, false)
 	stack.PopTo(0)
 	res.S = S
 	res.MuTmax = r.Tmax.Mu

@@ -41,7 +41,7 @@ type reducedEval struct {
 // dirty-cone bookkeeping would buy nothing. The engine state is
 // bit-identical to a fresh taped sweep at the current point, so
 // element values and gradients are bitwise those of AnalyzeCtx plus
-// BackwardCtx.
+// Backward.
 type sweepEngine struct {
 	re *reducedEval
 	h  *ssta.Hier

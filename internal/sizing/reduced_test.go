@@ -15,7 +15,7 @@ import (
 
 // reducedCase names one sweep-based element and computes its value
 // and gradient from fresh flat sweeps: an untaped AnalyzeCtx for the
-// value and sigma, a taped AnalyzeCtx plus BackwardCtx for the
+// value and sigma, a taped AnalyzeCtx plus Backward for the
 // gradient. The persistent-engine elements must match it bit for bit.
 type reducedCase struct {
 	// sigmaOnly selects sign*sigma; otherwise mu + k*sigma + shift.
@@ -69,7 +69,7 @@ func denseToS(m *delay.Model, gates []netlist.NodeID, x []float64) []float64 {
 
 // freshValue is the element value from one untaped flat sweep.
 func (c reducedCase) freshValue(m *delay.Model, gates []netlist.NodeID, x []float64) float64 {
-	r, _ := ssta.AnalyzeCtx(context.Background(), m, denseToS(m, gates, x), false, ssta.SweepOptions{Workers: 1})
+	r, _ := ssta.AnalyzeCtx(context.Background(), m, denseToS(m, gates, x), false, ssta.SweepOptions{})
 	mu, v := r.Tmax.Mu, r.Tmax.Var
 	switch {
 	case c.sigmaOnly:
@@ -85,7 +85,7 @@ func (c reducedCase) freshValue(m *delay.Model, gates []netlist.NodeID, x []floa
 // untaped sweep, then a taped sweep and one adjoint.
 func (c reducedCase) freshGrad(m *delay.Model, gates []netlist.NodeID, x []float64) []float64 {
 	S := denseToS(m, gates, x)
-	opt := ssta.SweepOptions{Workers: 1}
+	opt := ssta.SweepOptions{}
 	seedMu, seedVar := 1.0, 0.0
 	if c.sigmaOnly || c.k != 0 {
 		r, _ := ssta.AnalyzeCtx(context.Background(), m, S, false, opt)
@@ -97,7 +97,7 @@ func (c reducedCase) freshGrad(m *delay.Model, gates []netlist.NodeID, x []float
 		}
 	}
 	r, _ := ssta.AnalyzeCtx(context.Background(), m, S, true, opt)
-	full, _ := r.BackwardCtx(context.Background(), m, S, seedMu, seedVar, opt)
+	full := r.Backward(m, S, seedMu, seedVar)
 	g := make([]float64, len(gates))
 	for i, id := range gates {
 		g[i] = full[id]

@@ -222,7 +222,7 @@ type Spec struct {
 	// set it needs one finite, non-negative weight per node.
 	Weights []float64
 	// Workers bounds the parallelism of the heavy kernels inside the
-	// solver loop — the SSTA forward/adjoint sweeps and the NLP
+	// solver loop — the persistent SSTA engine's sweeps and the NLP
 	// element evaluation engine (nlp.Options.Workers, unless
 	// Solver.Workers is set explicitly): <= 0 uses one worker per CPU,
 	// 1 forces serial execution. Results are bit-identical for every
@@ -323,7 +323,7 @@ func SizeCtx(ctx context.Context, m *delay.Model, spec Spec) (*Outcome, error) {
 		}
 	}
 	m.ClampSizes(S)
-	r := ssta.AnalyzeWorkers(m, S, false, spec.Workers)
+	r := ssta.Analyze(m, S, false)
 	out := &Outcome{
 		S:         S,
 		MuTmax:    r.Tmax.Mu,

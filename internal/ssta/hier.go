@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -44,8 +45,8 @@ import (
 //   - Every recomputation runs the same forward fold in the same order
 //     as a fresh sweep, and unchanged nodes hold values a fresh sweep
 //     would recompute identically — so the engine state is
-//     bit-identical to Analyze/AnalyzeWorkers at the current sizes,
-//     for any worker count and block size.
+//     bit-identical to Analyze at the current sizes, for any worker
+//     count and block size.
 //
 // Trial/Commit/Rollback bound what-if moves: Rollback restores every
 // overwritten slab entry, the speed factors and the cached loads from
@@ -118,6 +119,19 @@ type (
 
 // NewInc is NewHier under the engine's former incremental name.
 func NewInc(m *delay.Model, S []float64, opt IncOptions) *Inc { return NewHier(m, S, opt) }
+
+// AnalyzeWorkers is Analyze under its former worker-count signature:
+// workers is ignored; the benchmark module still builds against it.
+func AnalyzeWorkers(m *delay.Model, S []float64, withTape bool, workers int) *Result {
+	return Analyze(m, S, withTape)
+}
+
+// GradMuPlusKSigmaWorkers is GradMuPlusKSigma under its former
+// worker-count signature: workers is ignored; the benchmark module
+// still builds against it.
+func GradMuPlusKSigmaWorkers(m *delay.Model, S []float64, k float64, workers int) (float64, []float64) {
+	return GradMuPlusKSigma(m, S, k)
+}
 
 // Hier is the persistent SSTA engine. It is not safe for concurrent
 // use; one engine serves one evaluation loop.
@@ -543,9 +557,9 @@ func (h *Hier) forward(p int) {
 // circuit delay moments. Nodes whose recomputed arrival is
 // bit-identical to before stop propagating (early cutoff). The
 // resulting state — arrivals, gate delays, tape, Tmax — is
-// bit-identical to a fresh taped Analyze/AnalyzeWorkers at the
-// current sizes, for any worker count and block size. With nothing
-// dirty it returns the cached Tmax untouched.
+// bit-identical to a fresh taped Analyze at the current sizes, for any
+// worker count and block size. With nothing dirty it returns the
+// cached Tmax untouched.
 func (h *Hier) Update() stats.MV {
 	if h.hiW < h.loW {
 		return h.res.Tmax
@@ -650,6 +664,52 @@ func (h *Hier) updateLevels() (dirtyN, frontierN int) {
 		p = h.nextDirty(end)
 	}
 	return dirtyN, frontierN
+}
+
+// minLevelParallel is the batch size below which updateLevels runs a
+// level inline on the coordinating goroutine instead of fanning it
+// out.
+const minLevelParallel = 32
+
+// resolveWorkers maps the shared Workers convention onto a concrete
+// count: <= 0 means one worker per CPU, anything else is taken as-is.
+func resolveWorkers(workers int) int {
+	if workers <= 0 {
+		return runtime.NumCPU()
+	}
+	return workers
+}
+
+// runLevel executes fn(i) for every i in [0, n) on up to workers
+// goroutines (the caller included) and returns only when all calls
+// are done — the level barrier. Work is handed out as contiguous
+// chunks; fn must write only to slots owned by item i.
+func runLevel(workers, n int, fn func(int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 || n < minLevelParallel {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	chunk := (n + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := chunk; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				fn(i)
+			}
+		}(lo, hi)
+	}
+	for i := 0; i < chunk; i++ {
+		fn(i)
+	}
+	wg.Wait()
 }
 
 // Resweep unconditionally re-evaluates every node — through the
@@ -913,9 +973,9 @@ func (h *Hier) backward(seedMu, seedVar float64) {
 // Backward flushes pending updates and runs the adjoint sweep with
 // the given seed, returning d phi/d S indexed by NodeID. The returned
 // slice is engine-owned scratch, overwritten by the next adjoint pass
-// — copy it to keep it. Bit-identical to Result.Backward/BackwardCtx
-// for any worker count and block size; allocation-free in the steady
-// state with Workers == 1.
+// — copy it to keep it. Bit-identical to Result.Backward for any
+// worker count and block size; allocation-free in the steady state
+// with Workers == 1.
 func (h *Hier) Backward(seedMu, seedVar float64) []float64 {
 	h.backward(seedMu, seedVar)
 	return h.grad
@@ -923,8 +983,8 @@ func (h *Hier) Backward(seedMu, seedVar float64) []float64 {
 
 // GradMuPlusKSigma flushes pending updates and returns phi =
 // mu + k*sigma of the circuit delay plus d phi/d S (engine-owned, see
-// Backward) — bit-identical to GradMuPlusKSigmaWorkers at the
-// engine's current sizes.
+// Backward) — bit-identical to the package-level GradMuPlusKSigma at
+// the engine's current sizes.
 func (h *Hier) GradMuPlusKSigma(k float64) (float64, []float64) {
 	phi, sMu, sVar := ObjectiveMuPlusKSigma(h.Update(), k)
 	return phi, h.Backward(sMu, sVar)
@@ -932,9 +992,9 @@ func (h *Hier) GradMuPlusKSigma(k float64) (float64, []float64) {
 
 // Criticality flushes pending updates and returns each gate's
 // statistical criticality d muTmax / d mu_t — the adjoint sweep over
-// the engine's warm tape under a (1, 0) seed, bit-identical to
-// CriticalityWorkers at the engine's current sizes but without the
-// fresh O(V) taped sweep that entry point pays. The returned slice is
+// the engine's warm tape under a (1, 0) seed, bit-identical to the
+// package-level Criticality at the engine's current sizes but without
+// the fresh O(V) taped sweep that entry point pays. The returned slice is
 // engine-owned scratch, overwritten by the next adjoint pass
 // (Backward/GradMuPlusKSigma included) — copy it to keep it.
 func (h *Hier) Criticality() []float64 {

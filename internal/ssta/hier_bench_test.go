@@ -80,22 +80,18 @@ func gen100kModel(b *testing.B) *delay.Model {
 	return gen100kM
 }
 
-// benchFlatGrad is the baseline: one full taped forward sweep plus the
-// adjoint pass through the flat levelized path, allocating its Result
-// and tape per evaluation.
-func benchFlatGrad(b *testing.B, workers int) {
+// BenchmarkFlatGradGen100kW1 is the baseline: one full taped forward
+// sweep plus the adjoint pass through the flat serial path, allocating
+// its Result and tape per evaluation.
+func BenchmarkFlatGradGen100kW1(b *testing.B) {
 	m := gen100kModel(b)
 	S := m.UnitSizes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GradMuPlusKSigmaWorkers(m, S, 3, workers)
+		GradMuPlusKSigma(m, S, 3)
 	}
 }
-
-func BenchmarkFlatGradGen100kW1(b *testing.B) { benchFlatGrad(b, 1) }
-func BenchmarkFlatGradGen100kW4(b *testing.B) { benchFlatGrad(b, 4) }
-func BenchmarkFlatGradGen100kW8(b *testing.B) { benchFlatGrad(b, 8) }
 
 // benchHierGrad is the same full forward+adjoint evaluation through
 // the persistent engine: dataflow-scheduled blocks over arena-backed
@@ -125,7 +121,7 @@ func BenchmarkFlatStepGen100k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		S[gates[(i*7919)%len(gates)]] = 1 + 0.3*float64(i%5)
-		GradMuPlusKSigmaWorkers(m, S, 3, 1)
+		GradMuPlusKSigma(m, S, 3)
 	}
 }
 

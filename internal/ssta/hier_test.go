@@ -128,7 +128,7 @@ func TestHierMatchesFlatFuzz(t *testing.T) {
 func TestHierCriticalityMatches(t *testing.T) {
 	for name, m := range parallelTestModels(t) {
 		S := rampSizes(m)
-		want := CriticalityWorkers(m, S, 1)
+		want := Criticality(m, S)
 		for _, w := range []int{1, 4} {
 			h := NewHier(m, S, HierOptions{BlockTarget: 64, Workers: w})
 			got := h.Criticality()

@@ -45,7 +45,7 @@ func benchFullSweep(b *testing.B, name string) {
 	for i := 0; i < b.N; i++ {
 		id := gates[(i*31)%len(gates)]
 		S[id] = 1 + 0.3*float64(i%5)
-		GradMuPlusKSigmaWorkers(m, S, 3, 1)
+		GradMuPlusKSigma(m, S, 3)
 	}
 }
 

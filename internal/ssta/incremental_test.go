@@ -308,7 +308,7 @@ func TestIncCriticalityMatchesWorkers(t *testing.T) {
 					g := gates[rng.Intn(len(gates))]
 					inc.SetSize(g, 1+rng.Float64()*(m.Limit-1))
 					warm := inc.Criticality()
-					fresh := CriticalityWorkers(m, inc.Sizes(), workers)
+					fresh := Criticality(m, inc.Sizes())
 					for id := range fresh {
 						if warm[id] != fresh[id] {
 							t.Fatalf("step %d: criticality[%d] diverged: warm %v fresh %v",

@@ -16,16 +16,15 @@ import (
 // lane-stride contract slab[int(id)*K + lane]; lane l is
 // bit-identical to the scalar cornerSweep at ks[l] by construction.
 type DetBatch struct {
-	m       *delay.Model
-	ks      []float64
-	workers int
-	arr     []float64 // n*K lane-strided arrival times
-	tmax    []float64
+	m    *delay.Model
+	ks   []float64
+	arr  []float64 // n*K lane-strided arrival times
+	tmax []float64
 }
 
 // NewDetBatch builds a corner-sweep engine with one lane per risk
 // level in ks (copied; non-finite levels are rejected).
-func NewDetBatch(m *delay.Model, ks []float64, workers int) *DetBatch {
+func NewDetBatch(m *delay.Model, ks []float64) *DetBatch {
 	if len(ks) == 0 {
 		panic("ssta: NewDetBatch needs at least one risk level")
 	}
@@ -33,19 +32,16 @@ func NewDetBatch(m *delay.Model, ks []float64, workers int) *DetBatch {
 		checkRiskFactor(k, "NewDetBatch")
 	}
 	n := len(m.G.C.Nodes)
-	b := &DetBatch{
-		m:       m,
-		ks:      append([]float64(nil), ks...),
-		workers: resolveWorkers(workers),
-		arr:     make([]float64, n*len(ks)),
-		tmax:    make([]float64, len(ks)),
+	return &DetBatch{
+		m:    m,
+		ks:   append([]float64(nil), ks...),
+		arr:  make([]float64, n*len(ks)),
+		tmax: make([]float64, len(ks)),
 	}
-	return b
 }
 
-// sweepNode fills node id's arrival lanes under speed factors S,
-// writing only id-owned slab spans so a level bucket can run in
-// parallel. Per lane the arithmetic matches cornerSweep exactly: the
+// sweepNode fills node id's arrival lanes under speed factors S. Per
+// lane the arithmetic matches cornerSweep exactly: the
 // zero clamp applies to gate delays and input arrival quantiles
 // alike, and the fanin max folds in pin order. The loops run
 // fanin-outer / lane-inner with the pin offset hoisted, so every
@@ -166,25 +162,15 @@ func (b *DetBatch) sweepNode(id netlist.NodeID, S []float64) {
 
 // Sweep runs the batched deterministic sweep under S and returns the
 // per-lane circuit delay (engine-owned, overwritten by the next
-// Sweep). Allocation-free when warm with workers == 1; bit-identical
-// for every worker count.
+// Sweep). Allocation-free when warm.
 func (b *DetBatch) Sweep(S []float64) []float64 {
 	g := b.m.G
 	if len(S) != len(g.C.Nodes) {
 		panic(fmt.Sprintf("ssta: DetBatch.Sweep got %d sizes for %d nodes",
 			len(S), len(g.C.Nodes)))
 	}
-	if b.workers == 1 {
-		for _, id := range g.Topo {
-			b.sweepNode(id, S)
-		}
-	} else {
-		for _, bucket := range g.Levels {
-			bucket := bucket
-			runLevel(b.workers, len(bucket), func(i int) {
-				b.sweepNode(bucket[i], S)
-			})
-		}
+	for _, id := range g.Topo {
+		b.sweepNode(id, S)
 	}
 	K := len(b.ks)
 	for l := 0; l < K; l++ {
@@ -207,6 +193,6 @@ func (b *DetBatch) Ks() []float64 { return b.ks }
 // delays — the one-shot form of DetBatch for callers without an
 // evaluation loop. Non-finite risk levels panic; lane l is
 // bit-identical to a scalar corner sweep at ks[l].
-func KSweep(m *delay.Model, S []float64, ks []float64, workers int) []float64 {
-	return append([]float64(nil), NewDetBatch(m, ks, workers).Sweep(S)...)
+func KSweep(m *delay.Model, S []float64, ks []float64) []float64 {
+	return append([]float64(nil), NewDetBatch(m, ks).Sweep(S)...)
 }

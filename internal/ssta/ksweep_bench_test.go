@@ -28,7 +28,7 @@ func benchCornerBatch(b *testing.B, K int) {
 	m := parallelTestModels(b)["gen1200"]
 	S := rampSizes(m)
 	ks := []float64{-3, -2, -1, 0, 0.5, 1, 2, 3}
-	db := NewDetBatch(m, ks[:K], 1)
+	db := NewDetBatch(m, ks[:K])
 	db.Sweep(S)
 	b.ReportAllocs()
 	b.ResetTimer()

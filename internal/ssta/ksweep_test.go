@@ -9,8 +9,6 @@ import (
 	"repro/internal/stats"
 )
 
-var batchWorkerCounts = []int{1, 4}
-
 func TestDetBatchBitIdenticalToCornerSweeps(t *testing.T) {
 	ks := []float64{-3, -1, 0, 1, 2.5, 3}
 	for name, m := range parallelTestModels(t) {
@@ -19,13 +17,11 @@ func TestDetBatchBitIdenticalToCornerSweeps(t *testing.T) {
 		for i, k := range ks {
 			want[i] = cornerSweep(m, S, k)
 		}
-		for _, w := range batchWorkerCounts {
-			got := KSweep(m, S, ks, w)
-			for i := range ks {
-				if got[i] != want[i] {
-					t.Fatalf("%s w=%d k=%v: batched %v != scalar %v",
-						name, w, ks[i], got[i], want[i])
-				}
+		got := KSweep(m, S, ks)
+		for i := range ks {
+			if got[i] != want[i] {
+				t.Fatalf("%s k=%v: batched %v != scalar %v",
+					name, ks[i], got[i], want[i])
 			}
 		}
 	}
@@ -35,11 +31,6 @@ func TestCornersMatchAcrossWorkersAndSign(t *testing.T) {
 	for name, m := range parallelTestModels(t) {
 		S := rampSizes(m)
 		want := Corners(m, S, 3)
-		for _, w := range batchWorkerCounts {
-			if got := CornersWorkers(m, S, 3, w); *got != *want {
-				t.Errorf("%s workers=%d: %+v != %+v", name, w, got, want)
-			}
-		}
 		// The sign of k is documentation only: corners are symmetric.
 		if got := Corners(m, S, -3); *got != *want {
 			t.Errorf("%s: Corners(-3) %+v != Corners(3) %+v", name, got, want)
@@ -60,9 +51,9 @@ func TestNonFiniteRiskFactorPanics(t *testing.T) {
 		call func()
 	}{
 		{"Corners-NaN", func() { Corners(m, S, nan) }},
-		{"CornersWorkers-Inf", func() { CornersWorkers(m, S, inf, 2) }},
-		{"KSweep-NaN", func() { KSweep(m, S, []float64{0, nan}, 1) }},
-		{"NewDetBatch-negInf", func() { NewDetBatch(m, []float64{math.Inf(-1)}, 1) }},
+		{"Corners-Inf", func() { Corners(m, S, inf) }},
+		{"KSweep-NaN", func() { KSweep(m, S, []float64{0, nan}) }},
+		{"NewDetBatch-negInf", func() { NewDetBatch(m, []float64{math.Inf(-1)}) }},
 		{"Objective-NaN", func() { ObjectiveMuPlusKSigma(stats.MV{Mu: 1, Var: 1}, nan) }},
 		{"GradMuPlusKSigma-Inf", func() { GradMuPlusKSigma(m, S, inf) }},
 		{"GradWorkers-NaN", func() { GradMuPlusKSigmaWorkers(m, S, nan, 2) }},
@@ -85,7 +76,7 @@ func TestNonFiniteRiskFactorPanics(t *testing.T) {
 func TestBatchWarmSweepsAllocFree(t *testing.T) {
 	m := parallelTestModels(t)["gen1200"]
 	S := rampSizes(m)
-	db := NewDetBatch(m, []float64{-3, 0, 3}, 1)
+	db := NewDetBatch(m, []float64{-3, 0, 3})
 	db.Sweep(S)
 	if n := testing.AllocsPerRun(10, func() { db.Sweep(S) }); n != 0 {
 		t.Errorf("warm DetBatch.Sweep allocates %v/op, want 0", n)

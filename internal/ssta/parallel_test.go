@@ -1,7 +1,6 @@
 package ssta
 
 import (
-	"context"
 	"runtime"
 	"testing"
 
@@ -67,30 +66,6 @@ func TestAnalyzeWorkersBitIdenticalToSerial(t *testing.T) {
 	}
 }
 
-func TestBackwardWorkersBitIdenticalToSerial(t *testing.T) {
-	seeds := [][2]float64{{1, 0}, {1, 0.35}, {0, 1}}
-	for name, m := range parallelTestModels(t) {
-		S := rampSizes(m)
-		r := Analyze(m, S, true)
-		for _, seed := range seeds {
-			want := r.Backward(m, S, seed[0], seed[1])
-			for _, w := range workerCounts {
-				rp := AnalyzeWorkers(m, S, true, w)
-				got, err := rp.BackwardCtx(context.Background(), m, S, seed[0], seed[1], SweepOptions{Workers: w})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for id := range want {
-					if got[id] != want[id] {
-						t.Fatalf("%s workers=%d seed=%v: grad[%d] = %v != serial %v",
-							name, w, seed, id, got[id], want[id])
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestGradMuPlusKSigmaWorkersMatchesSerial(t *testing.T) {
 	for name, m := range parallelTestModels(t) {
 		S := rampSizes(m)
@@ -107,15 +82,4 @@ func TestGradMuPlusKSigmaWorkersMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestBackwardWorkersRequiresTape(t *testing.T) {
-	m := delay.MustBind(netlist.MustCompile(netlist.Tree7()), delay.PaperTree())
-	r := Analyze(m, m.UnitSizes(), false)
-	defer func() {
-		if recover() == nil {
-			t.Error("BackwardCtx without tape did not panic")
-		}
-	}()
-	r.BackwardCtx(context.Background(), m, m.UnitSizes(), 1, 0, SweepOptions{Workers: 2})
 }

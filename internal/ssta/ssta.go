@@ -15,6 +15,7 @@ package ssta
 import (
 	"context"
 	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/delay"
@@ -51,9 +52,7 @@ type Result struct {
 }
 
 // forwardNode computes node id's arrival (and, for gates, the gate
-// delay and fold tape) from its fanins' already-final arrivals. Each
-// call writes only slots owned by id, so independent nodes — all
-// nodes of one level — may run concurrently.
+// delay and fold tape) from its fanins' already-final arrivals.
 func forwardNode(r *Result, m *delay.Model, S []float64, id netlist.NodeID, withTape bool) {
 	nd := &m.G.C.Nodes[id]
 	if nd.Kind == netlist.KindInput {
@@ -130,16 +129,11 @@ func foldOutputs(r *Result, g *netlist.Graph, withTape bool) {
 	r.Tmax = tmax
 }
 
-// SweepOptions configures one flat forward or adjoint sweep.
+// SweepOptions configures one flat forward sweep.
 type SweepOptions struct {
-	// Workers bounds the level parallelism: <= 0 uses one worker per
-	// CPU, 1 forces the serial sweep. Results are bit-identical for
-	// every worker count.
-	Workers int
 	// Recorder, when non-nil, receives the sweep's wall-clock span
-	// ("ssta.forward"/"ssta.adjoint"), its sweep counter and, for the
-	// forward sweep, the levelization-shape gauges. Nil disables
-	// instrumentation at the cost of one branch.
+	// ("ssta.forward"), its sweep counter and the levelization-shape
+	// gauges. Nil disables instrumentation at the cost of one branch.
 	Recorder telemetry.Recorder
 }
 
@@ -157,38 +151,22 @@ func cancelled(done <-chan struct{}) bool {
 }
 
 // forwardInto is the single flat forward sweep behind AnalyzeCtx (and
-// so Analyze and AnalyzeWorkers). It fills r level by level: every
-// node's moments are a pure function of its fanins' final moments and
-// each node owns its slots, so the result is bit-identical for any
-// worker count. done is polled between levels only — never inside
-// one — so every runLevel barrier completes and no worker outlives a
-// cancelled sweep; it reports false when done fired, leaving r
-// partial.
-func forwardInto(done <-chan struct{}, r *Result, m *delay.Model, S []float64, withTape bool, workers int, rec telemetry.Recorder) bool {
+// so Analyze): one serial pass over the level buckets, each node
+// computed from its fanins' final moments. done is polled between
+// levels; it reports false when done fired, leaving r partial.
+func forwardInto(done <-chan struct{}, r *Result, m *delay.Model, S []float64, withTape bool, rec telemetry.Recorder) bool {
 	var t0 time.Time
 	if rec != nil {
 		t0 = time.Now()
 	}
 	g := m.G
-	workers = resolveWorkers(workers)
-	if len(g.C.Nodes) < parallelMinNodes {
-		workers = 1
-	}
 	for _, bucket := range g.Levels {
 		if cancelled(done) {
 			return false
 		}
-		if workers == 1 {
-			// Inline: runLevel's closure escapes into goroutines and
-			// would allocate on every level.
-			for _, id := range bucket {
-				forwardNode(r, m, S, id, withTape)
-			}
-			continue
+		for _, id := range bucket {
+			forwardNode(r, m, S, id, withTape)
 		}
-		runLevel(workers, len(bucket), func(i int) {
-			forwardNode(r, m, S, bucket[i], withTape)
-		})
 	}
 	foldOutputs(r, g, withTape)
 	if rec != nil {
@@ -200,12 +178,16 @@ func forwardInto(done <-chan struct{}, r *Result, m *delay.Model, S []float64, w
 }
 
 // AnalyzeCtx runs the forward statistical sweep for the model under
-// the speed-factor assignment S (indexed by NodeID). When withTape is
-// set, the per-max Jacobians are recorded so BackwardCtx can run. The
-// result is bit-identical for every opt.Workers. It returns
+// the speed-factor assignment S (indexed by NodeID, one entry per
+// node; any other length panics). When withTape is set, the per-max
+// Jacobians are recorded so Backward can run. It returns
 // (nil, ctx.Err()) when ctx is cancelled before or between levels.
 func AnalyzeCtx(ctx context.Context, m *delay.Model, S []float64, withTape bool, opt SweepOptions) (*Result, error) {
 	n := len(m.G.C.Nodes)
+	if len(S) != n {
+		panic("ssta: AnalyzeCtx got " + strconv.Itoa(len(S)) + " sizes for " +
+			strconv.Itoa(n) + " nodes")
+	}
 	r := &Result{
 		Arrival:   make([]stats.MV, n),
 		GateDelay: make([]stats.MV, n),
@@ -214,15 +196,16 @@ func AnalyzeCtx(ctx context.Context, m *delay.Model, S []float64, withTape bool,
 	if withTape {
 		r.gateFold = make([][]stats.Jac2x4, n)
 	}
-	if !forwardInto(ctx.Done(), r, m, S, withTape, opt.Workers, opt.Recorder) {
+	if !forwardInto(ctx.Done(), r, m, S, withTape, opt.Recorder) {
 		return nil, ctx.Err()
 	}
 	return r, nil
 }
 
-// Analyze is the serial, uncancellable AnalyzeCtx.
+// Analyze is the uncancellable, uninstrumented AnalyzeCtx.
 func Analyze(m *delay.Model, S []float64, withTape bool) *Result {
-	return AnalyzeWorkers(m, S, withTape, 1)
+	r, _ := AnalyzeCtx(context.Background(), m, S, withTape, SweepOptions{})
+	return r
 }
 
 // seedAdjoint unfolds the output max in reverse, seeding the adjoint
@@ -277,153 +260,39 @@ func (r *Result) backwardNode(m *delay.Model, S []float64, id netlist.NodeID, ad
 	adjVar[fanin[0]] += uVar
 }
 
-// adjointScratch holds every slab one adjoint sweep needs; the
-// entry-point wrappers allocate one per call.
-type adjointScratch struct {
-	// adjMu/adjVar accumulate d phi / d Arrival[id].{Mu, Var}; grad
-	// receives d phi / d S; dmu receives each gate's mean-delay
-	// adjoint (the statistical criticality under a (1, 0) seed).
-	adjMu, adjVar, grad, dmu []float64
-	// cMu/cVar are the per-fanin-pin contribution slots of the
-	// parallel apply phase, laid out flat with the graph's memoized
-	// FaninOff offsets (computed once in netlist.Compile — the scratch
-	// must not re-derive the O(V+E) edge bookkeeping per sweep).
-	cMu, cVar []float64
-}
-
-// ensure sizes and zeroes the scratch for graph g; the parallel slots
-// are only (re)built when workers > 1 will use them.
-func (sc *adjointScratch) ensure(g *netlist.Graph, parallel bool) {
-	n := len(g.C.Nodes)
-	if len(sc.adjMu) != n {
-		sc.adjMu = make([]float64, n)
-		sc.adjVar = make([]float64, n)
-		sc.grad = make([]float64, n)
-		sc.dmu = make([]float64, n)
-	} else {
-		clear(sc.adjMu)
-		clear(sc.adjVar)
-		clear(sc.grad)
-		clear(sc.dmu)
-	}
-	if !parallel {
-		return
-	}
-	if len(sc.cMu) != g.Edges {
-		sc.cMu = make([]float64, g.Edges)
-		sc.cVar = make([]float64, g.Edges)
-	}
-	// cMu/cVar need no zeroing: the apply phase reads exactly the
-	// slots the compute phase just wrote.
-}
-
-// backwardInto is the single flat adjoint sweep behind BackwardCtx
-// and the gradient and criticality entry points: it runs the sweep
-// with all state in sc and returns sc.grad, or nil when done fired
-// between levels. The serial and parallel paths fold every
-// floating-point accumulation in the same order, so the result is
-// bit-identical for any worker count.
-func (r *Result) backwardInto(done <-chan struct{}, m *delay.Model, S []float64, seedMu, seedVar float64, workers int, sc *adjointScratch, rec telemetry.Recorder) []float64 {
-	if !r.withTape {
-		panic("ssta: adjoint sweep requires a taped Analyze")
-	}
-	var t0 time.Time
-	if rec != nil {
-		t0 = time.Now()
-	}
-	g := m.G
-	workers = resolveWorkers(workers)
-	if len(g.C.Nodes) < parallelMinNodes {
-		workers = 1
-	}
-	sc.ensure(g, workers > 1)
-	r.seedAdjoint(g, seedMu, seedVar, sc.adjMu, sc.adjVar)
-	adjMu, adjVar, dmu := sc.adjMu, sc.adjVar, sc.dmu
-	cMu, cVar, off := sc.cMu, sc.cVar, g.FaninOff
-	// Level 0 holds only primary inputs, which have no gradient.
-	for l := len(g.Levels) - 1; l >= 1; l-- {
-		if cancelled(done) {
-			return nil
-		}
-		bucket := g.Levels[l]
-		if workers == 1 {
-			// Inline, as in forwardInto: no escaping closure.
-			for _, id := range bucket {
-				r.backwardNode(m, S, id, adjMu, adjVar, sc.grad, dmu)
-			}
-			continue
-		}
-		// Compute phase: pure reads of finalized adjoints and the
-		// tape; writes only to slots owned by the node.
-		runLevel(workers, len(bucket), func(i int) {
-			id := bucket[i]
-			am, av := adjMu[id], adjVar[id]
-			if am == 0 && av == 0 {
-				return
-			}
-			dmu[id] = am + av*m.Sigma.DVar(r.GateDelay[id].Mu)
-			fanin := g.C.Nodes[id].Fanin
-			uMu, uVar := am, av
-			steps := r.gateFold[id]
-			base := off[id]
-			for k := len(fanin) - 1; k >= 1; k-- {
-				j := steps[k-1]
-				cMu[base+k] = uMu*j[0][2] + uVar*j[1][2]
-				cVar[base+k] = uMu*j[0][3] + uVar*j[1][3]
-				uMu, uVar = uMu*j[0][0]+uVar*j[1][0], uMu*j[0][1]+uVar*j[1][1]
-			}
-			cMu[base] = uMu
-			cVar[base] = uVar
-		})
-		// Apply phase: fixed bucket order, mirroring the serial
-		// per-node write order (fanin pins high to low, pin 0 last).
-		for _, id := range bucket {
-			am, av := adjMu[id], adjVar[id]
-			if am == 0 && av == 0 {
-				continue
-			}
-			m.GateMuGrad(id, S, dmu[id], sc.grad)
-			fanin := g.C.Nodes[id].Fanin
-			base := off[id]
-			for k := len(fanin) - 1; k >= 1; k-- {
-				adjMu[fanin[k]] += cMu[base+k]
-				adjVar[fanin[k]] += cVar[base+k]
-			}
-			adjMu[fanin[0]] += cMu[base]
-			adjVar[fanin[0]] += cVar[base]
-		}
-	}
-	if rec != nil {
-		rec.Span("ssta.adjoint", time.Since(t0))
-		rec.Count("ssta.adjoint_sweeps", 1)
-	}
-	return sc.grad
-}
-
-// BackwardCtx propagates the adjoint seed (d phi/d muTmax, d phi/d
+// Backward propagates the adjoint seed (d phi/d muTmax, d phi/d
 // varTmax) back through the recorded sweep, returning d phi/d S as a
 // vector indexed by NodeID (input entries are zero). The Result must
 // have been produced with withTape set and the same (m, S).
 //
 // The sweep visits levels in decreasing order and nodes inside a
 // level in bucket order — the canonical adjoint accumulation order,
-// reproduced exactly for any opt.Workers: workers compute each node's
-// fanin contributions into per-node scratch, and after the level
-// barrier the coordinating goroutine applies them in bucket order. It
-// returns (nil, ctx.Err()) when ctx is cancelled before or between
-// levels.
-func (r *Result) BackwardCtx(ctx context.Context, m *delay.Model, S []float64, seedMu, seedVar float64, opt SweepOptions) ([]float64, error) {
-	var sc adjointScratch
-	if grad := r.backwardInto(ctx.Done(), m, S, seedMu, seedVar, opt.Workers, &sc, opt.Recorder); grad != nil {
-		return grad, nil
-	}
-	return nil, ctx.Err()
+// which the persistent engine's parallel adjoint reproduces bit for
+// bit (see Hier).
+func (r *Result) Backward(m *delay.Model, S []float64, seedMu, seedVar float64) []float64 {
+	grad, _ := r.backward(m, S, seedMu, seedVar)
+	return grad
 }
 
-// Backward is the serial, uncancellable BackwardCtx.
-func (r *Result) Backward(m *delay.Model, S []float64, seedMu, seedVar float64) []float64 {
-	var sc adjointScratch
-	return r.backwardInto(nil, m, S, seedMu, seedVar, 1, &sc, nil)
+// backward is Backward that also returns each gate's mean-delay
+// adjoint (the statistical criticality under a (1, 0) seed).
+func (r *Result) backward(m *delay.Model, S []float64, seedMu, seedVar float64) (grad, dmu []float64) {
+	if !r.withTape {
+		panic("ssta: adjoint sweep requires a taped Analyze")
+	}
+	g := m.G
+	n := len(g.C.Nodes)
+	// adjMu/adjVar accumulate d phi / d Arrival[id].{Mu, Var}.
+	adjMu, adjVar := make([]float64, n), make([]float64, n)
+	grad, dmu = make([]float64, n), make([]float64, n)
+	r.seedAdjoint(g, seedMu, seedVar, adjMu, adjVar)
+	// Level 0 holds only primary inputs, which have no gradient.
+	for l := len(g.Levels) - 1; l >= 1; l-- {
+		for _, id := range g.Levels[l] {
+			r.backwardNode(m, S, id, adjMu, adjVar, grad, dmu)
+		}
+	}
+	return grad, dmu
 }
 
 // checkRiskFactor rejects NaN and infinite risk factors at the API
@@ -474,29 +343,29 @@ func ObjectiveMuPlusKSigma(tmax stats.MV, k float64) (phi, seedMu, seedVar float
 	return tmax.Mu + k*sigma, 1, k / (2 * sigma)
 }
 
-// GradMuPlusKSigma is the serial GradMuPlusKSigmaWorkers.
+// GradMuPlusKSigma returns phi = mu + k*sigma of the circuit delay
+// and d phi/d S: one taped forward sweep plus one adjoint sweep.
 func GradMuPlusKSigma(m *delay.Model, S []float64, k float64) (float64, []float64) {
-	return GradMuPlusKSigmaWorkers(m, S, k, 1)
+	r := Analyze(m, S, true)
+	phi, sMu, sVar := ObjectiveMuPlusKSigma(r.Tmax, k)
+	return phi, r.Backward(m, S, sMu, sVar)
 }
 
-// CriticalityWorkers returns d muTmax / d mu_t(gate) for every gate:
-// how much the mean circuit delay moves per unit of that gate's mean
+// Criticality returns d muTmax / d mu_t(gate) for every gate: how
+// much the mean circuit delay moves per unit of that gate's mean
 // delay. In deterministic STA this is the 0/1 indicator of
 // critical-path membership; statistically it is a smooth weight in
 // [0, 1] spread over competing paths — the "statistical criticality"
 // used for reporting in cmd/ssta. The per-gate criticality is exactly
 // the gate's mean-delay adjoint under the (d muTmax, d varTmax) =
-// (1, 0) seed, which the adjoint sweep records as a byproduct. The
-// result is bit-identical for any worker count.
-func CriticalityWorkers(m *delay.Model, S []float64, workers int) []float64 {
-	r := AnalyzeWorkers(m, S, true, workers)
-	var sc adjointScratch
-	r.backwardInto(nil, m, S, 1, 0, workers, &sc, nil)
-	return sc.dmu
+// (1, 0) seed, which the adjoint sweep records as a byproduct.
+func Criticality(m *delay.Model, S []float64) []float64 {
+	_, dmu := Analyze(m, S, true).backward(m, S, 1, 0)
+	return dmu
 }
 
 // TopCritical ranks c's gates by crit (indexed by NodeID, as
-// CriticalityWorkers and Hier.Criticality return it) and returns the
+// Criticality and Hier.Criticality return it) and returns the
 // first top of them: criticality descending, ties by gate name
 // ascending — the one order every criticality listing uses. NaN ranks
 // after every number and -0 ties with +0, so the order is total.

@@ -5,8 +5,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// recordGraphShape publishes the level structure driving the parallel
-// sweeps: level count, widest level, node count. The values are
+// recordGraphShape publishes the compiled graph's level structure —
+// level count, widest level, node count — from the flat forward sweep. The values are
 // properties of the compiled graph, so repeated sets are idempotent.
 func recordGraphShape(m *delay.Model, rec telemetry.Recorder) {
 	g := m.G

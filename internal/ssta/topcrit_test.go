@@ -90,6 +90,6 @@ func TestTopCriticalMatchesFullSort(t *testing.T) {
 		{netlist.Apex2Like(), delay.Default()},
 	} {
 		m := delay.MustBind(netlist.MustCompile(tc.c), tc.lib)
-		checkTopPrefix(t, tc.c, CriticalityWorkers(m, m.UnitSizes(), 1))
+		checkTopPrefix(t, tc.c, Criticality(m, m.UnitSizes()))
 	}
 }
