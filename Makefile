@@ -11,8 +11,9 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The parallel SSTA and Monte Carlo engines are concurrency-bearing;
-# every change must stay clean under the race detector.
+# Monte Carlo, the NLP element engine and the service are
+# concurrency-bearing; every change must stay clean under the race
+# detector.
 race:
 	$(GO) test -race ./...
 
@@ -27,7 +28,8 @@ bench:
 # persistent engine (internal/sizing), and collects ns/op, allocs/op
 # and — for the engine steps — the nodes re-evaluated per step
 # (nodes/op, counted from the engine's inc.update and hier.sweep
-# events) into BENCH_incremental.json. Benchmark columns are
+# events over a fixed 100-step replay, so the figure does not move with
+# b.N) into BENCH_incremental.json. Benchmark columns are
 # read by their unit, since a custom metric shifts the memory columns.
 bench-inc:
 	$(GO) test -run NONE -bench 'Inc|FullSweep' -benchmem -count 1 \
@@ -75,19 +77,20 @@ bench-batch:
 	cat BENCH_batch.json
 
 # bench-hier measures the persistent SSTA engine against the flat
-# serial sweeps on the streamed 100k-gate netlist (the cmd/circuitgen
-# gen100k preset): full forward+adjoint evaluations — the flat one
-# serial, the engine's at 1, 4 and 8 workers (block-scheduled when
-# parallel) — and the warm single-gate sizing step where the engine
-# re-evaluates only the dirty cone. HierFullSpeedupW8 sets the
-# engine's 8-worker evaluation against the flat serial one.
+# sweeps on the streamed 100k-gate netlist (the cmd/circuitgen
+# gen100k preset): one full forward+adjoint evaluation each, and the
+# warm single-gate sizing step where the engine re-evaluates only the
+# dirty cone. Both paths are serial; the W1 suffixes are kept from the
+# former worker-count series so the ledger rows stay comparable.
+# HierFullSpeedup sets the engine's full evaluation against the flat
+# one.
 # Each benchmark runs 3 times and the minimum ns/op is kept (the same
 # min-of-N noise suppression as internal/bench.timeBest). The results
 # (ns/op, B/op, allocs/op and the derived speedups) land in
 # BENCH_hier.json, with the warm step's nodes re-evaluated per step
-# (nodes/op, from the kept run; columns are read by their unit); the
-# warm step must be at least 3x faster than the flat full resweep, and
-# the warm serial sweeps must report zero allocations.
+# (nodes/op, a fixed 100-step replay; columns are read by their
+# unit); the warm step must be at least 3x faster than the flat full
+# resweep, and the warm engine sweeps must report zero allocations.
 bench-hier:
 	$(GO) test -run NONE -bench 'Gen100k' -benchmem -count 3 -timeout 30m \
 		./internal/ssta/ | tee /tmp/bench-hier.txt
@@ -108,9 +111,9 @@ bench-hier:
 				if ($$i == "nodes/op") nodes[name] = $$(i-1) } } \
 		END { \
 			for (i = 0; i < n; i++) emit(order[i]); \
-			if (ns["BenchmarkHierGradGen100kW8"]) \
-				printf ",\n  {\"name\": \"HierFullSpeedupW8\", \"speedup\": %.2f}", \
-					ns["BenchmarkFlatGradGen100kW1"] / ns["BenchmarkHierGradGen100kW8"]; \
+			if (ns["BenchmarkHierGradGen100kW1"]) \
+				printf ",\n  {\"name\": \"HierFullSpeedup\", \"speedup\": %.2f}", \
+					ns["BenchmarkFlatGradGen100kW1"] / ns["BenchmarkHierGradGen100kW1"]; \
 			if (ns["BenchmarkHierStepGen100k"]) \
 				printf ",\n  {\"name\": \"HierStepSpeedup\", \"speedup\": %.2f}", \
 					ns["BenchmarkFlatStepGen100k"] / ns["BenchmarkHierStepGen100k"]; \
@@ -173,21 +176,19 @@ test-obsv:
 		./cmd/statsize/ ./cmd/ssta/
 
 # test-engine runs the persistent SSTA engine suite under the race
-# detector (the CI engine job): the trial/rollback and block-target
-# fuzz against fresh sweeps, the whole-vector SetSizes fuzz and misuse
-# panics, bit-identity across worker counts and
-# block targets, criticality, the worker-invariant event and trace
+# detector (the CI engine job): the trial/rollback fuzz against fresh
+# sweeps, the whole-vector SetSizes fuzz and misuse panics,
+# bit-identity with the flat sweeps, criticality, the event and trace
 # byte-identity checks, the 0-alloc pins, the greedy driver on the
 # engine, the reduced NLP elements on the engine (point-walk fuzz
 # against fresh sweeps, non-finite points, the 0-alloc pin and the
 # sweep counters), the compiled sweep schedule's invariants, the
-# sizing drivers' rejection of bad inputs, partitioner invariants and
-# determinism fuzz, the streamed generator round-trip, and the top-k
-# criticality ranking against a full sort.
+# sizing drivers' rejection of bad inputs, the streamed generator
+# round-trip, and the top-k criticality ranking against a full sort.
 test-engine:
 	$(GO) test -race -timeout 10m \
-		-run 'TestInc|TestGreedyFromSpec|TestGreedyWeighted|Hier|Partition|GenerateStream|GenPreset|TestReduced|Schedule|TestGreedyRejects|TestSizeRejects|TopCritical' \
-		./internal/ssta/ ./internal/sizing/ ./internal/partition/ ./internal/netlist/
+		-run 'TestInc|TestGreedyFromSpec|TestGreedyWeighted|Hier|GenerateStream|GenPreset|TestReduced|Schedule|TestGreedyRejects|TestSizeRejects|TopCritical' \
+		./internal/ssta/ ./internal/sizing/ ./internal/netlist/
 
 # test-batch runs the batch equivalence suite — bit-identity of the
 # K-lane deterministic corner (DetBatch, KSweep, Corners) and Monte

@@ -36,8 +36,7 @@ func main() {
 		cornersK    = flag.Float64("corners", 0, "corner/pessimism report at mu +- k*sigma (0 = off)")
 		seed        = flag.Int64("seed", 1, "Monte Carlo seed")
 		canonical   = flag.Bool("canonical", false, "also run the correlation-aware canonical sweep")
-		workers     = flag.Int("j", 0, "worker goroutines for Monte Carlo and the -blocks engine pass; the analytic sweeps are serial (0 = all CPUs, 1 = serial; results are identical for any value)")
-		blocksFlag  = flag.Int("blocks", 0, "hierarchical verification pass with this block-size target (0 = off): partition the DAG, re-run the sweep block-parallel and check bit-identity")
+		workers     = flag.Int("j", 0, "worker goroutines for Monte Carlo; the analytic sweeps are serial (0 = all CPUs, 1 = serial; results are identical for any value)")
 		traceFile   = flag.String("trace", "", "write a JSONL analysis trace to this file (byte-identical for every -j)")
 		metricsFlag = flag.Bool("metrics", false, "print the telemetry metrics summary table after the run")
 		serveFlag   = flag.String("serve", "", "serve Prometheus /metrics, expvar and pprof on this address (e.g. localhost:9090); implies metrics collection")
@@ -53,7 +52,7 @@ func main() {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"mc", *mcSamples}, {"crit", *critN}, {"blocks", *blocksFlag}} {
+	}{{"mc", *mcSamples}, {"crit", *critN}} {
 		if f.v < 0 {
 			fatal(fmt.Errorf("-%s must be non-negative (0 = off), got %d", f.name, f.v))
 		}
@@ -163,24 +162,6 @@ func main() {
 			can.Tmax.Mu, can.Tmax.Sigma())
 		if !math.IsNaN(can.OutputCorr) {
 			fmt.Printf("first-two-outputs correlation: %.4f\n", can.OutputCorr)
-		}
-	}
-	if *blocksFlag > 0 {
-		h := ssta.NewHier(m, S, ssta.HierOptions{
-			BlockTarget: *blocksFlag, Workers: *workers, Recorder: rec,
-		})
-		p := h.Partition()
-		match := h.Tmax() == r.Tmax
-		for id := range circ.Nodes {
-			if h.Arrival(netlist.NodeID(id)) != r.Arrival[id] {
-				match = false
-				break
-			}
-		}
-		fmt.Printf("hierarchical: %d blocks (target %d, max %d), bit-identical to flat: %v\n",
-			len(p.Blocks), p.Target, p.MaxBlock(), match)
-		if !match {
-			fatal(fmt.Errorf("hierarchical sweep diverged from the flat sweep"))
 		}
 	}
 	fmt.Printf("quantiles: 50%% = %.4f  84.1%% = %.4f  99.8%% = %.4f\n",

@@ -139,7 +139,7 @@ func TestCritListsTiesByName(t *testing.T) {
 
 // TestBadNumericFlagsExitOne pins the flag boundary: a non-finite or
 // negative -corners, a -sigmak whose sigma model is negative or NaN,
-// or a negative -mc, -crit, -blocks or -timeout must exit 1 with a
+// or a negative -mc, -crit or -timeout must exit 1 with a
 // single "ssta:" line instead of panicking, silently skipping a
 // report, running without a time limit or printing a NaN sigma.
 func TestBadNumericFlagsExitOne(t *testing.T) {
@@ -151,7 +151,6 @@ func TestBadNumericFlagsExitOne(t *testing.T) {
 		{"-sigmak", "-0.25"},
 		{"-mc", "-5"},
 		{"-crit", "-3"},
-		{"-blocks", "-4"},
 		{"-timeout", "-1s"},
 	} {
 		t.Run(strings.Join(args, "="), func(t *testing.T) {
@@ -175,14 +174,14 @@ func TestBadNumericFlagsExitOne(t *testing.T) {
 }
 
 // TestWorkerCountInvariantStdout pins the -j contract end to end: a
-// run that reaches every report — the analytic sweep, the block
-// verification pass, the batched corner sweep, the corner/pessimism
-// report, the criticality listing and the sharded Monte Carlo — prints
+// run that reaches every report — the analytic sweep, the batched
+// corner sweep, the corner/pessimism report, the criticality listing
+// and the sharded Monte Carlo — prints
 // byte-identical stdout at -j 1 and -j 4.
 func TestWorkerCountInvariantStdout(t *testing.T) {
 	run := func(j string) []byte {
 		cmd := exec.Command(os.Args[0], "-circuit", "k2", "-crit", "10", "-corners", "3",
-			"-mc", "4096", "-blocks", "256", "-j", j)
+			"-mc", "4096", "-j", j)
 		cmd.Env = append(os.Environ(), "SSTA_TEST_MAIN=1")
 		out, err := cmd.Output()
 		if err != nil {
@@ -191,7 +190,7 @@ func TestWorkerCountInvariantStdout(t *testing.T) {
 		return out
 	}
 	serial, parallel := run("1"), run("4")
-	for _, want := range []string{"hierarchical:", "corners (k=3):", "statistical criticality", "monte carlo (4096 samples)"} {
+	for _, want := range []string{"corners (k=3):", "statistical criticality", "monte carlo (4096 samples)"} {
 		if !strings.Contains(string(serial), want) {
 			t.Fatalf("-j 1 output lacks %q:\n%s", want, serial)
 		}

@@ -44,8 +44,7 @@ func main() {
 		showSizes     = flag.Bool("sizes", false, "print per-gate speed factors")
 		greedyFlag    = flag.Bool("greedy", false, "use the TILOS-style greedy sensitivity sizer (incremental SSTA engine) instead of the NLP solver; needs a mu+Ksigma<= constraint")
 		verbose       = flag.Bool("v", false, "log solver progress (the telemetry event stream, rendered as text)")
-		workers       = flag.Int("j", 0, "worker goroutines for the persistent SSTA engine's passes and the NLP element evaluation engine; one-shot sweeps are serial (0 = all CPUs, 1 = serial; results are identical for any value)")
-		blocksFlag    = flag.Int("blocks", 0, "verify the final sizes through the hierarchical block-parallel engine with this block-size target (0 = off)")
+		workers       = flag.Int("j", 0, "worker goroutines for the NLP element evaluation engine; the timing sweeps are serial (0 = all CPUs, 1 = serial; results are identical for any value)")
 		traceFile     = flag.String("trace", "", "write a JSONL solver trace to this file (byte-identical for every -j)")
 		metricsFlag   = flag.Bool("metrics", false, "print the telemetry metrics summary table after the run")
 		serveFlag     = flag.String("serve", "", "serve Prometheus /metrics, expvar and pprof on this address (e.g. localhost:9090); implies metrics collection")
@@ -60,11 +59,8 @@ func main() {
 	)
 	flag.Var(&constraints, "constraint", `timing constraint, repeatable: "mu<=120", "mu+3sigma<=120", "mu=6.5"`)
 	flag.Parse()
-	// Zero turns each of these off; a negative value is a typo, not a
+	// Zero turns the timeout off; a negative value is a typo, not a
 	// quieter "off".
-	if *blocksFlag < 0 {
-		fatal(fmt.Errorf("-blocks must be non-negative (0 = off), got %d", *blocksFlag))
-	}
 	if *timeout < 0 {
 		fatal(fmt.Errorf("-timeout must be non-negative (0 = no limit), got %v", *timeout))
 	}
@@ -239,23 +235,6 @@ func main() {
 		}
 	}
 
-	// verifyBlocks re-analyzes the final sizes through the hierarchical
-	// block-parallel engine and insists on bit-identity with the flat
-	// sweep — an end-to-end cross-check of the sizing result's timing.
-	verifyBlocks := func(S []float64) {
-		if *blocksFlag <= 0 {
-			return
-		}
-		h := ssta.NewHier(m, S, ssta.HierOptions{BlockTarget: *blocksFlag, Workers: *workers})
-		flat := ssta.Analyze(m, S, false)
-		p := h.Partition()
-		if h.Tmax() != flat.Tmax {
-			fatal(fmt.Errorf("hierarchical verification diverged: blocked %+v flat %+v", h.Tmax(), flat.Tmax))
-		}
-		fmt.Printf("verified:  hierarchical re-analysis (%d blocks, target %d) bit-identical to flat\n",
-			len(p.Blocks), p.Target)
-	}
-
 	if *greedyFlag {
 		opt, ok := sizing.GreedyFromSpec(spec)
 		if !ok {
@@ -275,7 +254,6 @@ func main() {
 		}
 		fmt.Printf("greedy:    %d steps in %v — %s\n",
 			gr.Steps, time.Since(start).Round(time.Millisecond), met)
-		verifyBlocks(gr.S)
 		if *showSizes {
 			printSizes(circ, gr.S)
 		}
@@ -309,8 +287,6 @@ func main() {
 		out.Solver.SetupTime.Round(time.Microsecond),
 		out.Solver.InnerTime.Round(time.Microsecond),
 		out.Solver.Duration.Round(time.Microsecond))
-
-	verifyBlocks(out.S)
 
 	if *showSizes {
 		printSizes(circ, out.S)

@@ -49,12 +49,11 @@ func TestBadSigmaKExitsOne(t *testing.T) {
 }
 
 // TestBadNumericFlagsExitOne pins the flag boundary for the flags
-// whose zero means "off": a negative -blocks or -timeout must exit 1
-// with a single "statsize:" line before any solve, instead of
-// silently skipping the verification or solving without a time limit.
+// whose zero means "off": a negative -timeout must exit 1 with a
+// single "statsize:" line before any solve, instead of solving without
+// a time limit.
 func TestBadNumericFlagsExitOne(t *testing.T) {
 	for _, args := range [][]string{
-		{"-blocks", "-3"},
 		{"-timeout", "-1s"},
 	} {
 		t.Run(strings.Join(args, "="), func(t *testing.T) {

@@ -25,7 +25,7 @@ func main() {
 	var (
 		table      = flag.String("table", "all", "1 | 2 | 3 | yield | baseline | ksweep | hier | all")
 		samples    = flag.Int("samples", 200000, "Monte Carlo samples for the yield table")
-		hierGates  = flag.Int("gates", 100000, "netlist size for the hier scaling table")
+		hierGates  = flag.Int("gates", 100000, "netlist size for the hier engine-vs-flat table")
 		verbose    = flag.Bool("v", false, "log per-run solver progress for Table 1")
 		checkTrace = flag.String("checktrace", "", "validate a JSONL telemetry trace and print an event census instead of running tables")
 	)

@@ -144,26 +144,10 @@ func (m *Model) GateMuGrad(id netlist.NodeID, S []float64, scale float64, grad [
 func (m *Model) GateMuGradLoaded(id netlist.NodeID, S []float64, load, scale float64, fanout []netlist.NodeID, grad []float64) {
 	grad[id] += scale * -m.Coef * load / (S[id] * S[id])
 	// The pin factor is hoisted out of the fanout loop — one divide
-	// per gate instead of per pin. The other producer of these terms,
-	// GateMuGradTermsLoaded, uses the same (scale*c/S)*CIn expression
-	// shape, which is what keeps its results bit-identical to this
-	// accumulation.
+	// per gate instead of per pin.
 	pin := scale * m.Coef / S[id]
 	for _, f := range fanout {
 		grad[f] += pin * m.CIn[f]
-	}
-}
-
-// GateMuGradTermsLoaded writes the terms GateMuGradLoaded would
-// accumulate into caller-owned slots: self gets d mu / d S_id and
-// pins[j] (len(fanout) slots) the term for fanout entry j. Each term
-// is GateMuGradLoaded's own expression, so folding the slots in its
-// order reproduces its result bit for bit.
-func (m *Model) GateMuGradTermsLoaded(id netlist.NodeID, S []float64, load, scale float64, fanout []netlist.NodeID, self *float64, pins []float64) {
-	*self = scale * -m.Coef * load / (S[id] * S[id])
-	pin := scale * m.Coef / S[id]
-	for j, f := range fanout {
-		pins[j] = pin * m.CIn[f]
 	}
 }
 

@@ -69,8 +69,9 @@ type SessionSpec struct {
 	// (phi = mu + K*sigma; default 3). Timing requests may override it
 	// per query.
 	K float64 `json:"k,omitempty"`
-	// Workers bounds the engine's sweep parallelism (default 1;
-	// results are bit-identical for any value).
+	// Workers is accepted and ignored: the session engine's sweeps
+	// are serial. The field stays on the wire so requests that set it
+	// keep decoding under the strict JSON decoder.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -206,11 +207,7 @@ func (s *Server) CreateSession(spec SessionSpec) (SessionStatus, error) {
 
 	// The expensive part — the initial full taped sweep — runs outside
 	// every lock; only the registration below is serialized.
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	eng := ssta.NewHier(m, m.UnitSizes(), ssta.HierOptions{Workers: workers})
+	eng := ssta.NewHier(m, m.UnitSizes(), ssta.HierOptions{})
 	bytes := eng.MemoryBytes()
 
 	s.sessMu.Lock()
@@ -424,11 +421,7 @@ func (s *Server) ensureEngine(ss *session) (*ssta.Hier, bool, error) {
 	if sizes == nil {
 		sizes = m.UnitSizes()
 	}
-	workers := ss.spec.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	eng = ssta.NewHier(m, sizes, ssta.HierOptions{Workers: workers})
+	eng = ssta.NewHier(m, sizes, ssta.HierOptions{})
 	bytes := eng.MemoryBytes()
 
 	s.sessMu.Lock()

@@ -32,8 +32,10 @@ type GreedyOptions struct {
 	Step float64
 	// MaxSteps bounds the iterations (default 200 * gate count).
 	MaxSteps int
-	// Workers bounds the parallelism of the persistent SSTA engine's
-	// sweeps: <= 0 uses one worker per CPU, 1 forces the serial sweep.
+	// Workers is ignored: the persistent SSTA engine's sweeps are
+	// serial. The field stays so callers written against the former
+	// worker-count option (the benchmark module among them) still
+	// build.
 	Workers int
 	// Weights optionally holds per-gate area weights (indexed by
 	// NodeID): the sensitivity rank divides each gate's quantile
@@ -164,9 +166,9 @@ func SizeGreedyCtx(ctx context.Context, m *delay.Model, opt GreedyOptions) (*Gre
 	// The steady-state loop runs on the persistent engine: each bump
 	// dirties only the gate and its fanin drivers, Update re-evaluates
 	// the changed cone, and the adjoint pass reuses the refreshed tape
-	// slabs — per-step allocations are zero (with
-	// Workers == 1) instead of a fresh O(V) slab set per sweep.
-	inc := ssta.NewHier(m, S, ssta.HierOptions{Workers: opt.Workers, Recorder: rec})
+	// slabs — per-step allocations are zero instead of a fresh O(V)
+	// slab set per sweep.
+	inc := ssta.NewHier(m, S, ssta.HierOptions{Recorder: rec})
 	for ; res.Steps < opt.MaxSteps; res.Steps++ {
 		if cancelled(done) {
 			break

@@ -21,9 +21,8 @@ import (
 // local point: the NLP engine may evaluate distinct elements
 // concurrently when nlp.Options.Workers permits.
 type reducedEval struct {
-	m       *delay.Model
-	gates   []netlist.NodeID
-	workers int
+	m     *delay.Model
+	gates []netlist.NodeID
 	// rec receives the engines' sweep spans ("ssta.forward"/
 	// "ssta.adjoint") and sweep counters; the metrics sinks are
 	// concurrency-safe, so recording stays correct when the NLP engine
@@ -67,7 +66,7 @@ func (e *sweepEngine) at(x []float64) (stats.MV, bool) {
 		for i, id := range re.gates {
 			S[id] = x[i]
 		}
-		e.h = ssta.NewHier(re.m, S, ssta.HierOptions{Workers: re.workers})
+		e.h = ssta.NewHier(re.m, S, ssta.HierOptions{})
 	} else if !e.h.SetSizes(re.gates, x) {
 		return e.h.Tmax(), true
 	}
@@ -176,7 +175,7 @@ func solveReduced(ctx context.Context, m *delay.Model, spec Spec) (*nlp.Result, 
 	if n == 0 {
 		return nil, nil, fmt.Errorf("sizing: circuit has no gates")
 	}
-	re := &reducedEval{m: m, gates: gates, workers: spec.Workers, rec: spec.Recorder}
+	re := &reducedEval{m: m, gates: gates, rec: spec.Recorder}
 
 	vars := make([]int, n)
 	lower := make([]float64, n)

@@ -221,12 +221,11 @@ type Spec struct {
 	// for ObjWeightedArea; see internal/power for power weights. When
 	// set it needs one finite, non-negative weight per node.
 	Weights []float64
-	// Workers bounds the parallelism of the heavy kernels inside the
-	// solver loop — the persistent SSTA engine's sweeps and the NLP
-	// element evaluation engine (nlp.Options.Workers, unless
-	// Solver.Workers is set explicitly): <= 0 uses one worker per CPU,
-	// 1 forces serial execution. Results are bit-identical for every
-	// worker count.
+	// Workers bounds the parallelism of the NLP element evaluation
+	// engine (nlp.Options.Workers, unless Solver.Workers is set
+	// explicitly): <= 0 uses one worker per CPU, 1 forces serial
+	// execution. The SSTA sweeps inside the elements are serial.
+	// Results are bit-identical for every worker count.
 	Workers int
 	// Recorder, when non-nil, receives run telemetry: the NLP solver's
 	// iteration events and engine counters (threaded through as

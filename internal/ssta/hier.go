@@ -4,13 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/delay"
 	"repro/internal/netlist"
-	"repro/internal/partition"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
@@ -34,9 +30,9 @@ import (
 //     fanout (early cutoff), so the dirty region is the true changed
 //     cone, not the full structural cone; a node that did change sets
 //     its fanouts' bits, which always lie ahead of the scan. The unit
-//     is the node, not the block: a block-granular rule re-evaluates
-//     the whole block around every changed node, which costs more than
-//     the O(1) block skip saves on circuits of a few thousand gates.
+//     is the node: a coarser rule re-evaluates a whole group around
+//     every changed node, which costs more than skipping a clean group
+//     in O(1) saves on circuits of a few thousand gates.
 //   - SetSizes(ids, x) is the whole-vector move for callers that change
 //     most gates at once (the reduced NLP's line search): it skips the
 //     marking and cutoff bookkeeping, recomputes every load and runs
@@ -45,68 +41,37 @@ import (
 //   - Every recomputation runs the same forward fold in the same order
 //     as a fresh sweep, and unchanged nodes hold values a fresh sweep
 //     would recompute identically — so the engine state is
-//     bit-identical to Analyze at the current sizes, for any worker
-//     count and block size.
+//     bit-identical to Analyze at the current sizes.
 //
 // Trial/Commit/Rollback bound what-if moves: Rollback restores every
 // overwritten slab entry, the speed factors and the cached loads from
 // an undo log, so a rejected move costs O(touched) instead of a
 // recompute.
 //
-// With Workers > 1 the full passes are scheduled on a
-// partition.Partition — the DAG cut into ~cache-sized, level-pure
-// blocks (the statistical timing macros of Li et al.'s hierarchical
-// SSTA, here only the unit of parallel scheduling):
-//
-//   - Forward (Resweep): a dataflow scheduler where workers claim
-//     whole blocks as their fanin blocks complete. No global level
-//     barrier: a deep narrow cone does not stall a wide independent
-//     one. Each node's moments are a pure function of its fanins'
-//     final moments and every node owns its slots, so any
-//     dependency-respecting schedule produces bit-identical arrivals.
-//   - Adjoint: the same scheduler on the reversed block DAG. Bitwise
-//     determinism needs more care because adjoints *accumulate*
-//     across fanout edges; the engine therefore never accumulates
-//     concurrently. Every contribution goes to a writer-owned slot
-//     (per fanin-pin for arrival adjoints, per fanout-pin plus a
-//     self slot for the speed-factor gradient), and each node folds
-//     its incoming slots in the exact accumulation order of the
-//     serial Backward sweep — consumers ordered by (level desc,
-//     level position asc), pins in the serial write order. The fold
-//     performs the same additions in the same order as Backward, so
-//     the gradient is bit-identical for any worker count and any
-//     block size.
-//
-// A serial engine never reads the partition, the fold orders or the
-// per-edge slot slabs, so it does not build them: its full pass is
-// the levelized sweep and its adjoint the flat recursion over an
-// interleaved slab.
+// Every pass is serial. The full forward pass is the levelized sweep
+// and the adjoint the flat recursion over an interleaved slab, in the
+// flat sweeps' own node order, so the gradient is the same float
+// program as Result.Backward. Parallel passes measured slower than
+// these at every circuit size tried (EXPERIMENTS.md, "Serial
+// persistent engine").
 //
 // Slab layout: arrivals and gate delays live in NodeID-indexed slabs
 // shared with the flat sweeps' code paths, while the adjoint tape is
-// one arena carved in block order (level order when serial) — a
-// block's tape span is contiguous, so re-evaluating or
-// back-propagating a block walks a dense cache-resident range. Every
-// pass reads each node's fanin pins, fanout pins and tape offset from
-// the compiled sweep schedule (sched.go), laid out in sweep order,
-// instead of the graph's NodeID-ordered per-node slices.
+// one arena carved in level order, so a level's tape span is
+// contiguous. Every pass reads each node's fanin pins, fanout pins and
+// tape offset from the compiled sweep schedule (sched.go), laid out in
+// sweep order, instead of the graph's NodeID-ordered per-node slices.
 
 // HierOptions configures a persistent engine.
 type HierOptions struct {
-	// BlockTarget is the aimed-for nodes per block of the parallel
-	// schedule; <= 0 uses partition.DefaultBlockTarget. A serial
-	// engine cuts no blocks unless Partition is called.
-	BlockTarget int
-	// Workers bounds the parallelism of Update, Resweep and the
-	// adjoint pass: <= 0 uses one worker per CPU, 1 forces serial
-	// execution. Results are bit-identical for every worker count;
-	// only the serial path is allocation-free in the steady state.
+	// Workers is ignored: every pass is serial. The field stays so
+	// callers written against the former worker-count option (the
+	// benchmark module among them) still build.
 	Workers int
 	// Recorder, when non-nil, receives one "inc.update" event per
 	// Update that had work pending, carrying the dirty-node and
 	// frontier counts, and one "hier.sweep" event per Resweep or
-	// moving SetSizes — all worker-count-invariant by construction.
-	// Nil disables instrumentation at zero cost.
+	// moving SetSizes. Nil disables instrumentation at zero cost.
 	Recorder telemetry.Recorder
 }
 
@@ -136,10 +101,8 @@ func GradMuPlusKSigmaWorkers(m *delay.Model, S []float64, k float64, workers int
 // Hier is the persistent SSTA engine. It is not safe for concurrent
 // use; one engine serves one evaluation loop.
 type Hier struct {
-	m       *delay.Model
-	target  int // HierOptions.BlockTarget, for the partition
-	workers int
-	rec     telemetry.Recorder
+	m   *delay.Model
+	rec telemetry.Recorder
 
 	// s is the engine's current speed-factor assignment (owned copy).
 	s []float64
@@ -164,12 +127,10 @@ type Hier struct {
 	load []float64
 
 	// adj is the interleaved adjoint slab: adj[2id] / adj[2id+1] hold
-	// node id's (mu, var) arrival adjoint. The serial sweep
-	// accumulates into it directly and a node's pair shares a cache
-	// line, halving the lines touched by the scattered fanin
-	// accumulation; the parallel path only seeds it (outputs) and
-	// reads each node's pair once before folding slots. dmu and grad
-	// receive the criticality and the gradient.
+	// node id's (mu, var) arrival adjoint. The adjoint accumulates
+	// into it directly and a node's pair shares a cache line, halving
+	// the lines touched by the scattered fanin accumulation. dmu and
+	// grad receive the criticality and the gradient.
 	adj, dmu, grad []float64
 
 	// markDirtyFn is the bound markDirty method, created once so the
@@ -178,16 +139,9 @@ type Hier struct {
 
 	// Dirty tracking: bit p of pend is set while the node at schedule
 	// position p awaits re-evaluation; [loW, hiW] spans the words that
-	// may hold set bits (empty when hiW < loW). All marking happens on
-	// the coordinating goroutine.
+	// may hold set bits (empty when hiW < loW).
 	pend     []uint64
 	loW, hiW int
-
-	// batch and batchChanged are the parallel Update's reused scratch:
-	// one level's pending positions and whether each one's arrival
-	// changed.
-	batch        []int32
-	batchChanged []bool
 
 	updates int // Update calls that had work, for the event stream
 
@@ -204,33 +158,6 @@ type Hier struct {
 	logS         []sizeSave
 	savedOutFold []stats.Jac2x4
 	savedTmax    stats.MV
-
-	// p is the block decomposition: built by NewHier when Workers > 1,
-	// otherwise on demand by Partition.
-	p *partition.Partition
-
-	// Parallel adjoint state, built only when Workers > 1; every slot
-	// slab is numbered by schedule position. cMu/cVar are per
-	// fanin-pin arrival-adjoint contribution slots (offsets
-	// sc.finOff); gSelf/gPin are the gradient's per-position self and
-	// per fanout-pin slots (offsets sc.foutOff). active[id] records
-	// whether gate id's folded adjoint was nonzero this sweep — the
-	// serial sweep's skip condition, needed so folds ignore slots of
-	// skipped writers exactly like Backward never accumulates them.
-	active      []bool
-	cMu, cVar   []float64
-	gSelf, gPin []float64
-	// inAdjSlot/inAdjFrom list, per position (CSR offsets sc.foutOff —
-	// one incoming contribution per fanout pin), the cMu/cVar slot
-	// indices and their writer gates in the serial accumulation
-	// order. inGrad* is the analogue for gradient pin terms (CSR
-	// offsets inGradOff — one entry per gate-driven fanin pin).
-	inAdjSlot, inAdjFrom   []int32
-	inGradOff              []int32
-	inGradSlot, inGradFrom []int32
-
-	// pending holds the dataflow scheduler's per-block counters.
-	pending []int32
 }
 
 // nodeSave is one undo-log entry: the node's pre-trial arrival and
@@ -250,8 +177,7 @@ type sizeSave struct {
 
 // NewHier builds an engine for the model at the speed-factor
 // assignment S (copied), compiles its sweep schedule and runs the
-// initial full taped sweep. With Workers > 1 it also cuts the graph
-// into blocks and builds the parallel adjoint's fold orders.
+// initial full taped sweep.
 func NewHier(m *delay.Model, S []float64, opt HierOptions) *Hier {
 	g := m.G
 	n := len(g.C.Nodes)
@@ -259,11 +185,9 @@ func NewHier(m *delay.Model, S []float64, opt HierOptions) *Hier {
 		panic(fmt.Sprintf("ssta: NewHier got %d sizes for %d nodes", len(S), n))
 	}
 	h := &Hier{
-		m:       m,
-		target:  opt.BlockTarget,
-		workers: resolveWorkers(opt.Workers),
-		rec:     opt.Recorder,
-		s:       append([]float64(nil), S...),
+		m:   m,
+		rec: opt.Recorder,
+		s:   append([]float64(nil), S...),
 		res: Result{
 			Arrival:   make([]stats.MV, n),
 			GateDelay: make([]stats.MV, n),
@@ -281,15 +205,6 @@ func NewHier(m *delay.Model, S []float64, opt HierOptions) *Hier {
 	h.clearSpan()
 	h.markDirtyFn = h.markDirty
 	h.reloadAll()
-	if h.workers > 1 {
-		h.buildParallel()
-		// The schedule carved the tape in level order; the dataflow
-		// passes evaluate whole blocks, so re-carve it block by block.
-		at := int32(0)
-		for b := range h.p.Blocks {
-			at = h.sc.carve(at, h.p.Blocks[b].Nodes)
-		}
-	}
 	// One arena holds every gate's fold steps, so re-evaluations are
 	// in-place.
 	h.tapeArena = make([]stats.Jac2x4, h.sc.tapeLen)
@@ -299,75 +214,6 @@ func NewHier(m *delay.Model, S []float64, opt HierOptions) *Hier {
 	}
 	h.resweep()
 	return h
-}
-
-// Partition returns the engine's block decomposition, cutting it on
-// first use when the engine is serial.
-func (h *Hier) Partition() *partition.Partition {
-	if h.p == nil {
-		h.p = partition.New(h.m.G, partition.Options{BlockTarget: h.target})
-	}
-	return h.p
-}
-
-// buildParallel cuts the blocks and builds the parallel adjoint's
-// slot slabs and fold orders. The fold orders list, for every node,
-// its incoming adjoint and gradient contribution slots in the exact
-// accumulation order of the serial Backward sweep: consumers visited
-// by (level desc, level position asc), fanin pins in the serial write
-// order (high pin to pin 0), gradient fanout pins ascending. Appending
-// while iterating consumers in that global order builds each node's
-// list already sorted — one O(E) pass, no per-node sorts.
-func (h *Hier) buildParallel() {
-	g := h.m.G
-	sc := &h.sc
-	n := len(sc.order)
-	h.pending = make([]int32, len(h.Partition().Blocks))
-	h.active = make([]bool, n)
-	h.cMu = make([]float64, g.Edges)
-	h.cVar = make([]float64, g.Edges)
-	h.gSelf = make([]float64, n)
-	h.gPin = make([]float64, g.Edges)
-
-	h.inAdjSlot = make([]int32, g.Edges)
-	h.inAdjFrom = make([]int32, g.Edges)
-	cur := make([]int32, n)
-	copy(cur, sc.foutOff[:n])
-	for l := len(sc.lvl) - 2; l >= 1; l-- {
-		for pv := int(sc.lvl[l]); pv < int(sc.lvl[l+1]); pv++ {
-			fanin := sc.fanin(pv)
-			for k := len(fanin) - 1; k >= 0; k-- {
-				pf := sc.pos[fanin[k]]
-				h.inAdjSlot[cur[pf]] = sc.finOff[pv] + int32(k)
-				h.inAdjFrom[cur[pf]] = sc.order[pv]
-				cur[pf]++
-			}
-		}
-	}
-
-	h.inGradOff = make([]int32, n+1)
-	for p := 0; p < n; p++ {
-		cnt := int32(0)
-		for _, f := range sc.fanin(p) {
-			if g.C.Nodes[f].Kind == netlist.KindGate {
-				cnt++
-			}
-		}
-		h.inGradOff[p+1] = h.inGradOff[p] + cnt
-	}
-	h.inGradSlot = make([]int32, h.inGradOff[n])
-	h.inGradFrom = make([]int32, h.inGradOff[n])
-	copy(cur, h.inGradOff[:n])
-	for l := len(sc.lvl) - 2; l >= 1; l-- {
-		for pu := int(sc.lvl[l]); pu < int(sc.lvl[l+1]); pu++ {
-			for j, v := range sc.fanout(pu) {
-				pv := sc.pos[v]
-				h.inGradSlot[cur[pv]] = sc.foutOff[pu] + int32(j)
-				h.inGradFrom[cur[pv]] = sc.order[pu]
-				cur[pv]++
-			}
-		}
-	}
 }
 
 // clearSpan resets the pending word span to the empty sentinel.
@@ -557,19 +403,13 @@ func (h *Hier) forward(p int) {
 // circuit delay moments. Nodes whose recomputed arrival is
 // bit-identical to before stop propagating (early cutoff). The
 // resulting state — arrivals, gate delays, tape, Tmax — is
-// bit-identical to a fresh taped Analyze at the current sizes, for any
-// worker count and block size. With nothing dirty it returns the
-// cached Tmax untouched.
+// bit-identical to a fresh taped Analyze at the current sizes. With
+// nothing dirty it returns the cached Tmax untouched.
 func (h *Hier) Update() stats.MV {
 	if h.hiW < h.loW {
 		return h.res.Tmax
 	}
-	var dirtyN, frontierN int
-	if h.workers == 1 {
-		dirtyN, frontierN = h.updateSerial()
-	} else {
-		dirtyN, frontierN = h.updateLevels()
-	}
+	dirtyN, frontierN := h.updateCone()
 	h.discardPending()
 	// The output fold is always rebuilt in the fixed output order, so
 	// it matches a fresh sweep's fold bit for bit.
@@ -587,13 +427,13 @@ func (h *Hier) Update() stats.MV {
 	return h.res.Tmax
 }
 
-// updateSerial walks the pending positions in one ascending scan and
+// updateCone walks the pending positions in one ascending scan and
 // returns the re-evaluated and changed node counts. A changed node's
 // fanouts sit at higher levels, hence at higher positions, so the
 // bits it sets lie ahead of the scan and each node is evaluated at
 // most once, after all of its fanins. Bits are not cleared one by
 // one: nextDirty only looks ahead, and Update clears the span after.
-func (h *Hier) updateSerial() (dirtyN, frontierN int) {
+func (h *Hier) updateCone() (dirtyN, frontierN int) {
 	sc := &h.sc
 	arr := h.res.Arrival
 	for p := h.nextDirty(h.loW << 6); p >= 0; p = h.nextDirty(p + 1) {
@@ -615,107 +455,9 @@ func (h *Hier) updateSerial() (dirtyN, frontierN int) {
 	return dirtyN, frontierN
 }
 
-// updateLevels is updateSerial with each level's pending nodes
-// evaluated in parallel: gather the level's set bits, run them on the
-// worker pool (fanins at lower levels are final and each node writes
-// only its own slots), then propagate changes serially. In-level order
-// does not affect any forward value, so the state and the counts match
-// the serial scan's bit for bit.
-func (h *Hier) updateLevels() (dirtyN, frontierN int) {
-	sc := &h.sc
-	l := 0
-	for p := h.nextDirty(h.loW << 6); p >= 0; {
-		for int(sc.lvl[l+1]) <= p {
-			l++
-		}
-		end := int(sc.lvl[l+1])
-		batch := h.batch[:0]
-		for ; p >= 0 && p < end; p = h.nextDirty(p + 1) {
-			batch = append(batch, int32(p))
-		}
-		h.batch = batch
-		if h.inTrial {
-			for _, q := range batch {
-				h.saveNode(sc.node(int(q)))
-			}
-		}
-		if cap(h.batchChanged) < len(batch) {
-			h.batchChanged = make([]bool, len(batch))
-		}
-		changed := h.batchChanged[:len(batch)]
-		runLevel(h.workers, len(batch), func(i int) {
-			q := int(batch[i])
-			id := sc.node(q)
-			old := h.res.Arrival[id]
-			h.forward(q)
-			changed[i] = h.res.Arrival[id] != old
-		})
-		for i, q := range batch {
-			if !changed[i] {
-				continue
-			}
-			frontierN++
-			for _, f := range sc.fanout(int(q)) {
-				h.markDirty(f)
-			}
-		}
-		dirtyN += len(batch)
-		// The level's changes may have set bits below p.
-		p = h.nextDirty(end)
-	}
-	return dirtyN, frontierN
-}
-
-// minLevelParallel is the batch size below which updateLevels runs a
-// level inline on the coordinating goroutine instead of fanning it
-// out.
-const minLevelParallel = 32
-
-// resolveWorkers maps the shared Workers convention onto a concrete
-// count: <= 0 means one worker per CPU, anything else is taken as-is.
-func resolveWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.NumCPU()
-	}
-	return workers
-}
-
-// runLevel executes fn(i) for every i in [0, n) on up to workers
-// goroutines (the caller included) and returns only when all calls
-// are done — the level barrier. Work is handed out as contiguous
-// chunks; fn must write only to slots owned by item i.
-func runLevel(workers, n int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < minLevelParallel {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := chunk; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	for i := 0; i < chunk; i++ {
-		fn(i)
-	}
-	wg.Wait()
-}
-
-// Resweep unconditionally re-evaluates every node — through the
-// dataflow block scheduler when Workers > 1 — and returns the circuit
-// delay moments: the full blocked forward pass of the benchmarks.
-// Pending dirty marks are subsumed.
+// Resweep unconditionally re-evaluates every node and returns the
+// circuit delay moments: the engine's full forward pass. Pending dirty
+// marks are subsumed.
 func (h *Hier) Resweep() stats.MV {
 	if h.inTrial {
 		// Log and flush the dirty cone first: the full pass then
@@ -742,136 +484,17 @@ func (h *Hier) sweepEvent() {
 
 // resweep is Resweep's full forward pass, without the event.
 func (h *Hier) resweep() {
-	if h.workers > 1 {
-		h.runBlocks(false, h.evalBlockForward)
-	} else {
-		// Positions ascending are levels ascending: the flat sweep's
-		// order over dense schedule slabs.
-		for p := range h.sc.order {
-			h.forward(p)
-		}
+	// Positions ascending are levels ascending: the flat sweep's order
+	// over dense schedule slabs.
+	for p := range h.sc.order {
+		h.forward(p)
 	}
 	foldOutputs(&h.res, h.m.G, true)
 }
 
-// runBlocks executes eval for every block on a dataflow pool,
-// honoring the block DAG: forward order uses fanin-block
-// dependencies, backward the reversed DAG. Workers claim blocks as
-// their dependencies complete — per-block atomic pending counters, a
-// buffered ready queue, no level barriers.
-func (h *Hier) runBlocks(backward bool, eval func(int)) {
-	blocks := h.p.Blocks
-	nb := len(blocks)
-	// Per-worker scope stacks attribute each worker's busy time under
-	// the shared hier.sweep tree node (wall clock only; never in the
-	// event stream, so traces stay worker-count-invariant).
-	scope := "hier.block.fwd"
-	if backward {
-		scope = "hier.block.bwd"
-	}
-	pending := h.pending
-	ready := make(chan int32, nb)
-	for b := range blocks {
-		deps := len(blocks[b].Fanin)
-		if backward {
-			deps = len(blocks[b].Fanout)
-		}
-		pending[b] = int32(deps)
-		if deps == 0 {
-			ready <- int32(b)
-		}
-	}
-	var done atomic.Int32
-	var wg sync.WaitGroup
-	work := func() {
-		defer wg.Done()
-		st := telemetry.StackAt(h.rec, "hier.sweep")
-		for b := range ready {
-			st.Push(scope)
-			eval(int(b))
-			st.Pop()
-			succs := blocks[b].Fanout
-			if backward {
-				succs = blocks[b].Fanin
-			}
-			for _, s := range succs {
-				if atomic.AddInt32(&pending[s], -1) == 0 {
-					ready <- s
-				}
-			}
-			if int(done.Add(1)) == nb {
-				close(ready)
-			}
-		}
-	}
-	w := min(h.workers, nb)
-	wg.Add(w)
-	for i := 1; i < w; i++ {
-		go work()
-	}
-	work()
-	wg.Wait()
-}
-
-// evalBlockForward re-evaluates every node of block b. Fanins are in
-// completed blocks, so their arrivals are final; each node writes
-// only its own slots.
-func (h *Hier) evalBlockForward(b int) {
-	for _, id := range h.p.Blocks[b].Nodes {
-		h.forward(int(h.sc.pos[id]))
-	}
-}
-
-// evalBlockBackward runs the adjoint step for block b: each node
-// folds its incoming contribution slots in the serial accumulation
-// order (seed first, then consumers by level desc / position asc,
-// pins in write order), then writes its own fanin and gradient
-// contribution slots. All writers of a node's slots live in fanout
-// blocks, which the reversed schedule completed first.
-func (h *Hier) evalBlockBackward(b int) {
-	blk := &h.p.Blocks[b]
-	if blk.Level == 0 {
-		return // primary inputs carry no adjoint work
-	}
-	sc := &h.sc
-	for _, id := range blk.Nodes {
-		p := int(sc.pos[id])
-		am, av := h.adj[2*id], h.adj[2*id+1]
-		for t := sc.foutOff[p]; t < sc.foutOff[p+1]; t++ {
-			if !h.active[h.inAdjFrom[t]] {
-				continue
-			}
-			s := h.inAdjSlot[t]
-			am += h.cMu[s]
-			av += h.cVar[s]
-		}
-		if am == 0 && av == 0 {
-			h.active[id] = false
-			h.dmu[id] = 0
-			continue
-		}
-		h.active[id] = true
-		d := am + av*h.m.Sigma.DVar(h.res.GateDelay[id].Mu)
-		h.dmu[id] = d
-		h.m.GateMuGradTermsLoaded(id, h.s, h.load[id], d, sc.fanout(p), &h.gSelf[p], h.gPin[sc.foutOff[p]:sc.foutOff[p+1]])
-		fanin := sc.fanin(p)
-		base := int(sc.finOff[p])
-		uMu, uVar := am, av
-		steps := h.tape(p)
-		for k := len(fanin) - 1; k >= 1; k-- {
-			j := steps[k-1]
-			h.cMu[base+k] = uMu*j[0][2] + uVar*j[1][2]
-			h.cVar[base+k] = uMu*j[0][3] + uVar*j[1][3]
-			uMu, uVar = uMu*j[0][0]+uVar*j[1][0], uMu*j[0][1]+uVar*j[1][1]
-		}
-		h.cMu[base] = uMu
-		h.cVar[base] = uVar
-	}
-}
-
-// seed unfolds the output max in reverse, exactly like the serial
+// seed unfolds the output max in reverse, exactly like the flat
 // sweep's seedAdjoint, into the outputs' interleaved adjoint slots —
-// the values the block folds (and the serial recursion) start from.
+// the values the recursion starts from.
 func (h *Hier) seed(seedMu, seedVar float64) {
 	outs := h.m.G.C.Outputs
 	for _, o := range outs {
@@ -889,49 +512,13 @@ func (h *Hier) seed(seedMu, seedVar float64) {
 	h.adj[2*outs[0]+1] += aVar
 }
 
-// foldGrad gathers every gate's gradient from its self slot and the
-// pin-term slots of its fanin drivers, folded in the serial
-// accumulation order: the gate's own term first (it is processed
-// before its lower-level drivers in the serial sweep), then driver
-// terms by (level desc, position asc, fanout pin asc). Slots of
-// skipped (zero-adjoint) writers are skipped exactly as the serial
-// sweep never accumulates them.
-func (h *Hier) foldGrad() {
-	sc := &h.sc
-	// Level 0 holds exactly the inputs, which carry no gradient (their
-	// grad entries stay 0), so the walk starts at the first gate.
-	for p := int(sc.lvl[1]); p < len(sc.order); p++ {
-		acc := 0.0
-		id := sc.node(p)
-		if h.active[id] {
-			acc += h.gSelf[p]
-		}
-		for t := h.inGradOff[p]; t < h.inGradOff[p+1]; t++ {
-			if !h.active[h.inGradFrom[t]] {
-				continue
-			}
-			acc += h.gPin[h.inGradSlot[t]]
-		}
-		h.grad[id] = acc
-	}
-}
-
-// backward flushes pending updates and runs one adjoint sweep. The
-// slot-fold machinery exists for deterministic parallel accumulation;
-// with one worker the flat canonical recursion runs in place instead
-// — levels descending, in-level nodes in bucket order, exactly the
-// flat sweep's node order. Accumulating adjoints and gradients
-// directly is then the same float program as Result.Backward —
-// bit-identical by construction — and skips the slot-write plus fold
-// double pass and the O(V+E) gradient gather.
+// backward flushes pending updates and runs one adjoint sweep: the
+// flat canonical recursion in place — levels descending, in-level
+// nodes in bucket order, exactly the flat sweep's node order — so it
+// is the same float program as Result.Backward, bit-identical by
+// construction.
 func (h *Hier) backward(seedMu, seedVar float64) {
 	h.Update()
-	if h.workers > 1 {
-		h.seed(seedMu, seedVar)
-		h.runBlocks(true, h.evalBlockBackward)
-		h.foldGrad()
-		return
-	}
 	clear(h.adj)
 	clear(h.grad)
 	clear(h.dmu)
@@ -973,9 +560,8 @@ func (h *Hier) backward(seedMu, seedVar float64) {
 // Backward flushes pending updates and runs the adjoint sweep with
 // the given seed, returning d phi/d S indexed by NodeID. The returned
 // slice is engine-owned scratch, overwritten by the next adjoint pass
-// — copy it to keep it. Bit-identical to Result.Backward for any
-// worker count and block size; allocation-free in the steady state
-// with Workers == 1.
+// — copy it to keep it. Bit-identical to Result.Backward;
+// allocation-free in the steady state.
 func (h *Hier) Backward(seedMu, seedVar float64) []float64 {
 	h.backward(seedMu, seedVar)
 	return h.grad
@@ -1076,25 +662,20 @@ func (h *Hier) Rollback() stats.MV {
 }
 
 // MemoryBytes estimates the engine's resident footprint: the
-// forward/adjoint slabs, the sweep schedule, the tape arena, the
-// trial log backing arrays and, once built, the partition and the
-// parallel slot slabs.
-// It is the byte cost a cache of warm engines pays to keep this one
+// forward/adjoint slabs, the sweep schedule, the tape arena and the
+// trial log backing arrays. It is the byte cost a cache of warm engines pays to keep this one
 // alive (the session LRU's budget unit), not an exact accounting of
 // every header.
 func (h *Hier) MemoryBytes() int64 {
 	const (
-		mvSize    = 16 // stats.MV: 2 float64
-		jacSize   = 64 // stats.Jac2x4: 2x4 float64
-		hdrSize   = 24 // slice header
-		blockSize = 3*hdrSize + 8
+		mvSize  = 16 // stats.MV: 2 float64
+		jacSize = 64 // stats.Jac2x4: 2x4 float64
 	)
 	n := int64(len(h.s))
 	b := 6 * n * 8      // s, load, dmu, grad, adj (2 per node)
 	b += 2 * n * mvSize // Arrival, GateDelay
 	b += 2 * n * 4      // nodeGen, sGen
 	b += int64(len(h.pend)) * 8
-	b += int64(cap(h.batch))*4 + int64(cap(h.batchChanged))
 	b += h.sc.memoryBytes()
 	b += int64(len(h.tapeArena)) * jacSize
 	b += 2 * int64(len(h.res.outFold)) * jacSize // outFold + savedOutFold
@@ -1102,17 +683,6 @@ func (h *Hier) MemoryBytes() int64 {
 	b += int64(cap(h.logTape)) * jacSize
 	b += int64(cap(h.logNodes)) * 48 // nodeSave: id + 2 MV + offset
 	b += int64(cap(h.logS)) * 16
-	if p := h.p; p != nil {
-		b += int64(len(p.BlockOf))*4 + int64(cap(p.Blocks))*blockSize
-		for i := range p.Blocks {
-			blk := &p.Blocks[i]
-			b += int64(cap(blk.Nodes))*8 + int64(cap(blk.Fanin)+cap(blk.Fanout))*4
-		}
-	}
-	// Parallel adjoint slabs (empty on a serial engine).
-	b += int64(len(h.active))
-	b += int64(len(h.cMu)+len(h.cVar)+len(h.gSelf)+len(h.gPin)) * 8
-	b += int64(len(h.inAdjSlot)+len(h.inAdjFrom)+len(h.inGradOff)+len(h.inGradSlot)+len(h.inGradFrom)+len(h.pending)) * 4
 	return b
 }
 

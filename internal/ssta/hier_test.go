@@ -14,10 +14,29 @@ import (
 	"repro/internal/telemetry"
 )
 
-// hierBlockTargets spans the degenerate cut (one node per block), a
-// small realistic cut and the whole-graph-per-level cut.
-func hierBlockTargets(m *delay.Model) []int {
-	return []int{1, 64, len(m.G.C.Nodes)}
+// fuzzCell is one subtest of the engine fuzzers, named "j<workers>"
+// and "t<t>" (see fuzzGrid).
+type fuzzCell struct {
+	workers, t int
+	seed       int64
+}
+
+// fuzzGrid names the engine fuzzers' subtests "j<w>/t<t>" for w in
+// {1, 4} and each label t, and gives every cell its own seed, counting
+// up from base in that order, so the first cell replays the base
+// script. The labels are those of the workers x block-target grid the
+// fuzzers ran while the engine had block-parallel passes; they are
+// kept so test ids stay stable. j still sets HierOptions.Workers,
+// which the engine ignores, and t selects nothing: the cells differ
+// in their seed only, so each replays a distinct script.
+func fuzzGrid(base int64, ts ...int) []fuzzCell {
+	var cells []fuzzCell
+	for _, w := range []int{1, 4} {
+		for _, t := range ts {
+			cells = append(cells, fuzzCell{w, t, base + int64(len(cells))})
+		}
+	}
+	return cells
 }
 
 // checkMatchesFresh asserts the engine's full forward state, the
@@ -54,101 +73,87 @@ func checkMatchesFresh(t *testing.T, h *Hier, m *delay.Model, k float64) {
 	}
 }
 
-// TestHierInitialSweepBitIdentical pins the construction-time blocked
-// forward pass against the flat sweeps for every circuit, worker
-// count and block target — including the dataflow-scheduler paths.
+// TestHierInitialSweepBitIdentical pins the construction-time forward
+// pass against the flat sweeps for every circuit.
 func TestHierInitialSweepBitIdentical(t *testing.T) {
 	for name, m := range parallelTestModels(t) {
 		S := rampSizes(m)
 		want := Analyze(m, S, true)
-		for _, w := range []int{1, 4} {
-			for _, target := range hierBlockTargets(m) {
-				h := NewHier(m, S, HierOptions{BlockTarget: target, Workers: w})
-				if err := h.Partition().Check(); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if h.Tmax() != want.Tmax {
-					t.Fatalf("%s w=%d target=%d: Tmax %+v != flat %+v",
-						name, w, target, h.Tmax(), want.Tmax)
-				}
-				for id := range want.Arrival {
-					if h.Arrival(netlist.NodeID(id)) != want.Arrival[id] {
-						t.Fatalf("%s w=%d target=%d: Arrival[%d] differs", name, w, target, id)
-					}
-				}
+		h := NewHier(m, S, HierOptions{})
+		if h.Tmax() != want.Tmax {
+			t.Fatalf("%s: Tmax %+v != flat %+v", name, h.Tmax(), want.Tmax)
+		}
+		for id := range want.Arrival {
+			if h.Arrival(netlist.NodeID(id)) != want.Arrival[id] {
+				t.Fatalf("%s: Arrival[%d] differs", name, id)
 			}
 		}
 	}
 }
 
 // TestHierMatchesFlatFuzz drives the engine with random size bursts,
-// no-op updates and full resweeps for worker counts {1, 4} crossed
-// with block targets {1, 64, whole graph}, asserting bit-identity
-// against fresh flat sweeps throughout — early cutoff included, since
-// most nodes stay clean across the small bursts.
+// no-op updates and full resweeps, six scripts per circuit (fuzzGrid),
+// asserting bit-identity against fresh flat sweeps throughout — early
+// cutoff included, since most nodes stay clean across the small
+// bursts.
 func TestHierMatchesFlatFuzz(t *testing.T) {
 	for name, m := range parallelTestModels(t) {
-		for _, workers := range []int{1, 4} {
-			for _, target := range hierBlockTargets(m) {
-				t.Run(fmt.Sprintf("%s/j%d/t%d", name, workers, target), func(t *testing.T) {
-					rng := rand.New(rand.NewSource(99))
-					gates := m.G.C.GateIDs()
-					h := NewHier(m, m.UnitSizes(), HierOptions{BlockTarget: target, Workers: workers})
-					randSize := func() float64 { return 1 + rng.Float64()*(m.Limit-1) }
-					for step := 0; step < 24; step++ {
-						switch rng.Intn(4) {
-						case 0: // a burst of size changes, then one Update
-							for i := 0; i < 1+rng.Intn(4); i++ {
-								h.SetSize(gates[rng.Intn(len(gates))], randSize())
-							}
-							h.Update()
-						case 1: // a bit-identical write must dirty nothing
-							id := gates[rng.Intn(len(gates))]
-							h.SetSize(id, h.Sizes()[id])
-							h.Update()
-						case 2: // full blocked resweep with marks pending
+		for _, c := range fuzzGrid(99, 1, 64, len(m.G.C.Nodes)) {
+			t.Run(fmt.Sprintf("%s/j%d/t%d", name, c.workers, c.t), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(c.seed))
+				gates := m.G.C.GateIDs()
+				h := NewHier(m, m.UnitSizes(), HierOptions{Workers: c.workers})
+				randSize := func() float64 { return 1 + rng.Float64()*(m.Limit-1) }
+				for step := 0; step < 24; step++ {
+					switch rng.Intn(4) {
+					case 0: // a burst of size changes, then one Update
+						for i := 0; i < 1+rng.Intn(4); i++ {
 							h.SetSize(gates[rng.Intn(len(gates))], randSize())
-							h.Resweep()
-						case 3: // no-op Update (cached Tmax path)
-							h.Update()
 						}
-						if step%4 == 0 {
-							checkMatchesFresh(t, h, m, 3)
-						}
+						h.Update()
+					case 1: // a bit-identical write must dirty nothing
+						id := gates[rng.Intn(len(gates))]
+						h.SetSize(id, h.Sizes()[id])
+						h.Update()
+					case 2: // full resweep with marks pending
+						h.SetSize(gates[rng.Intn(len(gates))], randSize())
+						h.Resweep()
+					case 3: // no-op Update (cached Tmax path)
+						h.Update()
 					}
-					checkMatchesFresh(t, h, m, 3)
-				})
-			}
+					if step%4 == 0 {
+						checkMatchesFresh(t, h, m, 3)
+					}
+				}
+				checkMatchesFresh(t, h, m, 3)
+			})
 		}
 	}
 }
 
-// TestHierCriticalityMatches pins the blocked adjoint's dmu byproduct
+// TestHierCriticalityMatches pins the engine adjoint's dmu byproduct
 // against the flat criticality sweep.
 func TestHierCriticalityMatches(t *testing.T) {
 	for name, m := range parallelTestModels(t) {
 		S := rampSizes(m)
 		want := Criticality(m, S)
-		for _, w := range []int{1, 4} {
-			h := NewHier(m, S, HierOptions{BlockTarget: 64, Workers: w})
-			got := h.Criticality()
-			for id := range want {
-				if got[id] != want[id] {
-					t.Fatalf("%s w=%d: criticality[%d] = %v, want %v", name, w, id, got[id], want[id])
-				}
+		got := NewHier(m, S, HierOptions{}).Criticality()
+		for id := range want {
+			if got[id] != want[id] {
+				t.Fatalf("%s: criticality[%d] = %v, want %v", name, id, got[id], want[id])
 			}
 		}
 	}
 }
 
 // TestHierBackwardSeeds sweeps the adjoint seeds the objective paths
-// use, pinning the blocked backward pass against Result.Backward.
+// use, pinning the engine's backward pass against Result.Backward.
 func TestHierBackwardSeeds(t *testing.T) {
 	seeds := [][2]float64{{1, 0}, {1, 0.35}, {0, 1}}
 	for name, m := range parallelTestModels(t) {
 		S := rampSizes(m)
 		r := Analyze(m, S, true)
-		h := NewHier(m, S, HierOptions{BlockTarget: 64, Workers: 4})
+		h := NewHier(m, S, HierOptions{})
 		for _, sd := range seeds {
 			want := r.Backward(m, S, sd[0], sd[1])
 			got := h.Backward(sd[0], sd[1])
@@ -161,15 +166,14 @@ func TestHierBackwardSeeds(t *testing.T) {
 	}
 }
 
-// TestHierMacroReplayCounts asserts the dirty cone is node-granular
-// on a blocked engine: a single-gate bump on the big generated netlist
-// re-evaluates fewer than half its nodes, and a no-op Update emits
-// nothing.
+// TestHierMacroReplayCounts asserts the dirty cone is node-granular:
+// a single-gate bump on the big generated netlist re-evaluates fewer
+// than half its nodes, and a no-op Update emits nothing.
 func TestHierMacroReplayCounts(t *testing.T) {
 	m := parallelTestModels(t)["gen1200"]
 	gates := m.G.C.GateIDs()
 	sink := &eventSink{}
-	h := NewHier(m, m.UnitSizes(), HierOptions{BlockTarget: 16, Workers: 1, Recorder: sink})
+	h := NewHier(m, m.UnitSizes(), HierOptions{Recorder: sink})
 	h.SetSize(gates[len(gates)/2], 2.0)
 	h.Update()
 	var upd, dirty int
@@ -193,15 +197,16 @@ func TestHierMacroReplayCounts(t *testing.T) {
 }
 
 // TestHierTraceByteIdentical runs the same bump script through JSONL
-// trace sinks with 1 and 4 workers and asserts the trace bytes are
-// identical — the worker-invariance contract of the hier events.
+// trace sinks on two fresh engines, one of them given the ignored
+// Workers: 4, and asserts the trace bytes are identical: the hier
+// events are deterministic and the worker field changes nothing.
 func TestHierTraceByteIdentical(t *testing.T) {
 	m := parallelTestModels(t)["gen1200"]
 	gates := m.G.C.GateIDs()
 	run := func(workers int) []byte {
 		var buf bytes.Buffer
 		tw := telemetry.NewTraceWriter(&buf)
-		h := NewHier(m, m.UnitSizes(), HierOptions{BlockTarget: 32, Workers: workers, Recorder: tw})
+		h := NewHier(m, m.UnitSizes(), HierOptions{Workers: workers, Recorder: tw})
 		for step := 0; step < 12; step++ {
 			h.SetSize(gates[(step*37)%len(gates)], 1+0.2*float64(step%7))
 			h.Update()
@@ -223,26 +228,29 @@ func TestHierTraceByteIdentical(t *testing.T) {
 	}
 }
 
-// TestHierSteadyStateAllocFree asserts the serial engine's warm loop
-// on a blocked configuration — SetSize, Update, adjoint — performs
-// zero heap allocations per step.
+// TestHierSteadyStateAllocFree asserts the engine's warm loop —
+// SetSize, Update, adjoint — performs zero heap allocations per step,
+// also when given the ignored Workers: 4, which must start nothing.
 func TestHierSteadyStateAllocFree(t *testing.T) {
 	m := parallelTestModels(t)["gen1200"]
 	gates := m.G.C.GateIDs()
-	h := NewHier(m, m.UnitSizes(), HierOptions{BlockTarget: 64, Workers: 1})
-	step := 0
-	doStep := func() {
-		id := gates[(step*31)%len(gates)]
-		h.SetSize(id, 1+0.3*float64(step%5))
-		h.GradMuPlusKSigma(3)
-		step = (step + 1) % 50
-	}
-	for i := 0; i < 50; i++ {
-		doStep()
-	}
-	allocs := testing.AllocsPerRun(50, doStep)
-	if allocs != 0 {
-		t.Fatalf("steady-state SetSize+Update+Backward allocates %.1f per step, want 0", allocs)
+	for _, opt := range []HierOptions{{}, {Workers: 4}} {
+		h := NewHier(m, m.UnitSizes(), opt)
+		step := 0
+		doStep := func() {
+			id := gates[(step*31)%len(gates)]
+			h.SetSize(id, 1+0.3*float64(step%5))
+			h.GradMuPlusKSigma(3)
+			step = (step + 1) % 50
+		}
+		for i := 0; i < 50; i++ {
+			doStep()
+		}
+		allocs := testing.AllocsPerRun(50, doStep)
+		if allocs != 0 {
+			t.Fatalf("Workers %d: steady-state SetSize+Update+Backward allocates %.1f per step, want 0",
+				opt.Workers, allocs)
+		}
 	}
 }
 
@@ -283,27 +291,23 @@ func TestHierSetSizePanics(t *testing.T) {
 // whole-vector moves — bit-identical (no-op), partial, and pinned at 1
 // or Limit — interleaved with SetSize/Update bursts, trials that
 // commit or roll back, and SetSize marks left pending across a bulk
-// move, for worker counts {1, 4} crossed with block targets {1, 64,
-// default}. After every step the engine must match a fresh taped
-// sweep and adjoint bit for bit (checkMatchesFresh: Tmax, arrivals,
-// gate delays, phi and the gradient).
+// move, six scripts per circuit (fuzzGrid). After every step the
+// engine must match a fresh taped sweep and adjoint bit for bit
+// (checkMatchesFresh: Tmax, arrivals, gate delays, phi and the
+// gradient).
 func TestHierSetSizesMatchesFreshFuzz(t *testing.T) {
 	for name, m := range parallelTestModels(t) {
-		for _, workers := range []int{1, 4} {
-			for _, target := range []int{1, 64, 0} {
-				t.Run(fmt.Sprintf("%s/j%d/t%d", name, workers, target), func(t *testing.T) {
-					fuzzSetSizes(t, m, HierOptions{BlockTarget: target, Workers: workers})
-				})
-			}
+		for _, c := range fuzzGrid(7, 1, 64, 0) {
+			t.Run(fmt.Sprintf("%s/j%d/t%d", name, c.workers, c.t), func(t *testing.T) { fuzzSetSizes(t, m, c) })
 		}
 	}
 }
 
 // fuzzSetSizes is one TestHierSetSizesMatchesFreshFuzz cell.
-func fuzzSetSizes(t *testing.T, m *delay.Model, opt HierOptions) {
-	rng := rand.New(rand.NewSource(7))
+func fuzzSetSizes(t *testing.T, m *delay.Model, c fuzzCell) {
+	rng := rand.New(rand.NewSource(c.seed))
 	gates := m.G.C.GateIDs()
-	h := NewHier(m, m.UnitSizes(), opt)
+	h := NewHier(m, m.UnitSizes(), HierOptions{Workers: c.workers})
 	randSize := func() float64 { return 1 + rng.Float64()*(m.Limit-1) }
 	x := make([]float64, len(gates))
 	current := func() {
@@ -375,7 +379,7 @@ func fuzzSetSizes(t *testing.T, m *delay.Model, opt HierOptions) {
 func TestHierSetSizesPanics(t *testing.T) {
 	m := parallelTestModels(t)["apex1"]
 	gates := m.G.C.GateIDs()
-	h := NewHier(m, rampSizes(m), HierOptions{Workers: 1})
+	h := NewHier(m, rampSizes(m), HierOptions{})
 	mustPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {
@@ -421,11 +425,11 @@ func TestHierSetSizesPanics(t *testing.T) {
 
 // TestHierSetSizesWarmAllocFree pins the reduced solver's steady state
 // on the engine: a warm whole-vector move plus an adjoint pass
-// allocates nothing at Workers 1.
+// allocates nothing.
 func TestHierSetSizesWarmAllocFree(t *testing.T) {
 	m := parallelTestModels(t)["gen1200"]
 	gates := m.G.C.GateIDs()
-	h := NewHier(m, m.UnitSizes(), HierOptions{Workers: 1})
+	h := NewHier(m, m.UnitSizes(), HierOptions{})
 	x := make([]float64, len(gates))
 	step := 0
 	doStep := func() {
@@ -475,7 +479,7 @@ func (u *lastUpdate) Span(string, time.Duration) {}
 // reported dirty count must equal that set's size (so no node is
 // evaluated twice), the evaluated nodes must be exactly that set (so
 // none is skipped or added), and the frontier must equal the number of
-// changed nodes. Random bump scripts run with 1 and 4 workers, outside
+// changed nodes. Two random bump scripts per circuit run outside
 // trials and inside committed and rolled-back ones.
 //
 // Outside a trial the evaluated set is read back by overwriting every
@@ -491,10 +495,10 @@ func TestHierConeMatchesOracle(t *testing.T) {
 		m := models[name]
 		g := m.G
 		gates := g.C.GateIDs()
-		for _, workers := range []int{1, 4} {
-			rng := rand.New(rand.NewSource(int64(7 + workers)))
+		for _, seed := range []int64{8, 11} {
+			rng := rand.New(rand.NewSource(seed))
 			rec := &lastUpdate{}
-			h := NewHier(m, rampSizes(m), HierOptions{Workers: workers, Recorder: rec})
+			h := NewHier(m, rampSizes(m), HierOptions{Recorder: rec})
 			saved := make([]stats.MV, len(g.C.Nodes))
 			for round := 0; round < 80; round++ {
 				before := Analyze(m, h.Sizes(), false)
@@ -558,7 +562,7 @@ func TestHierConeMatchesOracle(t *testing.T) {
 					}
 				}
 
-				where := fmt.Sprintf("%s/j%d round %d mode %d", name, workers, round, mode)
+				where := fmt.Sprintf("%s/seed %d round %d mode %d", name, seed, round, mode)
 				if h.Tmax() != after.Tmax {
 					t.Fatalf("%s: Tmax %+v, fresh %+v", where, h.Tmax(), after.Tmax)
 				}

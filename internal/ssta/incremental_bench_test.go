@@ -25,7 +25,7 @@ func benchIncUpdate(b *testing.B, name string) {
 		h.SetSize(gates[(i*31)%len(gates)], 1+0.3*float64(i%5))
 		h.GradMuPlusKSigma(3)
 	}
-	inc := NewHier(m, m.UnitSizes(), HierOptions{Workers: 1})
+	inc := NewHier(m, m.UnitSizes(), HierOptions{})
 	inc.GradMuPlusKSigma(3)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -94,7 +94,7 @@ func benchMove(b *testing.B, move func(h *Hier, gates []netlist.NodeID, x []floa
 	script := wholeMoveScript(m, gates)
 	step := func(h *Hier, i int) { move(h, gates, script[i%len(script)]) }
 	warm := len(script)
-	h := NewHier(m, m.UnitSizes(), HierOptions{Workers: 1})
+	h := NewHier(m, m.UnitSizes(), HierOptions{})
 	for i := 0; i < warm; i++ {
 		step(h, i)
 	}

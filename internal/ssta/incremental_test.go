@@ -15,19 +15,19 @@ import (
 
 // TestIncMatchesAnalyzeFuzz drives the engine with random size bumps,
 // trials, rollbacks and commits on every test circuit (including a
-// generated netlist large enough for the parallel path) and asserts
-// bit-identity against fresh taped sweeps throughout, for worker
-// counts 1 and 4 crossed with block targets {1, 64, default} — so
-// trials are fuzzed against the slot-folded parallel adjoint and the
-// load cache as well as the serial recursion.
+// 1,200-gate generated netlist), six scripts per circuit (fuzzGrid;
+// the cells nest as "j<w>" then "t<t>"), and asserts bit-identity
+// against fresh taped sweeps throughout — so trials are fuzzed
+// against the load cache as well as the adjoint recursion.
 func TestIncMatchesAnalyzeFuzz(t *testing.T) {
 	for name, m := range parallelTestModels(t) {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/j%d", name, workers), func(t *testing.T) {
-				for _, target := range []int{1, 64, 0} {
-					t.Run(fmt.Sprintf("t%d", target), func(t *testing.T) {
-						fuzzTrials(t, m, HierOptions{BlockTarget: target, Workers: workers})
-					})
+		cells := fuzzGrid(42, 1, 64, 0)
+		for _, w := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/j%d", name, w), func(t *testing.T) {
+				for _, c := range cells {
+					if c.workers == w {
+						t.Run(fmt.Sprintf("t%d", c.t), func(t *testing.T) { fuzzTrials(t, m, c) })
+					}
 				}
 			})
 		}
@@ -35,10 +35,10 @@ func TestIncMatchesAnalyzeFuzz(t *testing.T) {
 }
 
 // fuzzTrials is one TestIncMatchesAnalyzeFuzz cell.
-func fuzzTrials(t *testing.T, m *delay.Model, opt HierOptions) {
-	rng := rand.New(rand.NewSource(42))
+func fuzzTrials(t *testing.T, m *delay.Model, c fuzzCell) {
+	rng := rand.New(rand.NewSource(c.seed))
 	gates := m.G.C.GateIDs()
-	inc := NewHier(m, m.UnitSizes(), opt)
+	inc := NewHier(m, m.UnitSizes(), HierOptions{Workers: c.workers})
 	randSize := func() float64 { return 1 + rng.Float64()*(m.Limit-1) }
 	for step := 0; step < 40; step++ {
 		switch rng.Intn(4) {
@@ -140,7 +140,7 @@ func TestIncRollbackRestores(t *testing.T) {
 func TestIncTrialGenerationWrap(t *testing.T) {
 	m := parallelTestModels(t)["apex1"]
 	gates := m.G.C.GateIDs()
-	h := NewHier(m, m.UnitSizes(), HierOptions{Workers: 1})
+	h := NewHier(m, m.UnitSizes(), HierOptions{})
 	want := h.Update()
 	// Pretend generation 1 stamped every node long ago and the counter
 	// is about to wrap back onto it.
@@ -179,9 +179,10 @@ func (e *eventSink) Count(string, int64)        {}
 func (e *eventSink) Gauge(string, float64)      {}
 func (e *eventSink) Span(string, time.Duration) {}
 
-// TestIncUpdateEventsWorkerInvariant replays the same bump script with
-// 1 and 4 workers and asserts the "inc.update" event stream — dirty
-// and frontier counts included — is identical.
+// TestIncUpdateEventsWorkerInvariant replays the same bump script on
+// two fresh engines, one of them given the ignored Workers: 4, and
+// asserts the "inc.update" event stream — dirty and frontier counts
+// included — is identical.
 func TestIncUpdateEventsWorkerInvariant(t *testing.T) {
 	m := parallelTestModels(t)["gen1200"]
 	gates := m.G.C.GateIDs()
@@ -208,13 +209,13 @@ func TestIncUpdateEventsWorkerInvariant(t *testing.T) {
 	}
 }
 
-// TestIncSteadyStateAllocFree asserts the serial engine's steady-state
+// TestIncSteadyStateAllocFree asserts the engine's steady-state
 // loop — SetSize, Update, Backward — performs zero heap allocations
 // per step once warm.
 func TestIncSteadyStateAllocFree(t *testing.T) {
 	m := parallelTestModels(t)["gen1200"]
 	gates := m.G.C.GateIDs()
-	inc := NewHier(m, m.UnitSizes(), HierOptions{Workers: 1})
+	inc := NewHier(m, m.UnitSizes(), HierOptions{})
 	// The schedule is cyclic, so one warm pass reaches the steady state:
 	// the dirty bitset is sized at construction and the adjoint scratch
 	// never grows.
@@ -240,7 +241,7 @@ func TestIncSteadyStateAllocFree(t *testing.T) {
 func TestIncTrialSteadyStateAllocFree(t *testing.T) {
 	m := parallelTestModels(t)["tree7"]
 	gates := m.G.C.GateIDs()
-	inc := NewHier(m, m.UnitSizes(), HierOptions{Workers: 1})
+	inc := NewHier(m, m.UnitSizes(), HierOptions{})
 	step := 0
 	cycle := func() {
 		inc.Trial()
@@ -296,12 +297,14 @@ func TestIncSetSizePanics(t *testing.T) {
 
 // TestIncCriticalityMatchesWorkers pins the warm-engine criticality
 // accessor against the fresh-sweep entry point after a trajectory of
-// size nudges, for worker counts 1 and 4.
+// size nudges, two per circuit. The cells keep the names "j1"/"j4" of
+// the worker counts they once ran at, so test ids stay stable; j4
+// passes the ignored Workers: 4 and replays its own seed.
 func TestIncCriticalityMatchesWorkers(t *testing.T) {
 	for name, m := range parallelTestModels(t) {
-		for _, workers := range []int{1, 4} {
+		for i, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/j%d", name, workers), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(7))
+				rng := rand.New(rand.NewSource(int64(7 + i)))
 				gates := m.G.C.GateIDs()
 				inc := NewHier(m, m.UnitSizes(), HierOptions{Workers: workers})
 				for step := 0; step < 8; step++ {
@@ -324,8 +327,8 @@ func TestIncCriticalityMatchesWorkers(t *testing.T) {
 // TestIncMemoryBytes sanity-checks the footprint estimate: positive,
 // larger for larger circuits, covering at least the dominant moment
 // slabs — and within 15% of the heap an engine actually retains after
-// a gradient and a trial, serial and parallel, since the session
-// LRU's byte budget is built on it.
+// a gradient and a trial, since the session LRU's byte budget is built
+// on it.
 func TestIncMemoryBytes(t *testing.T) {
 	models := parallelTestModels(t)
 	small := NewHier(models["tree7"], models["tree7"].UnitSizes(), HierOptions{})
@@ -352,28 +355,26 @@ func TestIncMemoryBytes(t *testing.T) {
 	for _, name := range []string{"k2", "gen1200", "session10k"} {
 		m := models[name]
 		gates := m.G.C.GateIDs()
-		for _, workers := range []int{1, 4} {
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			h := NewHier(m, m.UnitSizes(), HierOptions{Workers: workers})
-			h.GradMuPlusKSigma(3)
-			h.Trial()
-			for _, id := range gates[:len(gates)/4] {
-				h.SetSize(id, 2)
-			}
-			h.Update()
-			h.Rollback()
-			runtime.GC()
-			runtime.ReadMemStats(&after)
-			retained := float64(after.HeapAlloc) - float64(before.HeapAlloc)
-			ratio := retained / float64(h.MemoryBytes())
-			runtime.KeepAlive(h)
-			t.Logf("%s/j%d: retained/MemoryBytes = %.3f", name, workers, ratio)
-			if ratio < 0.85 || ratio > 1.15 {
-				t.Errorf("%s/j%d: retained heap %.0f B is %.2fx MemoryBytes %d, want within 15%%",
-					name, workers, retained, ratio, h.MemoryBytes())
-			}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		h := NewHier(m, m.UnitSizes(), HierOptions{})
+		h.GradMuPlusKSigma(3)
+		h.Trial()
+		for _, id := range gates[:len(gates)/4] {
+			h.SetSize(id, 2)
+		}
+		h.Update()
+		h.Rollback()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		retained := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+		ratio := retained / float64(h.MemoryBytes())
+		runtime.KeepAlive(h)
+		t.Logf("%s: retained/MemoryBytes = %.3f", name, ratio)
+		if ratio < 0.85 || ratio > 1.15 {
+			t.Errorf("%s: retained heap %.0f B is %.2fx MemoryBytes %d, want within 15%%",
+				name, retained, ratio, h.MemoryBytes())
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // parallelTestModels covers the built-in circuits plus a randomized
-// generated netlist large enough to take the parallel path.
+// 1,200-gate generated netlist.
 func parallelTestModels(t testing.TB) map[string]*delay.Model {
 	t.Helper()
 	models := map[string]*delay.Model{

@@ -18,7 +18,7 @@ import (
 // offsets are int32.
 //
 // The forward pass walks positions ascending — levels ascending,
-// exactly the flat sweep's order. The serial adjoint walks levels
+// exactly the flat sweep's order. The adjoint walks levels
 // descending but positions inside a level ascending: that is the flat
 // adjoint's accumulation order, and reversing the in-level walk would
 // reorder additions into shared fanin adjoints and change their last
@@ -45,7 +45,8 @@ type schedule struct {
 }
 
 // compileSchedule builds the schedule for g, with the tape carved in
-// level order (the serial engine's layout).
+// position order: each node's fold steps follow its predecessor's, so
+// a level's tape is one contiguous arena span.
 func compileSchedule(g *netlist.Graph) schedule {
 	n := len(g.C.Nodes)
 	if g.Edges > math.MaxInt32 || n > math.MaxInt32 {
@@ -61,40 +62,27 @@ func compileSchedule(g *netlist.Graph) schedule {
 		fout:    make([]netlist.NodeID, 0, g.Edges),
 		tape:    make([]int32, n),
 	}
+	at := int32(0)
 	for l, bucket := range g.Levels {
 		sc.lvl[l] = int32(len(sc.order))
 		for _, id := range bucket {
 			p := len(sc.order)
 			sc.pos[id] = int32(p)
 			sc.order = append(sc.order, int32(id))
-			sc.fin = append(sc.fin, g.C.Nodes[id].Fanin...)
+			fanin := g.C.Nodes[id].Fanin
+			sc.fin = append(sc.fin, fanin...)
 			sc.fout = append(sc.fout, g.Fanout[id]...)
 			sc.finOff[p+1] = int32(len(sc.fin))
 			sc.foutOff[p+1] = int32(len(sc.fout))
+			sc.tape[p] = at
+			if k := len(fanin); k > 1 {
+				at += int32(k - 1)
+			}
 		}
 	}
 	sc.lvl[len(g.Levels)] = int32(n)
-	at := int32(0)
-	for _, bucket := range g.Levels {
-		at = sc.carve(at, bucket)
-	}
 	sc.tapeLen = int(at)
 	return sc
-}
-
-// carve assigns consecutive tape offsets from at to the fold steps of
-// ids, in list order, and returns the next free offset. Carving a
-// block's (or a level's) node list in one call makes its tape one
-// contiguous arena span.
-func (sc *schedule) carve(at int32, ids []netlist.NodeID) int32 {
-	for _, id := range ids {
-		p := sc.pos[id]
-		sc.tape[p] = at
-		if k := sc.finOff[p+1] - sc.finOff[p]; k > 1 {
-			at += k - 1
-		}
-	}
-	return at
 }
 
 // node returns the NodeID at position p.

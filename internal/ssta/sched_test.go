@@ -58,99 +58,87 @@ func scheduleTestModels(t *testing.T) map[string]*delay.Model {
 }
 
 // TestScheduleInvariants checks the engine's compiled sweep schedule
-// against the graph it was compiled from, serial and parallel: the
-// order is the level buckets concatenated, every position's fanin and
-// fanout pins equal the graph's lists, the slabs were sized exactly,
-// and the tape offsets tile the arena without overlap in the carve
-// order the engine uses — level order when serial, block order when
-// parallel.
+// against the graph it was compiled from: the order is the level
+// buckets concatenated, every position's fanin and fanout pins equal
+// the graph's lists, the slabs were sized exactly, and the tape
+// offsets tile the arena without overlap in level order.
 func TestScheduleInvariants(t *testing.T) {
 	for name, m := range scheduleTestModels(t) {
 		g := m.G
 		n := len(g.C.Nodes)
-		for _, workers := range []int{1, 4} {
-			h := NewHier(m, m.UnitSizes(), HierOptions{Workers: workers})
-			sc := &h.sc
-			fail := func(format string, args ...any) {
-				t.Helper()
-				t.Fatalf("%s/j%d: "+format, append([]any{name, workers}, args...)...)
+		h := NewHier(m, m.UnitSizes(), HierOptions{})
+		sc := &h.sc
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("%s: "+format, append([]any{name}, args...)...)
+		}
+		if len(sc.order) != n || len(sc.lvl) != len(g.Levels)+1 || int(sc.lvl[len(g.Levels)]) != n {
+			fail("order has %d nodes, lvl %d entries ending at %d", len(sc.order), len(sc.lvl), sc.lvl[len(sc.lvl)-1])
+		}
+		p := 0
+		for l, bucket := range g.Levels {
+			if int(sc.lvl[l]) != p {
+				fail("level %d starts at %d, want %d", l, sc.lvl[l], p)
 			}
-			if len(sc.order) != n || len(sc.lvl) != len(g.Levels)+1 || int(sc.lvl[len(g.Levels)]) != n {
-				fail("order has %d nodes, lvl %d entries ending at %d", len(sc.order), len(sc.lvl), sc.lvl[len(sc.lvl)-1])
-			}
-			p := 0
-			for l, bucket := range g.Levels {
-				if int(sc.lvl[l]) != p {
-					fail("level %d starts at %d, want %d", l, sc.lvl[l], p)
+			for _, id := range bucket {
+				if sc.node(p) != id || int(sc.pos[id]) != p {
+					fail("position %d holds %d (pos %d), want %d", p, sc.node(p), sc.pos[id], id)
 				}
-				for _, id := range bucket {
-					if sc.node(p) != id || int(sc.pos[id]) != p {
-						fail("position %d holds %d (pos %d), want %d", p, sc.node(p), sc.pos[id], id)
-					}
-					p++
-				}
+				p++
 			}
-			if len(sc.fin) != g.Edges || cap(sc.fin) != g.Edges || len(sc.fout) != g.Edges || cap(sc.fout) != g.Edges {
-				fail("pin slabs len/cap %d/%d and %d/%d, want %d", len(sc.fin), cap(sc.fin), len(sc.fout), cap(sc.fout), g.Edges)
+		}
+		if len(sc.fin) != g.Edges || cap(sc.fin) != g.Edges || len(sc.fout) != g.Edges || cap(sc.fout) != g.Edges {
+			fail("pin slabs len/cap %d/%d and %d/%d, want %d", len(sc.fin), cap(sc.fin), len(sc.fout), cap(sc.fout), g.Edges)
+		}
+		for p := 0; p < n; p++ {
+			id := sc.node(p)
+			if !slices.Equal(sc.fanin(p), g.C.Nodes[id].Fanin) {
+				fail("node %d fanin %v, want %v", id, sc.fanin(p), g.C.Nodes[id].Fanin)
 			}
-			for p := 0; p < n; p++ {
-				id := sc.node(p)
-				if !slices.Equal(sc.fanin(p), g.C.Nodes[id].Fanin) {
-					fail("node %d fanin %v, want %v", id, sc.fanin(p), g.C.Nodes[id].Fanin)
-				}
-				if !slices.Equal(sc.fanout(p), g.Fanout[id]) {
-					fail("node %d fanout %v, want %v", id, sc.fanout(p), g.Fanout[id])
-				}
+			if !slices.Equal(sc.fanout(p), g.Fanout[id]) {
+				fail("node %d fanout %v, want %v", id, sc.fanout(p), g.Fanout[id])
 			}
+		}
 
-			// Tiling: every gate's span lies in the arena, no slot is
-			// claimed twice, and every slot is claimed.
-			owner := make([]int, len(h.tapeArena))
-			for i := range owner {
-				owner[i] = -1
-			}
-			for p := 0; p < n; p++ {
-				steps := len(sc.fanin(p)) - 1
-				for k := 0; k < steps; k++ {
-					at := int(sc.tape[p]) + k
-					if at < 0 || at >= len(owner) {
-						fail("position %d slot %d outside the %d-slot arena", p, at, len(owner))
-					}
-					if owner[at] >= 0 {
-						fail("slot %d claimed by positions %d and %d", at, owner[at], p)
-					}
-					owner[at] = p
+		// Tiling: every gate's span lies in the arena, no slot is
+		// claimed twice, and every slot is claimed.
+		owner := make([]int, len(h.tapeArena))
+		for i := range owner {
+			owner[i] = -1
+		}
+		for p := 0; p < n; p++ {
+			steps := len(sc.fanin(p)) - 1
+			for k := 0; k < steps; k++ {
+				at := int(sc.tape[p]) + k
+				if at < 0 || at >= len(owner) {
+					fail("position %d slot %d outside the %d-slot arena", p, at, len(owner))
 				}
-			}
-			for at, p := range owner {
-				if p < 0 {
-					fail("arena slot %d unclaimed", at)
+				if owner[at] >= 0 {
+					fail("slot %d claimed by positions %d and %d", at, owner[at], p)
 				}
+				owner[at] = p
 			}
+		}
+		for at, p := range owner {
+			if p < 0 {
+				fail("arena slot %d unclaimed", at)
+			}
+		}
 
-			// Carve order: consecutive spans in the order the engine's
-			// passes walk whole ranges.
-			var carveOrder [][]netlist.NodeID
-			if workers > 1 {
-				for _, blk := range h.p.Blocks {
-					carveOrder = append(carveOrder, blk.Nodes)
+		// Carve order: consecutive spans, level by level — the order
+		// the passes walk whole ranges.
+		at := 0
+		for _, ids := range g.Levels {
+			for _, id := range ids {
+				p := int(sc.pos[id])
+				if int(sc.tape[p]) != at {
+					fail("node %d tape at %d, want %d in carve order", id, sc.tape[p], at)
 				}
-			} else {
-				carveOrder = g.Levels
+				at += max(len(sc.fanin(p))-1, 0)
 			}
-			at := 0
-			for _, ids := range carveOrder {
-				for _, id := range ids {
-					p := int(sc.pos[id])
-					if int(sc.tape[p]) != at {
-						fail("node %d tape at %d, want %d in carve order", id, sc.tape[p], at)
-					}
-					at += max(len(sc.fanin(p))-1, 0)
-				}
-			}
-			if at != len(h.tapeArena) || at != sc.tapeLen {
-				fail("carve order ends at %d, arena has %d slots (tapeLen %d)", at, len(h.tapeArena), sc.tapeLen)
-			}
+		}
+		if at != len(h.tapeArena) || at != sc.tapeLen {
+			fail("carve order ends at %d, arena has %d slots (tapeLen %d)", at, len(h.tapeArena), sc.tapeLen)
 		}
 	}
 }
