@@ -11,9 +11,8 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Monte Carlo, the NLP element engine and the service are
-# concurrency-bearing; every change must stay clean under the race
-# detector.
+# Monte Carlo and the service are concurrency-bearing; every change
+# must stay clean under the race detector.
 race:
 	$(GO) test -race ./...
 
@@ -277,12 +276,13 @@ faults:
 
 # trace runs a sized solve with the JSONL telemetry trace enabled and
 # schema-validates the result — the end-to-end smoke test of the
-# observability layer. The serial and parallel traces must be
-# byte-identical (the determinism contract of internal/telemetry).
+# observability layer. Two runs of the same solve must write
+# byte-identical traces (the determinism contract of
+# internal/telemetry).
 trace:
 	$(GO) run ./cmd/statsize -circuit tree7 -objective area \
-		-constraint "mu+3sigma<=8" -trace /tmp/statsize-j1.jsonl -metrics -j 1
+		-constraint "mu+3sigma<=8" -trace /tmp/statsize-run1.jsonl -metrics
 	$(GO) run ./cmd/statsize -circuit tree7 -objective area \
-		-constraint "mu+3sigma<=8" -trace /tmp/statsize-j4.jsonl -j 4 >/dev/null
-	cmp /tmp/statsize-j1.jsonl /tmp/statsize-j4.jsonl
-	$(GO) run ./cmd/tables -checktrace /tmp/statsize-j1.jsonl
+		-constraint "mu+3sigma<=8" -trace /tmp/statsize-run2.jsonl >/dev/null
+	cmp /tmp/statsize-run1.jsonl /tmp/statsize-run2.jsonl
+	$(GO) run ./cmd/tables -checktrace /tmp/statsize-run1.jsonl

@@ -36,7 +36,7 @@ func main() {
 		cornersK    = flag.Float64("corners", 0, "corner/pessimism report at mu +- k*sigma (0 = off)")
 		seed        = flag.Int64("seed", 1, "Monte Carlo seed")
 		canonical   = flag.Bool("canonical", false, "also run the correlation-aware canonical sweep")
-		workers     = flag.Int("j", 0, "worker goroutines for Monte Carlo; the analytic sweeps are serial (0 = all CPUs, 1 = serial; results are identical for any value)")
+		workers     = flag.Int("j", 0, "worker goroutines for the Monte Carlo cross-check, the only parallel stage; every analytic sweep is serial (0 = all CPUs, 1 = serial; results are identical for any value)")
 		traceFile   = flag.String("trace", "", "write a JSONL analysis trace to this file (byte-identical for every -j)")
 		metricsFlag = flag.Bool("metrics", false, "print the telemetry metrics summary table after the run")
 		serveFlag   = flag.String("serve", "", "serve Prometheus /metrics, expvar and pprof on this address (e.g. localhost:9090); implies metrics collection")

@@ -44,8 +44,7 @@ func main() {
 		showSizes     = flag.Bool("sizes", false, "print per-gate speed factors")
 		greedyFlag    = flag.Bool("greedy", false, "use the TILOS-style greedy sensitivity sizer (incremental SSTA engine) instead of the NLP solver; needs a mu+Ksigma<= constraint")
 		verbose       = flag.Bool("v", false, "log solver progress (the telemetry event stream, rendered as text)")
-		workers       = flag.Int("j", 0, "worker goroutines for the NLP element evaluation engine; the timing sweeps are serial (0 = all CPUs, 1 = serial; results are identical for any value)")
-		traceFile     = flag.String("trace", "", "write a JSONL solver trace to this file (byte-identical for every -j)")
+		traceFile     = flag.String("trace", "", "write a JSONL solver trace to this file (byte-identical from run to run)")
 		metricsFlag   = flag.Bool("metrics", false, "print the telemetry metrics summary table after the run")
 		serveFlag     = flag.String("serve", "", "serve Prometheus /metrics, expvar and pprof on this address (e.g. localhost:9090); implies metrics collection")
 		spansFile     = flag.String("spans", "", "write the wall-clock span tree as JSONL to this file after the run (tracetool -spans reads it)")
@@ -134,7 +133,7 @@ func main() {
 	m.Limit = *limit
 	m.Sigma = sigma
 
-	spec := sizing.Spec{Workers: *workers}
+	var spec sizing.Spec
 	spec.Objective, err = sizing.ParseObjective(*objectiveFlag)
 	if err != nil {
 		fatal(err)

@@ -5,14 +5,12 @@
 // cancellation — at exact per-element call indices.
 //
 // Determinism is the whole point: faults are keyed on *per-element*
-// call counters, not a global evaluation count. The NLP engine may
-// evaluate distinct elements concurrently, so a global counter would
-// fire at a schedule-dependent call, but one element's callbacks are
-// never invoked concurrently with each other (and dispatches are
-// separated by the engine barrier), so a per-element counter advances
-// identically for every worker count. Every recovery path the
-// resilience layer implements can therefore be exercised reproducibly,
-// with bit-identical solver trajectories across -j values.
+// call counters, so a script names the exact callback invocation it
+// breaks, and the solver evaluates its elements serially in a fixed
+// order, so the counters advance identically on every run. Every
+// recovery path the resilience layer implements can therefore be
+// exercised reproducibly, with bit-identical solver trajectories from
+// run to run.
 package faults
 
 import (
@@ -60,7 +58,7 @@ func (k Kind) String() string {
 }
 
 // Fault schedules one injection. Elem indexes the problem's elements
-// in the engine's serial order: objective elements first, then
+// in the engine's order: objective elements first, then
 // equality constraints, then inequality constraints. Call is the
 // 1-based per-element invocation index of the targeted callback (Eval
 // for EvalNaN/EvalInf/Cancel, Grad for GradNaN, Hess for HessNaN) at
@@ -109,9 +107,8 @@ func (r *Recorder) Count() int {
 }
 
 // counters tracks one wrapped element's per-callback call counts. The
-// engine never runs one element's callbacks concurrently and separates
-// dispatches with a barrier, so plain ints are race-free and advance
-// identically for every worker count.
+// solver calls them serially, so plain ints advance identically on
+// every run.
 type counters struct {
 	eval, grad, hess int
 }

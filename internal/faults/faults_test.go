@@ -96,7 +96,7 @@ func allFinite(x []float64) bool {
 func TestTransientNaNRecoversToCleanObjective(t *testing.T) {
 	const n = 16
 	p := chain(n, true)
-	opt := nlp.Options{Method: nlp.LBFGS, Workers: 1}
+	opt := nlp.Options{Method: nlp.LBFGS}
 
 	clean, err := nlp.Solve(p, point(n), opt)
 	if err != nil {
@@ -142,7 +142,7 @@ func TestPersistentNaNExhaustsBudgetThenFails(t *testing.T) {
 	p := chain(n, true)
 	wrapped, rec := Wrap(p, []Fault{{Elem: 0, Call: 4, Kind: EvalNaN, Persist: true}}, nil)
 
-	opt := nlp.Options{Method: nlp.LBFGS, Workers: 1, RecoveryBudget: 3}
+	opt := nlp.Options{Method: nlp.LBFGS, RecoveryBudget: 3}
 	res, err := nlp.Solve(wrapped, point(n), opt)
 	if err != nil {
 		t.Fatalf("solve: %v", err)
@@ -174,7 +174,7 @@ func TestPersistentNaNExhaustsBudgetThenFails(t *testing.T) {
 func TestHessNaNDegradesNewtonToLBFGS(t *testing.T) {
 	const n = 12
 	p := chain(n, false) // unconstrained: ladder fires on the first stalled inner solve
-	opt := nlp.Options{Method: nlp.NewtonCG, Workers: 1}
+	opt := nlp.Options{Method: nlp.NewtonCG}
 
 	clean, err := nlp.Solve(p, point(n), opt)
 	if err != nil {
@@ -209,7 +209,7 @@ func TestHessNaNDegradesNewtonToLBFGS(t *testing.T) {
 func TestGradNaNIsRecoverable(t *testing.T) {
 	const n = 16
 	p := chain(n, true)
-	opt := nlp.Options{Method: nlp.LBFGS, Workers: 1}
+	opt := nlp.Options{Method: nlp.LBFGS}
 
 	clean, err := nlp.Solve(p, point(n), opt)
 	if err != nil {
@@ -233,13 +233,13 @@ func TestGradNaNIsRecoverable(t *testing.T) {
 
 // cancelRun drives one scripted-cancellation solve and returns the
 // result plus the number of firings.
-func cancelRun(t *testing.T, n, workers, call int) (*nlp.Result, int) {
+func cancelRun(t *testing.T, n, call int) (*nlp.Result, int) {
 	t.Helper()
 	p := chain(n, true)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	wrapped, rec := Wrap(p, []Fault{{Elem: 0, Call: call, Kind: Cancel}}, cancel)
-	res, err := nlp.SolveCtx(ctx, wrapped, point(n), nlp.Options{Method: nlp.LBFGS, Workers: workers})
+	res, err := nlp.SolveCtx(ctx, wrapped, point(n), nlp.Options{Method: nlp.LBFGS})
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}
@@ -249,44 +249,42 @@ func cancelRun(t *testing.T, n, workers, call int) (*nlp.Result, int) {
 // TestCancelMidSolve is the cancellation acceptance criterion: a kill
 // signal scripted at an exact element call must yield Cancelled with a
 // finite best-so-far iterate, leak no goroutines, and produce a
-// bit-identical trajectory for every worker count (the fault counter is
-// per-element, so the logical cancellation point is schedule-free).
+// bit-identical trajectory run after run (the fault counter is
+// per-element, so the logical cancellation point is deterministic).
 func TestCancelMidSolve(t *testing.T) {
-	// Large enough to clear the engine's parallel threshold so Workers 4
-	// actually spins up the pool whose shutdown we are checking.
 	const n = 140
 	const call = 30
 
 	base := runtime.NumGoroutine()
-	serial, fired := cancelRun(t, n, 1, call)
+	first, fired := cancelRun(t, n, call)
 	if fired != 1 {
 		t.Fatalf("cancel fault fired %d times, want 1", fired)
 	}
-	if serial.Status != nlp.Cancelled {
-		t.Fatalf("status = %v, want Cancelled", serial.Status)
+	if first.Status != nlp.Cancelled {
+		t.Fatalf("status = %v, want Cancelled", first.Status)
 	}
-	if !serial.Status.Failed() {
+	if !first.Status.Failed() {
 		t.Fatal("Cancelled must report Failed()")
 	}
-	if len(serial.X) != n || !allFinite(serial.X) {
-		t.Fatalf("best-so-far X invalid: len %d", len(serial.X))
+	if len(first.X) != n || !allFinite(first.X) {
+		t.Fatalf("best-so-far X invalid: len %d", len(first.X))
 	}
 
-	par, _ := cancelRun(t, n, 4, call)
-	if par.Status != nlp.Cancelled {
-		t.Fatalf("parallel status = %v, want Cancelled", par.Status)
+	again, _ := cancelRun(t, n, call)
+	if again.Status != nlp.Cancelled {
+		t.Fatalf("repeat status = %v, want Cancelled", again.Status)
 	}
-	if serial.Outer != par.Outer || serial.Inner != par.Inner || serial.FuncEvals != par.FuncEvals {
-		t.Fatalf("cancellation point depends on workers: serial outer/inner/evals %d/%d/%d, parallel %d/%d/%d",
-			serial.Outer, serial.Inner, serial.FuncEvals, par.Outer, par.Inner, par.FuncEvals)
+	if first.Outer != again.Outer || first.Inner != again.Inner || first.FuncEvals != again.FuncEvals {
+		t.Fatalf("cancellation point moved between runs: outer/inner/evals %d/%d/%d, then %d/%d/%d",
+			first.Outer, first.Inner, first.FuncEvals, again.Outer, again.Inner, again.FuncEvals)
 	}
-	for i := range serial.X {
-		if serial.X[i] != par.X[i] {
-			t.Fatalf("X[%d] differs across worker counts: %v vs %v", i, serial.X[i], par.X[i])
+	for i := range first.X {
+		if first.X[i] != again.X[i] {
+			t.Fatalf("X[%d] differs between runs: %v vs %v", i, first.X[i], again.X[i])
 		}
 	}
 
-	// The engine pool must have wound down: no goroutine leaks.
+	// The cancelled solves must leave no goroutine behind.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base+2 {
 		if time.Now().After(deadline) {
@@ -306,10 +304,10 @@ func TestFiringsDeterministic(t *testing.T) {
 		{Elem: 3, Call: 4, Kind: EvalInf},
 		{Elem: 1, Call: 5, Kind: GradNaN},
 	}
-	run := func(workers int) (*nlp.Result, []Firing) {
+	run := func() (*nlp.Result, []Firing) {
 		p := chain(n, true)
 		wrapped, rec := Wrap(p, script, nil)
-		res, err := nlp.Solve(wrapped, point(n), nlp.Options{Method: nlp.LBFGS, Workers: workers})
+		res, err := nlp.Solve(wrapped, point(n), nlp.Options{Method: nlp.LBFGS})
 		if err != nil {
 			t.Fatalf("solve: %v", err)
 		}
@@ -326,8 +324,8 @@ func TestFiringsDeterministic(t *testing.T) {
 		return res, fired
 	}
 
-	r1, f1 := run(1)
-	r2, f2 := run(1)
+	r1, f1 := run()
+	r2, f2 := run()
 	if len(f1) == 0 {
 		t.Fatal("no faults fired")
 	}
@@ -351,10 +349,10 @@ func TestWrapLeavesOriginalClean(t *testing.T) {
 	const n = 8
 	p := chain(n, true)
 	wrapped, _ := Wrap(p, []Fault{{Elem: 0, Call: 1, Kind: EvalNaN, Persist: true}}, nil)
-	if _, err := nlp.Solve(wrapped, point(n), nlp.Options{Workers: 1, RecoveryBudget: 1, MaxOuter: 10}); err != nil {
+	if _, err := nlp.Solve(wrapped, point(n), nlp.Options{RecoveryBudget: 1, MaxOuter: 10}); err != nil {
 		t.Fatalf("faulted solve: %v", err)
 	}
-	res, err := nlp.Solve(p, point(n), nlp.Options{Workers: 1})
+	res, err := nlp.Solve(p, point(n), nlp.Options{})
 	if err != nil {
 		t.Fatalf("original solve: %v", err)
 	}

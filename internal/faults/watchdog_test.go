@@ -13,10 +13,10 @@ import (
 // iterate again and again, so the alm.outer merit plateaus — and the
 // solve-health watchdog in the telemetry chain must raise
 // solve.stalled while the solve is still running. The stall events are
-// themselves deterministic (driven by worker-count-invariant event
-// values), so the test also pins them across worker counts.
+// themselves deterministic (driven by deterministic event values), so
+// the test also pins them across two runs of the same solve.
 func TestWatchdogFiresOnNonConvergingSolve(t *testing.T) {
-	run := func(workers int) *telemetry.Watchdog {
+	run := func() *telemetry.Watchdog {
 		const n = 8
 		p := chain(n, true)
 		wrapped, rec := Wrap(p, []Fault{{Elem: 0, Call: 4, Kind: EvalNaN, Persist: true}}, nil)
@@ -25,8 +25,7 @@ func TestWatchdogFiresOnNonConvergingSolve(t *testing.T) {
 			Patience:   4,
 		})
 		opt := nlp.Options{
-			Method: nlp.LBFGS, Workers: workers,
-			RecoveryBudget: 3, Recorder: wd,
+			Method: nlp.LBFGS, RecoveryBudget: 3, Recorder: wd,
 		}
 		res, err := nlp.Solve(wrapped, point(n), opt)
 		if err != nil {
@@ -41,7 +40,7 @@ func TestWatchdogFiresOnNonConvergingSolve(t *testing.T) {
 		return wd
 	}
 
-	wd := run(1)
+	wd := run()
 	if !wd.Stalled() {
 		t.Fatal("watchdog stayed silent on a non-converging fault-injected solve")
 	}
@@ -53,15 +52,14 @@ func TestWatchdogFiresOnNonConvergingSolve(t *testing.T) {
 		t.Errorf("stall streak = %d, want >= patience 4", s.Streak)
 	}
 
-	// Determinism: the same stalls fire for any worker count.
-	wd4 := run(4)
-	a, b := wd.Stalls(), wd4.Stalls()
+	// Determinism: a repeat run fires the same stalls.
+	a, b := wd.Stalls(), run().Stalls()
 	if len(a) != len(b) {
-		t.Fatalf("stall count differs across workers: %d vs %d", len(a), len(b))
+		t.Fatalf("stall count differs between runs: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Errorf("stall %d differs across workers: %+v vs %+v", i, a[i], b[i])
+			t.Errorf("stall %d differs between runs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }

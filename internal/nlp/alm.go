@@ -82,16 +82,6 @@ type Options struct {
 	RhoMax float64
 	// Memory is the number of L-BFGS correction pairs (default 10).
 	Memory int
-	// Workers bounds the worker goroutines of the element evaluation
-	// engine: <= 0 uses one per CPU, 1 forces serial evaluation.
-	// Results are bit-for-bit identical for every worker count — the
-	// engine folds all accumulations in serial element order. When
-	// Workers permits parallelism (and the problem has at least
-	// engineMinElements elements), Eval/Grad/Hess callbacks of
-	// *distinct* elements may run concurrently, so elements must not
-	// share mutable state; one element's callbacks are never invoked
-	// concurrently with each other.
-	Workers int
 	// RecoveryBudget bounds the automatic non-finite recovery attempts
 	// per ladder rung (default 5). When a merit or gradient evaluation
 	// at an accepted iterate turns out NaN/Inf, the solver restores the
@@ -120,7 +110,7 @@ type Options struct {
 	// event per inner iteration, "alm.recover" / "alm.degrade" events
 	// from the resilience layer, and the engine's evaluation counters
 	// and dispatch timings at the end of the solve. Event content is
-	// deterministic: traces are byte-identical for every Workers value.
+	// deterministic: the same solve writes byte-identical traces.
 	// A nil Recorder costs one branch and zero allocations per
 	// instrumentation point.
 	Recorder telemetry.Recorder
@@ -273,7 +263,7 @@ type almState struct {
 	// outer iteration (1-based), tagged onto inner-solver events.
 	rec   telemetry.Recorder
 	outer int
-	// stack is the coordinating goroutine's span-tree scope stack
+	// stack is the solve's span-tree scope stack
 	// (nil when rec has no tree sink): nlp.solve > alm.outer >
 	// nlp.inner phase attribution with self- vs cumulative-time split.
 	stack *telemetry.Stack
@@ -291,7 +281,7 @@ type almState struct {
 	stopped bool
 }
 
-func newALMState(p *Problem, rho float64, workers int, rec telemetry.Recorder) *almState {
+func newALMState(p *Problem, rho float64, rec telemetry.Recorder) *almState {
 	s := &almState{
 		p:       p,
 		rho:     rho,
@@ -304,14 +294,14 @@ func newALMState(p *Problem, rho float64, workers int, rec telemetry.Recorder) *
 		finite:  true,
 		badElem: -1,
 	}
-	s.eng = newEngine(p, s, workers)
+	s.eng = newEngine(p, s)
 	return s
 }
 
 // stop reports whether the solve's context has been cancelled. It is
 // called at outer- and inner-iteration boundaries only; the engine's
-// compute phases always run to their barrier, so a cancelled solve
-// still holds a consistent state.
+// compute phases always run to completion, so a cancelled solve still
+// holds a consistent state.
 func (s *almState) stop() bool {
 	if s.stopped {
 		return true
@@ -346,12 +336,11 @@ func (s *almState) objective(x []float64) float64 {
 // overwritten). Constraint values are cached in cEq / cIneq for the
 // outer loop.
 //
-// The engine computes element values in parallel; the fold below
-// accumulates phi in exact serial element order, so the result is
-// bit-identical for any worker count. The fold also fixes each
-// element's gradient weight w (the ALM chain-rule factor), which the
-// gradient dispatch uses to skip elements that cannot contribute —
-// inactive inequalities exactly as the serial code always did.
+// The engine computes the element values; the fold below accumulates
+// phi in element order. The fold also fixes each element's gradient
+// weight w (the ALM chain-rule factor), which the gradient dispatch
+// uses to skip elements that cannot contribute — inactive
+// inequalities.
 //
 // The fold doubles as the solver's non-finite guard: every element
 // value and phi are screened with the x-x != 0 trick (true exactly for
@@ -504,8 +493,7 @@ func SolveCtx(ctx context.Context, p *Problem, x0 []float64, opt Options) (*Resu
 	x := append([]float64(nil), x0...)
 	p.project(x)
 
-	st := newALMState(p, opt.RhoInit, opt.Workers, opt.Recorder)
-	defer st.eng.close()
+	st := newALMState(p, opt.RhoInit, opt.Recorder)
 	st.done = ctx.Done()
 	res := &Result{}
 	rec := opt.Recorder
@@ -702,8 +690,7 @@ func SolveCtx(ctx context.Context, p *Problem, x0 []float64, opt Options) (*Resu
 		if xPrev != nil {
 			// One emission point feeds the JSONL trace, the metrics
 			// census and the -v verbose log alike; every field is
-			// deterministic under the engine's bit-identical-parallelism
-			// contract.
+			// deterministic.
 			f := st.objective(x)
 			var step float64
 			for i := range x {

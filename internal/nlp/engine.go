@@ -1,9 +1,6 @@
 package nlp
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/telemetry"
@@ -13,39 +10,22 @@ import (
 // LANCELOT trick the rest of the solver stands on. A problem is a sum
 // of small element functions, so every expensive whole-problem
 // quantity — merit value, merit gradient, element Hessian cache,
-// Hessian-vector product — decomposes into independent per-element
-// computations followed by an order-sensitive accumulation. The engine
-// splits those two halves explicitly:
+// Hessian-vector product — decomposes into per-element computations
+// followed by an order-sensitive accumulation. The engine splits those
+// two halves explicitly:
 //
-//   - Compute phase: elements are statically partitioned into fixed
-//     contiguous chunks and each chunk is evaluated by one worker.
-//     An element writes only to its own arena slots (its local x/g/v
-//     scratch, its flat Hessian block, its value/weight fields), so
-//     scheduling cannot influence a single bit.
-//   - Fold phase: the coordinating goroutine accumulates the
-//     per-element results (merit sum, gradient scatter, H*v scatter)
-//     in exact serial element order — the same discipline as the
-//     persistent SSTA engine's parallel adjoint (ssta.Hier) — so the
-//     result is bit-for-bit identical for every worker count.
+//   - Compute phase: one serial pass evaluates every element. An
+//     element writes only to its own arena slots (its local x/g/v
+//     scratch, its flat Hessian block, its value/weight fields).
+//   - Fold phase: the solver accumulates the per-element results
+//     (merit sum, gradient scatter, H*v scatter) in element order, so
+//     every accumulation has one fixed order.
 //
 // All element scratch lives in a handful of []float64 slabs allocated
 // once at engine construction and reused for the life of the solve:
 // steady-state merit, gradient, Hessian-cache and Hessian-vector
 // evaluation performs zero heap allocations (pinned by
 // TestMeritSteadyStateAllocs / TestHessVecSteadyStateAllocs).
-//
-// Parallel evaluation runs on a persistent worker pool (spawning a
-// goroutine per call would allocate); dispatch is a buffered channel
-// send of a chunk index per worker plus one sync.WaitGroup barrier,
-// both allocation-free. Problems below engineMinElements skip the
-// pool entirely and evaluate inline.
-
-// engineMinElements is the element count below which the engine
-// evaluates serially regardless of Workers: with only a handful of
-// elements (every reduced-formulation sizing problem, the small test
-// batteries) the dispatch barrier costs more than the arithmetic it
-// spreads.
-const engineMinElements = 128
 
 // elemKind tags an element's role; the merit fold gives each kind a
 // different penalty term and gradient weight.
@@ -57,7 +37,7 @@ const (
 	elInequality
 )
 
-// engineMode selects what runChunk computes for each element.
+// engineMode selects what dispatch computes for each element.
 type engineMode uint8
 
 const (
@@ -73,9 +53,7 @@ const (
 var modeNames = [numModes]string{"merit", "obj", "grad", "hess_cache", "hess_vec"}
 
 // elemRef is the engine's handle on one element: its identity, its
-// arena offsets, and the per-call outputs of the compute phase. Each
-// element is owned by exactly one worker per dispatch, so the mutable
-// fields need no synchronization beyond the dispatch barrier.
+// arena offsets, and the per-call outputs of the compute phase.
 type elemRef struct {
 	el   *Element
 	kind elemKind
@@ -98,9 +76,8 @@ type elemRef struct {
 	touched bool    // hessVec: the masked local v had a nonzero entry
 }
 
-// engine evaluates a Problem's elements over a reusable arena,
-// optionally in parallel. It is owned by one almState and is not safe
-// for concurrent use by multiple solvers; the parallelism is internal.
+// engine evaluates a Problem's elements over a reusable arena. It is
+// owned by one almState and is not safe for concurrent use.
 type engine struct {
 	st   *almState
 	refs []elemRef // objective, then equality, then inequality order
@@ -119,49 +96,23 @@ type engine struct {
 	slabH  []float64 // cached local Hessian blocks; see reserveHessians
 	sumH   int       // len(slabH) once reserved
 
-	// Dispatch state, written by the coordinator before the barrier
-	// opens and read-only for workers during a phase.
-	mode engineMode
+	// Compute-phase inputs, set by the caller before each dispatch.
 	x    []float64 // evaluation point (modeEval/ObjEval/HessCache)
 	v    []float64 // hessVec input vector
 	free []bool    // hessVec free-variable mask
 
-	// Persistent pool: chunk c covers refs[chunks[c][0]:chunks[c][1]].
-	// Worker i waits on workCh for chunk indices; the coordinator runs
-	// chunk 0 itself. nil chunks means serial evaluation.
-	chunks [][2]int
-	workCh chan int
-	wg     sync.WaitGroup
-	closed bool
-
 	// Telemetry. nDispatch counts dispatches per mode (plain ints,
 	// always maintained — an increment is cheaper than a branch worth
-	// guarding). The timing accumulators run only when rec is non-nil:
-	// modeNS is the coordinator's wall time per mode, chunkNS[c] the
-	// busy time of chunk c (each chunk is owned by exactly one worker
-	// per dispatch and dispatches are separated by the pool barrier, so
-	// the slots need no synchronization; the barrier's happens-before
-	// makes them readable by publish). Everything here is metrics data —
-	// none of it enters the deterministic event stream.
+	// guarding). modeNS, the wall time per mode, runs only when rec is
+	// non-nil. Everything here is metrics data — none of it enters the
+	// deterministic event stream.
 	rec       telemetry.Recorder
 	nDispatch [numModes]int64
 	modeNS    [numModes]int64
-	chunkNS   []int64
 }
 
-// resolveWorkers maps the module-wide Workers convention onto a
-// concrete count: <= 0 means one worker per CPU.
-func resolveWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.NumCPU()
-	}
-	return workers
-}
-
-// newEngine builds the arena and, when the problem is large enough and
-// workers allow, the persistent worker pool. The caller must close()
-// the engine to release the pool goroutines.
-func newEngine(p *Problem, st *almState, workers int) *engine {
+// newEngine builds the element arena for p.
+func newEngine(p *Problem, st *almState) *engine {
 	nEl := len(p.Objective) + len(p.EqCons) + len(p.IneqCons)
 	e := &engine{
 		st:   st,
@@ -195,25 +146,6 @@ func newEngine(p *Problem, st *almState, workers int) *engine {
 	e.slabV = make([]float64, sumN)
 	e.slabHV = make([]float64, sumN)
 	e.sumH = sumH
-
-	w := resolveWorkers(workers)
-	if w > 1 && len(e.refs) >= engineMinElements {
-		if w > len(e.refs) {
-			w = len(e.refs)
-		}
-		size := (len(e.refs) + w - 1) / w
-		for lo := 0; lo < len(e.refs); lo += size {
-			hi := min(lo+size, len(e.refs))
-			e.chunks = append(e.chunks, [2]int{lo, hi})
-		}
-		// The buffered channel lets the coordinator publish every chunk
-		// without blocking even under GOMAXPROCS=1.
-		e.workCh = make(chan int, len(e.chunks))
-		e.chunkNS = make([]int64, len(e.chunks))
-		for c := 1; c < len(e.chunks); c++ {
-			go e.worker()
-		}
-	}
 	return e
 }
 
@@ -240,58 +172,17 @@ func (e *engine) reserveHessians() {
 	}
 }
 
-// worker drains chunk indices until close() shuts the channel.
-func (e *engine) worker() {
-	for c := range e.workCh {
-		if e.rec != nil {
-			t0 := time.Now()
-			e.runChunk(e.chunks[c][0], e.chunks[c][1])
-			e.chunkNS[c] += time.Since(t0).Nanoseconds()
-		} else {
-			e.runChunk(e.chunks[c][0], e.chunks[c][1])
-		}
-		e.wg.Done()
-	}
-}
-
-// close releases the pool goroutines; the engine stays usable in
-// serial mode afterwards (Solve only closes on exit).
-func (e *engine) close() {
-	if e.chunks != nil && !e.closed {
-		e.closed = true
-		close(e.workCh)
-		e.chunks = nil
-	}
-}
-
-// dispatch runs one compute phase over every element and returns after
-// the barrier: all per-element outputs are final. Allocation-free,
-// with or without a recorder; with one, the only extra hot-path work
-// is the clock reads bracketing the phase.
+// dispatch runs one compute phase over every element: on return all
+// per-element outputs are final. Allocation-free, with or without a
+// recorder; with one, the only extra hot-path work is the clock reads
+// bracketing the phase.
 func (e *engine) dispatch(mode engineMode) {
-	e.mode = mode
 	e.nDispatch[mode]++
 	var start time.Time
 	if e.rec != nil {
 		start = time.Now()
 	}
-	if e.chunks == nil {
-		e.runChunk(0, len(e.refs))
-	} else {
-		nc := len(e.chunks)
-		e.wg.Add(nc - 1)
-		for c := 1; c < nc; c++ {
-			e.workCh <- c
-		}
-		if e.rec != nil {
-			t0 := time.Now()
-			e.runChunk(e.chunks[0][0], e.chunks[0][1])
-			e.chunkNS[0] += time.Since(t0).Nanoseconds()
-		} else {
-			e.runChunk(e.chunks[0][0], e.chunks[0][1])
-		}
-		e.wg.Wait()
-	}
+	e.compute(mode)
 	if e.rec != nil {
 		e.modeNS[mode] += time.Since(start).Nanoseconds()
 	}
@@ -308,7 +199,6 @@ func (e *engine) publish(rec telemetry.Recorder) {
 	rec.Count("engine.hess_cache_builds", e.nDispatch[modeHessCache])
 	rec.Count("engine.hessvec_evals", e.nDispatch[modeHessVec])
 	rec.Gauge("engine.elements", float64(len(e.refs)))
-	rec.Gauge("engine.chunks", float64(len(e.chunks)))
 	tree := telemetry.TreeOf(rec)
 	for m, ns := range e.modeNS {
 		if ns > 0 {
@@ -321,21 +211,16 @@ func (e *engine) publish(rec telemetry.Recorder) {
 			}
 		}
 	}
-	for c, ns := range e.chunkNS {
-		if ns > 0 {
-			rec.Span(fmt.Sprintf("engine.chunk%02d", c), time.Duration(ns))
-		}
-	}
 }
 
-// runChunk executes the current mode for refs[lo:hi]. Every write
-// lands in element-owned arena slots or elemRef fields, never in
-// shared accumulators — the fold phases own those.
-func (e *engine) runChunk(lo, hi int) {
-	switch e.mode {
+// compute executes mode for every element. Every write lands in
+// element-owned arena slots or elemRef fields, never in shared
+// accumulators — the fold phases own those.
+func (e *engine) compute(mode engineMode) {
+	switch mode {
 	case modeEval, modeObjEval:
-		objOnly := e.mode == modeObjEval
-		for i := lo; i < hi; i++ {
+		objOnly := mode == modeObjEval
+		for i := range e.refs {
 			r := &e.refs[i]
 			if objOnly && r.kind != elObjective {
 				continue
@@ -349,7 +234,7 @@ func (e *engine) runChunk(lo, hi int) {
 	case modeGrad:
 		// slabX still holds the modeEval gather at the same point; a
 		// gradient dispatch always follows a value dispatch.
-		for i := lo; i < hi; i++ {
+		for i := range e.refs {
 			r := &e.refs[i]
 			if r.w == 0 {
 				continue
@@ -358,7 +243,7 @@ func (e *engine) runChunk(lo, hi int) {
 		}
 	case modeHessCache:
 		st := e.st
-		for i := lo; i < hi; i++ {
+		for i := range e.refs {
 			r := &e.refs[i]
 			loc := e.slabX[r.off : r.off+r.n]
 			for k, v := range r.el.Vars {
@@ -394,7 +279,7 @@ func (e *engine) runChunk(lo, hi int) {
 			}
 		}
 	case modeHessVec:
-		for i := lo; i < hi; i++ {
+		for i := range e.refs {
 			r := &e.refs[i]
 			if !r.active {
 				continue

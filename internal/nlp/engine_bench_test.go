@@ -1,43 +1,21 @@
 package nlp
 
-import (
-	"fmt"
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // Benchmarks for the element evaluation engine on a synthetic
-// partially separable problem large enough to engage the parallel
-// path. On a single-CPU host the workers>1 rows measure the pool's
-// dispatch overhead rather than a speedup; results are bit-identical
-// either way.
-
-func benchWorkers() []int {
-	ws := []int{1}
-	if n := runtime.NumCPU(); n > 1 {
-		ws = append(ws, n)
-	} else {
-		ws = append(ws, 2)
-	}
-	return ws
-}
+// partially separable problem.
 
 func BenchmarkMeritGrad(b *testing.B) {
 	const n = 2000
 	p := chainProblem(n)
 	x := testPoint(n, 0.7)
 	grad := make([]float64, n)
-	for _, w := range benchWorkers() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			st := newTestState(p, w)
-			defer st.eng.close()
-			st.merit(x, grad) // warm up
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st.merit(x, grad)
-			}
-		})
+	st := newTestState(p)
+	st.merit(x, grad) // warm up
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.merit(x, grad)
 	}
 }
 
@@ -48,37 +26,28 @@ func BenchmarkHessVec(b *testing.B) {
 	v := testPoint(n, 0.2)
 	out := make([]float64, n)
 	opt := Options{Method: NewtonCG}.withDefaults()
-	for _, w := range benchWorkers() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			st := newTestState(p, w)
-			defer st.eng.close()
-			ns := newNewtonSolver(p, st, opt)
-			for i := range ns.free {
-				ns.free[i] = true
-			}
-			ns.buildCache(x)
-			ns.hessVec(v, out) // warm up
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ns.hessVec(v, out)
-			}
-		})
+	st := newTestState(p)
+	ns := newNewtonSolver(p, st, opt)
+	for i := range ns.free {
+		ns.free[i] = true
+	}
+	ns.buildCache(x)
+	ns.hessVec(v, out) // warm up
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ns.hessVec(v, out)
 	}
 }
 
 func BenchmarkSolveChain(b *testing.B) {
 	const n = 1000
 	p := chainProblem(n)
-	for _, w := range benchWorkers() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				x0 := testPoint(n, 0.4)
-				if _, err := Solve(p, x0, Options{Workers: w, MaxInner: 200}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		x0 := testPoint(n, 0.4)
+		if _, err := Solve(p, x0, Options{MaxInner: 200}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

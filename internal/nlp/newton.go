@@ -48,12 +48,10 @@ func newNewtonSolver(p *Problem, st *almState, opt Options) *newtonSolver {
 // buildCache evaluates every element's second-order data at x into the
 // engine arena: the local Hessian block weighted by hw, plus for
 // active constraints the local gradient contributing the Gauss-Newton
-// rank-one term gw * lg lg^T. Elements are processed in parallel —
-// every write lands in element-owned arena slots, so the cache is
-// identical for any worker count — and inequality elements whose
-// multiplier estimate is inactive (lambda + rho*c <= 0) are flagged
-// out exactly as the serial code excluded them. All storage is
-// reused across iterations; steady state allocates nothing.
+// rank-one term gw * lg lg^T. Every write lands in element-owned arena
+// slots, and inequality elements whose multiplier estimate is inactive
+// (lambda + rho*c <= 0) are flagged out. All storage is reused across
+// iterations; steady state allocates nothing.
 func (ns *newtonSolver) buildCache(x []float64) {
 	e := ns.st.eng
 	e.x = x
@@ -62,10 +60,9 @@ func (ns *newtonSolver) buildCache(x []float64) {
 
 // hessVec computes out = H*v restricted to the free variables (masked
 // components of v are treated as zero and masked outputs are zeroed).
-// Workers compute each element's local H*v contribution into private
-// arena scratch; the fold below scatters them into out in exact serial
-// element order, keeping the product bit-identical for any worker
-// count.
+// The engine computes each element's local H*v contribution into its
+// own arena scratch; the fold below scatters them into out in element
+// order.
 func (ns *newtonSolver) hessVec(v, out []float64) {
 	e := ns.st.eng
 	e.v, e.free = v, ns.free

@@ -25,12 +25,8 @@ import (
 // Eval, Grad and Hess all receive the *local* variable vector x with
 // x[k] holding the value of problem variable Vars[k].
 //
-// When the solver runs with Options.Workers permitting parallelism,
-// callbacks of *distinct* elements may be invoked concurrently, so
-// they must not share mutable state (pure closures over immutable
-// captures are ideal; a private scratch buffer per element is fine).
-// One element's own callbacks are never run concurrently with each
-// other.
+// The solver invokes the callbacks on the goroutine that called Solve,
+// one at a time and in a fixed element order.
 type Element struct {
 	// Vars lists the problem-variable indices the element touches.
 	Vars []int

@@ -44,7 +44,7 @@ func TestProjGradConverges(t *testing.T) {
 	w := []float64{1, 4, 2, 8}
 	c := []float64{0.5, -1, 2, 0.25}
 	p := quadratic(w, c)
-	res, err := Solve(p, make([]float64, 4), Options{Method: ProjGrad, Workers: 1})
+	res, err := Solve(p, make([]float64, 4), Options{Method: ProjGrad})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSolveCtxAlreadyCancelled(t *testing.T) {
 	cancel()
 	p := chainProblem(60)
 	x0 := testPoint(60, 0.3)
-	res, err := SolveCtx(ctx, p, x0, Options{Workers: 1})
+	res, err := SolveCtx(ctx, p, x0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSolveCtxAlreadyCancelled(t *testing.T) {
 func TestSolveCtxExpiredDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	res, err := SolveCtx(ctx, chainProblem(60), testPoint(60, 0.3), Options{Workers: 1})
+	res, err := SolveCtx(ctx, chainProblem(60), testPoint(60, 0.3), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestCancelMidSolveReturnsBestSoFar(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rec := &cancelAfterRec{after: 2, cancel: cancel}
-	res, err := SolveCtx(ctx, p, x0, Options{Workers: 1, Recorder: rec})
+	res, err := SolveCtx(ctx, p, x0, Options{Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestCancelMidSolveReturnsBestSoFar(t *testing.T) {
 	}
 	// The interrupted iterate must be no worse a start than x0: resolve
 	// from it and confirm convergence to the same optimum.
-	full, err := Solve(p, x0, Options{Workers: 1})
+	full, err := Solve(p, x0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cont, err := Solve(p, res.X, Options{Workers: 1})
+	cont, err := Solve(p, res.X, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		t.Run(m.String(), func(t *testing.T) {
 			p := chainProblem(90)
 			x0 := testPoint(90, 1.1)
-			opt := Options{Method: m, Workers: 1}
+			opt := Options{Method: m}
 
 			full, err := Solve(p, x0, opt)
 			if err != nil {
@@ -254,7 +254,7 @@ func TestCheckpointWrittenOnCancel(t *testing.T) {
 	defer cancel()
 	rec := &cancelAfterRec{after: 1, cancel: cancel}
 	res, err := SolveCtx(ctx, p, testPoint(60, 0.2), Options{
-		Workers: 1, Recorder: rec, CheckpointPath: ckPath,
+		Recorder: rec, CheckpointPath: ckPath,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestCheckpointWrittenOnCancel(t *testing.T) {
 		t.Fatalf("checkpoint invalid: %v", err)
 	}
 	// The resumed run must complete from it.
-	opt := Options{Workers: 1, Resume: ck}
+	opt := Options{Resume: ck}
 	resumed, err := Solve(p, make([]float64, p.N), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +348,7 @@ func TestResumeRejectsForeignRung(t *testing.T) {
 		X:     make([]float64, p.N),
 		LamEq: make([]float64, len(p.EqCons)), LamIneq: make([]float64, len(p.IneqCons)),
 	}
-	_, err := Solve(p, make([]float64, p.N), Options{Method: LBFGS, Workers: 1, Resume: ck})
+	_, err := Solve(p, make([]float64, p.N), Options{Method: LBFGS, Resume: ck})
 	if err == nil {
 		t.Fatal("Solve accepted a checkpoint rung outside the method's ladder")
 	}

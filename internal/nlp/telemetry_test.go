@@ -9,13 +9,13 @@ import (
 
 // These tests pin the telemetry layer's two contracts on the solver
 // hot paths: a disabled recorder (nil or Noop) adds zero allocations
-// per evaluation, and an enabled trace is byte-identical for every
-// worker count.
+// per evaluation, and an enabled trace is byte-identical from run to
+// run.
 
 // noopTestState mirrors newTestState but threads the Noop recorder, so
 // the allocation tests cover both disabled configurations.
-func noopTestState(p *Problem, workers int) *almState {
-	st := newALMState(p, 37.5, workers, telemetry.Noop)
+func noopTestState(p *Problem) *almState {
+	st := newALMState(p, 37.5, telemetry.Noop)
 	for i := range st.lamEq {
 		st.lamEq[i] = 0.3 * float64(i%5)
 	}
@@ -25,10 +25,10 @@ func noopTestState(p *Problem, workers int) *almState {
 	return st
 }
 
-func disabledRecorders(p *Problem, workers int) map[string]*almState {
+func disabledRecorders(p *Problem) map[string]*almState {
 	return map[string]*almState{
-		"nil":  newTestState(p, workers),
-		"noop": noopTestState(p, workers),
+		"nil":  newTestState(p),
+		"noop": noopTestState(p),
 	}
 }
 
@@ -36,18 +36,14 @@ func TestMeritZeroAllocsWhenDisabled(t *testing.T) {
 	const n = 300
 	p := chainProblem(n)
 	x := testPoint(n, 0.7)
-	for _, workers := range []int{1, 4} {
-		for name, st := range disabledRecorders(p, workers) {
-			grad := make([]float64, n)
-			st.merit(x, grad) // warm up pools and scratch
-			allocs := testing.AllocsPerRun(20, func() {
-				st.merit(x, grad)
-			})
-			st.eng.close()
-			if allocs != 0 {
-				t.Errorf("workers=%d recorder=%s: merit allocates %g per run, want 0",
-					workers, name, allocs)
-			}
+	for name, st := range disabledRecorders(p) {
+		grad := make([]float64, n)
+		st.merit(x, grad) // warm up scratch
+		allocs := testing.AllocsPerRun(20, func() {
+			st.merit(x, grad)
+		})
+		if allocs != 0 {
+			t.Errorf("recorder=%s: merit allocates %g per run, want 0", name, allocs)
 		}
 	}
 }
@@ -58,44 +54,38 @@ func TestHessVecZeroAllocsWhenDisabled(t *testing.T) {
 	x := testPoint(n, 1.9)
 	v := testPoint(n, 0.2)
 	opt := Options{Method: NewtonCG}.withDefaults()
-	for _, workers := range []int{1, 4} {
-		for name, st := range disabledRecorders(p, workers) {
-			ns := newNewtonSolver(p, st, opt)
-			for i := range ns.free {
-				ns.free[i] = true
-			}
-			out := make([]float64, n)
+	for name, st := range disabledRecorders(p) {
+		ns := newNewtonSolver(p, st, opt)
+		for i := range ns.free {
+			ns.free[i] = true
+		}
+		out := make([]float64, n)
+		ns.buildCache(x)
+		ns.hessVec(v, out) // warm up
+		cacheAllocs := testing.AllocsPerRun(20, func() {
 			ns.buildCache(x)
-			ns.hessVec(v, out) // warm up
-			cacheAllocs := testing.AllocsPerRun(20, func() {
-				ns.buildCache(x)
-			})
-			hvAllocs := testing.AllocsPerRun(20, func() {
-				ns.hessVec(v, out)
-			})
-			st.eng.close()
-			if cacheAllocs != 0 {
-				t.Errorf("workers=%d recorder=%s: buildCache allocates %g per run, want 0",
-					workers, name, cacheAllocs)
-			}
-			if hvAllocs != 0 {
-				t.Errorf("workers=%d recorder=%s: hessVec allocates %g per run, want 0",
-					workers, name, hvAllocs)
-			}
+		})
+		hvAllocs := testing.AllocsPerRun(20, func() {
+			ns.hessVec(v, out)
+		})
+		if cacheAllocs != 0 {
+			t.Errorf("recorder=%s: buildCache allocates %g per run, want 0", name, cacheAllocs)
+		}
+		if hvAllocs != 0 {
+			t.Errorf("recorder=%s: hessVec allocates %g per run, want 0", name, hvAllocs)
 		}
 	}
 }
 
 // solveTrace runs a full ALM solve with a trace attached and returns
 // the trace bytes.
-func solveTrace(t *testing.T, p *Problem, n, workers int, method Method) []byte {
+func solveTrace(t *testing.T, p *Problem, n int, method Method) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := telemetry.NewTraceWriter(&buf)
 	x0 := testPoint(n, 0.4)
 	if _, err := Solve(p, x0, Options{
 		Method:   method,
-		Workers:  workers,
 		MaxInner: 200,
 		Recorder: w,
 	}); err != nil {
@@ -108,22 +98,21 @@ func solveTrace(t *testing.T, p *Problem, n, workers int, method Method) []byte 
 }
 
 // TestSolveTraceDeterministic is the acceptance criterion of the
-// telemetry layer: the JSONL trace of a solve is byte-identical for
-// serial and parallel runs, and its alm.outer events carry the
-// convergence fields.
+// telemetry layer: the JSONL trace of a solve is byte-identical from
+// run to run, and its alm.outer events carry the convergence fields.
 func TestSolveTraceDeterministic(t *testing.T) {
 	const n = 300
 	p := chainProblem(n)
 	for _, method := range []Method{LBFGS, NewtonCG} {
-		serial := solveTrace(t, p, n, 1, method)
-		parallel := solveTrace(t, p, n, 4, method)
-		if !bytes.Equal(serial, parallel) {
-			t.Errorf("%v: trace differs between workers=1 and workers=4:\nserial:\n%s\nparallel:\n%s",
-				method, serial, parallel)
+		first := solveTrace(t, p, n, method)
+		second := solveTrace(t, p, n, method)
+		if !bytes.Equal(first, second) {
+			t.Errorf("%v: trace differs between two runs of the same solve:\nfirst:\n%s\nsecond:\n%s",
+				method, first, second)
 			continue
 		}
 
-		events, err := telemetry.ParseTrace(bytes.NewReader(serial))
+		events, err := telemetry.ParseTrace(bytes.NewReader(first))
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
@@ -158,7 +147,7 @@ func TestSolveTraceDeterministic(t *testing.T) {
 func TestSolveResultTiming(t *testing.T) {
 	const n = 60
 	p := chainProblem(n)
-	res, err := Solve(p, testPoint(n, 0.4), Options{Workers: 1, MaxInner: 200})
+	res, err := Solve(p, testPoint(n, 0.4), Options{MaxInner: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +169,7 @@ func TestEngineCountersPublished(t *testing.T) {
 	p := chainProblem(n)
 	m := telemetry.NewMetrics()
 	if _, err := Solve(p, testPoint(n, 0.4), Options{
-		Workers: 2, MaxInner: 200, Recorder: m,
+		MaxInner: 200, Recorder: m,
 	}); err != nil {
 		t.Fatal(err)
 	}

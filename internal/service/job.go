@@ -41,8 +41,9 @@ type JobSpec struct {
 	// 0.25); Limit the maximum speed factor (default 3).
 	SigmaK float64 `json:"sigma_k,omitempty"`
 	Limit  float64 `json:"limit,omitempty"`
-	// Workers bounds the solve's worker goroutines (default 1; results
-	// are bit-identical for any value).
+	// Workers is accepted and ignored: every solve is serial. The
+	// field stays on the wire so requests and journaled specs that set
+	// it keep decoding under the strict JSON decoder.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS caps the job's wall clock; 0 inherits the server
 	// default. The server's JobTimeout, when set, clamps it.
@@ -281,10 +282,6 @@ func sizingSpec(spec *JobSpec) (sizing.Spec, error) {
 		return sp, fmt.Errorf("unknown solver %q", spec.Solver)
 	}
 	sp.Solver.MaxOuter = spec.MaxOuter
-	sp.Workers = spec.Workers
-	if sp.Workers == 0 {
-		sp.Workers = 1
-	}
 	if spec.Greedy {
 		// Validate the deadline requirement at admission, not at run
 		// time: GreedyFromSpec needs a mu+Ksigma<= constraint.

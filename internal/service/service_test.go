@@ -136,6 +136,50 @@ func TestSubmitSolveResult(t *testing.T) {
 	}
 }
 
+// TestJobWorkersFieldIgnored pins the wire contract of JobSpec.Workers:
+// a job posted with "workers": 8 passes the strict decoder and solves
+// bit for bit the same as the job without the field, on both
+// formulations.
+func TestJobWorkersFieldIgnored(t *testing.T) {
+	srv, ts := testServer(t, Options{Pool: 1})
+	srv.Start()
+
+	result := func(id, formulation, extra string) []byte {
+		t.Helper()
+		body := `{"id":"` + id + `","circuit":"tree7","objective":"area",` +
+			`"constraints":["mu+3sigma<=6"],"formulation":"` + formulation + `"` + extra + `}`
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s: HTTP %d, want 202", body, resp.StatusCode)
+		}
+		if st := waitTerminal(t, ts, id); st.State != "done" {
+			t.Fatalf("job %s ended %q (%s), want done", id, st.State, st.Error)
+		}
+		rr, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := decodeBody[JobResult](t, rr)
+		res.RuntimeMS = 0 // the one wall-clock field
+		out, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, f := range []string{"reduced", "full"} {
+		plain := result(f+"-plain", f, "")
+		withWorkers := result(f+"-workers", f, `,"workers":8`)
+		if !bytes.Equal(plain, withWorkers) {
+			t.Fatalf("%s: \"workers\": 8 changed the result:\nwithout: %s\nwith:    %s", f, plain, withWorkers)
+		}
+	}
+}
+
 func TestUnknownAndUnfinished(t *testing.T) {
 	srv, ts := testServer(t, Options{Pool: 1})
 	hold := make(chan struct{})

@@ -429,11 +429,6 @@ func solveFullSpace(ctx context.Context, m *delay.Model, spec Spec) (*nlp.Result
 		return nil, nil, err
 	}
 	opt := spec.Solver
-	if opt.Workers == 0 {
-		// Spec.Workers drives the NLP element evaluation engine too
-		// (an explicitly set Solver.Workers wins).
-		opt.Workers = spec.Workers
-	}
 	if opt.Recorder == nil {
 		opt.Recorder = spec.Recorder
 	}

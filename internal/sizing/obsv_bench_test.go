@@ -52,7 +52,6 @@ func benchObsvNLP(b *testing.B, rec telemetry.Recorder) {
 			Objective:   MinMuPlusKSigma(1),
 			Formulation: Reduced,
 			Solver:      nlp.Options{Method: nlp.LBFGS, MaxOuter: 2, MaxInner: 10},
-			Workers:     1,
 		}
 		spec.Recorder = rec
 		if _, err := Size(m, spec); err != nil {
@@ -122,7 +121,6 @@ func BenchmarkObsvNLPPair(b *testing.B) {
 			Objective:   MinMuPlusKSigma(1),
 			Formulation: Reduced,
 			Solver:      nlp.Options{Method: nlp.LBFGS, MaxOuter: 2, MaxInner: 10},
-			Workers:     1,
 			Recorder:    rec,
 		}
 		if _, err := Size(m, spec); err != nil {

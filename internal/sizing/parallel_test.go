@@ -1,8 +1,6 @@
 package sizing
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/delay"
@@ -10,9 +8,8 @@ import (
 	"repro/internal/nlp"
 )
 
-// genModel builds a deterministic synthetic circuit large enough for
-// the full-space formulation to clear the NLP engine's parallel
-// threshold.
+// genModel builds a deterministic synthetic circuit of the given gate
+// count.
 func genModel(t testing.TB, gates int) *delay.Model {
 	t.Helper()
 	c, err := netlist.Generate(netlist.GenSpec{
@@ -25,38 +22,37 @@ func genModel(t testing.TB, gates int) *delay.Model {
 	return delay.MustBind(netlist.MustCompile(c), delay.Default())
 }
 
-// requireIdentical compares two sizing outcomes bit for bit: the
-// engine's ordered folds promise that Workers never changes a single
-// ULP anywhere in the solve trajectory.
+// requireIdentical compares two sizing outcomes bit for bit, the
+// solve trajectory included.
 func requireIdentical(t *testing.T, ref, got *Outcome, label string) {
 	t.Helper()
 	r, g := ref.Solver, got.Solver
 	if g.F != r.F || g.Status != r.Status || g.Outer != r.Outer || g.Inner != r.Inner ||
 		g.FuncEvals != r.FuncEvals || g.ObjEvals != r.ObjEvals ||
 		g.ProjGradNorm != r.ProjGradNorm || g.MaxViolation != r.MaxViolation {
-		t.Fatalf("%s: solver header differs from serial:\n got F=%v %v outer=%d inner=%d evals=%d/%d pg=%v viol=%v\nwant F=%v %v outer=%d inner=%d evals=%d/%d pg=%v viol=%v",
+		t.Fatalf("%s: solver header differs from reference:\n got F=%v %v outer=%d inner=%d evals=%d/%d pg=%v viol=%v\nwant F=%v %v outer=%d inner=%d evals=%d/%d pg=%v viol=%v",
 			label,
 			g.F, g.Status, g.Outer, g.Inner, g.FuncEvals, g.ObjEvals, g.ProjGradNorm, g.MaxViolation,
 			r.F, r.Status, r.Outer, r.Inner, r.FuncEvals, r.ObjEvals, r.ProjGradNorm, r.MaxViolation)
 	}
 	for i := range r.X {
 		if g.X[i] != r.X[i] {
-			t.Fatalf("%s: X[%d] = %v != serial %v", label, i, g.X[i], r.X[i])
+			t.Fatalf("%s: X[%d] = %v != reference %v", label, i, g.X[i], r.X[i])
 		}
 	}
 	for i := range r.LambdaEq {
 		if g.LambdaEq[i] != r.LambdaEq[i] {
-			t.Fatalf("%s: LambdaEq[%d] = %v != serial %v", label, i, g.LambdaEq[i], r.LambdaEq[i])
+			t.Fatalf("%s: LambdaEq[%d] = %v != reference %v", label, i, g.LambdaEq[i], r.LambdaEq[i])
 		}
 	}
 	for i := range r.LambdaIneq {
 		if g.LambdaIneq[i] != r.LambdaIneq[i] {
-			t.Fatalf("%s: LambdaIneq[%d] = %v != serial %v", label, i, g.LambdaIneq[i], r.LambdaIneq[i])
+			t.Fatalf("%s: LambdaIneq[%d] = %v != reference %v", label, i, g.LambdaIneq[i], r.LambdaIneq[i])
 		}
 	}
 	for i := range ref.S {
 		if got.S[i] != ref.S[i] {
-			t.Fatalf("%s: S[%d] = %v != serial %v", label, i, got.S[i], ref.S[i])
+			t.Fatalf("%s: S[%d] = %v != reference %v", label, i, got.S[i], ref.S[i])
 		}
 	}
 	if got.MuTmax != ref.MuTmax || got.SigmaTmax != ref.SigmaTmax || got.SumS != ref.SumS {
@@ -65,12 +61,11 @@ func requireIdentical(t *testing.T, ref, got *Outcome, label string) {
 	}
 }
 
-// TestSolveWorkersBitIdentical runs each formulation/method combination
-// across worker counts 1, 2, 3 and NumCPU on the built-in circuits and
-// a generated netlist, demanding bitwise-identical results. The
-// generated full-space problems have thousands of elements, so the
-// engine's parallel path genuinely runs there (the race suite covers
-// it under -race).
+// TestSolveWorkersBitIdentical pins that Spec.Workers, kept as an
+// ignored field for callers written against the former worker-count
+// option, changes nothing: each formulation/method combination on the
+// built-in circuits and a generated netlist solves bit for bit the
+// same with the field unset and with Workers: 4.
 func TestSolveWorkersBitIdentical(t *testing.T) {
 	type circ struct {
 		name  string
@@ -108,28 +103,23 @@ func TestSolveWorkersBitIdentical(t *testing.T) {
 			Solver:      nlp.Options{Method: nlp.LBFGS, MaxOuter: 3, MaxInner: 30},
 		}},
 	}
-	workerCounts := []int{1, 2, 3, runtime.NumCPU()}
 	for _, c := range circuits {
 		for _, cb := range combos {
 			t.Run(c.name+"/"+cb.name, func(t *testing.T) {
 				if c.name == "gen300" && cb.name == "reduced/lbfgs" && testing.Short() {
 					t.Skip("reduced sweep on the generated circuit is slow in -short mode")
 				}
-				var ref *Outcome
-				for _, w := range workerCounts {
-					m := c.model(t)
-					spec := cb.spec
-					spec.Workers = w
-					out, err := Size(m, spec)
-					if err != nil {
-						t.Fatalf("workers=%d: %v", w, err)
-					}
-					if w == 1 {
-						ref = out
-						continue
-					}
-					requireIdentical(t, ref, out, fmt.Sprintf("workers=%d", w))
+				ref, err := Size(c.model(t), cb.spec)
+				if err != nil {
+					t.Fatal(err)
 				}
+				spec := cb.spec
+				spec.Workers = 4
+				out, err := Size(c.model(t), spec)
+				if err != nil {
+					t.Fatalf("Workers: 4: %v", err)
+				}
+				requireIdentical(t, ref, out, "Workers: 4")
 			})
 		}
 	}

@@ -18,16 +18,13 @@ import (
 // callbacks. The problem variables are the speed factors of the gates
 // in dense order. Each sweep-based element owns a private engine (see
 // sweepEngine), which makes every Eval/Grad a pure function of its
-// local point: the NLP engine may evaluate distinct elements
-// concurrently when nlp.Options.Workers permits.
+// local point, whatever the other elements evaluated before it.
 type reducedEval struct {
 	m     *delay.Model
 	gates []netlist.NodeID
 	// rec receives the engines' sweep spans ("ssta.forward"/
-	// "ssta.adjoint") and sweep counters; the metrics sinks are
-	// concurrency-safe, so recording stays correct when the NLP engine
-	// evaluates distinct elements in parallel. The engines themselves
-	// get no recorder: a sizing trace carries one event per solver
+	// "ssta.adjoint") and sweep counters. The engines themselves get
+	// no recorder: a sizing trace carries one event per solver
 	// iteration, not one per element evaluation.
 	rec telemetry.Recorder
 }
@@ -242,9 +239,6 @@ func solveReduced(ctx context.Context, m *delay.Model, spec Spec) (*nlp.Result, 
 	opt := spec.Solver
 	if opt.Method == nlp.NewtonCG {
 		return nil, nil, fmt.Errorf("sizing: the reduced formulation has no element Hessians; use LBFGS or the full-space formulation")
-	}
-	if opt.Workers == 0 {
-		opt.Workers = spec.Workers
 	}
 	if opt.Recorder == nil {
 		opt.Recorder = spec.Recorder

@@ -1,43 +1,27 @@
 package sizing
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/nlp"
 )
 
 // Solver benchmarks on a >=1000-gate generated netlist. The iteration
-// caps hold the work per solve fixed, so the numbers compare engine
-// configurations rather than convergence luck. On a single-CPU host
-// the workers=N rows report the worker pool's dispatch overhead, not a
-// speedup; the results are bit-identical in either configuration.
-
-func benchWorkerCounts() []int {
-	if n := runtime.NumCPU(); n > 1 {
-		return []int{1, n}
-	}
-	return []int{1, 2}
-}
+// caps hold the work per solve fixed, so the numbers compare solver
+// configurations rather than convergence luck.
 
 func benchmarkSolver(b *testing.B, method nlp.Method, form Formulation) {
 	m := genModel(b, 1200)
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, err := Size(m, Spec{
-					Objective:   MinMuPlusKSigma(1),
-					Formulation: form,
-					Solver:      nlp.Options{Method: method, MaxOuter: 2, MaxInner: 10},
-					Workers:     w,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, err := Size(m, Spec{
+			Objective:   MinMuPlusKSigma(1),
+			Formulation: form,
+			Solver:      nlp.Options{Method: method, MaxOuter: 2, MaxInner: 10},
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

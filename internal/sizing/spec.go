@@ -221,11 +221,10 @@ type Spec struct {
 	// for ObjWeightedArea; see internal/power for power weights. When
 	// set it needs one finite, non-negative weight per node.
 	Weights []float64
-	// Workers bounds the parallelism of the NLP element evaluation
-	// engine (nlp.Options.Workers, unless Solver.Workers is set
-	// explicitly): <= 0 uses one worker per CPU, 1 forces serial
-	// execution. The SSTA sweeps inside the elements are serial.
-	// Results are bit-identical for every worker count.
+	// Workers is ignored: the NLP element engine and the SSTA sweeps
+	// inside the elements are serial. The field stays so callers
+	// written against the former worker-count option (the benchmark
+	// module among them) still build.
 	Workers int
 	// Recorder, when non-nil, receives run telemetry: the NLP solver's
 	// iteration events and engine counters (threaded through as

@@ -12,12 +12,11 @@ import (
 
 // sizeTrace runs one full sizing solve with a JSONL trace attached and
 // returns the trace bytes together with the outcome.
-func sizeTrace(t *testing.T, spec Spec, workers int) ([]byte, *Outcome) {
+func sizeTrace(t *testing.T, spec Spec) ([]byte, *Outcome) {
 	t.Helper()
 	m := delay.MustBind(netlist.MustCompile(netlist.Tree7()), delay.PaperTree())
 	var buf bytes.Buffer
 	w := telemetry.NewTraceWriter(&buf)
-	spec.Workers = workers
 	spec.Recorder = w
 	out, err := Size(m, spec)
 	if err != nil {
@@ -33,7 +32,7 @@ func sizeTrace(t *testing.T, spec Spec, workers int) ([]byte, *Outcome) {
 // telemetry layer: sizing tree7 under a binding timing constraint
 // emits one alm.outer event per outer iteration carrying the merit,
 // KKT residual and constraint violation, and the whole JSONL stream is
-// byte-identical for serial and parallel runs.
+// byte-identical from run to run.
 func TestSizeTraceDeterministic(t *testing.T) {
 	spec := Spec{
 		Objective:   MinArea(),
@@ -41,14 +40,13 @@ func TestSizeTraceDeterministic(t *testing.T) {
 		Formulation: Reduced,
 		Solver:      nlp.Options{Method: nlp.LBFGS},
 	}
-	serial, out := sizeTrace(t, spec, 1)
-	parallel, _ := sizeTrace(t, spec, 4)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("trace differs between workers=1 and workers=4:\nserial:\n%s\nparallel:\n%s",
-			serial, parallel)
+	first, out := sizeTrace(t, spec)
+	second, _ := sizeTrace(t, spec)
+	if !bytes.Equal(first, second) {
+		t.Fatalf("trace differs between two runs:\nfirst:\n%s\nsecond:\n%s", first, second)
 	}
 
-	events, err := telemetry.ParseTrace(bytes.NewReader(serial))
+	events, err := telemetry.ParseTrace(bytes.NewReader(first))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +83,14 @@ func TestSizeTraceDeterministic(t *testing.T) {
 }
 
 // TestGreedyTraceDeterministic pins the greedy baseline's event stream
-// across worker counts.
+// from run to run.
 func TestGreedyTraceDeterministic(t *testing.T) {
-	run := func(workers int) []byte {
+	run := func() []byte {
 		m := delay.MustBind(netlist.MustCompile(netlist.Tree7()), delay.PaperTree())
 		var buf bytes.Buffer
 		w := telemetry.NewTraceWriter(&buf)
 		if _, err := SizeGreedy(m, GreedyOptions{
-			K: 3, Deadline: 8, Workers: workers, Recorder: w,
+			K: 3, Deadline: 8, Recorder: w,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -101,12 +99,11 @@ func TestGreedyTraceDeterministic(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	serial, parallel := run(1), run(4)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("greedy trace differs between workers=1 and workers=4:\nserial:\n%s\nparallel:\n%s",
-			serial, parallel)
+	first, second := run(), run()
+	if !bytes.Equal(first, second) {
+		t.Fatalf("greedy trace differs between two runs:\nfirst:\n%s\nsecond:\n%s", first, second)
 	}
-	events, err := telemetry.ParseTrace(bytes.NewReader(serial))
+	events, err := telemetry.ParseTrace(bytes.NewReader(first))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +120,10 @@ func TestGreedyTraceDeterministic(t *testing.T) {
 // acceptance check: with the FULL observability chain attached —
 // watchdog middleware in front of a trace writer, a metrics sink with
 // span trees aggregating, and the solver's scope stacks pushing — the
-// JSONL trace stays byte-identical between workers=1 and workers=4.
-// Wall-clock data flows only into the metrics sinks; the event stream
-// never sees it.
+// JSONL trace stays byte-identical from run to run. Wall-clock data
+// flows only into the metrics sinks; the event stream never sees it.
 func TestTraceDeterministicWithObservabilityChain(t *testing.T) {
-	run := func(workers int) []byte {
+	run := func() []byte {
 		m := delay.MustBind(netlist.MustCompile(netlist.Tree7()), delay.PaperTree())
 		var buf bytes.Buffer
 		w := telemetry.NewTraceWriter(&buf)
@@ -138,7 +134,6 @@ func TestTraceDeterministicWithObservabilityChain(t *testing.T) {
 			Constraints: []Constraint{DelayLE(3, 8)},
 			Formulation: Reduced,
 			Solver:      nlp.Options{Method: nlp.LBFGS},
-			Workers:     workers,
 			Recorder:    rec,
 		}
 		if _, err := Size(m, spec); err != nil {
@@ -152,10 +147,10 @@ func TestTraceDeterministicWithObservabilityChain(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	serial, parallel := run(1), run(4)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("trace differs between workers=1 and workers=4 with observability chain:\nserial:\n%s\nparallel:\n%s",
-			serial, parallel)
+	first, second := run(), run()
+	if !bytes.Equal(first, second) {
+		t.Fatalf("trace differs between two runs with observability chain:\nfirst:\n%s\nsecond:\n%s",
+			first, second)
 	}
 }
 
@@ -200,7 +195,6 @@ func TestReducedSweepCounters(t *testing.T) {
 		Constraints: []Constraint{DelayLE(3, 8)},
 		Formulation: Reduced,
 		Solver:      nlp.Options{Method: nlp.LBFGS},
-		Workers:     1,
 		Recorder:    metrics,
 	})
 	if err != nil {

@@ -77,7 +77,6 @@ func TestTrajectoriesPinned(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			metrics := telemetry.NewMetrics()
 			spec := c.spec
-			spec.Workers = 1
 			spec.Recorder = metrics
 			out, err := Size(c.model(t), spec)
 			if err != nil {

@@ -43,9 +43,10 @@ func (c *reevalCounter) Span(string, time.Duration) {}
 const reevalSteps = 100
 
 // reportReevals replays a benchmark's step script — warm uncounted
-// steps, then reevalSteps counted ones — on a fresh engine with a
-// reevalCounter attached, and reports the nodes re-evaluated per
-// counted step as nodes/op. The timed loop itself runs without a
+// steps 0..warm-1, then reevalSteps counted ones from step warm on, as
+// the timed loop runs them — on a fresh engine with a reevalCounter
+// attached, and reports the nodes re-evaluated per counted step as
+// nodes/op. The timed loop itself runs without a
 // recorder: an attached one moves each update event's fields to the
 // heap, which would show in allocs/op.
 func reportReevals(b *testing.B, m *delay.Model, warm int, step func(h *Hier, i int)) {
@@ -56,7 +57,7 @@ func reportReevals(b *testing.B, m *delay.Model, warm int, step func(h *Hier, i 
 	}
 	rc.nodes = 0
 	for i := 0; i < reevalSteps; i++ {
-		step(h, i)
+		step(h, warm+i)
 	}
 	b.ReportMetric(float64(rc.nodes)/reevalSteps, "nodes/op")
 }
@@ -139,7 +140,9 @@ func BenchmarkHierStepGen100k(b *testing.B) {
 		h.GradMuPlusKSigma(3)
 	}
 	// Time from a mixed-size state; the dirty bitset is sized at
-	// construction, so the warm-up grows nothing.
+	// construction, so the warm-up grows nothing. The timed steps
+	// continue the script after the warm-up: replaying steps 0..warm-1
+	// would rewrite bit-identical sizes and time only the adjoint.
 	const warm = 50
 	h := NewHier(m, m.UnitSizes(), HierOptions{})
 	for i := 0; i < warm; i++ {
@@ -148,7 +151,7 @@ func BenchmarkHierStepGen100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		step(h, i)
+		step(h, warm+i)
 	}
 	b.StopTimer()
 	reportReevals(b, m, warm, step)

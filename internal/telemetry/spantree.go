@@ -23,8 +23,8 @@ import (
 //
 //   - A Stack is single-goroutine state — push/pop touch only the
 //     goroutine's own preallocated frames, so workers never contend on
-//     the way in or out of a scope. The ssta.Hier dataflow workers and
-//     the Monte Carlo shards each own one.
+//     the way in or out of a scope. The solver's goroutine and each
+//     Monte Carlo shard own one.
 //   - Tree nodes are shared aggregation points: counts and times are
 //     atomics, and child lookup on the hot path is a lock-free
 //     sync.Map read. Mutation (first sighting of a child name) takes
@@ -255,7 +255,7 @@ func NewStack(rec Recorder) *Stack {
 
 // StackAt is NewStack rooted under path — worker goroutines use it to
 // attribute their time under the coordinator's logical phase
-// ("hier.sweep", "mc.run") without sharing the coordinator's stack.
+// ("mc.run") without sharing the coordinator's stack.
 func StackAt(rec Recorder, path ...string) *Stack {
 	if t := TreeOf(rec); t != nil {
 		return t.StackAt(path...)
