@@ -103,23 +103,24 @@ func (m *Model) Load(id netlist.NodeID, S []float64) float64 {
 // GateMu returns the mean gate delay of eq 14 for gate id under the
 // speed-factor assignment S.
 func (m *Model) GateMu(id netlist.NodeID, S []float64) float64 {
-	return m.TInt[id] + m.Coef*m.Load(id, S)/S[id]
+	return m.MuAt(m.TInt[id], m.Load(id, S), S[id])
+}
+
+// MuAt is eq 14 on scalar operands: the mean delay of a gate with
+// internal delay tint and speed factor s driving load. It is the one
+// body of the delay formula: GateMu evaluates it on the model's
+// NodeID-indexed parameters, and an engine that keeps its own copies
+// of TInt and a load cache (invalidated under the SDependents rule)
+// evaluates it on those — bitwise what GateMu returns, because Load
+// is a pure function of the fanout speed factors.
+func (m *Model) MuAt(tint, load, s float64) float64 {
+	return tint + m.Coef*load/s
 }
 
 // GateMV returns the gate delay distribution (mean and variance) of
 // gate id under S, applying the sigma model.
 func (m *Model) GateMV(id netlist.NodeID, S []float64) stats.MV {
 	mu := m.GateMu(id, S)
-	return stats.MV{Mu: mu, Var: m.Sigma.Var(mu)}
-}
-
-// GateMVLoaded is GateMV with the capacitive load supplied by the
-// caller. Load is a pure function of the fanout speed factors, so an
-// engine that caches loads and invalidates them under the SDependents
-// rule passes bitwise the value Load would recompute — the delay
-// expressions here are exactly GateMu/GateMV's.
-func (m *Model) GateMVLoaded(id netlist.NodeID, S []float64, load float64) stats.MV {
-	mu := m.TInt[id] + m.Coef*load/S[id]
 	return stats.MV{Mu: mu, Var: m.Sigma.Var(mu)}
 }
 
@@ -133,22 +134,20 @@ func (m *Model) GateMVLoaded(id netlist.NodeID, S []float64, load float64) stats
 // A gate driving the same fanout gate through k pins accumulates the
 // pin term k times, matching the load model.
 func (m *Model) GateMuGrad(id netlist.NodeID, S []float64, scale float64, grad []float64) {
-	m.GateMuGradLoaded(id, S, m.Load(id, S), scale, m.G.Fanout[id], grad)
-}
-
-// GateMuGradLoaded is GateMuGrad with a caller-supplied load (see
-// GateMVLoaded for the caching contract) and fanout list, which must
-// equal G.Fanout[id] element by element: an engine walking a compiled
-// sweep schedule passes its own contiguous copy instead of chasing the
-// graph's per-node slice header.
-func (m *Model) GateMuGradLoaded(id netlist.NodeID, S []float64, load, scale float64, fanout []netlist.NodeID, grad []float64) {
-	grad[id] += scale * -m.Coef * load / (S[id] * S[id])
-	// The pin factor is hoisted out of the fanout loop — one divide
-	// per gate instead of per pin.
-	pin := scale * m.Coef / S[id]
-	for _, f := range fanout {
+	self, pin := m.MuGradAt(m.Load(id, S), S[id], scale)
+	grad[id] += self
+	for _, f := range m.G.Fanout[id] {
 		grad[f] += pin * m.CIn[f]
 	}
+}
+
+// MuGradAt is the derivative of MuAt on scalar operands, scaled by
+// scale: self = scale * d mu/d s, and pin, the factor whose product
+// with a fanout pin's C_in is scale * d mu/d S_f. The pin factor is
+// hoisted out of the callers' fanout loops — one divide per gate
+// instead of per pin.
+func (m *Model) MuGradAt(load, s, scale float64) (self, pin float64) {
+	return scale * -m.Coef * load / (s * s), scale * m.Coef / s
 }
 
 // SDependents calls visit for every gate whose mean delay depends on

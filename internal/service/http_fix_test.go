@@ -3,8 +3,11 @@ package service
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -189,4 +192,19 @@ func TestEventsReplayDisconnect(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("events handler still subscribed long after the client disconnected")
+}
+
+// TestWriteJSONEncodeFailure pins that a reply which does not encode
+// answers 500 with an error body, not its intended status with an
+// empty body: the status line is written only after encoding.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, Moments{Mu: math.NaN(), Sigma: 1})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("HTTP %d, want 500", rec.Code)
+	}
+	var e apiError
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+		t.Fatalf("body %q: want an error payload (%v)", rec.Body.String(), err)
+	}
 }

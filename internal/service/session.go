@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/netlist"
 	"repro/internal/ssta"
+	"repro/internal/stats"
 )
 
 // This file is the warm what-if session layer: the interactive
@@ -476,6 +477,11 @@ func resolveNudges(eng *ssta.Hier, sizes map[string]float64) ([]nudge, error) {
 	return out, nil
 }
 
+// finiteMoments reports whether both circuit delay moments are finite.
+func finiteMoments(mv stats.MV) bool {
+	return !math.IsNaN(mv.Mu) && !math.IsInf(mv.Mu, 0) && !math.IsNaN(mv.Var) && !math.IsInf(mv.Var, 0)
+}
+
 // nudge is one validated (gate, size) pair of a PATCH batch.
 type nudge struct {
 	name string
@@ -501,7 +507,11 @@ type NudgeReply struct {
 // SessionNudge applies a batch of size nudges to the session's warm
 // engine — O(dirty cone) per batch, not O(V) — and returns the new
 // circuit delay. The whole batch is atomic under the per-session
-// queue.
+// queue. A batch that leaves the circuit delay non-finite (a finite
+// but vanishing size makes a gate's delay overflow) is undone and
+// rejected: the gates take their previous sizes back in the engine
+// and the session, and since the engine state is a pure function of
+// the sizes, the next Update restores it bit for bit.
 func (s *Server) SessionNudge(id string, sizes map[string]float64) (NudgeReply, error) {
 	ss, err := s.lookupSession(id)
 	if err != nil {
@@ -517,11 +527,21 @@ func (s *Server) SessionNudge(id string, sizes map[string]float64) (NudgeReply, 
 	if err != nil {
 		return NudgeReply{}, err
 	}
-	for _, n := range batch {
+	prev := make([]float64, len(batch))
+	for i, n := range batch {
+		prev[i] = eng.Sizes()[n.id]
 		eng.SetSize(n.id, n.s)
 		ss.sizes[n.id] = n.s
 	}
 	tmax := eng.Update()
+	if !finiteMoments(tmax) {
+		for i, n := range batch {
+			eng.SetSize(n.id, prev[i])
+			ss.sizes[n.id] = prev[i]
+		}
+		eng.Update()
+		return NudgeReply{}, fmt.Errorf("service: nudge batch leaves the circuit delay non-finite (mu %v, var %v); sizes restored", tmax.Mu, tmax.Var)
+	}
 	s.metrics.Count("service.sessions.nudges", int64(len(batch)))
 	return NudgeReply{
 		ID: ss.id, Applied: len(batch), Rebuilt: rebuilt,
@@ -564,6 +584,9 @@ func (s *Server) SessionWhatIf(id string, sizes map[string]float64) (WhatIfReply
 	}
 	trial := eng.Update()
 	eng.Rollback()
+	if !finiteMoments(trial) {
+		return WhatIfReply{}, fmt.Errorf("service: what-if batch leaves the circuit delay non-finite (mu %v, var %v)", trial.Mu, trial.Var)
+	}
 	s.metrics.Count("service.sessions.whatifs", 1)
 	return WhatIfReply{
 		ID: ss.id, Rebuilt: rebuilt,

@@ -528,3 +528,44 @@ func TestSessionGeneratedIDs(t *testing.T) {
 		t.Fatalf("generated ids collide: %q", st.ID)
 	}
 }
+
+// TestSessionNonFiniteNudgeRejected pins that a finite but vanishing
+// size cannot poison a session: g6 at 1e-300 overflows its delay and
+// drives apex2's circuit delay to NaN. The PATCH must answer 400 with
+// an error body, the same batch as a what-if too, and the next timing
+// reply must carry the pre-nudge state bit for bit.
+func TestSessionNonFiniteNudgeRejected(t *testing.T) {
+	srv, ts := testServer(t, Options{Pool: 1})
+	srv.Start()
+
+	resp := sessionReq(t, ts, http.MethodPost, "/v1/sessions", SessionSpec{ID: "s1", Circuit: "apex2"})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: HTTP %d", resp.StatusCode)
+	}
+	resp.Body.Close()
+	resp = sessionReq(t, ts, http.MethodGet, "/v1/sessions/s1/timing?top=0", nil)
+	before := timingKey(decodeBody[TimingReply](t, resp))
+
+	bad := sizesBody{Sizes: map[string]float64{"g6": 1e-300}}
+	for _, path := range []string{"/v1/sessions/s1/whatif", "/v1/sessions/s1/sizes"} {
+		method := http.MethodPost
+		if strings.HasSuffix(path, "/sizes") {
+			method = http.MethodPatch
+		}
+		resp = sessionReq(t, ts, method, path, bad)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s %s: HTTP %d, want 400", method, path, resp.StatusCode)
+		}
+		if e := decodeBody[apiError](t, resp); e.Error == "" {
+			t.Fatalf("%s %s: empty error body", method, path)
+		}
+	}
+
+	resp = sessionReq(t, ts, http.MethodGet, "/v1/sessions/s1/timing?top=0", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("timing after the rejected nudge: HTTP %d", resp.StatusCode)
+	}
+	if after := timingKey(decodeBody[TimingReply](t, resp)); after != before {
+		t.Fatalf("timing after the rejected nudge differs from before it:\n%s\n%s", after, before)
+	}
+}

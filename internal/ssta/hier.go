@@ -55,12 +55,27 @@ import (
 // these at every circuit size tried (EXPERIMENTS.md, "Serial
 // persistent engine").
 //
-// Slab layout: arrivals and gate delays live in NodeID-indexed slabs
-// shared with the flat sweeps' code paths, while the adjoint tape is
-// one arena carved in level order, so a level's tape span is
-// contiguous. Every pass reads each node's fanin pins, fanout pins and
-// tape offset from the compiled sweep schedule (sched.go), laid out in
-// sweep order, instead of the graph's NodeID-ordered per-node slices.
+// Slab layout: the slabs a pass walks are indexed by schedule
+// position (sched.go), not by NodeID — arrivals, gate delays, speed
+// factors, cached loads, the adjoint, the criticality accumulator and
+// the trial stamps and undo log, next to the schedule's own
+// position-ordered pins and model parameters (TInt, CLoad, per-pin
+// offsets and C_in, input arrivals). A pass therefore reads its
+// slabs forward instead of jumping through NodeID space at every
+// node, and the adjoint tape is one arena carved in the same order,
+// so a level's tape span is contiguous. The NodeID-indexed API
+// translates at the boundary: SetSize, Arrival and GateDelay through
+// the schedule's pos map in O(1), Sizes from a NodeID-ordered copy
+// of the speed factors kept in step with the positional one, and
+// Criticality by one pass over the schedule order. The gradient is
+// the exception: the adjoint adds its terms straight into the
+// NodeID-indexed slab Backward returns, because every sizing step
+// and every solver gradient reads it, and a per-pass translation
+// measured slower than those scattered adds (EXPERIMENTS.md,
+// "Sweep-order slabs"). Positions renumber nothing the flat sweeps
+// see: folds keep pin order, loads and gradient fan-outs keep
+// Graph.Fanout order and the adjoint keeps the flat level order, so
+// every float is added in the flat sweeps' order.
 
 // HierOptions configures a persistent engine.
 type HierOptions struct {
@@ -104,17 +119,22 @@ type Hier struct {
 	m   *delay.Model
 	rec telemetry.Recorder
 
-	// s is the engine's current speed-factor assignment (owned copy).
-	s []float64
-
-	// sc is the compiled sweep schedule every pass walks.
+	// sc is the compiled sweep schedule every pass walks; every slab
+	// below without a NodeID note is indexed by its positions.
 	sc schedule
 
-	// res holds the forward state (its per-node gateFold is unused).
-	// The fold steps live in tapeArena at the schedule's fixed
-	// offsets, carved once, so re-evaluating a node rewrites its tape
-	// slots in place.
-	res       Result
+	// s is the engine's current speed-factor assignment by NodeID
+	// (owned copy, the Sizes view); sp holds the same values by
+	// position. SetSize and SetSizes write both.
+	s, sp []float64
+
+	// arr and gd hold the arrival and gate delay moments, tmax and
+	// outFold the output fold. The fold steps live in tapeArena at
+	// the schedule's fixed offsets, carved once, so re-evaluating a
+	// node rewrites its tape slots in place.
+	arr, gd   []stats.MV
+	tmax      stats.MV
+	outFold   []stats.Jac2x4
 	tapeArena []stats.Jac2x4
 
 	// load caches every gate's capacitive load (delay.Model.Load, a
@@ -126,16 +146,12 @@ type Hier struct {
 	// recompute.
 	load []float64
 
-	// adj is the interleaved adjoint slab: adj[2id] / adj[2id+1] hold
-	// node id's (mu, var) arrival adjoint. The adjoint accumulates
-	// into it directly and a node's pair shares a cache line, halving
-	// the lines touched by the scattered fanin accumulation. dmu and
-	// grad receive the criticality and the gradient.
+	// adj is the interleaved adjoint slab: adj[2p] / adj[2p+1] hold
+	// position p's (mu, var) arrival adjoint, so a node's pair shares
+	// a cache line; dmu accumulates the criticality. grad, the
+	// gradient Backward returns, is indexed by NodeID (see the file
+	// comment).
 	adj, dmu, grad []float64
-
-	// markDirtyFn is the bound markDirty method, created once so the
-	// SetSize hot path does not allocate a method value per call.
-	markDirtyFn func(netlist.NodeID)
 
 	// Dirty tracking: bit p of pend is set while the node at schedule
 	// position p awaits re-evaluation; [loW, hiW] spans the words that
@@ -160,40 +176,37 @@ type Hier struct {
 	savedTmax    stats.MV
 }
 
-// nodeSave is one undo-log entry: the node's pre-trial arrival and
-// gate delay, plus the offset of its saved tape steps in logTape
-// (the count is implied by the node's fanin arity).
+// nodeSave is one undo-log entry: the pre-trial arrival and gate delay
+// of the node at position p, plus the offset of its saved tape steps
+// in logTape (the count is implied by the node's fanin arity).
 type nodeSave struct {
-	id      netlist.NodeID
+	p       int32
 	arr, gd stats.MV
 	tapeAt  int
 }
 
-// sizeSave is one undo-log entry for a speed factor.
+// sizeSave is one undo-log entry for the speed factor at position p.
 type sizeSave struct {
-	id netlist.NodeID
-	s  float64
+	p int32
+	s float64
 }
 
 // NewHier builds an engine for the model at the speed-factor
 // assignment S (copied), compiles its sweep schedule and runs the
 // initial full taped sweep.
 func NewHier(m *delay.Model, S []float64, opt HierOptions) *Hier {
-	g := m.G
-	n := len(g.C.Nodes)
+	n := len(m.G.C.Nodes)
 	if len(S) != n {
 		panic(fmt.Sprintf("ssta: NewHier got %d sizes for %d nodes", len(S), n))
 	}
 	h := &Hier{
-		m:   m,
-		rec: opt.Recorder,
-		s:   append([]float64(nil), S...),
-		res: Result{
-			Arrival:   make([]stats.MV, n),
-			GateDelay: make([]stats.MV, n),
-			withTape:  true,
-		},
-		sc:      compileSchedule(g),
+		m:       m,
+		rec:     opt.Recorder,
+		sc:      compileSchedule(m),
+		s:       append([]float64(nil), S...),
+		sp:      make([]float64, n),
+		arr:     make([]stats.MV, n),
+		gd:      make([]stats.MV, n),
 		load:    make([]float64, n),
 		adj:     make([]float64, 2*n),
 		dmu:     make([]float64, n),
@@ -202,14 +215,16 @@ func NewHier(m *delay.Model, S []float64, opt HierOptions) *Hier {
 		nodeGen: make([]uint32, n),
 		sGen:    make([]uint32, n),
 	}
+	for p, id := range h.sc.order {
+		h.sp[p] = S[id]
+	}
 	h.clearSpan()
-	h.markDirtyFn = h.markDirty
 	h.reloadAll()
 	// One arena holds every gate's fold steps, so re-evaluations are
 	// in-place.
 	h.tapeArena = make([]stats.Jac2x4, h.sc.tapeLen)
-	if no := len(g.C.Outputs); no > 1 {
-		h.res.outFold = make([]stats.Jac2x4, no-1)
+	if no := len(h.sc.outs); no > 1 {
+		h.outFold = make([]stats.Jac2x4, no-1)
 		h.savedOutFold = make([]stats.Jac2x4, no-1)
 	}
 	h.resweep()
@@ -221,10 +236,10 @@ func (h *Hier) clearSpan() {
 	h.loW, h.hiW = len(h.pend), -1
 }
 
-// markDirty queues a node for re-evaluation (idempotent).
-func (h *Hier) markDirty(id netlist.NodeID) {
-	p := h.sc.pos[id]
-	w := int(p >> 6)
+// markDirty queues the node at position p for re-evaluation
+// (idempotent).
+func (h *Hier) markDirty(p int) {
+	w := p >> 6
 	h.pend[w] |= 1 << (p & 63)
 	if w < h.loW {
 		h.loW = w
@@ -260,8 +275,8 @@ func (h *Hier) discardPending() {
 }
 
 // SetSize sets gate id's speed factor, marks the load-dependent gates
-// dirty (id and its fanin drivers — the SDependents rule) and
-// recomputes the drivers' cached loads. A bit-identical size is a
+// dirty (id and its fanin drivers — the delay.Model.SDependents rule)
+// and recomputes the drivers' cached loads. A bit-identical size is a
 // no-op. The change takes effect at the next Update.
 //
 // A non-finite size panics at this API boundary (the checkRiskFactor
@@ -271,8 +286,7 @@ func (h *Hier) discardPending() {
 // Callers exposing SetSize to untrusted input (the service's PATCH
 // path) validate first.
 func (h *Hier) SetSize(id netlist.NodeID, s float64) {
-	nodes := h.m.G.C.Nodes
-	if nodes[id].Kind != netlist.KindGate {
+	if h.m.G.C.Nodes[id].Kind != netlist.KindGate {
 		panic("ssta: Hier.SetSize on a non-gate node")
 	}
 	if math.IsNaN(s) || math.IsInf(s, 0) {
@@ -281,13 +295,21 @@ func (h *Hier) SetSize(id netlist.NodeID, s float64) {
 	if h.s[id] == s {
 		return
 	}
-	if h.inTrial && h.sGen[id] != h.gen {
-		h.sGen[id] = h.gen
-		h.logS = append(h.logS, sizeSave{id: id, s: h.s[id]})
+	p := int(h.sc.pos[id])
+	if h.inTrial && h.sGen[p] != h.gen {
+		h.sGen[p] = h.gen
+		h.logS = append(h.logS, sizeSave{p: int32(p), s: h.sp[p]})
 	}
-	h.s[id] = s
-	h.m.SDependents(id, h.markDirtyFn)
-	h.reloadDrivers(id)
+	h.s[id], h.sp[p] = s, s
+	// The SDependents rule over positions: the gate itself and its
+	// fanin drivers, which sit past the inputs.
+	h.markDirty(p)
+	for _, f := range h.sc.fanin(p) {
+		if int(f) >= h.sc.nIn {
+			h.markDirty(int(f))
+		}
+	}
+	h.reloadDrivers(p)
 }
 
 // SetSizes moves the engine to a whole new assignment: gate ids[i]
@@ -324,7 +346,7 @@ func (h *Hier) SetSizes(ids []netlist.NodeID, x []float64) bool {
 	moved := false
 	for i, id := range ids {
 		if h.s[id] != x[i] {
-			h.s[id] = x[i]
+			h.s[id], h.sp[h.sc.pos[id]] = x[i], x[i]
 			moved = true
 		}
 	}
@@ -338,41 +360,50 @@ func (h *Hier) SetSizes(ids []netlist.NodeID, x []float64) bool {
 	return true
 }
 
-// reloadAll recomputes every gate's cached load from scratch (bitwise
-// what Load returns): one O(E) pass over the fanout lists.
+// loadAt recomputes the load of the gate at position p: Load's
+// expression — C_load plus the fanout pins' C_in*S terms in
+// Graph.Fanout order — over the schedule's copies, so it is bitwise
+// what Load returns.
+func (h *Hier) loadAt(p int) float64 {
+	sc := &h.sc
+	load := sc.cload[p]
+	a, b := sc.fanout(p)
+	cin := sc.pinCIn[a:b]
+	for i, f := range sc.fout[a:b] {
+		load += cin[i] * h.sp[f]
+	}
+	return load
+}
+
+// reloadAll recomputes every gate's cached load from scratch: one
+// O(E) pass over the positional fanout slab.
 func (h *Hier) reloadAll() {
-	nodes := h.m.G.C.Nodes
-	for i := range nodes {
-		if nodes[i].Kind == netlist.KindGate {
-			h.load[i] = h.m.Load(netlist.NodeID(i), h.s)
-		}
+	for p := h.sc.nIn; p < len(h.load); p++ {
+		h.load[p] = h.loadAt(p)
 	}
 }
 
-// reloadDrivers recomputes the cached loads S[id] appears in — its
-// fanin drivers' — from scratch (bitwise what Load returns). A driver
+// reloadDrivers recomputes the cached loads the speed factor at
+// position p appears in — its fanin drivers' — from scratch. A driver
 // wired through several pins is recomputed once per pin — idempotent.
-func (h *Hier) reloadDrivers(id netlist.NodeID) {
-	nodes := h.m.G.C.Nodes
-	for _, f := range nodes[id].Fanin {
-		if nodes[f].Kind == netlist.KindGate {
-			h.load[f] = h.m.Load(f, h.s)
+func (h *Hier) reloadDrivers(p int) {
+	for _, f := range h.sc.fanin(p) {
+		if int(f) >= h.sc.nIn {
+			h.load[f] = h.loadAt(int(f))
 		}
 	}
 }
 
-// saveNode logs a node's slabs once per trial before they are
-// overwritten.
-func (h *Hier) saveNode(id netlist.NodeID) {
-	if h.nodeGen[id] == h.gen {
+// saveNode logs the slabs of the node at position p once per trial
+// before they are overwritten.
+func (h *Hier) saveNode(p int) {
+	if h.nodeGen[p] == h.gen {
 		return
 	}
-	h.nodeGen[id] = h.gen
+	h.nodeGen[p] = h.gen
 	at := len(h.logTape)
-	h.logTape = append(h.logTape, h.tape(int(h.sc.pos[id]))...)
-	h.logNodes = append(h.logNodes, nodeSave{
-		id: id, arr: h.res.Arrival[id], gd: h.res.GateDelay[id], tapeAt: at,
-	})
+	h.logTape = append(h.logTape, h.tape(p)...)
+	h.logNodes = append(h.logNodes, nodeSave{p: int32(p), arr: h.arr[p], gd: h.gd[p], tapeAt: at})
 }
 
 // tape returns the fold steps of the node at schedule position p: a
@@ -386,17 +417,14 @@ func (h *Hier) tape(p int) []stats.Jac2x4 {
 	return h.tapeArena[o : o+k : o+k]
 }
 
-// forward re-runs the forward fold of the node at schedule position
-// p: the flat sweep's gate body fed from the schedule, the tape arena
-// and the load cache.
+// forward re-runs the forward fold of the gate at schedule position p:
+// the flat sweep's gate body fed from the schedule, the tape arena and
+// the load cache. Inputs are never dirty; resweep copies theirs.
 func (h *Hier) forward(p int) {
-	id := h.sc.node(p)
-	fanin := h.sc.fanin(p)
-	if len(fanin) == 0 { // a primary input
-		h.res.Arrival[id] = h.m.Arrival[id]
-		return
-	}
-	forwardGate(&h.res, h.m, id, fanin, h.tape(p), h.m.GateMVLoaded(id, h.s, h.load[id]))
+	sc := &h.sc
+	mu := h.m.MuAt(sc.tint[p], h.load[p], h.sp[p])
+	t := stats.MV{Mu: mu, Var: h.m.Sigma.Var(mu)}
+	forwardGate(h.arr, h.gd, int32(p), sc.fanin(p), sc.pinOff(p), h.tape(p), t)
 }
 
 // Update re-evaluates the dirty cone in schedule order and returns the
@@ -407,24 +435,24 @@ func (h *Hier) forward(p int) {
 // nothing dirty it returns the cached Tmax untouched.
 func (h *Hier) Update() stats.MV {
 	if h.hiW < h.loW {
-		return h.res.Tmax
+		return h.tmax
 	}
 	dirtyN, frontierN := h.updateCone()
 	h.discardPending()
 	// The output fold is always rebuilt in the fixed output order, so
 	// it matches a fresh sweep's fold bit for bit.
-	foldOutputs(&h.res, h.m.G, true)
+	h.tmax = foldOutputs(h.arr, h.sc.outs, h.outFold)
 	h.updates++
 	if h.rec != nil {
 		h.rec.Event("inc", "update",
 			telemetry.I("update", h.updates),
 			telemetry.I("dirty", dirtyN),
 			telemetry.I("frontier", frontierN),
-			telemetry.F("mu", h.res.Tmax.Mu),
-			telemetry.F("var", h.res.Tmax.Var),
+			telemetry.F("mu", h.tmax.Mu),
+			telemetry.F("var", h.tmax.Var),
 		)
 	}
-	return h.res.Tmax
+	return h.tmax
 }
 
 // updateCone walks the pending positions in one ascending scan and
@@ -434,22 +462,21 @@ func (h *Hier) Update() stats.MV {
 // most once, after all of its fanins. Bits are not cleared one by
 // one: nextDirty only looks ahead, and Update clears the span after.
 func (h *Hier) updateCone() (dirtyN, frontierN int) {
-	sc := &h.sc
-	arr := h.res.Arrival
+	arr := h.arr
 	for p := h.nextDirty(h.loW << 6); p >= 0; p = h.nextDirty(p + 1) {
-		id := sc.node(p)
 		if h.inTrial {
-			h.saveNode(id)
+			h.saveNode(p)
 		}
-		old := arr[id]
+		old := arr[p]
 		h.forward(p)
 		dirtyN++
-		if arr[id] == old {
+		if arr[p] == old {
 			continue
 		}
 		frontierN++
-		for _, f := range sc.fanout(p) {
-			h.markDirty(f)
+		a, b := h.sc.fanout(p)
+		for _, f := range h.sc.fout[a:b] {
+			h.markDirty(int(f))
 		}
 	}
 	return dirtyN, frontierN
@@ -468,16 +495,16 @@ func (h *Hier) Resweep() stats.MV {
 	h.discardPending()
 	h.resweep()
 	h.sweepEvent()
-	return h.res.Tmax
+	return h.tmax
 }
 
 // sweepEvent records one "hier.sweep" event for a full forward pass.
 func (h *Hier) sweepEvent() {
 	if h.rec != nil {
 		h.rec.Event("hier", "sweep",
-			telemetry.I("nodes", len(h.m.G.C.Nodes)),
-			telemetry.F("mu", h.res.Tmax.Mu),
-			telemetry.F("var", h.res.Tmax.Var),
+			telemetry.I("nodes", len(h.arr)),
+			telemetry.F("mu", h.tmax.Mu),
+			telemetry.F("var", h.tmax.Var),
 		)
 	}
 }
@@ -485,24 +512,22 @@ func (h *Hier) sweepEvent() {
 // resweep is Resweep's full forward pass, without the event.
 func (h *Hier) resweep() {
 	// Positions ascending are levels ascending: the flat sweep's order
-	// over dense schedule slabs.
-	for p := range h.sc.order {
+	// over dense schedule slabs. The inputs occupy the first nIn.
+	copy(h.arr, h.sc.inArr)
+	for p := h.sc.nIn; p < len(h.arr); p++ {
 		h.forward(p)
 	}
-	foldOutputs(&h.res, h.m.G, true)
+	h.tmax = foldOutputs(h.arr, h.sc.outs, h.outFold)
 }
 
 // seed unfolds the output max in reverse, exactly like the flat
 // sweep's seedAdjoint, into the outputs' interleaved adjoint slots —
-// the values the recursion starts from.
+// the values the recursion starts from. The slab must be clear.
 func (h *Hier) seed(seedMu, seedVar float64) {
-	outs := h.m.G.C.Outputs
-	for _, o := range outs {
-		h.adj[2*o], h.adj[2*o+1] = 0, 0
-	}
+	outs := h.sc.outs
 	aMu, aVar := seedMu, seedVar
 	for i := len(outs) - 1; i >= 1; i-- {
-		j := h.res.outFold[i-1]
+		j := h.outFold[i-1]
 		o := outs[i]
 		h.adj[2*o] += aMu*j[0][2] + aVar*j[1][2]
 		h.adj[2*o+1] += aMu*j[0][3] + aVar*j[1][3]
@@ -512,35 +537,38 @@ func (h *Hier) seed(seedMu, seedVar float64) {
 	h.adj[2*outs[0]+1] += aVar
 }
 
-// backward flushes pending updates and runs one adjoint sweep: the
-// flat canonical recursion in place — levels descending, in-level
-// nodes in bucket order, exactly the flat sweep's node order — so it
-// is the same float program as Result.Backward, bit-identical by
-// construction.
+// backward flushes pending updates and runs one adjoint sweep into
+// the grad and dmu slabs (dmu is written only at the nodes the sweep
+// visits; Criticality clears it first): the flat canonical recursion in
+// place — levels descending, in-level nodes in bucket order, exactly
+// the flat sweep's node order — so it is the same float program as
+// Result.Backward, bit-identical by construction.
 func (h *Hier) backward(seedMu, seedVar float64) {
 	h.Update()
 	clear(h.adj)
 	clear(h.grad)
-	clear(h.dmu)
 	h.seed(seedMu, seedVar)
 	sc := &h.sc
-	adj := h.adj
+	adj, grad := h.adj, h.grad
 	// Levels descending, positions inside a level ascending: the flat
 	// adjoint's accumulation order (see schedule).
 	for l := len(sc.lvl) - 2; l >= 1; l-- {
 		for p := int(sc.lvl[l]); p < int(sc.lvl[l+1]); p++ {
-			id := sc.node(p)
-			am, av := adj[2*id], adj[2*id+1]
+			am, av := adj[2*p], adj[2*p+1]
 			if am == 0 && av == 0 {
 				continue
 			}
-			// The body of Result.backwardNode over the interleaved
-			// slab: the same float ops in the same order (a node's
-			// pair shares a cache line, which is the point of the
-			// layout).
-			d := am + av*h.m.Sigma.DVar(h.res.GateDelay[id].Mu)
-			h.dmu[id] = d
-			h.m.GateMuGradLoaded(id, h.s, h.load[id], d, sc.fanout(p), h.grad)
+			// The body of Result.backwardNode over the positional
+			// slabs: the same float ops in the same order.
+			d := am + av*h.m.Sigma.DVar(h.gd[p].Mu)
+			h.dmu[p] = d
+			self, pin := h.m.MuGradAt(h.load[p], h.sp[p], d)
+			grad[sc.order[p]] += self
+			a, b := sc.fanout(p)
+			cin := sc.pinCIn[a:b]
+			for i, f := range sc.foutID[a:b] {
+				grad[f] += pin * cin[i]
+			}
 			fanin := sc.fanin(p)
 			uMu, uVar := am, av
 			steps := h.tape(p)
@@ -577,15 +605,23 @@ func (h *Hier) GradMuPlusKSigma(k float64) (float64, []float64) {
 }
 
 // Criticality flushes pending updates and returns each gate's
-// statistical criticality d muTmax / d mu_t — the adjoint sweep over
-// the engine's warm tape under a (1, 0) seed, bit-identical to the
-// package-level Criticality at the engine's current sizes but without
-// the fresh O(V) taped sweep that entry point pays. The returned slice is
-// engine-owned scratch, overwritten by the next adjoint pass
-// (Backward/GradMuPlusKSigma included) — copy it to keep it.
+// statistical criticality d muTmax / d mu_t, indexed by NodeID — the
+// adjoint sweep over the engine's warm tape under a (1, 0) seed,
+// bit-identical to the package-level Criticality at the engine's
+// current sizes but without the fresh O(V) taped sweep that entry
+// point pays. The returned slice is engine-owned scratch, overwritten
+// by the next adjoint pass (Backward/GradMuPlusKSigma included) — copy
+// it to keep it.
 func (h *Hier) Criticality() []float64 {
+	clear(h.dmu)
 	h.backward(1, 0)
-	return h.dmu
+	// The gradient slab is scratch until the next pass: the
+	// criticality goes there by NodeID, one pass over the schedule
+	// order.
+	for p, id := range h.sc.order {
+		h.grad[id] = h.dmu[p]
+	}
+	return h.grad
 }
 
 // Trial opens a what-if scope (pending updates are flushed first so
@@ -609,8 +645,8 @@ func (h *Hier) Trial() {
 	h.logNodes = h.logNodes[:0]
 	h.logTape = h.logTape[:0]
 	h.logS = h.logS[:0]
-	h.savedTmax = h.res.Tmax
-	copy(h.savedOutFold, h.res.outFold)
+	h.savedTmax = h.tmax
+	copy(h.savedOutFold, h.outFold)
 }
 
 // Commit accepts the trial's changes and drops the undo log. Dirty
@@ -638,62 +674,63 @@ func (h *Hier) Rollback() stats.MV {
 	// its pre-trial state, so order only matters for symmetry.
 	for i := len(h.logNodes) - 1; i >= 0; i-- {
 		sv := h.logNodes[i]
-		h.res.Arrival[sv.id] = sv.arr
-		h.res.GateDelay[sv.id] = sv.gd
-		steps := h.tape(int(h.sc.pos[sv.id]))
+		p := int(sv.p)
+		h.arr[p], h.gd[p] = sv.arr, sv.gd
+		steps := h.tape(p)
 		copy(steps, h.logTape[sv.tapeAt:sv.tapeAt+len(steps)])
 	}
 	for i := len(h.logS) - 1; i >= 0; i-- {
-		h.s[h.logS[i].id] = h.logS[i].s
+		sv := h.logS[i]
+		h.sp[sv.p], h.s[h.sc.order[sv.p]] = sv.s, sv.s
 	}
 	// Every size is back, so recomputing the loads SetSize rewrote
 	// yields their pre-trial bits: a load is a pure function of the
 	// fanout sizes.
 	for _, sv := range h.logS {
-		h.reloadDrivers(sv.id)
+		h.reloadDrivers(int(sv.p))
 	}
-	copy(h.res.outFold, h.savedOutFold)
-	h.res.Tmax = h.savedTmax
+	copy(h.outFold, h.savedOutFold)
+	h.tmax = h.savedTmax
 	h.logNodes = h.logNodes[:0]
 	h.logTape = h.logTape[:0]
 	h.logS = h.logS[:0]
 	h.inTrial = false
-	return h.res.Tmax
+	return h.tmax
 }
 
 // MemoryBytes estimates the engine's resident footprint: the
-// forward/adjoint slabs, the sweep schedule, the tape arena and the
-// trial log backing arrays. It is the byte cost a cache of warm engines pays to keep this one
-// alive (the session LRU's budget unit), not an exact accounting of
-// every header.
+// forward/adjoint slabs, the sweep schedule with its model copies, the
+// tape arena and the trial log backing arrays. It is the byte cost a
+// cache of warm engines pays to keep this one alive (the session
+// LRU's budget unit), not an exact accounting of every header.
 func (h *Hier) MemoryBytes() int64 {
 	const (
 		mvSize  = 16 // stats.MV: 2 float64
 		jacSize = 64 // stats.Jac2x4: 2x4 float64
 	)
 	n := int64(len(h.s))
-	b := 6 * n * 8      // s, load, dmu, grad, adj (2 per node)
-	b += 2 * n * mvSize // Arrival, GateDelay
+	b := 7 * n * 8      // s, sp, load, dmu, grad, adj (2 per node)
+	b += 2 * n * mvSize // arr, gd
 	b += 2 * n * 4      // nodeGen, sGen
 	b += int64(len(h.pend)) * 8
 	b += h.sc.memoryBytes()
 	b += int64(len(h.tapeArena)) * jacSize
-	b += 2 * int64(len(h.res.outFold)) * jacSize // outFold + savedOutFold
+	b += 2 * int64(len(h.outFold)) * jacSize // outFold + savedOutFold
 	// Trial undo log backing arrays.
 	b += int64(cap(h.logTape)) * jacSize
-	b += int64(cap(h.logNodes)) * 48 // nodeSave: id + 2 MV + offset
+	b += int64(cap(h.logNodes)) * 48 // nodeSave: position + 2 MV + offset
 	b += int64(cap(h.logS)) * 16
 	return b
 }
 
 // Tmax returns the circuit delay moments as of the last Update.
-func (h *Hier) Tmax() stats.MV { return h.res.Tmax }
+func (h *Hier) Tmax() stats.MV { return h.tmax }
 
 // Arrival returns node id's arrival moments as of the last Update.
-func (h *Hier) Arrival(id netlist.NodeID) stats.MV { return h.res.Arrival[id] }
+func (h *Hier) Arrival(id netlist.NodeID) stats.MV { return h.arr[h.sc.pos[id]] }
 
 // GateDelay returns gate id's delay moments as of the last Update.
-func (h *Hier) GateDelay(id netlist.NodeID) stats.MV { return h.res.GateDelay[id] }
+func (h *Hier) GateDelay(id netlist.NodeID) stats.MV { return h.gd[h.sc.pos[id]] }
 
 // Sizes returns the engine's current speed factors as a read-only
 // view (indexed by NodeID). Mutate through SetSize or SetSizes only.

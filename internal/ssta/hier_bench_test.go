@@ -123,7 +123,7 @@ func BenchmarkFlatStepGen100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		S[gates[(i*7919)%len(gates)]] = 1 + 0.3*float64(i%5)
+		S[gates[(i*7919)%len(gates)]] = 1 + 0.3*float64(1+i%5)
 		GradMuPlusKSigma(m, S, 3)
 	}
 }
@@ -136,7 +136,7 @@ func BenchmarkHierStepGen100k(b *testing.B) {
 	m := gen100kModel(b)
 	gates := m.G.C.GateIDs()
 	step := func(h *Hier, i int) {
-		h.SetSize(gates[(i*7919)%len(gates)], 1+0.3*float64(i%5))
+		h.SetSize(gates[(i*7919)%len(gates)], 1+0.3*float64(1+i%5))
 		h.GradMuPlusKSigma(3)
 	}
 	// Time from a mixed-size state; the dirty bitset is sized at

@@ -540,9 +540,9 @@ func TestHierConeMatchesOracle(t *testing.T) {
 				}
 
 				if mode == 0 {
-					copy(saved, h.res.GateDelay)
+					copy(saved, h.gd)
 					for _, id := range gates {
-						h.res.GateDelay[id] = sentinel
+						h.gd[h.sc.pos[id]] = sentinel
 					}
 				}
 				events := rec.events
@@ -550,15 +550,15 @@ func TestHierConeMatchesOracle(t *testing.T) {
 				got := map[netlist.NodeID]bool{}
 				if mode == 0 {
 					for _, id := range gates {
-						if h.res.GateDelay[id] == sentinel {
-							h.res.GateDelay[id] = saved[id]
+						if p := h.sc.pos[id]; h.gd[p] == sentinel {
+							h.gd[p] = saved[p]
 						} else {
 							got[id] = true
 						}
 					}
 				} else {
 					for _, sv := range h.logNodes {
-						got[sv.id] = true
+						got[h.sc.node(int(sv.p))] = true
 					}
 				}
 

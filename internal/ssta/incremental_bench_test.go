@@ -22,7 +22,7 @@ func benchIncUpdate(b *testing.B, name string) {
 	m := parallelTestModels(b)[name]
 	gates := m.G.C.GateIDs()
 	step := func(h *Hier, i int) {
-		h.SetSize(gates[(i*31)%len(gates)], 1+0.3*float64(i%5))
+		h.SetSize(gates[(i*31)%len(gates)], 1+0.3*float64(1+i%5))
 		h.GradMuPlusKSigma(3)
 	}
 	inc := NewHier(m, m.UnitSizes(), HierOptions{})
@@ -44,7 +44,7 @@ func benchFullSweep(b *testing.B, name string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := gates[(i*31)%len(gates)]
-		S[id] = 1 + 0.3*float64(i%5)
+		S[id] = 1 + 0.3*float64(1+i%5)
 		GradMuPlusKSigma(m, S, 3)
 	}
 }

@@ -343,6 +343,15 @@ func TestIncMemoryBytes(t *testing.T) {
 	if min := int64(len(models["k2"].G.C.Nodes)) * 2 * 16; lb < min {
 		t.Fatalf("k2 footprint %d below its moment slabs alone (%d)", lb, min)
 	}
+	// The sweep-order slabs: the speed factors by NodeID and by
+	// position, the position-ordered TInt and CLoad copies, and per
+	// edge the fanin and fanout positions, the fanout NodeIDs and the
+	// per-pin C_in and offset copies.
+	k2 := models["k2"].G
+	n, e := int64(len(k2.C.Nodes)), int64(k2.Edges)
+	if min := n*(2*16+4*8) + e*(3*4+2*8); lb < min {
+		t.Fatalf("k2 footprint %d below its moment, size, model-copy and pin slabs (%d)", lb, min)
+	}
 
 	// session10k is the what-if sessions' circuit shape: the unit the
 	// session LRU budgets in.

@@ -57,11 +57,16 @@ func scheduleTestModels(t *testing.T) map[string]*delay.Model {
 	return models
 }
 
+// node returns the NodeID at schedule position p.
+func (sc *schedule) node(p int) netlist.NodeID { return netlist.NodeID(sc.order[p]) }
+
 // TestScheduleInvariants checks the engine's compiled sweep schedule
-// against the graph it was compiled from: the order is the level
-// buckets concatenated, every position's fanin and fanout pins equal
-// the graph's lists, the slabs were sized exactly, and the tape
-// offsets tile the arena without overlap in level order.
+// against the model it was compiled from: the order is the level
+// buckets concatenated, every position's fanin and fanout positions
+// map back to the graph's lists in order, every position's model
+// copies (TInt, CLoad, pin offsets, fanout pin CIn, input arrival)
+// equal the model's entries, the slabs were sized exactly, and the tape offsets
+// tile the arena without overlap in level order.
 func TestScheduleInvariants(t *testing.T) {
 	for name, m := range scheduleTestModels(t) {
 		g := m.G
@@ -75,6 +80,10 @@ func TestScheduleInvariants(t *testing.T) {
 		if len(sc.order) != n || len(sc.lvl) != len(g.Levels)+1 || int(sc.lvl[len(g.Levels)]) != n {
 			fail("order has %d nodes, lvl %d entries ending at %d", len(sc.order), len(sc.lvl), sc.lvl[len(sc.lvl)-1])
 		}
+		inputs := g.C.NumInputs()
+		if sc.nIn != inputs || int(sc.lvl[1]) != sc.nIn || len(sc.inArr) != sc.nIn {
+			fail("nIn %d, level 1 at %d, %d input arrivals; want %d inputs", sc.nIn, sc.lvl[1], len(sc.inArr), inputs)
+		}
 		p := 0
 		for l, bucket := range g.Levels {
 			if int(sc.lvl[l]) != p {
@@ -87,17 +96,54 @@ func TestScheduleInvariants(t *testing.T) {
 				p++
 			}
 		}
-		if len(sc.fin) != g.Edges || cap(sc.fin) != g.Edges || len(sc.fout) != g.Edges || cap(sc.fout) != g.Edges {
-			fail("pin slabs len/cap %d/%d and %d/%d, want %d", len(sc.fin), cap(sc.fin), len(sc.fout), cap(sc.fout), g.Edges)
+		if len(sc.fin) != g.Edges || cap(sc.fin) != g.Edges || len(sc.fout) != g.Edges || cap(sc.fout) != g.Edges ||
+			len(sc.foutID) != g.Edges || cap(sc.foutID) != g.Edges || len(sc.pinCIn) != g.Edges || cap(sc.pinCIn) != g.Edges {
+			fail("pin slabs len/cap %d/%d, %d/%d, %d/%d and %d/%d, want %d", len(sc.fin), cap(sc.fin),
+				len(sc.fout), cap(sc.fout), len(sc.foutID), cap(sc.foutID), len(sc.pinCIn), cap(sc.pinCIn), g.Edges)
+		}
+		if len(sc.poff) != g.Edges || cap(sc.poff) != g.Edges {
+			fail("pin offset slab len/cap %d/%d, want %d", len(sc.poff), cap(sc.poff), g.Edges)
+		}
+		ids := func(ps []int32) []netlist.NodeID {
+			out := make([]netlist.NodeID, len(ps))
+			for i, q := range ps {
+				out[i] = sc.node(int(q))
+			}
+			return out
 		}
 		for p := 0; p < n; p++ {
 			id := sc.node(p)
-			if !slices.Equal(sc.fanin(p), g.C.Nodes[id].Fanin) {
-				fail("node %d fanin %v, want %v", id, sc.fanin(p), g.C.Nodes[id].Fanin)
+			if got := ids(sc.fanin(p)); !slices.Equal(got, g.C.Nodes[id].Fanin) {
+				fail("node %d fanin %v, want %v", id, got, g.C.Nodes[id].Fanin)
 			}
-			if !slices.Equal(sc.fanout(p), g.Fanout[id]) {
-				fail("node %d fanout %v, want %v", id, sc.fanout(p), g.Fanout[id])
+			a, b := sc.fanout(p)
+			if got := ids(sc.fout[a:b]); !slices.Equal(got, g.Fanout[id]) {
+				fail("node %d fanout %v, want %v", id, got, g.Fanout[id])
 			}
+			for i, f := range g.Fanout[id] {
+				if sc.foutID[int(a)+i] != int32(f) || sc.pinCIn[int(a)+i] != m.CIn[f] {
+					fail("node %d fanout pin %d: id %d C_in %v, want %d and %v", id, i,
+						sc.foutID[int(a)+i], sc.pinCIn[int(a)+i], f, m.CIn[f])
+				}
+			}
+			if sc.tint[p] != m.TInt[id] || sc.cload[p] != m.CLoad[id] {
+				fail("node %d copies tint/cload %v/%v, want %v/%v", id,
+					sc.tint[p], sc.cload[p], m.TInt[id], m.CLoad[id])
+			}
+			for k, off := range sc.pinOff(p) {
+				if want := m.PinOff(id, k); off != want {
+					fail("node %d pin %d offset %v, want %v", id, k, off, want)
+				}
+			}
+			if (p < sc.nIn) != (g.C.Nodes[id].Kind == netlist.KindInput) {
+				fail("node %d at position %d: input %v, nIn %d", id, p, g.C.Nodes[id].Kind == netlist.KindInput, sc.nIn)
+			}
+			if p < sc.nIn && sc.inArr[p] != m.Arrival[id] {
+				fail("input %d arrival %v, want %v", id, sc.inArr[p], m.Arrival[id])
+			}
+		}
+		if got := ids(sc.outs); !slices.Equal(got, g.C.Outputs) {
+			fail("outputs %v, want %v", got, g.C.Outputs)
 		}
 
 		// Tiling: every gate's span lies in the arena, no slot is

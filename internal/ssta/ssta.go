@@ -64,30 +64,35 @@ func forwardNode(r *Result, m *delay.Model, S []float64, id netlist.NodeID, with
 		steps = make([]stats.Jac2x4, len(nd.Fanin)-1)
 		r.gateFold[id] = steps
 	}
-	forwardGate(r, m, id, nd.Fanin, steps, m.GateMV(id, S))
+	forwardGate(r.Arrival, r.GateDelay, id, nd.Fanin, m.PinOffset[id], steps, m.GateMV(id, S))
 }
+
+// sweepIndex is the index type of a forward sweep's slabs: NodeID in
+// the flat sweeps, a schedule position (int32) in the persistent
+// engine.
+type sweepIndex interface{ netlist.NodeID | int32 }
 
 // forwardGate is the one gate body of every forward sweep: the fanin
 // max fold plus the delay add, with the gate delay moments t already
-// evaluated. fanin is the gate's fanin list in pin order; a non-nil
-// steps receives the fold's len(fanin)-1 max Jacobians. The flat
-// sweep passes the node's own fanin list and its fresh tape, the
-// persistent engine its compiled schedule's copy and a span of its
-// tape arena.
-func forwardGate(r *Result, m *delay.Model, id netlist.NodeID, fanin []netlist.NodeID, steps []stats.Jac2x4, t stats.MV) {
+// evaluated, writing gate at's arrival and delay into arr and gd.
+// fanin lists the gate's fanin pins in pin order and off their
+// additive delays (nil: uniform pins); a non-nil steps receives the
+// fold's len(fanin)-1 max Jacobians. The flat sweep passes NodeIDs,
+// the node's own fanin list, the model's offsets and a fresh tape;
+// the persistent engine passes schedule positions, its schedule's
+// position-ordered copies and a span of its tape arena.
+func forwardGate[I sweepIndex](arr, gd []stats.MV, at I, fanin []I, off []float64, steps []stats.Jac2x4, t stats.MV) {
 	// U = max over fanin arrivals, folded two at a time
 	// (paper eq 18b); each operand is shifted by its pin's
 	// additive delay (eq 1's per-pin t_i). Constant shifts leave
-	// the max Jacobians valid as-is, so the tape is unchanged. The
-	// pin offsets are read once per gate (nil: uniform pins).
-	off := m.PinOffset[id]
-	u := r.Arrival[fanin[0]]
+	// the max Jacobians valid as-is, so the tape is unchanged.
+	u := arr[fanin[0]]
 	if off != nil {
 		u = shiftMV(u, off[0])
 	}
 	if steps != nil {
 		for k, f := range fanin[1:] {
-			v := r.Arrival[f]
+			v := arr[f]
 			if off != nil {
 				v = shiftMV(v, off[k+1])
 			}
@@ -95,7 +100,7 @@ func forwardGate(r *Result, m *delay.Model, id netlist.NodeID, fanin []netlist.N
 		}
 	} else {
 		for k, f := range fanin[1:] {
-			v := r.Arrival[f]
+			v := arr[f]
 			if off != nil {
 				v = shiftMV(v, off[k+1])
 			}
@@ -103,30 +108,25 @@ func forwardGate(r *Result, m *delay.Model, id netlist.NodeID, fanin []netlist.N
 		}
 	}
 	// T = U + t (paper eq 18c), with t from the sizable model.
-	r.GateDelay[id] = t
-	r.Arrival[id] = stats.Add(u, t)
+	gd[at] = t
+	arr[at] = stats.Add(u, t)
 }
 
-// foldOutputs computes the circuit delay: the stochastic max over the
-// primary outputs (paper eq 18a), folded in the fixed output order.
-func foldOutputs(r *Result, g *netlist.Graph, withTape bool) {
-	outs := g.C.Outputs
-	tmax := r.Arrival[outs[0]]
-	if withTape && len(outs) > 1 {
-		// Reuse the fold slots when already sized (the persistent
-		// engine refolds its outputs after every update).
-		if len(r.outFold) != len(outs)-1 {
-			r.outFold = make([]stats.Jac2x4, len(outs)-1)
-		}
+// foldOutputs returns the circuit delay: the stochastic max over the
+// primary outputs outs (paper eq 18a), folded in the fixed output
+// order. A non-nil fold receives the len(outs)-1 max Jacobians.
+func foldOutputs[I sweepIndex](arr []stats.MV, outs []I, fold []stats.Jac2x4) stats.MV {
+	tmax := arr[outs[0]]
+	if fold != nil {
 		for i, o := range outs[1:] {
-			tmax = stats.Max2JacInto(tmax, r.Arrival[o], &r.outFold[i])
+			tmax = stats.Max2JacInto(tmax, arr[o], &fold[i])
 		}
 	} else {
 		for _, o := range outs[1:] {
-			tmax = stats.Max2(tmax, r.Arrival[o])
+			tmax = stats.Max2(tmax, arr[o])
 		}
 	}
-	r.Tmax = tmax
+	return tmax
 }
 
 // SweepOptions configures one flat forward sweep.
@@ -168,7 +168,10 @@ func forwardInto(done <-chan struct{}, r *Result, m *delay.Model, S []float64, w
 			forwardNode(r, m, S, id, withTape)
 		}
 	}
-	foldOutputs(r, g, withTape)
+	if outs := g.C.Outputs; withTape && len(outs) > 1 {
+		r.outFold = make([]stats.Jac2x4, len(outs)-1)
+	}
+	r.Tmax = foldOutputs(r.Arrival, g.C.Outputs, r.outFold)
 	if rec != nil {
 		rec.Span("ssta.forward", time.Since(t0))
 		rec.Count("ssta.forward_sweeps", 1)
@@ -267,7 +270,7 @@ func (r *Result) backwardNode(m *delay.Model, S []float64, id netlist.NodeID, ad
 //
 // The sweep visits levels in decreasing order and nodes inside a
 // level in bucket order — the canonical adjoint accumulation order,
-// which the persistent engine's parallel adjoint reproduces bit for
+// which the persistent engine's adjoint reproduces bit for
 // bit (see Hier).
 func (r *Result) Backward(m *delay.Model, S []float64, seedMu, seedVar float64) []float64 {
 	grad, _ := r.backward(m, S, seedMu, seedVar)
