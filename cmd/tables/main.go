@@ -7,6 +7,7 @@
 //
 //	tables                 # everything (Table 1 takes ~30 s)
 //	tables -table 2        # just Table 2
+//	tables -table baseline # LP vs statistical sizing; tree scale only
 //	tables -table yield -samples 500000
 //	tables -checktrace trace.jsonl
 package main

@@ -128,35 +128,6 @@ func TestEndToEndPowerAwareFlow(t *testing.T) {
 	}
 }
 
-func TestEndToEndSlackDrivenCheck(t *testing.T) {
-	// Size under a deadline, then verify the slack analysis agrees
-	// the circuit meets it.
-	m := delay.MustBind(netlist.MustCompile(netlist.Tree7()), delay.PaperTree())
-	unit := ssta.Analyze(m, m.UnitSizes(), false).Tmax
-	fast, err := sizing.Size(m, sizing.Spec{Objective: sizing.MinMuPlusKSigma(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := 0.5 * (fast.MuTmax + 3*fast.SigmaTmax + unit.Mu)
-	out, err := sizing.Size(m, sizing.Spec{
-		Objective:   sizing.MinArea(),
-		Constraints: []sizing.Constraint{sizing.DelayLE(0, d)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sl := ssta.Slacks(m, out.S, 0, d)
-	if sl.WorstSlack < -1e-6 {
-		t.Errorf("slack analysis disagrees with sizing: worst slack %v", sl.WorstSlack)
-	}
-	// Tighten the deadline below the achieved mean: slack goes
-	// negative and the critical list is non-empty.
-	sl = ssta.Slacks(m, out.S, 0, out.MuTmax-0.5)
-	if sl.WorstSlack >= 0 || len(sl.CriticalNodes(0)) == 0 {
-		t.Errorf("tightened deadline not flagged: %v", sl.WorstSlack)
-	}
-}
-
 func TestEndToEndFormatInterop(t *testing.T) {
 	// Generate a synthetic circuit, write it in all three formats,
 	// read each back, and confirm identical timing.

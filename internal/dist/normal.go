@@ -1,6 +1,6 @@
 // Package dist provides scalar probability utilities for the normal
 // distribution: density, cumulative distribution, quantile (inverse
-// CDF), moments and simple truncation helpers.
+// CDF), moments and a goodness-of-fit distance.
 //
 // The statistical delay model of Jacobs & Berkelaar (DATE 2000) treats
 // every arrival time and gate delay as a Gaussian random variable, so
@@ -35,28 +35,6 @@ func PDF(x float64) float64 {
 func CDF(x float64) float64 {
 	p, _ := CDFPair(x)
 	return p
-}
-
-// LogPDF returns log(phi(x)) without underflowing for large |x|.
-func LogPDF(x float64) float64 {
-	return -0.5*x*x - 0.9189385332046727417803297364056176398613974736378
-}
-
-// Mills returns the Mills ratio (1-Phi(x))/phi(x). The upper tail
-// 1-Phi(x) is read as Phi(-x) from CDFPair, so it keeps full relative
-// precision where 1 - CDF(x) would cancel to zero (x >= 8.5); from 30
-// on the asymptotic series takes over. Far in the lower tail phi(x)
-// underflows and the ratio is +Inf, its correctly rounded value. It is
-// used when evaluating conditional tail moments.
-func Mills(x float64) float64 {
-	if x < 30 {
-		_, q := CDFPair(x)
-		return q / PDF(x)
-	}
-	// Asymptotic expansion 1/x - 1/x^3 + 3/x^5 - 15/x^7 for x -> inf.
-	ix := 1 / x
-	ix2 := ix * ix
-	return ix * (1 - ix2*(1-ix2*(3-15*ix2)))
 }
 
 // Normal is a univariate normal distribution N(Mu, Sigma^2).
@@ -144,15 +122,30 @@ func (n Normal) Add(m Normal) Normal {
 	}
 }
 
-// Shift returns the distribution translated by the constant d.
-func (n Normal) Shift(d float64) Normal {
-	return Normal{Mu: n.Mu + d, Sigma: n.Sigma}
-}
-
 // Scale returns the distribution of c*X. Negative c is allowed; the
 // standard deviation stays non-negative.
 func (n Normal) Scale(c float64) Normal {
 	return Normal{Mu: c * n.Mu, Sigma: math.Abs(c) * n.Sigma}
+}
+
+// KSNormal returns the Kolmogorov-Smirnov distance between the
+// empirical distribution of the sorted sample xs and the normal law n.
+// The sample must be sorted ascending; the function does not check.
+func KSNormal(sorted []float64, n Normal) float64 {
+	m := float64(len(sorted))
+	var d float64
+	for i, x := range sorted {
+		f := n.CDF(x)
+		lo := f - float64(i)/m
+		hi := float64(i+1)/m - f
+		if lo > d {
+			d = lo
+		}
+		if hi > d {
+			d = hi
+		}
+	}
+	return d
 }
 
 // String renders the distribution as "N(mu, sigma)".

@@ -84,72 +84,6 @@ func TestPDFIsDerivativeOfCDF(t *testing.T) {
 	}
 }
 
-func TestLogPDF(t *testing.T) {
-	for x := -10.0; x <= 10.0; x += 0.5 {
-		if got, want := LogPDF(x), math.Log(PDF(x)); !almostEqual(got, want, 1e-12) {
-			t.Errorf("LogPDF(%v) = %v, want %v", x, got, want)
-		}
-	}
-	// Must not underflow where PDF does.
-	if got := LogPDF(100); math.IsInf(got, 0) || math.IsNaN(got) {
-		t.Errorf("LogPDF(100) = %v, want finite", got)
-	}
-}
-
-// millsSeries is an independent reference for the Mills ratio at
-// x >= 10: the asymptotic series 1/x - 1/x^3 + 3/x^5 - 15/x^7 + ...,
-// summed up to its smallest term, where its truncation error
-// (about exp(-x^2/2)) is far below double precision.
-func millsSeries(x float64) float64 {
-	ix2 := 1 / (x * x)
-	term, sum := 1/x, 1/x
-	for k := 1; ; k++ {
-		next := -term * float64(2*k-1) * ix2
-		if math.Abs(next) >= math.Abs(term) {
-			return sum
-		}
-		sum += next
-		term = next
-	}
-}
-
-// TestMills checks the Mills ratio (1-Phi(x))/phi(x) against values
-// that do not go through CDF: high-precision references in the upper
-// tail, where 1 - CDF(x) cancels (it is 0 from x = 8.5 on), the
-// asymptotic series over [10, 30), and the overflow to +Inf far in the
-// lower tail.
-func TestMills(t *testing.T) {
-	cases := []struct{ x, want float64 }{
-		{8, 0.12313196325793229628},
-		{8.5, 0.11608206338598229034},
-		{10, 0.099028596471731921395},
-		{15, 0.066374235823250173591},
-		{20, 0.049875925981836783658},
-		{25, 0.039936304769535592529},
-		{29.9, 0.033407531001675072806},
-	}
-	for _, c := range cases {
-		if got := Mills(c.x); !almostEqual(got, c.want, 1e-13) {
-			t.Errorf("Mills(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	for x := 10.0; x < 30; x += 0.25 {
-		if got, want := Mills(x), millsSeries(x); !almostEqual(got, want, 1e-13) {
-			t.Errorf("Mills(%v) = %v, asymptotic series %v", x, got, want)
-		}
-	}
-	// phi(-40) underflows while 1-Phi(-40) is 1: the ratio (6.8e347)
-	// overflows.
-	if got := Mills(-40); !math.IsInf(got, 1) {
-		t.Errorf("Mills(-40) = %v, want +Inf", got)
-	}
-	// Large-x asymptotic branch: Mills(x) ~ 1/x - 1/x^3.
-	want := 1/50.0 - 1/math.Pow(50, 3)
-	if got := Mills(50); !almostEqual(got, want, 1e-5) {
-		t.Errorf("Mills(50) = %v, want approx %v", got, want)
-	}
-}
-
 func TestQuantileRoundTrip(t *testing.T) {
 	for p := 1e-10; p < 1; p += 0.001 {
 		x := Quantile(p)
@@ -249,9 +183,6 @@ func TestNormalAddCommutative(t *testing.T) {
 
 func TestNormalShiftScale(t *testing.T) {
 	n := Normal{Mu: 2, Sigma: 1.5}
-	if s := n.Shift(3); s.Mu != 5 || s.Sigma != 1.5 {
-		t.Errorf("Shift = %v", s)
-	}
 	if s := n.Scale(-2); s.Mu != -4 || s.Sigma != 3 {
 		t.Errorf("Scale = %v", s)
 	}
@@ -264,86 +195,6 @@ func TestNormalQuantileMedian(t *testing.T) {
 	}
 	if got := n.Quantile(0.8413447460685429); !almostEqual(got, 9, 1e-9) {
 		t.Errorf("mu+sigma quantile = %v", got)
-	}
-}
-
-func TestTruncatedBelowMoments(t *testing.T) {
-	// Truncating far below the mean changes nothing.
-	mu, sg := TruncatedBelowMoments(10, 1, -50)
-	if !almostEqual(mu, 10, 1e-9) || !almostEqual(sg, 1, 1e-9) {
-		t.Errorf("far truncation: mu=%v sigma=%v", mu, sg)
-	}
-	// Truncating a standard normal at its mean: mean = phi(0)/0.5,
-	// known half-normal moments.
-	mu, sg = TruncatedBelowMoments(0, 1, 0)
-	wantMu := PDF(0) / 0.5
-	wantSg := math.Sqrt(1 - wantMu*wantMu)
-	if !almostEqual(mu, wantMu, 1e-12) || !almostEqual(sg, wantSg, 1e-12) {
-		t.Errorf("half-normal: mu=%v sigma=%v want %v %v", mu, sg, wantMu, wantSg)
-	}
-	// Degenerate sigma.
-	mu, sg = TruncatedBelowMoments(1, 0, 3)
-	if mu != 3 || sg != 0 {
-		t.Errorf("degenerate: %v %v", mu, sg)
-	}
-	// Entire mass below the cut collapses to the boundary.
-	mu, sg = TruncatedBelowMoments(0, 1, 60)
-	if mu != 60 || sg != 0 {
-		t.Errorf("collapsed: %v %v", mu, sg)
-	}
-}
-
-// TestTruncatedBelowMomentsUpperTail truncates a standard normal far
-// into its upper tail, where the kept mass 1-Phi(alpha) must not be
-// formed as 1 - CDF(alpha) (which loses 7 digits at 6 and is 0 from
-// 8.5 on). References are high-precision evaluations of the closed
-// form.
-func TestTruncatedBelowMomentsUpperTail(t *testing.T) {
-	cases := []struct{ lo, wantMu, wantSigma float64 }{
-		{6, 6.1584826045445989173, 0.15487942661685822159},
-		{9, 9.1085231050028687978, 0.10730699257139365605},
-		{12, 12.08221417525428433, 0.081674514604286840085},
-	}
-	for _, c := range cases {
-		mu, sg := TruncatedBelowMoments(0, 1, c.lo)
-		if !almostEqual(mu, c.wantMu, 1e-12) || !almostEqual(sg, c.wantSigma, 1e-9) {
-			t.Errorf("TruncatedBelowMoments(0, 1, %v) = (%v, %v), want (%v, %v)",
-				c.lo, mu, sg, c.wantMu, c.wantSigma)
-		}
-	}
-}
-
-func TestTruncatedMomentsMonteCarlo(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	const n = 400000
-	xs := make([]float64, 0, n)
-	mu0, sg0, lo := 2.0, 1.5, 1.0
-	for len(xs) < n {
-		x := mu0 + sg0*rng.NormFloat64()
-		if x >= lo {
-			xs = append(xs, x)
-		}
-	}
-	m, s := SampleMoments(xs)
-	wm, ws := TruncatedBelowMoments(mu0, sg0, lo)
-	if !almostEqual(m, wm, 5e-3) {
-		t.Errorf("MC mean %v vs analytic %v", m, wm)
-	}
-	if !almostEqual(s, ws, 5e-3) {
-		t.Errorf("MC sigma %v vs analytic %v", s, ws)
-	}
-}
-
-func TestSampleMoments(t *testing.T) {
-	m, s := SampleMoments([]float64{1, 2, 3, 4})
-	if !almostEqual(m, 2.5, 1e-14) {
-		t.Errorf("mean = %v", m)
-	}
-	if !almostEqual(s, math.Sqrt(1.25), 1e-14) {
-		t.Errorf("sigma = %v", s)
-	}
-	if m, s := SampleMoments(nil); m != 0 || s != 0 {
-		t.Errorf("empty moments = %v %v", m, s)
 	}
 }
 

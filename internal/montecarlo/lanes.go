@@ -56,9 +56,7 @@ func runShardLanes(m *delay.Model, gateMu, gateSigma []float64, opt Options,
 		kb := min(K, count-s0)
 		// Draw phase, sample-major: lane l's variates are drawn
 		// exactly when the scalar loop would draw sample s0+l's, kept
-		// in a node-major slab for the propagation phase. Gate-delay
-		// truncation applies at draw time — the scalar path clamps
-		// before the add, so the stored value is the clamped one.
+		// in a node-major slab for the propagation phase.
 		for l := 0; l < kb; l++ {
 			for _, id := range g.Topo {
 				if g.C.Nodes[id].Kind == netlist.KindInput {
@@ -66,11 +64,7 @@ func runShardLanes(m *delay.Model, gateMu, gateSigma []float64, opt Options,
 					vals[int(id)*K+l] = a.Mu + a.Sigma()*rng.NormFloat64()
 					continue
 				}
-				d := gateMu[id] + gateSigma[id]*rng.NormFloat64()
-				if opt.TruncateAtZero && d < 0 {
-					d = 0
-				}
-				vals[int(id)*K+l] = d
+				vals[int(id)*K+l] = gateMu[id] + gateSigma[id]*rng.NormFloat64()
 			}
 		}
 		// Propagation phase, lane-parallel: per node, fold the fanin

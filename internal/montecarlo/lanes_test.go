@@ -22,33 +22,30 @@ func TestLaneWidthBitIdentical(t *testing.T) {
 	}
 	m := delay.MustBind(netlist.MustCompile(gen), delay.Default())
 	S := m.UnitSizes()
-	for _, truncate := range []bool{false, true} {
-		base := Options{
-			Samples: 2*shardSamples + 1037, Seed: 42,
-			TruncateAtZero: truncate, KeepSamples: true,
-			Workers: 1, LaneWidth: 1,
-		}
-		want, err := Run(m, S, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, K := range []int{1, 2, 3, 8, 0} { // 0 = default width
-			for _, w := range []int{1, 4} {
-				opt := base
-				opt.LaneWidth = K
-				opt.Workers = w
-				got, err := Run(m, S, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Mu != want.Mu || got.Sigma != want.Sigma {
-					t.Fatalf("truncate=%v K=%d w=%d: moments (%v, %v) != scalar (%v, %v)",
-						truncate, K, w, got.Mu, got.Sigma, want.Mu, want.Sigma)
-				}
-				for i := range want.Samples {
-					if got.Samples[i] != want.Samples[i] {
-						t.Fatalf("truncate=%v K=%d w=%d: sample[%d] differs", truncate, K, w, i)
-					}
+	base := Options{
+		Samples: 2*shardSamples + 1037, Seed: 42,
+		KeepSamples: true, Workers: 1, LaneWidth: 1,
+	}
+	want, err := Run(m, S, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, K := range []int{1, 2, 3, 8, 0} { // 0 = default width
+		for _, w := range []int{1, 4} {
+			opt := base
+			opt.LaneWidth = K
+			opt.Workers = w
+			got, err := Run(m, S, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Mu != want.Mu || got.Sigma != want.Sigma {
+				t.Fatalf("K=%d w=%d: moments (%v, %v) != scalar (%v, %v)",
+					K, w, got.Mu, got.Sigma, want.Mu, want.Sigma)
+			}
+			for i := range want.Samples {
+				if got.Samples[i] != want.Samples[i] {
+					t.Fatalf("K=%d w=%d: sample[%d] differs", K, w, i)
 				}
 			}
 		}

@@ -33,10 +33,6 @@ type Options struct {
 	Samples int
 	// Seed seeds the generator; equal options reproduce runs exactly.
 	Seed int64
-	// TruncateAtZero clamps negative gate-delay samples to zero,
-	// acknowledging that physical delays are non-negative even though
-	// the Gaussian model has a left tail.
-	TruncateAtZero bool
 	// KeepSamples retains the per-sample circuit delays (sorted) in
 	// the result for quantile and KS computations.
 	KeepSamples bool
@@ -171,9 +167,6 @@ func RunCtx(ctx context.Context, m *delay.Model, S []float64, opt Options) (*Res
 					}
 				}
 				d := gateMu[id] + gateSigma[id]*rng.NormFloat64()
-				if opt.TruncateAtZero && d < 0 {
-					d = 0
-				}
 				arr[id] = u + d
 			}
 			tmax := arr[g.C.Outputs[0]]

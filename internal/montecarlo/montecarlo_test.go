@@ -239,18 +239,6 @@ func TestPanicsWithoutSamples(t *testing.T) {
 	}
 }
 
-func TestTruncateAtZero(t *testing.T) {
-	// With a huge sigma, truncation must pull the mean up.
-	m := model(t, netlist.Chain(1))
-	m.Sigma = delay.Constant{S: 10}
-	S := m.UnitSizes()
-	plain, _ := Run(m, S, Options{Samples: 100000, Seed: 1})
-	trunc, _ := Run(m, S, Options{Samples: 100000, Seed: 1, TruncateAtZero: true})
-	if trunc.Mu <= plain.Mu {
-		t.Errorf("truncation did not raise mean: %v vs %v", trunc.Mu, plain.Mu)
-	}
-}
-
 func TestInputArrivalSampling(t *testing.T) {
 	m := model(t, netlist.Chain(1))
 	in := m.G.C.MustID("in")

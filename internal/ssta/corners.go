@@ -1,9 +1,6 @@
 package ssta
 
-import (
-	"repro/internal/delay"
-	"repro/internal/netlist"
-)
+import "repro/internal/delay"
 
 // CornerResult holds the traditional best/typical/worst-case timing
 // the paper's introduction positions statistical analysis against:
@@ -46,47 +43,4 @@ func Corners(m *delay.Model, S []float64, k float64) *CornerResult {
 	res.StatQuantile = r.Tmax.Mu + k*r.Tmax.Sigma()
 	res.Pessimism = res.Worst - res.StatQuantile
 	return res
-}
-
-// cornerSweep is a deterministic sweep with every gate delay set to
-// mu + k*sigma. The corner convention clamps every physical time at
-// zero — gate delays and primary-input arrival quantiles alike: a
-// best-case corner (negative k) may not start an event before t = 0
-// any more than a gate may anticipate its inputs, so deep-negative
-// input skews cannot manufacture negative circuit delays.
-func cornerSweep(m *delay.Model, S []float64, k float64) float64 {
-	g := m.G
-	n := len(g.C.Nodes)
-	arr := make([]float64, n)
-	for _, id := range g.Topo {
-		nd := &g.C.Nodes[id]
-		if nd.Kind == netlist.KindInput {
-			a := m.Arrival[id]
-			t := a.Mu + k*a.Sigma()
-			if t < 0 {
-				t = 0
-			}
-			arr[id] = t
-			continue
-		}
-		u := arr[nd.Fanin[0]] + m.PinOff(id, 0)
-		for pin, f := range nd.Fanin[1:] {
-			if a := arr[f] + m.PinOff(id, pin+1); a > u {
-				u = a
-			}
-		}
-		mv := m.GateMV(id, S)
-		d := mv.Mu + k*mv.Sigma()
-		if d < 0 {
-			d = 0
-		}
-		arr[id] = u + d
-	}
-	var tmax float64
-	for i, o := range g.C.Outputs {
-		if i == 0 || arr[o] > tmax {
-			tmax = arr[o]
-		}
-	}
-	return tmax
 }

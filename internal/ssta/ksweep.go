@@ -14,7 +14,13 @@ import (
 // visit and is amortized across all lanes (sweepNode), which is where
 // the batched corner sweep earns its speedup. The slab layout is the shared
 // lane-stride contract slab[int(id)*K + lane]; lane l is
-// bit-identical to the scalar cornerSweep at ks[l] by construction.
+// bit-identical to one scalar corner sweep at ks[l] by construction.
+//
+// The corner convention clamps every physical time at zero — gate
+// delays and primary-input arrival quantiles alike: a best-case
+// corner (negative k) may not start an event before t = 0 any more
+// than a gate may anticipate its inputs, so deep-negative input skews
+// cannot manufacture negative circuit delays.
 type DetBatch struct {
 	m    *delay.Model
 	ks   []float64
@@ -41,7 +47,7 @@ func NewDetBatch(m *delay.Model, ks []float64) *DetBatch {
 }
 
 // sweepNode fills node id's arrival lanes under speed factors S. Per
-// lane the arithmetic matches cornerSweep exactly: the
+// lane the arithmetic matches a scalar corner sweep exactly: the
 // zero clamp applies to gate delays and input arrival quantiles
 // alike, and the fanin max folds in pin order. The loops run
 // fanin-outer / lane-inner with the pin offset hoisted, so every
@@ -78,7 +84,7 @@ func (b *DetBatch) sweepNode(id netlist.NodeID, S []float64) {
 	// subslice indexed by l < K, so the compiler drops the bounds
 	// checks, the fold accumulator stays in a register across pins,
 	// and each lane costs one store. Per lane the operation order is
-	// cornerSweep's exactly: fold in pin order, then u + d.
+	// a scalar corner sweep's exactly: fold in pin order, then u + d.
 	switch len(fanin) {
 	case 1:
 		a0, o0 := lane(0), m.PinOff(id, 0)

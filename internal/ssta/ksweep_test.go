@@ -82,3 +82,44 @@ func TestBatchWarmSweepsAllocFree(t *testing.T) {
 		t.Errorf("warm DetBatch.Sweep allocates %v/op, want 0", n)
 	}
 }
+
+// cornerSweep is the scalar oracle for DetBatch: one deterministic
+// sweep with every gate delay set to mu + k*sigma, clamped at zero
+// like the input arrival quantiles (the corner convention DetBatch
+// documents).
+func cornerSweep(m *delay.Model, S []float64, k float64) float64 {
+	g := m.G
+	n := len(g.C.Nodes)
+	arr := make([]float64, n)
+	for _, id := range g.Topo {
+		nd := &g.C.Nodes[id]
+		if nd.Kind == netlist.KindInput {
+			a := m.Arrival[id]
+			t := a.Mu + k*a.Sigma()
+			if t < 0 {
+				t = 0
+			}
+			arr[id] = t
+			continue
+		}
+		u := arr[nd.Fanin[0]] + m.PinOff(id, 0)
+		for pin, f := range nd.Fanin[1:] {
+			if a := arr[f] + m.PinOff(id, pin+1); a > u {
+				u = a
+			}
+		}
+		mv := m.GateMV(id, S)
+		d := mv.Mu + k*mv.Sigma()
+		if d < 0 {
+			d = 0
+		}
+		arr[id] = u + d
+	}
+	var tmax float64
+	for i, o := range g.C.Outputs {
+		if i == 0 || arr[o] > tmax {
+			tmax = arr[o]
+		}
+	}
+	return tmax
+}

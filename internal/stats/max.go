@@ -42,9 +42,6 @@ func (m MV) Sigma() float64 {
 // Normal converts the moment pair to a dist.Normal.
 func (m MV) Normal() dist.Normal { return dist.Normal{Mu: m.Mu, Sigma: m.Sigma()} }
 
-// FromNormal converts a dist.Normal to a moment pair.
-func FromNormal(n dist.Normal) MV { return MV{Mu: n.Mu, Var: n.Sigma * n.Sigma} }
-
 // Add returns the moments of A + B for independent A, B (paper eq 4).
 func Add(a, b MV) MV { return MV{Mu: a.Mu + b.Mu, Var: a.Var + b.Var} }
 
@@ -118,11 +115,6 @@ func MaxN(ms []MV) MV {
 		acc = Max2(acc, m)
 	}
 	return acc
-}
-
-// Max2Normal is a convenience wrapper operating on dist.Normal values.
-func Max2Normal(a, b dist.Normal) dist.Normal {
-	return Max2(FromNormal(a), FromNormal(b)).Normal()
 }
 
 // Jac2x4 is the Jacobian of (muC, varC) with respect to

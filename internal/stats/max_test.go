@@ -201,16 +201,6 @@ func TestMaxNPanicsOnEmpty(t *testing.T) {
 	MaxN(nil)
 }
 
-func TestMax2NormalWrapper(t *testing.T) {
-	a := dist.Normal{Mu: 1, Sigma: 2}
-	b := dist.Normal{Mu: 2, Sigma: 1}
-	got := Max2Normal(a, b)
-	want := Max2(FromNormal(a), FromNormal(b))
-	if !close(got.Mu, want.Mu, 1e-15) || !close(got.Sigma, want.Sigma(), 1e-15) {
-		t.Errorf("wrapper = %v", got)
-	}
-}
-
 // jacCases are representative operand pairs covering comparable,
 // skewed, dominant and near-deterministic regimes.
 var jacCases = [][2]MV{

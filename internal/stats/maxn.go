@@ -116,99 +116,3 @@ func FoldBias(ms []MV) (muBias, sigmaBias float64) {
 	exact := ExactMaxN(ms)
 	return fold.Mu - exact.Mu, fold.Sigma() - exact.Sigma()
 }
-
-// MaxDensityN returns the exact density of the N-way maximum at x:
-// f(x) = sum_i f_i(x) prod_{j != i} F_j(x), the N-operand
-// generalization of the paper's eq 9.
-func MaxDensityN(ms []MV, x float64) float64 {
-	var total float64
-	for i, mi := range ms {
-		term := mi.Normal().PDF(x)
-		for j, mj := range ms {
-			if j == i {
-				continue
-			}
-			term *= mj.Normal().CDF(x)
-			if term == 0 {
-				break
-			}
-		}
-		total += term
-	}
-	return total
-}
-
-// QuantileMaxN returns the p-quantile of the N-way maximum by
-// bisection on the product CDF; used by the distribution reports in
-// cmd/ssta. Edge conventions follow dist.Quantile: a NaN p returns
-// NaN (bisection against NaN would silently converge to the lower
-// bracket endpoint), p >= 1 returns +Inf when any operand has
-// positive variance, and p <= 0 returns the distribution's essential
-// infimum — -Inf for all-Gaussian operands, or the largest point-mass
-// mean when zero-variance (point-mass) operands floor the maximum.
-// When every operand is a point mass the maximum is itself a point
-// mass and every quantile is its value. Negative or NaN operand
-// variances are treated as zero, the same normalization Max2 applies
-// on entry.
-func QuantileMaxN(ms []MV, p float64) float64 {
-	if len(ms) == 0 {
-		panic("stats: QuantileMaxN of no operands")
-	}
-	if math.IsNaN(p) {
-		return math.NaN()
-	}
-	// pointFloor is the largest point-mass mean: the maximum can
-	// never fall below it, so it is the p -> 0 limit of the quantile
-	// whenever a degenerate operand exists.
-	pointFloor, havePoint, haveSpread := math.Inf(-1), false, false
-	for _, m := range ms {
-		if nnegVar(m.Var) > 0 {
-			haveSpread = true
-			continue
-		}
-		havePoint = true
-		if m.Mu > pointFloor {
-			pointFloor = m.Mu
-		}
-	}
-	if !haveSpread {
-		// A maximum of point masses is a point mass: its value at
-		// every p, matching dist.Quantile on a zero-sigma normal.
-		return pointFloor
-	}
-	if p <= 0 {
-		if havePoint {
-			return pointFloor
-		}
-		return math.Inf(-1)
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, m := range ms {
-		s := math.Sqrt(nnegVar(m.Var))
-		if l := m.Mu - 12*s - 1; l < lo {
-			lo = l
-		}
-		if h := m.Mu + 12*s + 1; h > hi {
-			hi = h
-		}
-	}
-	F := func(x float64) float64 {
-		v := 1.0
-		for _, m := range ms {
-			v *= (MV{Mu: m.Mu, Var: nnegVar(m.Var)}).Normal().CDF(x)
-		}
-		return v
-	}
-	for i := 0; i < 200; i++ {
-		mid := 0.5 * (lo + hi)
-		if F(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return 0.5 * (lo + hi)
-}

@@ -105,52 +105,6 @@ func TestFoldBiasSmallAndPessimistic(t *testing.T) {
 	}
 }
 
-func TestMaxDensityNIntegratesToExactMoments(t *testing.T) {
-	ms := []MV{{1, 0.49}, {1.5, 1}, {0.8, 0.25}}
-	exact := ExactMaxN(ms)
-	const n = 100000
-	lo, hi := -6.0, 8.0
-	h := (hi - lo) / n
-	var m0, m1 float64
-	for i := 0; i <= n; i++ {
-		x := lo + float64(i)*h
-		w := h
-		if i == 0 || i == n {
-			w = h / 2
-		}
-		f := MaxDensityN(ms, x)
-		m0 += w * f
-		m1 += w * f * x
-	}
-	if !close(m0, 1, 1e-6) {
-		t.Errorf("density mass = %v", m0)
-	}
-	if !close(m1, exact.Mu, 1e-6) {
-		t.Errorf("density mean %v vs exact %v", m1, exact.Mu)
-	}
-}
-
-func TestQuantileMaxN(t *testing.T) {
-	ms := []MV{{0, 1}, {0.5, 2}, {-1, 0.5}}
-	for _, p := range []float64{0.1, 0.5, 0.9, 0.998} {
-		x := QuantileMaxN(ms, p)
-		// Verify via the product CDF.
-		F := 1.0
-		for _, m := range ms {
-			F *= m.Normal().CDF(x)
-		}
-		if !close(F, p, 1e-9) {
-			t.Errorf("p=%v: F(q)=%v", p, F)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on empty")
-		}
-	}()
-	QuantileMaxN(nil, 0.5)
-}
-
 func TestExactMaxNMonotoneInOperands(t *testing.T) {
 	// Adding an operand can only increase the mean of the max.
 	f := func(m1, v1, m2, v2, m3, v3 float64) bool {

@@ -142,30 +142,6 @@ func (m *Metrics) SpanValue(name string) (count int64, total time.Duration) {
 	return 0, 0
 }
 
-// SpanQuantile returns an upper bound of the p-quantile of the named
-// span's recorded durations (see Histogram.Quantile), or 0 for an
-// unknown name.
-func (m *Metrics) SpanQuantile(name string, p float64) time.Duration {
-	m.mu.Lock()
-	s := m.spans[name]
-	m.mu.Unlock()
-	if s == nil {
-		return 0
-	}
-	return s.h.Quantile(p)
-}
-
-// SpanMax returns the named span's largest recorded duration.
-func (m *Metrics) SpanMax(name string) time.Duration {
-	m.mu.Lock()
-	s := m.spans[name]
-	m.mu.Unlock()
-	if s == nil {
-		return 0
-	}
-	return s.h.Max()
-}
-
 // String renders the snapshot as a JSON object, satisfying
 // expvar.Var. Spans carry their histogram quantiles alongside the
 // count/total pair. Keys render in sorted order within each kind, so
