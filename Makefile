@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-inc bench-batch bench-hier bench-obsv bench-service bench-session test-batch loc test-engine test-obsv test-service test-session smoke-service check trace faults fuzz-kernels
+.PHONY: build test vet race bench bench-inc bench-batch bench-hier bench-obsv bench-service bench-session test-batch loc test-engine test-obsv test-service test-session smoke-service check trace faults fuzz-kernels fuzz-netlist
 
 build:
 	$(GO) build ./...
@@ -91,22 +91,26 @@ bench-batch:
 # between rounds cancels out of it. The raw output stays in
 # .bench_build/bench-hier.txt; the results land in BENCH_hier.json,
 # with the warm step's nodes re-evaluated per step (nodes/op, a fixed
-# 100-step replay; columns are read by their unit); the warm step must
-# be at least 3x faster than the flat full resweep, and the warm
-# engine sweeps must report zero allocations.
+# 100-step replay; columns are read by their unit). The target fails
+# when a round fails (pipefail keeps go test's exit status through
+# tee), when the median HierStepSpeedup is below 3 (the warm step must
+# be at least 3x faster than the flat full resweep) or when a warm
+# engine row (BenchmarkHier*) reports allocs/op above 0; the ledger is
+# still written and printed first.
+bench-hier: SHELL := /bin/bash
 bench-hier:
 	mkdir -p .bench_build && rm -f .bench_build/bench-hier.txt
-	for r in 1 2 3; do \
+	set -o pipefail; for r in 1 2 3; do \
 		echo "round $$r" >> .bench_build/bench-hier.txt; \
 		$(GO) test -run NONE -bench 'Gen100k' -benchmem -count 1 -timeout 30m \
-			./internal/ssta/ | tee -a .bench_build/bench-hier.txt; \
+			./internal/ssta/ | tee -a .bench_build/bench-hier.txt || exit 1; \
 	done
 	awk 'function emit(name) { \
 			printf "%s  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", \
 				(m++ ? ",\n" : ""), name, ns[name], by[name], al[name]; \
 			if (nodes[name] != "") printf ", \"reeval_nodes_per_op\": %s", nodes[name]; \
 			printf "}" } \
-		function speedup(label, flat, eng,    k, i, j, t, q, list) { \
+		function speedup(label, flat, eng,    k, i, j, t, q, list, med) { \
 			k = 0; list = ""; \
 			for (i = 1; i <= r; i++) \
 				if (rns[i, flat] && rns[i, eng]) { \
@@ -115,13 +119,18 @@ bench-hier:
 			if (k == 0) return; \
 			for (i = 2; i <= k; i++) \
 				for (j = i; j > 1 && q[j-1] > q[j]; j--) { t = q[j]; q[j] = q[j-1]; q[j-1] = t } \
+			med = (q[int((k+1)/2)] + q[int(k/2)+1]) / 2; \
 			printf ",\n  {\"name\": \"%s\", \"speedup\": %.2f, \"rounds\": [%s]}", \
-				label, (q[int((k+1)/2)] + q[int(k/2)+1]) / 2, list } \
-		BEGIN { print "["; n = 0; m = 0; r = 0 } \
+				label, med, list; \
+			return med } \
+		BEGIN { print "["; n = 0; m = 0; r = 0; bad = "" } \
 		/^round / { r = $$2 } \
 		/^Benchmark(Flat|Hier)(Grad|Step)Gen100k/ { \
 			name = $$1; sub(/-[0-9]+$$/, "", name); \
 			rns[r, name] = $$3; \
+			for (i = 4; i <= NF; i++) \
+				if ($$i == "allocs/op" && name ~ /^BenchmarkHier/ && $$(i-1) + 0 > 0) \
+					bad = bad sprintf("bench-hier: round %d %s reports %s allocs/op, want 0\n", r, name, $$(i-1)); \
 			if (!(name in ns)) order[n++] = name; \
 			else if ($$3 + 0 >= ns[name] + 0) next; \
 			ns[name] = $$3; \
@@ -132,9 +141,13 @@ bench-hier:
 		END { \
 			for (i = 0; i < n; i++) emit(order[i]); \
 			speedup("HierFullSpeedup", "BenchmarkFlatGradGen100kW1", "BenchmarkHierGradGen100kW1"); \
-			speedup("HierStepSpeedup", "BenchmarkFlatStepGen100k", "BenchmarkHierStepGen100k"); \
-			print "\n]" }' .bench_build/bench-hier.txt > BENCH_hier.json
-	cat BENCH_hier.json
+			step = speedup("HierStepSpeedup", "BenchmarkFlatStepGen100k", "BenchmarkHierStepGen100k"); \
+			print "\n]"; \
+			if (step == "" || step < 3) \
+				bad = bad sprintf("bench-hier: median HierStepSpeedup %s, want at least 3\n", step == "" ? "missing" : sprintf("%.2f", step)); \
+			printf "%s", bad > "/dev/stderr"; \
+			exit (bad != "") }' .bench_build/bench-hier.txt > BENCH_hier.json; \
+		status=$$?; cat BENCH_hier.json; exit $$status
 
 # bench-obsv measures the observability subsystem's overhead: identical
 # fixed-work solves on the 1200-gate netlist with telemetry disabled
@@ -282,6 +295,15 @@ bench-session:
 fuzz-kernels:
 	$(GO) test -run '^$$' -fuzz '^FuzzCDFPair$$' -fuzztime 15s ./internal/dist/
 	$(GO) test -run '^$$' -fuzz '^FuzzMax2Kernels$$' -fuzztime 15s ./internal/stats/
+
+# fuzz-netlist runs FuzzReadCKT for a fixed 15 s (the CI kernels job):
+# the one-pass .ckt reader must accept and reject exactly what the
+# frozen strings.Fields reader in internal/netlist/ingest_ref_test.go
+# does, with the same error text and the same circuit. Its seeds put
+# U+00A0, U+0085, a lone 0x85 byte, CRLF, tabs and mid-line '#' inside
+# lines.
+fuzz-netlist:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCKT$$' -fuzztime 15s ./internal/netlist/
 
 # check is the CI gate: vet + build + tests + race-checked tests.
 check: vet build test race

@@ -59,6 +59,32 @@ type Circuit struct {
 	// only writer, so output lookups are O(1). It may be shorter than
 	// Nodes: nodes past its end are not outputs.
 	isOut []bool
+
+	// arena is the unused tail of the chunk the gates' fanin lists are
+	// carved from (see faninSlots), so adding a gate allocates only
+	// once per chunk.
+	arena []NodeID
+}
+
+// A fanin arena chunk holds as many ids as the circuit has nodes,
+// clamped to [minArenaChunk, maxArenaChunk]: tiny circuits stay tiny
+// and large ones allocate once per maxArenaChunk pins.
+const (
+	minArenaChunk = 64
+	maxArenaChunk = 8192
+)
+
+// faninSlots returns a fresh length-n fanin list carved from the
+// circuit's arena. Its capacity is n, so an append to one gate's list
+// reallocates instead of writing into its neighbour's.
+func (c *Circuit) faninSlots(n int) []NodeID {
+	if n > len(c.arena) {
+		size := min(max(len(c.Nodes), minArenaChunk), maxArenaChunk)
+		c.arena = make([]NodeID, max(size, n))
+	}
+	s := c.arena[:n:n]
+	c.arena = c.arena[n:]
+	return s
 }
 
 // New returns an empty circuit with the given name.
@@ -80,15 +106,19 @@ func (c *Circuit) AddInput(name string) (NodeID, error) {
 // AddGate adds a gate of the given library type driven by the named
 // fanin nodes, which must already exist.
 func (c *Circuit) AddGate(name, typ string, fanin ...string) (NodeID, error) {
-	ids := make([]NodeID, len(fanin))
+	ids := c.faninSlots(len(fanin))
 	for i, f := range fanin {
 		id, ok := c.byName[f]
 		if !ok {
-			return -1, fmt.Errorf("%w: %q (fanin of %q)", ErrUnknownNode, f, name)
+			return -1, unknownFanin(f, name)
 		}
 		ids[i] = id
 	}
 	return c.add(Node{Name: name, Kind: KindGate, Type: typ, Fanin: ids})
+}
+
+func unknownFanin(fanin, gate string) error {
+	return fmt.Errorf("%w: %q (fanin of %q)", ErrUnknownNode, fanin, gate)
 }
 
 func (c *Circuit) add(n Node) (NodeID, error) {
@@ -108,13 +138,22 @@ func (c *Circuit) add(n Node) (NodeID, error) {
 func (c *Circuit) MarkOutput(name string) error {
 	id, ok := c.byName[name]
 	if !ok {
-		return fmt.Errorf("%w: %q (output)", ErrUnknownNode, name)
+		return unknownOutput(name)
 	}
+	return c.markOutput(id)
+}
+
+func unknownOutput(name string) error {
+	return fmt.Errorf("%w: %q (output)", ErrUnknownNode, name)
+}
+
+// markOutput is MarkOutput after the name lookup.
+func (c *Circuit) markOutput(id NodeID) error {
 	if c.Nodes[id].Kind == KindInput {
-		return fmt.Errorf("netlist: output %q is a primary input", name)
+		return fmt.Errorf("netlist: output %q is a primary input", c.Nodes[id].Name)
 	}
 	if c.isOutput(id) {
-		return fmt.Errorf("netlist: output %q marked twice", name)
+		return fmt.Errorf("netlist: output %q marked twice", c.Nodes[id].Name)
 	}
 	if int(id) >= len(c.isOut) {
 		c.isOut = append(c.isOut, make([]bool, len(c.Nodes)-len(c.isOut))...)
@@ -186,8 +225,10 @@ func (c *Circuit) GateIDs() []NodeID {
 // Validate checks structural invariants: at least one gate and one
 // output, no dangling fanin references, gates have at least one fanin,
 // inputs none, output list is consistent, and the fanin relation is
-// acyclic (guaranteed by construction through AddGate name resolution,
-// but re-checked here to guard hand-built circuits).
+// acyclic. AddGate resolves fanins by name, so every fanin id it
+// stores is below its gate's id, which proves acyclicity in the same
+// O(E) pass; Kahn's algorithm runs only when a hand-built circuit has
+// a fanin at or above its gate.
 func (c *Circuit) Validate() error {
 	if len(c.Nodes) == 0 {
 		return errors.New("netlist: empty circuit")
@@ -195,6 +236,7 @@ func (c *Circuit) Validate() error {
 	if len(c.Outputs) == 0 {
 		return errors.New("netlist: no primary outputs")
 	}
+	forward := false // some fanin id is not below its gate's id
 	for i, nd := range c.Nodes {
 		switch nd.Kind {
 		case KindInput:
@@ -212,6 +254,7 @@ func (c *Circuit) Validate() error {
 				if f < 0 || int(f) >= len(c.Nodes) {
 					return fmt.Errorf("netlist: gate %q references node %d out of range", nd.Name, f)
 				}
+				forward = forward || f >= NodeID(i)
 			}
 		default:
 			return fmt.Errorf("netlist: node %q has invalid kind %v", nd.Name, nd.Kind)
@@ -225,8 +268,10 @@ func (c *Circuit) Validate() error {
 			return fmt.Errorf("netlist: output id %d out of range", o)
 		}
 	}
-	if _, err := c.TopoOrder(); err != nil {
-		return err
+	if forward {
+		if _, err := c.TopoOrder(); err != nil {
+			return err
+		}
 	}
 	return nil
 }

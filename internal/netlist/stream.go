@@ -58,7 +58,9 @@ func GenerateStream(w io.Writer, spec GenSpec) error {
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 	bw := bufio.NewWriterSize(w, 1<<16)
-	fmt.Fprintf(bw, "circuit %s\n", spec.Name)
+	bw.WriteString("circuit ")
+	bw.WriteString(spec.Name)
+	bw.WriteByte('\n')
 
 	// Emit the inputs 16 per line (WriteCKT's layout) and seed the
 	// level-0 window records.
@@ -67,13 +69,14 @@ func GenerateStream(w io.Writer, spec GenSpec) error {
 		level0[i] = streamNode{name: inputName(i)}
 		if i%16 == 0 {
 			if i > 0 {
-				fmt.Fprintln(bw)
+				bw.WriteByte('\n')
 			}
-			fmt.Fprint(bw, "input")
+			bw.WriteString("input")
 		}
-		fmt.Fprintf(bw, " %s", level0[i].name)
+		bw.WriteByte(' ')
+		bw.WriteString(level0[i].name)
 	}
-	fmt.Fprintln(bw)
+	bw.WriteByte('\n')
 
 	sizes := levelSizes(spec.Gates, spec.Depth)
 	nCones := spec.Cones
@@ -199,12 +202,17 @@ func GenerateStream(w io.Writer, spec GenSpec) error {
 				faninNames = append(faninNames, src.name)
 			}
 			typ := typeByFanin[len(faninNames)][rng.Intn(len(typeByFanin[len(faninNames)]))]
-			fmt.Fprintf(bw, "gate %s %s", gateName(gateIdx), typ)
+			name := gateName(gateIdx)
+			bw.WriteString("gate ")
+			bw.WriteString(name)
+			bw.WriteByte(' ')
+			bw.WriteString(typ)
 			for _, f := range faninNames {
-				fmt.Fprintf(bw, " %s", f)
+				bw.WriteByte(' ')
+				bw.WriteString(f)
 			}
-			fmt.Fprintln(bw)
-			levels[lvl] = append(levels[lvl], streamNode{name: gateName(gateIdx)})
+			bw.WriteByte('\n')
+			levels[lvl] = append(levels[lvl], streamNode{name: name})
 			gateIdx++
 		}
 		if lvl-streamWindow >= 0 {
@@ -245,11 +253,12 @@ func GenerateStream(w io.Writer, spec GenSpec) error {
 		if hi > len(outputs) {
 			hi = len(outputs)
 		}
-		fmt.Fprint(bw, "output")
+		bw.WriteString("output")
 		for _, name := range outputs[at:hi] {
-			fmt.Fprintf(bw, " %s", name)
+			bw.WriteByte(' ')
+			bw.WriteString(name)
 		}
-		fmt.Fprintln(bw)
+		bw.WriteByte('\n')
 	}
 	return bw.Flush()
 }

@@ -27,12 +27,15 @@ type Graph struct {
 
 	// Levels buckets the node ids by Level, preserving topological
 	// order inside each bucket: Levels[l] lists every node with
-	// Level[id] == l. Because the level strictly increases along every
-	// fanin edge, all nodes in one bucket are mutually independent —
-	// the persistent SSTA engine's parallel dirty-cone update runs one
-	// bucket at a time behind a level barrier, and the adjoint sweeps
-	// accumulate in (level descending, bucket order). Levels[0] holds
-	// exactly the primary inputs.
+	// Level[id] == l, and Levels[0] holds exactly the primary inputs.
+	// Because the level strictly increases along every fanin edge, the
+	// nodes of one bucket are mutually independent. Levels fixes the
+	// order every sweep visits nodes in: the flat forward sweep and the
+	// persistent SSTA engine's schedule walk the buckets in order, and
+	// the adjoint sweeps accumulate in (level descending, bucket
+	// order). That order, with Fanout's, sets the summation order of
+	// every float the sweeps fold, which is why Compile must keep
+	// Kahn's FIFO order for Topo and the buckets.
 	//
 	// Levels — like every derived table on the Graph — is computed
 	// exactly once, in Compile. Sweep engines must index these
@@ -49,32 +52,61 @@ type Graph struct {
 var ErrCycle = errors.New("netlist: circuit contains a cycle")
 
 // TopoOrder returns a topological order of the circuit's nodes, or
-// ErrCycle if the fanin relation is cyclic.
+// ErrCycle if the fanin relation is cyclic. It is the order Compile
+// stores in Graph.Topo.
 func (c *Circuit) TopoOrder() ([]NodeID, error) {
+	off, adj := fanoutCSR(c)
+	return kahnOrder(c, off, adj, make([]int, len(c.Nodes)))
+}
+
+// fanoutCSR returns the circuit's fanout lists in compressed sparse
+// row form, in two allocations: the gates node id drives are
+// adj[off[id]:off[id+1]], in ascending id, once per input pin.
+func fanoutCSR(c *Circuit) (off []int, adj []NodeID) {
 	n := len(c.Nodes)
-	indeg := make([]int, n)
-	fanout := make([][]NodeID, n)
+	off = make([]int, n+1)
+	for _, nd := range c.Nodes {
+		for _, f := range nd.Fanin {
+			off[f+1]++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	// Fill with off[f] as node f's write cursor; each cursor ends at
+	// the next node's start, so shifting off up by one restores it.
+	adj = make([]NodeID, off[n])
+	for i, nd := range c.Nodes {
+		for _, f := range nd.Fanin {
+			adj[off[f]] = NodeID(i)
+			off[f]++
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return off, adj
+}
+
+// kahnOrder runs Kahn's algorithm with a FIFO queue over the fanout
+// lists (off, adj) of fanoutCSR: the sources in id order, then each
+// gate once its last fanin has been dequeued. The queue is the order
+// itself, since nodes leave it in the order they enter. indeg is
+// len(c.Nodes) of scratch; on success it is all zero again.
+func kahnOrder(c *Circuit, off []int, adj []NodeID, indeg []int) ([]NodeID, error) {
+	n := len(c.Nodes)
+	order := make([]NodeID, 0, n)
 	for i, nd := range c.Nodes {
 		indeg[i] = len(nd.Fanin)
-		for _, f := range nd.Fanin {
-			fanout[f] = append(fanout[f], NodeID(i))
-		}
-	}
-	queue := make([]NodeID, 0, n)
-	for i := range c.Nodes {
 		if indeg[i] == 0 {
-			queue = append(queue, NodeID(i))
+			order = append(order, NodeID(i))
 		}
 	}
-	order := make([]NodeID, 0, n)
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, s := range fanout[id] {
+	for head := 0; head < len(order); head++ {
+		id := order[head]
+		for _, s := range adj[off[id]:off[id+1]] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				queue = append(queue, s)
+				order = append(order, s)
 			}
 		}
 	}
@@ -85,23 +117,30 @@ func (c *Circuit) TopoOrder() ([]NodeID, error) {
 	return order, nil
 }
 
-// Compile builds the traversal view. It fails on cyclic circuits.
+// Compile builds the traversal view. It fails on cyclic circuits. It
+// allocates a fixed number of arrays whatever the circuit's size: the
+// fanout lists and the level buckets are each carved from one backing
+// array, every list capacity-limited so an append to one cannot write
+// into the next.
 func Compile(c *Circuit) (*Graph, error) {
-	topo, err := c.TopoOrder()
+	n := len(c.Nodes)
+	off, adj := fanoutCSR(c)
+	// Level doubles as Kahn's in-degree scratch, which it leaves zero.
+	level := make([]int, n)
+	topo, err := kahnOrder(c, off, adj, level)
 	if err != nil {
 		return nil, err
 	}
-	n := len(c.Nodes)
 	g := &Graph{
 		C:      c,
 		Topo:   topo,
 		Fanout: make([][]NodeID, n),
-		Level:  make([]int, n),
+		Level:  level,
+		Edges:  len(adj),
 	}
-	for i, nd := range c.Nodes {
-		g.Edges += len(nd.Fanin)
-		for _, f := range nd.Fanin {
-			g.Fanout[f] = append(g.Fanout[f], NodeID(i))
+	for id := range g.Fanout {
+		if lo, hi := off[id], off[id+1]; lo < hi {
+			g.Fanout[id] = adj[lo:hi:hi]
 		}
 	}
 	maxLvl := 0
@@ -120,7 +159,19 @@ func Compile(c *Circuit) (*Graph, error) {
 			maxLvl = lvl
 		}
 	}
+	// Bucket topo by level: size each bucket, then append in topo
+	// order, each append landing inside its bucket's capacity.
+	width := make([]int, maxLvl+1)
+	for _, l := range g.Level {
+		width[l]++
+	}
 	g.Levels = make([][]NodeID, maxLvl+1)
+	buckets := make([]NodeID, n)
+	at := 0
+	for l, w := range width {
+		g.Levels[l] = buckets[at : at : at+w]
+		at += w
+	}
 	for _, id := range topo {
 		g.Levels[g.Level[id]] = append(g.Levels[g.Level[id]], id)
 	}
