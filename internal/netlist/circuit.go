@@ -9,6 +9,7 @@ package netlist
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -92,6 +93,12 @@ func New(name string) *Circuit {
 	return &Circuit{Name: name, byName: make(map[string]NodeID)}
 }
 
+// newSized returns an empty circuit with Nodes and the name index
+// allocated once for n nodes, for builders that know the count.
+func newSized(name string, n int) *Circuit {
+	return &Circuit{Name: name, Nodes: make([]Node, 0, n), byName: make(map[string]NodeID, n)}
+}
+
 // ErrDuplicateName is returned when a node name is reused.
 var ErrDuplicateName = errors.New("netlist: duplicate node name")
 
@@ -121,13 +128,19 @@ func unknownFanin(fanin, gate string) error {
 	return fmt.Errorf("%w: %q (fanin of %q)", ErrUnknownNode, fanin, gate)
 }
 
+// add appends n and indexes its name. Nodes at least doubles when
+// full, where append grows a large array by a quarter and so allocates
+// about five times its final size on the way.
 func (c *Circuit) add(n Node) (NodeID, error) {
 	if _, dup := c.byName[n.Name]; dup {
 		return -1, fmt.Errorf("%w: %q", ErrDuplicateName, n.Name)
 	}
 	id := NodeID(len(c.Nodes))
-	c.Nodes = append(c.Nodes, n)
 	c.byName[n.Name] = id
+	if len(c.Nodes) == cap(c.Nodes) {
+		c.Nodes = slices.Grow(c.Nodes, len(c.Nodes)+1)
+	}
+	c.Nodes = append(c.Nodes, n)
 	return id, nil
 }
 
@@ -229,7 +242,12 @@ func (c *Circuit) GateIDs() []NodeID {
 // stores is below its gate's id, which proves acyclicity in the same
 // O(E) pass; Kahn's algorithm runs only when a hand-built circuit has
 // a fanin at or above its gate.
-func (c *Circuit) Validate() error {
+func (c *Circuit) Validate() error { return c.validate(true) }
+
+// validate is Validate; with checkIndex false it skips the per-node
+// lookup of the name index, for a reader whose every node went through
+// add, which keeps the index consistent by construction.
+func (c *Circuit) validate(checkIndex bool) error {
 	if len(c.Nodes) == 0 {
 		return errors.New("netlist: empty circuit")
 	}
@@ -259,8 +277,10 @@ func (c *Circuit) Validate() error {
 		default:
 			return fmt.Errorf("netlist: node %q has invalid kind %v", nd.Name, nd.Kind)
 		}
-		if got, ok := c.byName[nd.Name]; !ok || got != NodeID(i) {
-			return fmt.Errorf("netlist: name index inconsistent for %q", nd.Name)
+		if checkIndex {
+			if got, ok := c.byName[nd.Name]; !ok || got != NodeID(i) {
+				return fmt.Errorf("netlist: name index inconsistent for %q", nd.Name)
+			}
 		}
 	}
 	for _, o := range c.Outputs {
@@ -278,8 +298,8 @@ func (c *Circuit) Validate() error {
 
 // Clone returns a deep copy of the circuit.
 func (c *Circuit) Clone() *Circuit {
-	cp := New(c.Name)
-	cp.Nodes = make([]Node, len(c.Nodes))
+	cp := newSized(c.Name, len(c.Nodes))
+	cp.Nodes = cp.Nodes[:len(c.Nodes)]
 	for i, nd := range c.Nodes {
 		nd.Fanin = append([]NodeID(nil), nd.Fanin...)
 		cp.Nodes[i] = nd

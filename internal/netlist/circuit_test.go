@@ -52,6 +52,63 @@ func TestDuplicateName(t *testing.T) {
 	}
 }
 
+// TestDuplicateNameKeepsIndex: a rejected duplicate name, input or
+// gate, leaves the first node's index entry, the node list and
+// Validate as they were, and ReadCKT rejects every duplicate.
+func TestDuplicateNameKeepsIndex(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		add  func(c *Circuit) error
+	}{
+		{"AddInput of an input", func(c *Circuit) error { _, err := c.AddInput("a"); return err }},
+		{"AddInput of a gate", func(c *Circuit) error { _, err := c.AddInput("g"); return err }},
+		{"AddGate of an input", func(c *Circuit) error { _, err := c.AddGate("b", "inv", "g"); return err }},
+		{"AddGate of a gate", func(c *Circuit) error { _, err := c.AddGate("g", "nand2", "a", "b"); return err }},
+	} {
+		c := mustBuild(t, func(c *Circuit) error {
+			for _, in := range []string{"a", "b"} {
+				if _, err := c.AddInput(in); err != nil {
+					return err
+				}
+			}
+			if _, err := c.AddGate("g", "nand2", "a", "b"); err != nil {
+				return err
+			}
+			return c.MarkOutput("g")
+		})
+		before := map[string]NodeID{"a": 0, "b": 1, "g": 2}
+		if err := tc.add(c); !errors.Is(err, ErrDuplicateName) {
+			t.Errorf("%s: err = %v, want ErrDuplicateName", tc.name, err)
+		}
+		for name, want := range before {
+			if id, ok := c.Lookup(name); !ok || id != want {
+				t.Errorf("%s: Lookup(%q) = %d, %v, want %d", tc.name, name, id, ok, want)
+			}
+		}
+		if len(c.Nodes) != len(before) {
+			t.Errorf("%s: %d nodes, want %d", tc.name, len(c.Nodes), len(before))
+		}
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s: Validate: %v", tc.name, err)
+		}
+		// The circuit still grows normally after the rejection.
+		if id, err := c.AddGate("h", "inv", "g"); err != nil || id != 3 {
+			t.Errorf("%s: AddGate after the rejection = %d, %v, want 3", tc.name, id, err)
+		}
+	}
+
+	for _, text := range []string{
+		"input a b a\ngate g nand2 a b\noutput g\n",
+		"input a b\ngate g nand2 a b\ninput g\noutput g\n",
+		"input a b\ngate a inv b\noutput a\n",
+		"input a b\ngate g nand2 a b\ngate g inv a\noutput g\n",
+	} {
+		if _, err := ReadCKT(strings.NewReader(text)); !errors.Is(err, ErrDuplicateName) {
+			t.Errorf("ReadCKT(%q): err = %v, want ErrDuplicateName", text, err)
+		}
+	}
+}
+
 func TestUnknownFanin(t *testing.T) {
 	c := New("t")
 	if _, err := c.AddGate("g", "inv", "missing"); !errors.Is(err, ErrUnknownNode) {

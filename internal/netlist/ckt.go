@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -24,15 +25,23 @@ import (
 // whitespace-free tokens. Multiple input/output lines accumulate.
 
 // ReadCKT parses a circuit in .ckt format. It reads in one pass and
-// allocates per node, not per token: each line is split in place into
-// a reused token list, at exactly the bytes strings.Fields splits at,
-// names are resolved through allocation-free map lookups, cell-type
-// names are interned, and fanin lists are carved from the circuit's
-// arena.
+// allocates per chunk, not per node or token: each line is split in
+// place into a reused token list, at exactly the bytes strings.Fields
+// splits at, names are resolved through allocation-free map lookups
+// and copied into shared chunks, cell-type names are interned, and
+// fanin lists are carved from the circuit's arena. When r reports its
+// remaining length (bytes.Buffer, bytes.Reader and strings.Reader do),
+// Nodes and the name index are allocated once, for that length over
+// bytesPerNode nodes.
 func ReadCKT(r io.Reader) (*Circuit, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	c := New("circuit")
+	hint := 0
+	if l, ok := r.(interface{ Len() int }); ok {
+		hint = l.Len() / bytesPerNode
+	}
+	c := newSized("circuit", hint)
+	var names nameChunks
 	types := make(map[string]string)
 	var toks [][]byte
 	lineNo := 0
@@ -57,7 +66,7 @@ func ReadCKT(r io.Reader) (*Circuit, error) {
 				return nil, fmt.Errorf("ckt line %d: input needs names", lineNo)
 			}
 			for _, n := range toks[1:] {
-				if _, err := c.AddInput(string(n)); err != nil {
+				if _, err := c.add(Node{Name: names.copy(n), Kind: KindInput}); err != nil {
 					return nil, fmt.Errorf("ckt line %d: %w", lineNo, err)
 				}
 			}
@@ -78,7 +87,7 @@ func ReadCKT(r io.Reader) (*Circuit, error) {
 				}
 				ids[i] = id
 			}
-			if _, err := c.add(Node{Name: string(toks[1]), Kind: KindGate, Type: typ, Fanin: ids}); err != nil {
+			if _, err := c.add(Node{Name: names.copy(toks[1]), Kind: KindGate, Type: typ, Fanin: ids}); err != nil {
 				return nil, fmt.Errorf("ckt line %d: %w", lineNo, err)
 			}
 		case "output":
@@ -101,10 +110,60 @@ func ReadCKT(r io.Reader) (*Circuit, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if err := c.Validate(); err != nil {
+	if err := c.validate(false); err != nil {
 		return nil, err
 	}
+	// A length hint that fell short leaves Nodes up to half empty after
+	// add doubled it, and the circuit usually outlives the read: keep
+	// the nodes in an array of their own size instead.
+	if cap(c.Nodes)-len(c.Nodes) > len(c.Nodes)/8 {
+		c.Nodes = append(make([]Node, 0, len(c.Nodes)), c.Nodes...)
+	}
 	return c, nil
+}
+
+// bytesPerNode is the .ckt text ReadCKT expects per node when it sizes
+// Nodes and the name index from the reader's length; the generated
+// netlists take 19 (apex2) to 33 (gen100k) bytes per node. A node
+// needs at least two bytes of text, a one-byte name and a separator,
+// so the reservation never exceeds the node count some valid netlist
+// of that length holds. A reserved node costs 64 B in Nodes and, with
+// go1.24's Swiss-table maps, at most 57 B in the index (24-byte slots
+// at the map's 7/8 load, up to doubled by its power-of-two table
+// sizes), so the reservation is (64+57)/30, about 4 bytes per input
+// byte, and with the allocator's rounding at most 4.5, whatever the
+// input holds (TestReadCKTReservationBound, measured on go1.24.0, the
+// toolchain the CI workflow installs).
+const bytesPerNode = 30
+
+// Name chunks start at minNameChunk bytes and double up to
+// maxNameChunk, so a small netlist's names take one or two small
+// allocations and a large one's an allocation per maxNameChunk bytes.
+const (
+	minNameChunk = 256
+	maxNameChunk = 64 << 10
+)
+
+// nameChunks copies node names into append-only chunks, one allocation
+// per chunk instead of one per name. A chunk is a strings.Builder that
+// is never written past its capacity, so the bytes under every string
+// taken from it stay put.
+type nameChunks struct {
+	b    strings.Builder
+	size int // capacity of the current chunk
+}
+
+// copy returns tok as a string backed by the current chunk, starting
+// a new chunk when tok does not fit in what is left.
+func (nc *nameChunks) copy(tok []byte) string {
+	if nc.b.Cap()-nc.b.Len() < len(tok) {
+		nc.size = min(max(2*nc.size, minNameChunk), maxNameChunk)
+		nc.b = strings.Builder{}
+		nc.b.Grow(max(nc.size, len(tok)))
+	}
+	start := nc.b.Len()
+	nc.b.Write(tok)
+	return nc.b.String()[start:]
 }
 
 // asciiSpace marks the ASCII bytes unicode.IsSpace accepts.

@@ -76,7 +76,7 @@ func Generate(spec GenSpec) (*Circuit, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
-	c := New(spec.Name)
+	c := newSized(spec.Name, spec.Inputs+spec.Gates)
 
 	inputs := make([]NodeID, spec.Inputs)
 	for i := range inputs {

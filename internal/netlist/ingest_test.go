@@ -5,8 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -147,28 +149,73 @@ func TestArenaListsDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestIngestAllocs pins the allocation counts of the one-pass front
-// end on gen1200 text. ReadCKT allocates each node's name once, plus
-// at most readOverhead arrays: the fanin arena chunks, the node slice
-// and name index as they grow, the scanner, the token list and the
-// interned type names (1,318 allocations for 1,248 nodes when this
-// test was written). Compile allocates a fixed set of arrays whatever
-// the circuit's size, and WriteCKT only its buffer.
+// TestIngestAllocs pins the allocation counts and bytes of the
+// front end on gen1200 text. ReadCKT allocates per chunk, not per
+// node: the name chunks, the fanin arena chunks, the node slice and
+// the name index's tables (once each when the reader reports its
+// length), the scanner, the token list and the interned type names,
+// 50 allocations for 1,248 nodes when this test was written.
+//
+// The byte pins count what a build allocates beyond its name index:
+// the index is a map, whose layout differs between Go releases, so
+// the test measures a map filled the same way on the running
+// toolchain and subtracts it (on go1.24.0 it took 44 bytes per node
+// from a sized map and 87 from an unsized one). ReadCKT stays under
+// readBytesPerNode, which covers a length hint that fell short
+// (gen1200 text takes 25 bytes per node, fewer than bytesPerNode):
+// Nodes is doubled and then copied to size, so the circuit keeps at
+// most an eighth of it unused. Generate, which sizes Nodes and the
+// index once, stays under genBytesPerNode, and AddGate from names,
+// which doubles Nodes, under addBytesPerNode; AddGate is measured at
+// 20k gates, where append's quarter-step growth would exceed it (when
+// this test was written, append read 341 bytes per node and doubling
+// 255).
+// Compile allocates a fixed set of arrays whatever the circuit's size,
+// and WriteCKT only its buffer. The byte pins are checked only without
+// the race detector (see raceEnabled).
 func TestIngestAllocs(t *testing.T) {
 	small := mustGenerate(t, GenSpec{Name: "small", Gates: 120, Inputs: 12, Outputs: 4, Depth: 6, MaxFanin: 4, Seed: 3})
-	text := cktBytes(t, mustGenerate(t, gen1200Spec()))
+	gen := mustGenerate(t, gen1200Spec())
+	text := cktBytes(t, gen)
 	c, err := ReadCKT(bytes.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const readOverhead = 80
-	reads := testing.AllocsPerRun(10, func() {
+	nodes := float64(len(c.Nodes))
+	if slack := cap(c.Nodes) - len(c.Nodes); slack > len(c.Nodes)/8 {
+		t.Errorf("ReadCKT: Nodes keeps %d unused slots for %d nodes, want at most an eighth", slack, len(c.Nodes))
+	}
+	read := func() {
 		if _, err := ReadCKT(bytes.NewReader(text)); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if limit := float64(len(c.Nodes) + readOverhead); reads > limit {
-		t.Errorf("ReadCKT: %v allocations for %d nodes, want at most %v", reads, len(c.Nodes), limit)
+	}
+	const readAllocs = 60
+	if a := testing.AllocsPerRun(10, read); a > readAllocs {
+		t.Errorf("ReadCKT: %v allocations for %v nodes, want at most %d", a, nodes, readAllocs)
+	}
+	if !raceEnabled {
+		const readBytesPerNode = 335
+		if b := (bytesPerRun(10, read) - indexBytes(c, len(text)/bytesPerNode)) / nodes; b > readBytesPerNode {
+			t.Errorf("ReadCKT: %.1f bytes per node beyond the name index, want at most %d", b, readBytesPerNode)
+		}
+
+		const genBytesPerNode = 300
+		if b := (bytesPerRun(10, func() { mustGenerate(t, gen1200Spec()) }) - indexBytes(gen, len(gen.Nodes))) / nodes; b > genBytesPerNode {
+			t.Errorf("Generate: %.1f bytes per node beyond the name index, want at most %d", b, genBytesPerNode)
+		}
+
+		const addBytesPerNode = 270
+		big := mustGenerate(t, GenSpec{Name: "build20k", Gates: 20000, Inputs: 64, Outputs: 16, Depth: 24, MaxFanin: 4, Seed: 7})
+		fanins := faninNames(big)
+		rebuildBig := func() {
+			if _, err := rebuild(big, fanins); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if b := (bytesPerRun(5, rebuildBig) - indexBytes(big, 0)) / float64(len(big.Nodes)); b > addBytesPerNode {
+			t.Errorf("AddGate: %.1f bytes per node beyond the name index, want at most %d", b, addBytesPerNode)
+		}
 	}
 
 	const compileAllocs = 9
@@ -187,6 +234,79 @@ func TestIngestAllocs(t *testing.T) {
 		})
 		if a > writeAllocs {
 			t.Errorf("WriteCKT(%s): %v allocations, want at most %d", cc.Name, a, writeAllocs)
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes
+// one call of f allocates, after a warm-up call, on one P.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// indexSink keeps indexBytes' map on the heap, as a circuit's is.
+var indexSink map[string]NodeID
+
+// indexBytes is the heap bytes of indexing c's names as add does, in
+// a map made for hint names.
+func indexBytes(c *Circuit, hint int) float64 {
+	return bytesPerRun(5, func() {
+		m := make(map[string]NodeID, hint)
+		for i, nd := range c.Nodes {
+			m[nd.Name] = NodeID(i)
+		}
+		indexSink = m
+	})
+}
+
+// TestReadCKTReservationBound feeds ReadCKT inputs whose length
+// promises far more nodes than they hold. The length hint may reserve
+// at most maxReserve bytes per input byte (see bytesPerNode), on top
+// of the scanner's 64 KiB line buffer and the names themselves. The
+// index's share of that bound, and the table boundary below, are
+// those of go1.24's Swiss-table maps: the bound was measured on
+// go1.24.0, the toolchain the CI workflow installs.
+func TestReadCKTReservationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("byte counts differ under the race detector")
+	}
+	const maxReserve = 4.5
+	comments := func(n int) string {
+		return strings.Repeat("# a comment line of thirty-two b\n", n/32+1)[:n]
+	}
+	var longNames strings.Builder
+	for i := 0; longNames.Len() < 1<<20; i++ {
+		fmt.Fprintf(&longNames, "input %s%d\n", strings.Repeat("n", 1000), i)
+	}
+	longNames.WriteString("gate g inv " + strings.Repeat("n", 1000) + "0\noutput g\n")
+	for _, tc := range []struct {
+		name  string
+		in    string
+		valid bool
+		names int // at least the name bytes the circuit keeps
+	}{
+		{"1 MiB of comments", comments(1 << 20), false, 0},
+		// On go1.24, 28,728 hinted nodes put each of the index's 64
+		// tables just past 512 slots, so each is allocated at 1,024:
+		// the most the index reserves per hinted node.
+		{"comments at an index table boundary", comments(28728 * bytesPerNode), false, 0},
+		{"1 MiB of 1000-byte names", longNames.String(), true, longNames.Len()},
+	} {
+		_, err := ReadCKT(strings.NewReader(tc.in))
+		if (err == nil) != tc.valid {
+			t.Fatalf("%s: err = %v, want valid %v", tc.name, err, tc.valid)
+		}
+		b := bytesPerRun(3, func() { ReadCKT(strings.NewReader(tc.in)) })
+		if limit := maxReserve*float64(len(tc.in)) + float64(tc.names) + 64<<10 + 4<<10; b > limit {
+			t.Errorf("%s: ReadCKT allocated %.0f bytes for %d bytes of input, want at most %.0f", tc.name, b, len(tc.in), limit)
 		}
 	}
 }

@@ -227,12 +227,15 @@ func SizeGreedyCtx(ctx context.Context, m *delay.Model, opt GreedyOptions) (*Gre
 	}
 	stack.PopTo(1)
 	stack.Push("greedy.finalize")
-	m.ClampSizes(S)
-	r := ssta.Analyze(m, S, false)
+	// Every size stays in [1, Limit] without a clamp: sizes start at 1,
+	// a bump multiplies by Step > 1 and is capped at Limit >= 1. The
+	// report is the warm engine's flushed moments, bit-identical to a
+	// fresh Analyze at S.
+	tmax := inc.Update()
 	stack.PopTo(0)
 	res.S = S
-	res.MuTmax = r.Tmax.Mu
-	res.SigmaTmax = r.Tmax.Sigma()
+	res.MuTmax = tmax.Mu
+	res.SigmaTmax = tmax.Sigma()
 	res.SumS = m.SumSizes(S)
 	res.Met = res.Met || res.MuTmax+opt.K*res.SigmaTmax <= opt.Deadline
 	if rec != nil {

@@ -1,6 +1,7 @@
 package sizing
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/delay"
@@ -145,5 +146,39 @@ func TestGreedyStepAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, doStep)
 	if allocs != 0 {
 		t.Fatalf("greedy step allocates %.2f per step in steady state, want 0", allocs)
+	}
+}
+
+// TestGreedyReportMatchesAnalyze: the greedy result's moments are the
+// warm engine's; they equal a fresh Analyze at the returned sizes bit
+// for bit however the loop ends: at MaxSteps with the last bump still
+// pending in the engine, on meeting the deadline, or cancelled before
+// the first step.
+func TestGreedyReportMatchesAnalyze(t *testing.T) {
+	m := genModel(t, 300)
+	d := greedyDeadline(t, m, 3)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name  string
+		ctx   context.Context
+		opt   GreedyOptions
+		steps int // -1: any
+	}{
+		{"max steps", context.Background(), GreedyOptions{K: 3, Deadline: 0.01 * d, MaxSteps: 7}, 7},
+		{"deadline met", context.Background(), GreedyOptions{K: 3, Deadline: d}, -1},
+		{"cancelled", cancelled, GreedyOptions{K: 3, Deadline: d}, 0},
+	} {
+		res, err := SizeGreedyCtx(tc.ctx, m, tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.steps >= 0 && res.Steps != tc.steps {
+			t.Fatalf("%s: %d steps, want %d", tc.name, res.Steps, tc.steps)
+		}
+		r := ssta.Analyze(m, res.S, false).Tmax
+		if res.MuTmax != r.Mu || res.SigmaTmax != r.Sigma() {
+			t.Errorf("%s: reported (%v, %v), fresh Analyze (%v, %v)", tc.name, res.MuTmax, res.SigmaTmax, r.Mu, r.Sigma())
+		}
 	}
 }
