@@ -280,3 +280,58 @@ func TestPaperTreeLibrary(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestResolvedSigmaBitwise pins the per-sweep resolution of a sigma
+// model: Var and DVar equal the model's own methods bit for bit (±0
+// told apart, any NaN equal to any NaN) over a mean grid with zeros,
+// negatives, subnormals, huge values, infinities and NaN, and only
+// Proportional takes the fast path.
+func TestResolvedSigmaBitwise(t *testing.T) {
+	same := func(x, y float64) bool {
+		if math.IsNaN(x) || math.IsNaN(y) {
+			return math.IsNaN(x) && math.IsNaN(y)
+		}
+		return math.Float64bits(x) == math.Float64bits(y)
+	}
+	negZero := math.Copysign(0, -1)
+	sub := math.SmallestNonzeroFloat64
+	mus := []float64{0, negZero, 1, -1, 0.5, 3.7, -2.25, 1e-3, sub, -sub, 3 * sub,
+		0x1p-1022, 1e-160, 1e150, 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, tc := range []struct {
+		m    SigmaModel
+		fast bool
+	}{
+		{Proportional{K: 0.25}, true},
+		{Proportional{K: 0}, true},
+		{Proportional{K: negZero}, true},
+		{Proportional{K: sub}, true},
+		{Proportional{K: 1e-160}, true},
+		// K*K subnormal: 2*K*K must round once, as (2*K)*K.
+		{Proportional{K: 3e-162}, true},
+		{Proportional{K: 1.7e-161}, true},
+		{Proportional{K: 7.77e-162}, true},
+		{Proportional{K: 0.1}, true},
+		{Proportional{K: -0.3}, true},
+		{Proportional{K: 1e150}, true},
+		{Proportional{K: 1e200}, true},
+		{Proportional{K: math.Inf(1)}, true},
+		{Affine{A: 0.1, B: 0.2}, false},
+		{Affine{A: sub, B: 1e150}, false},
+		{Zero{}, false},
+		{Constant{S: 0.3}, false},
+	} {
+		r := ResolveSigma(tc.m)
+		if r.prop != tc.fast {
+			t.Errorf("%#v: fast path %v, want %v", tc.m, r.prop, tc.fast)
+		}
+		for _, mu := range mus {
+			if got, want := r.Var(mu), tc.m.Var(mu); !same(got, want) {
+				t.Errorf("%#v: resolved Var(%v) = %v (%#x), want %v (%#x)", tc.m, mu, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if got, want := r.DVar(mu), tc.m.DVar(mu); !same(got, want) {
+				t.Errorf("%#v: resolved DVar(%v) = %v (%#x), want %v (%#x)", tc.m, mu, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}

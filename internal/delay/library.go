@@ -237,6 +237,44 @@ func (Zero) DVar(float64) float64 { return 0 }
 // D2Var implements SigmaModel.
 func (Zero) D2Var(float64) float64 { return 0 }
 
+// ResolvedSigma is a SigmaModel's Var and DVar resolved once for a
+// sweep, so the per-gate calls inline instead of dispatching through
+// the interface. The paper's Proportional model takes a fast path on
+// precomputed K*K and 2*K*K, multiplied in Proportional's own
+// association, and every other model calls through the interface, so
+// both are bitwise what the model's own methods return. Resolve at
+// the start of each sweep, not once per Model: callers assign
+// Model.Sigma after Bind.
+type ResolvedSigma struct {
+	prop    bool       // m is a Proportional: use kk and kk2
+	kk, kk2 float64    // K*K and 2*K*K
+	m       SigmaModel // every other model
+}
+
+// ResolveSigma resolves m for a sweep.
+func ResolveSigma(m SigmaModel) ResolvedSigma {
+	if p, ok := m.(Proportional); ok {
+		return ResolvedSigma{prop: true, kk: p.K * p.K, kk2: 2 * p.K * p.K}
+	}
+	return ResolvedSigma{m: m}
+}
+
+// Var returns the resolved model's Var(mu).
+func (r *ResolvedSigma) Var(mu float64) float64 {
+	if r.prop {
+		return r.kk * mu * mu
+	}
+	return r.m.Var(mu)
+}
+
+// DVar returns the resolved model's DVar(mu).
+func (r *ResolvedSigma) DVar(mu float64) float64 {
+	if r.prop {
+		return r.kk2 * mu
+	}
+	return r.m.DVar(mu)
+}
+
 // ValidateSigmaModel checks basic sanity of a model over a mean range:
 // non-negative sigma and Var consistent with Sigma.
 func ValidateSigmaModel(m SigmaModel, lo, hi float64) error {

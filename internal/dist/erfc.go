@@ -92,7 +92,7 @@ const (
 // sides of zero, from one run of the erfc core: bit for bit
 // 0.5*math.Erfc(-x/Sqrt2) and 0.5*math.Erfc(x/Sqrt2), at roughly the
 // cost of one. Clark's max needs both tightness probabilities, so
-// stats.Max2 and Max2JacInto call this once per operand pair. Division
+// stats.Max2 and Max2StepInto call this once per operand pair. Division
 // by Sqrt2 is sign-symmetric in IEEE arithmetic, so one quotient serves
 // both sides. The wrapper inlines, so a caller reaches the core in one
 // call.

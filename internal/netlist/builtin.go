@@ -127,8 +127,14 @@ func inputName(i int) string { return "i" + itoa(i) }
 // itoa is a minimal non-negative integer formatter kept local to avoid
 // pulling strconv into the hot construction path of large generators.
 func itoa(i int) string {
+	var buf [20]byte
+	return string(appendItoa(buf[:0], i))
+}
+
+// appendItoa appends the decimal digits of the non-negative i to b.
+func appendItoa(b []byte, i int) []byte {
 	if i == 0 {
-		return "0"
+		return append(b, '0')
 	}
 	var buf [20]byte
 	pos := len(buf)
@@ -137,7 +143,7 @@ func itoa(i int) string {
 		buf[pos] = byte('0' + i%10)
 		i /= 10
 	}
-	return string(buf[pos:])
+	return append(b, buf[pos:]...)
 }
 
 func mustAddInput(c *Circuit, name string) {

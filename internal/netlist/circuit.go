@@ -144,6 +144,16 @@ func (c *Circuit) add(n Node) (NodeID, error) {
 	return id, nil
 }
 
+// addNew is add for a builder whose node names are distinct by
+// construction: it skips the duplicate lookup, so indexing costs one
+// map write.
+func (c *Circuit) addNew(n Node) NodeID {
+	id := NodeID(len(c.Nodes))
+	c.byName[n.Name] = id
+	c.Nodes = append(c.Nodes, n)
+	return id
+}
+
 // MarkOutput marks the named node as a primary output. Marking the
 // same node twice is an error, as is marking a primary input (the
 // paper's circuits never route an input straight to an output, and

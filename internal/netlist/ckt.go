@@ -31,23 +31,26 @@ import (
 // and copied into shared chunks, cell-type names are interned, and
 // fanin lists are carved from the circuit's arena. When r reports its
 // remaining length (bytes.Buffer, bytes.Reader and strings.Reader do),
-// Nodes and the name index are allocated once, for that length over
-// bytesPerNode nodes.
+// Nodes and the name index are allocated for that length over
+// bytesPerNode nodes, and a netlist denser than that re-sizes Nodes
+// once, from the bytes per node read so far (see growNodes).
 func ReadCKT(r io.Reader) (*Circuit, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	hint := 0
+	total := 0 // r's length, 0 when unknown
 	if l, ok := r.(interface{ Len() int }); ok {
-		hint = l.Len() / bytesPerNode
+		total = l.Len()
 	}
-	c := newSized("circuit", hint)
+	c := newSized("circuit", total/bytesPerNode)
 	var names nameChunks
 	types := make(map[string]string)
 	var toks [][]byte
 	lineNo := 0
+	read := 0 // bytes scanned so far, up to the end of the current line
 	for sc.Scan() {
 		lineNo++
 		line := sc.Bytes()
+		read += len(line) + 1
 		if i := bytes.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
@@ -66,6 +69,7 @@ func ReadCKT(r io.Reader) (*Circuit, error) {
 				return nil, fmt.Errorf("ckt line %d: input needs names", lineNo)
 			}
 			for _, n := range toks[1:] {
+				c.growNodes(read, total)
 				if _, err := c.add(Node{Name: names.copy(n), Kind: KindInput}); err != nil {
 					return nil, fmt.Errorf("ckt line %d: %w", lineNo, err)
 				}
@@ -87,6 +91,7 @@ func ReadCKT(r io.Reader) (*Circuit, error) {
 				}
 				ids[i] = id
 			}
+			c.growNodes(read, total)
 			if _, err := c.add(Node{Name: names.copy(toks[1]), Kind: KindGate, Type: typ, Fanin: ids}); err != nil {
 				return nil, fmt.Errorf("ckt line %d: %w", lineNo, err)
 			}
@@ -113,9 +118,9 @@ func ReadCKT(r io.Reader) (*Circuit, error) {
 	if err := c.validate(false); err != nil {
 		return nil, err
 	}
-	// A length hint that fell short leaves Nodes up to half empty after
-	// add doubled it, and the circuit usually outlives the read: keep
-	// the nodes in an array of their own size instead.
+	// A re-estimate or doubling that overshot leaves Nodes partly
+	// empty, and the circuit usually outlives the read: past an eighth
+	// of slack, keep the nodes in an array of their own size instead.
 	if cap(c.Nodes)-len(c.Nodes) > len(c.Nodes)/8 {
 		c.Nodes = append(make([]Node, 0, len(c.Nodes)), c.Nodes...)
 	}
@@ -135,6 +140,26 @@ func ReadCKT(r io.Reader) (*Circuit, error) {
 // input holds (TestReadCKTReservationBound, measured on go1.24.0, the
 // toolchain the CI workflow installs).
 const bytesPerNode = 30
+
+// growNodes makes room for one more node when Nodes is full and the
+// reader's length total is known: it re-estimates the node count as
+// the nodes held over the read bytes, scaled to total, plus a
+// sixteenth, so a netlist denser than bytesPerNode (gen1200, k2 and
+// the 10k-gate session netlists among the generated ones) is sized
+// once more instead of doubled and copied back to size. The new
+// capacity is at most double the old,
+// which is what add's doubling would have reserved, so the
+// reservation bound of bytesPerNode still holds; a later overflow
+// re-estimates again. Without a known length add doubles.
+func (c *Circuit) growNodes(read, total int) {
+	n := len(c.Nodes)
+	if n < cap(c.Nodes) || total <= 0 || read <= 0 {
+		return
+	}
+	est := int(int64(n) * int64(total) / int64(read))
+	want := min(max(est+est/16, n+1), 2*n+1)
+	c.Nodes = append(make([]Node, 0, want), c.Nodes...)
+}
 
 // Name chunks start at minNameChunk bytes and double up to
 // maxNameChunk, so a small netlist's names take one or two small

@@ -77,14 +77,17 @@ func Generate(spec GenSpec) (*Circuit, error) {
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 	c := newSized(spec.Name, spec.Inputs+spec.Gates)
+	// The generator holds every node id and its names ("i<k>",
+	// "g<k>") are distinct by construction, so nodes are added by id:
+	// no per-gate fanin or name list, no name lookups, names copied
+	// into shared chunks.
+	var names nameChunks
+	var nameBuf [21]byte
 
 	inputs := make([]NodeID, spec.Inputs)
 	for i := range inputs {
-		id, err := c.AddInput(inputName(i))
-		if err != nil {
-			return nil, err
-		}
-		inputs[i] = id
+		name := names.copy(appendItoa(append(nameBuf[:0], 'i'), i))
+		inputs[i] = c.addNew(Node{Name: name, Kind: KindInput})
 	}
 
 	sizes := levelSizes(spec.Gates, spec.Depth)
@@ -139,7 +142,8 @@ func Generate(spec GenSpec) (*Circuit, error) {
 				return pickEarlier(rng, levelNodes, coneNodes, lvl, cone, fanoutCount)
 			}
 			nf := drawFanin(rng, spec.MaxFanin)
-			fanin := make([]NodeID, 0, nf)
+			var faninBuf [4]NodeID
+			fanin := faninBuf[:0]
 			// First pin: previous level, establishing the level.
 			fanin = append(fanin, pickLevel(rng, levelNodes[lvl-1], coneNodes[lvl-1][cone], fanoutCount))
 			// First-level gates soak up unused inputs.
@@ -169,14 +173,10 @@ func Generate(spec GenSpec) (*Circuit, error) {
 				fanoutCount[f]++
 			}
 			typ := typeByFanin[len(fanin)][rng.Intn(len(typeByFanin[len(fanin)]))]
-			names := make([]string, len(fanin))
-			for i, f := range fanin {
-				names[i] = c.Nodes[f].Name
-			}
-			id, err := c.AddGate(gateName(gateIdx), typ, names...)
-			if err != nil {
-				return nil, err
-			}
+			ids := c.faninSlots(len(fanin))
+			copy(ids, fanin)
+			name := names.copy(appendItoa(append(nameBuf[:0], 'g'), gateIdx))
+			id := c.addNew(Node{Name: name, Kind: KindGate, Type: typ, Fanin: ids})
 			gateIdx++
 			levelNodes[lvl] = append(levelNodes[lvl], id)
 			coneNodes[lvl][cone] = append(coneNodes[lvl][cone], id)
@@ -195,33 +195,32 @@ func Generate(spec GenSpec) (*Circuit, error) {
 		}
 	}
 
-	// Outputs: every fanout-free gate, topped up from the deepest
-	// levels to reach the requested count.
-	g, err := Compile(c)
-	if err != nil {
-		return nil, err
-	}
-	marked := make(map[NodeID]bool)
-	for _, id := range g.DanglingGates() {
-		if err := c.MarkOutput(c.Nodes[id].Name); err != nil {
-			return nil, err
+	// Outputs: every fanout-free gate in id order, topped up from the
+	// deepest levels to reach the requested count. fanoutCount counts
+	// every gate pin a gate drives (the rewiring above adds input
+	// pins only), so a gate with count 0 drives nothing.
+	for i := spec.Inputs; i < len(c.Nodes); i++ {
+		if fanoutCount[i] == 0 {
+			if err := c.markOutput(NodeID(i)); err != nil {
+				return nil, err
+			}
 		}
-		marked[id] = true
 	}
 	for lvl := spec.Depth; lvl >= 1 && len(c.Outputs) < spec.Outputs; lvl-- {
 		for _, id := range levelNodes[lvl] {
 			if len(c.Outputs) >= spec.Outputs {
 				break
 			}
-			if !marked[id] {
-				if err := c.MarkOutput(c.Nodes[id].Name); err != nil {
+			if !c.isOutput(id) {
+				if err := c.markOutput(id); err != nil {
 					return nil, err
 				}
-				marked[id] = true
 			}
 		}
 	}
-	if err := c.Validate(); err != nil {
+	// Every node went through addNew, so the name index is
+	// consistent by construction.
+	if err := c.validate(false); err != nil {
 		return nil, err
 	}
 	return c, nil

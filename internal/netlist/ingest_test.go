@@ -163,9 +163,13 @@ func TestArenaListsDoNotAlias(t *testing.T) {
 // from a sized map and 87 from an unsized one). ReadCKT stays under
 // readBytesPerNode, which covers a length hint that fell short
 // (gen1200 text takes 25 bytes per node, fewer than bytesPerNode):
-// Nodes is doubled and then copied to size, so the circuit keeps at
-// most an eighth of it unused. Generate, which sizes Nodes and the
-// index once, stays under genBytesPerNode, and AddGate from names,
+// Nodes is re-sized once from the bytes per node read so far, so it
+// is allocated twice, not three times, and the circuit keeps at most
+// an eighth of it unused (218 bytes per node when the pin was last
+// tightened, 323 before the re-estimate). Generate, which sizes Nodes
+// and the index once and adds nodes by id, stays under
+// genBytesPerNode (156 when last tightened) and genAllocs (1,015
+// allocations, the level and cone lists), and AddGate from names,
 // which doubles Nodes, under addBytesPerNode; AddGate is measured at
 // 20k gates, where append's quarter-step growth would exceed it (when
 // this test was written, append read 341 bytes per node and doubling
@@ -195,12 +199,12 @@ func TestIngestAllocs(t *testing.T) {
 		t.Errorf("ReadCKT: %v allocations for %v nodes, want at most %d", a, nodes, readAllocs)
 	}
 	if !raceEnabled {
-		const readBytesPerNode = 335
+		const readBytesPerNode = 240
 		if b := (bytesPerRun(10, read) - indexBytes(c, len(text)/bytesPerNode)) / nodes; b > readBytesPerNode {
 			t.Errorf("ReadCKT: %.1f bytes per node beyond the name index, want at most %d", b, readBytesPerNode)
 		}
 
-		const genBytesPerNode = 300
+		const genBytesPerNode = 175
 		if b := (bytesPerRun(10, func() { mustGenerate(t, gen1200Spec()) }) - indexBytes(gen, len(gen.Nodes))) / nodes; b > genBytesPerNode {
 			t.Errorf("Generate: %.1f bytes per node beyond the name index, want at most %d", b, genBytesPerNode)
 		}
@@ -216,6 +220,13 @@ func TestIngestAllocs(t *testing.T) {
 		if b := (bytesPerRun(5, rebuildBig) - indexBytes(big, 0)) / float64(len(big.Nodes)); b > addBytesPerNode {
 			t.Errorf("AddGate: %.1f bytes per node beyond the name index, want at most %d", b, addBytesPerNode)
 		}
+	}
+
+	// Generate adds nodes by id, so what it allocates per gate is
+	// only the level and cone lists its appends grow.
+	const genAllocs = 1100
+	if a := testing.AllocsPerRun(10, func() { mustGenerate(t, gen1200Spec()) }); a > genAllocs {
+		t.Errorf("Generate: %v allocations for %v nodes, want at most %d", a, nodes, genAllocs)
 	}
 
 	const compileAllocs = 9

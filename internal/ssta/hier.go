@@ -53,7 +53,14 @@ import (
 // flat sweeps' own node order, so the gradient is the same float
 // program as Result.Backward. Parallel passes measured slower than
 // these at every circuit size tried (EXPERIMENTS.md, "Serial
-// persistent engine").
+// persistent engine"). The tape holds 48-byte stats.Step values,
+// whose two rebuilt Jacobian entries the adjoint recomputes with the
+// kernel's own additions, and the model's sigma is resolved once at
+// NewHier into a delay.ResolvedSigma whose Var and DVar inline, so
+// under the paper's Proportional model the loops call no interface
+// method. The adjoint records the per-gate
+// criticality only on Criticality's pass (EXPERIMENTS.md, "Compact
+// tape steps and a resolved σ-model").
 //
 // Slab layout: the slabs a pass walks are indexed by schedule
 // position (sched.go), not by NodeID — arrivals, gate delays, speed
@@ -118,6 +125,9 @@ func GradMuPlusKSigmaWorkers(m *delay.Model, S []float64, k float64, workers int
 type Hier struct {
 	m   *delay.Model
 	rec telemetry.Recorder
+	// sig is m.Sigma resolved once at NewHier, so the forward and
+	// adjoint loops evaluate it inline.
+	sig delay.ResolvedSigma
 
 	// sc is the compiled sweep schedule every pass walks; every slab
 	// below without a NodeID note is indexed by its positions.
@@ -134,8 +144,8 @@ type Hier struct {
 	// node rewrites its tape slots in place.
 	arr, gd   []stats.MV
 	tmax      stats.MV
-	outFold   []stats.Jac2x4
-	tapeArena []stats.Jac2x4
+	outFold   []stats.Step
+	tapeArena []stats.Step
 
 	// load caches every gate's capacitive load (delay.Model.Load, a
 	// pure function of the fanout speed factors). SetSize recomputes
@@ -148,9 +158,9 @@ type Hier struct {
 
 	// adj is the interleaved adjoint slab: adj[2p] / adj[2p+1] hold
 	// position p's (mu, var) arrival adjoint, so a node's pair shares
-	// a cache line; dmu accumulates the criticality. grad, the
-	// gradient Backward returns, is indexed by NodeID (see the file
-	// comment).
+	// a cache line; dmu receives the criticality, on Criticality's
+	// pass only. grad, the gradient Backward returns, is indexed by
+	// NodeID (see the file comment).
 	adj, dmu, grad []float64
 
 	// Dirty tracking: bit p of pend is set while the node at schedule
@@ -170,9 +180,9 @@ type Hier struct {
 	nodeGen      []uint32
 	sGen         []uint32
 	logNodes     []nodeSave
-	logTape      []stats.Jac2x4
+	logTape      []stats.Step
 	logS         []sizeSave
-	savedOutFold []stats.Jac2x4
+	savedOutFold []stats.Step
 	savedTmax    stats.MV
 }
 
@@ -202,6 +212,7 @@ func NewHier(m *delay.Model, S []float64, opt HierOptions) *Hier {
 	h := &Hier{
 		m:       m,
 		rec:     opt.Recorder,
+		sig:     delay.ResolveSigma(m.Sigma),
 		sc:      compileSchedule(m),
 		s:       append([]float64(nil), S...),
 		sp:      make([]float64, n),
@@ -222,10 +233,10 @@ func NewHier(m *delay.Model, S []float64, opt HierOptions) *Hier {
 	h.reloadAll()
 	// One arena holds every gate's fold steps, so re-evaluations are
 	// in-place.
-	h.tapeArena = make([]stats.Jac2x4, h.sc.tapeLen)
+	h.tapeArena = make([]stats.Step, h.sc.tapeLen)
 	if no := len(h.sc.outs); no > 1 {
-		h.outFold = make([]stats.Jac2x4, no-1)
-		h.savedOutFold = make([]stats.Jac2x4, no-1)
+		h.outFold = make([]stats.Step, no-1)
+		h.savedOutFold = make([]stats.Step, no-1)
 	}
 	h.resweep()
 	return h
@@ -408,7 +419,7 @@ func (h *Hier) saveNode(p int) {
 
 // tape returns the fold steps of the node at schedule position p: a
 // fixed span of the arena, nil for nodes with fewer than two fanins.
-func (h *Hier) tape(p int) []stats.Jac2x4 {
+func (h *Hier) tape(p int) []stats.Step {
 	k := int(h.sc.finOff[p+1]-h.sc.finOff[p]) - 1
 	if k <= 0 {
 		return nil
@@ -423,7 +434,7 @@ func (h *Hier) tape(p int) []stats.Jac2x4 {
 func (h *Hier) forward(p int) {
 	sc := &h.sc
 	mu := h.m.MuAt(sc.tint[p], h.load[p], h.sp[p])
-	t := stats.MV{Mu: mu, Var: h.m.Sigma.Var(mu)}
+	t := stats.MV{Mu: mu, Var: h.sig.Var(mu)}
 	forwardGate(h.arr, h.gd, int32(p), sc.fanin(p), sc.pinOff(p), h.tape(p), t)
 }
 
@@ -527,23 +538,24 @@ func (h *Hier) seed(seedMu, seedVar float64) {
 	outs := h.sc.outs
 	aMu, aVar := seedMu, seedVar
 	for i := len(outs) - 1; i >= 1; i-- {
-		j := h.outFold[i-1]
+		s := &h.outFold[i-1]
 		o := outs[i]
-		h.adj[2*o] += aMu*j[0][2] + aVar*j[1][2]
-		h.adj[2*o+1] += aMu*j[0][3] + aVar*j[1][3]
-		aMu, aVar = aMu*j[0][0]+aVar*j[1][0], aMu*j[0][1]+aVar*j[1][1]
+		h.adj[2*o] += aMu*s[1] + aVar*s[4]
+		h.adj[2*o+1] += aMu*s[2] + aVar*s.DVarB()
+		aMu, aVar = aMu*s[0]+aVar*s[3], aMu*s[2]+aVar*s.DVarA()
 	}
 	h.adj[2*outs[0]] += aMu
 	h.adj[2*outs[0]+1] += aVar
 }
 
 // backward flushes pending updates and runs one adjoint sweep into
-// the grad and dmu slabs (dmu is written only at the nodes the sweep
-// visits; Criticality clears it first): the flat canonical recursion in
-// place — levels descending, in-level nodes in bucket order, exactly
-// the flat sweep's node order — so it is the same float program as
-// Result.Backward, bit-identical by construction.
-func (h *Hier) backward(seedMu, seedVar float64) {
+// the grad slab and, when dmu is non-nil, records each visited gate's
+// mean-delay adjoint there (Criticality passes h.dmu, cleared first):
+// the flat canonical recursion in place — levels descending, in-level
+// nodes in bucket order, exactly the flat sweep's node order — so it
+// is the same float program as Result.Backward, bit-identical by
+// construction.
+func (h *Hier) backward(seedMu, seedVar float64, dmu []float64) {
 	h.Update()
 	clear(h.adj)
 	clear(h.grad)
@@ -560,8 +572,10 @@ func (h *Hier) backward(seedMu, seedVar float64) {
 			}
 			// The body of Result.backwardNode over the positional
 			// slabs: the same float ops in the same order.
-			d := am + av*h.m.Sigma.DVar(h.gd[p].Mu)
-			h.dmu[p] = d
+			d := am + av*h.sig.DVar(h.gd[p].Mu)
+			if dmu != nil {
+				dmu[p] = d
+			}
 			self, pin := h.m.MuGradAt(h.load[p], h.sp[p], d)
 			grad[sc.order[p]] += self
 			a, b := sc.fanout(p)
@@ -573,11 +587,11 @@ func (h *Hier) backward(seedMu, seedVar float64) {
 			uMu, uVar := am, av
 			steps := h.tape(p)
 			for k := len(fanin) - 1; k >= 1; k-- {
-				j := steps[k-1]
+				s := &steps[k-1]
 				f := fanin[k]
-				adj[2*f] += uMu*j[0][2] + uVar*j[1][2]
-				adj[2*f+1] += uMu*j[0][3] + uVar*j[1][3]
-				uMu, uVar = uMu*j[0][0]+uVar*j[1][0], uMu*j[0][1]+uVar*j[1][1]
+				adj[2*f] += uMu*s[1] + uVar*s[4]
+				adj[2*f+1] += uMu*s[2] + uVar*s.DVarB()
+				uMu, uVar = uMu*s[0]+uVar*s[3], uMu*s[2]+uVar*s.DVarA()
 			}
 			adj[2*fanin[0]] += uMu
 			adj[2*fanin[0]+1] += uVar
@@ -591,7 +605,7 @@ func (h *Hier) backward(seedMu, seedVar float64) {
 // — copy it to keep it. Bit-identical to Result.Backward;
 // allocation-free in the steady state.
 func (h *Hier) Backward(seedMu, seedVar float64) []float64 {
-	h.backward(seedMu, seedVar)
+	h.backward(seedMu, seedVar, nil)
 	return h.grad
 }
 
@@ -614,7 +628,7 @@ func (h *Hier) GradMuPlusKSigma(k float64) (float64, []float64) {
 // it to keep it.
 func (h *Hier) Criticality() []float64 {
 	clear(h.dmu)
-	h.backward(1, 0)
+	h.backward(1, 0, h.dmu)
 	// The gradient slab is scratch until the next pass: the
 	// criticality goes there by NodeID, one pass over the schedule
 	// order.
@@ -705,8 +719,8 @@ func (h *Hier) Rollback() stats.MV {
 // LRU's budget unit), not an exact accounting of every header.
 func (h *Hier) MemoryBytes() int64 {
 	const (
-		mvSize  = 16 // stats.MV: 2 float64
-		jacSize = 64 // stats.Jac2x4: 2x4 float64
+		mvSize   = 16 // stats.MV: 2 float64
+		stepSize = 48 // stats.Step: 6 float64
 	)
 	n := int64(len(h.s))
 	b := 7 * n * 8      // s, sp, load, dmu, grad, adj (2 per node)
@@ -714,10 +728,10 @@ func (h *Hier) MemoryBytes() int64 {
 	b += 2 * n * 4      // nodeGen, sGen
 	b += int64(len(h.pend)) * 8
 	b += h.sc.memoryBytes()
-	b += int64(len(h.tapeArena)) * jacSize
-	b += 2 * int64(len(h.outFold)) * jacSize // outFold + savedOutFold
+	b += int64(len(h.tapeArena)) * stepSize
+	b += 2 * int64(len(h.outFold)) * stepSize // outFold + savedOutFold
 	// Trial undo log backing arrays.
-	b += int64(cap(h.logTape)) * jacSize
+	b += int64(cap(h.logTape)) * stepSize
 	b += int64(cap(h.logNodes)) * 48 // nodeSave: position + 2 MV + offset
 	b += int64(cap(h.logS)) * 16
 	return b

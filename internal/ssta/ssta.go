@@ -9,7 +9,13 @@
 // derivatives, the gradient of any function of the circuit delay
 // moments with respect to all gate speed factors is available in one
 // additional backward pass. The reduced sizing formulation in
-// internal/sizing is built on this.
+// internal/sizing is built on this. A taped sweep records each
+// two-operand max's Jacobian as one compact stats.Step (six floats);
+// the adjoint rebuilds the two entries the step does not store with
+// the kernel's own additions, so the gradient is bit for bit the one
+// a full 2x4 Jacobian tape gives. Each sweep resolves the model's
+// sigma once (delay.ResolveSigma), so its per-gate Var and DVar calls
+// inline.
 package ssta
 
 import (
@@ -45,26 +51,30 @@ type Result struct {
 
 	withTape bool
 	// gateFold[id] holds the Jacobian of each two-operand max in the
-	// left fold over gate id's fanins (k fanins produce k-1 steps).
-	gateFold [][]stats.Jac2x4
-	// outFold holds the Jacobians of the fold over primary outputs.
-	outFold []stats.Jac2x4
+	// left fold over gate id's fanins (k fanins produce k-1 steps),
+	// in compact stats.Step form.
+	gateFold [][]stats.Step
+	// outFold holds the steps of the fold over primary outputs.
+	outFold []stats.Step
 }
 
 // forwardNode computes node id's arrival (and, for gates, the gate
-// delay and fold tape) from its fanins' already-final arrivals.
-func forwardNode(r *Result, m *delay.Model, S []float64, id netlist.NodeID, withTape bool) {
+// delay and fold tape) from its fanins' already-final arrivals. sig is
+// m.Sigma resolved for the sweep.
+func forwardNode(r *Result, m *delay.Model, sig *delay.ResolvedSigma, S []float64, id netlist.NodeID, withTape bool) {
 	nd := &m.G.C.Nodes[id]
 	if nd.Kind == netlist.KindInput {
 		r.Arrival[id] = m.Arrival[id]
 		return
 	}
-	var steps []stats.Jac2x4
+	var steps []stats.Step
 	if withTape && len(nd.Fanin) > 1 {
-		steps = make([]stats.Jac2x4, len(nd.Fanin)-1)
+		steps = make([]stats.Step, len(nd.Fanin)-1)
 		r.gateFold[id] = steps
 	}
-	forwardGate(r.Arrival, r.GateDelay, id, nd.Fanin, m.PinOffset[id], steps, m.GateMV(id, S))
+	mu := m.GateMu(id, S)
+	t := stats.MV{Mu: mu, Var: sig.Var(mu)}
+	forwardGate(r.Arrival, r.GateDelay, id, nd.Fanin, m.PinOffset[id], steps, t)
 }
 
 // sweepIndex is the index type of a forward sweep's slabs: NodeID in
@@ -77,11 +87,12 @@ type sweepIndex interface{ netlist.NodeID | int32 }
 // evaluated, writing gate at's arrival and delay into arr and gd.
 // fanin lists the gate's fanin pins in pin order and off their
 // additive delays (nil: uniform pins); a non-nil steps receives the
-// fold's len(fanin)-1 max Jacobians. The flat sweep passes NodeIDs,
-// the node's own fanin list, the model's offsets and a fresh tape;
+// fold's len(fanin)-1 max Jacobians as compact steps. The flat sweep
+// passes NodeIDs, the node's own fanin list, the model's offsets and a
+// fresh tape;
 // the persistent engine passes schedule positions, its schedule's
 // position-ordered copies and a span of its tape arena.
-func forwardGate[I sweepIndex](arr, gd []stats.MV, at I, fanin []I, off []float64, steps []stats.Jac2x4, t stats.MV) {
+func forwardGate[I sweepIndex](arr, gd []stats.MV, at I, fanin []I, off []float64, steps []stats.Step, t stats.MV) {
 	// U = max over fanin arrivals, folded two at a time
 	// (paper eq 18b); each operand is shifted by its pin's
 	// additive delay (eq 1's per-pin t_i). Constant shifts leave
@@ -96,7 +107,7 @@ func forwardGate[I sweepIndex](arr, gd []stats.MV, at I, fanin []I, off []float6
 			if off != nil {
 				v = shiftMV(v, off[k+1])
 			}
-			u = stats.Max2JacInto(u, v, &steps[k])
+			u = stats.Max2StepInto(u, v, &steps[k])
 		}
 	} else {
 		for k, f := range fanin[1:] {
@@ -114,12 +125,12 @@ func forwardGate[I sweepIndex](arr, gd []stats.MV, at I, fanin []I, off []float6
 
 // foldOutputs returns the circuit delay: the stochastic max over the
 // primary outputs outs (paper eq 18a), folded in the fixed output
-// order. A non-nil fold receives the len(outs)-1 max Jacobians.
-func foldOutputs[I sweepIndex](arr []stats.MV, outs []I, fold []stats.Jac2x4) stats.MV {
+// order. A non-nil fold receives the len(outs)-1 max steps.
+func foldOutputs[I sweepIndex](arr []stats.MV, outs []I, fold []stats.Step) stats.MV {
 	tmax := arr[outs[0]]
 	if fold != nil {
 		for i, o := range outs[1:] {
-			tmax = stats.Max2JacInto(tmax, arr[o], &fold[i])
+			tmax = stats.Max2StepInto(tmax, arr[o], &fold[i])
 		}
 	} else {
 		for _, o := range outs[1:] {
@@ -160,16 +171,17 @@ func forwardInto(done <-chan struct{}, r *Result, m *delay.Model, S []float64, w
 		t0 = time.Now()
 	}
 	g := m.G
+	sig := delay.ResolveSigma(m.Sigma)
 	for _, bucket := range g.Levels {
 		if cancelled(done) {
 			return false
 		}
 		for _, id := range bucket {
-			forwardNode(r, m, S, id, withTape)
+			forwardNode(r, m, &sig, S, id, withTape)
 		}
 	}
 	if outs := g.C.Outputs; withTape && len(outs) > 1 {
-		r.outFold = make([]stats.Jac2x4, len(outs)-1)
+		r.outFold = make([]stats.Step, len(outs)-1)
 	}
 	r.Tmax = foldOutputs(r.Arrival, g.C.Outputs, r.outFold)
 	if rec != nil {
@@ -197,7 +209,7 @@ func AnalyzeCtx(ctx context.Context, m *delay.Model, S []float64, withTape bool,
 		withTape:  withTape,
 	}
 	if withTape {
-		r.gateFold = make([][]stats.Jac2x4, n)
+		r.gateFold = make([][]stats.Step, n)
 	}
 	if !forwardInto(ctx.Done(), r, m, S, withTape, opt.Recorder) {
 		return nil, ctx.Err()
@@ -217,25 +229,26 @@ func (r *Result) seedAdjoint(g *netlist.Graph, seedMu, seedVar float64, adjMu, a
 	outs := g.C.Outputs
 	aMu, aVar := seedMu, seedVar // adjoint of the fold accumulator
 	for i := len(outs) - 1; i >= 1; i-- {
-		j := r.outFold[i-1]
+		s := &r.outFold[i-1]
 		o := outs[i]
 		// Operand B of the step is output i.
-		adjMu[o] += aMu*j[0][2] + aVar*j[1][2]
-		adjVar[o] += aMu*j[0][3] + aVar*j[1][3]
+		adjMu[o] += aMu*s[1] + aVar*s[4]
+		adjVar[o] += aMu*s[2] + aVar*s.DVarB()
 		// Accumulator A feeds the previous step.
-		aMu, aVar = aMu*j[0][0]+aVar*j[1][0], aMu*j[0][1]+aVar*j[1][1]
+		aMu, aVar = aMu*s[0]+aVar*s[3], aMu*s[2]+aVar*s.DVarA()
 	}
 	adjMu[outs[0]] += aMu
 	adjVar[outs[0]] += aVar
 }
 
 // backwardNode pushes gate id's adjoint into its speed-factor gradient
-// and its fanins' adjoints, recording the gate's mean-delay adjoint in
-// dmu (the statistical criticality of the gate when the seed is
-// (1, 0)). All of id's own adjoint contributions must already be
-// final — guaranteed when levels are processed in decreasing order,
-// because every fanout sits at a strictly higher level.
-func (r *Result) backwardNode(m *delay.Model, S []float64, id netlist.NodeID, adjMu, adjVar, grad, dmu []float64) {
+// and its fanins' adjoints and, when dmu is non-nil, records the
+// gate's mean-delay adjoint there (the statistical criticality of the
+// gate when the seed is (1, 0)). sig is m.Sigma resolved for the
+// sweep. All of id's own adjoint contributions must already be final
+// — guaranteed when levels are processed in decreasing order, because
+// every fanout sits at a strictly higher level.
+func (r *Result) backwardNode(m *delay.Model, sig *delay.ResolvedSigma, S []float64, id netlist.NodeID, adjMu, adjVar, grad, dmu []float64) {
 	am, av := adjMu[id], adjVar[id]
 	if am == 0 && av == 0 {
 		return
@@ -244,20 +257,23 @@ func (r *Result) backwardNode(m *delay.Model, S []float64, id netlist.NodeID, ad
 	// Gate delay: var_t = Sigma.Var(mu_t), so the variance
 	// adjoint folds into the mean-delay adjoint...
 	muT := r.GateDelay[id].Mu
-	d := am + av*m.Sigma.DVar(muT)
-	dmu[id] = d
+	d := am + av*sig.DVar(muT)
+	if dmu != nil {
+		dmu[id] = d
+	}
 	m.GateMuGrad(id, S, d, grad)
 
-	// U side: unfold the fanin max in reverse.
+	// U side: unfold the fanin max in reverse; each step's two rebuilt
+	// entries are the sums its Jacobian form holds (stats.Step).
 	fanin := m.G.C.Nodes[id].Fanin
 	uMu, uVar := am, av
 	steps := r.gateFold[id]
 	for k := len(fanin) - 1; k >= 1; k-- {
-		j := steps[k-1]
+		s := &steps[k-1]
 		f := fanin[k]
-		adjMu[f] += uMu*j[0][2] + uVar*j[1][2]
-		adjVar[f] += uMu*j[0][3] + uVar*j[1][3]
-		uMu, uVar = uMu*j[0][0]+uVar*j[1][0], uMu*j[0][1]+uVar*j[1][1]
+		adjMu[f] += uMu*s[1] + uVar*s[4]
+		adjVar[f] += uMu*s[2] + uVar*s.DVarB()
+		uMu, uVar = uMu*s[0]+uVar*s[3], uMu*s[2]+uVar*s.DVarA()
 	}
 	adjMu[fanin[0]] += uMu
 	adjVar[fanin[0]] += uVar
@@ -273,29 +289,30 @@ func (r *Result) backwardNode(m *delay.Model, S []float64, id netlist.NodeID, ad
 // which the persistent engine's adjoint reproduces bit for
 // bit (see Hier).
 func (r *Result) Backward(m *delay.Model, S []float64, seedMu, seedVar float64) []float64 {
-	grad, _ := r.backward(m, S, seedMu, seedVar)
-	return grad
+	return r.backward(m, S, seedMu, seedVar, nil)
 }
 
-// backward is Backward that also returns each gate's mean-delay
-// adjoint (the statistical criticality under a (1, 0) seed).
-func (r *Result) backward(m *delay.Model, S []float64, seedMu, seedVar float64) (grad, dmu []float64) {
+// backward is Backward that, when dmu is non-nil, also records each
+// gate's mean-delay adjoint there (the statistical criticality under
+// a (1, 0) seed).
+func (r *Result) backward(m *delay.Model, S []float64, seedMu, seedVar float64, dmu []float64) []float64 {
 	if !r.withTape {
 		panic("ssta: adjoint sweep requires a taped Analyze")
 	}
 	g := m.G
 	n := len(g.C.Nodes)
+	sig := delay.ResolveSigma(m.Sigma)
 	// adjMu/adjVar accumulate d phi / d Arrival[id].{Mu, Var}.
 	adjMu, adjVar := make([]float64, n), make([]float64, n)
-	grad, dmu = make([]float64, n), make([]float64, n)
+	grad := make([]float64, n)
 	r.seedAdjoint(g, seedMu, seedVar, adjMu, adjVar)
 	// Level 0 holds only primary inputs, which have no gradient.
 	for l := len(g.Levels) - 1; l >= 1; l-- {
 		for _, id := range g.Levels[l] {
-			r.backwardNode(m, S, id, adjMu, adjVar, grad, dmu)
+			r.backwardNode(m, &sig, S, id, adjMu, adjVar, grad, dmu)
 		}
 	}
-	return grad, dmu
+	return grad
 }
 
 // checkRiskFactor rejects NaN and infinite risk factors at the API
@@ -363,7 +380,8 @@ func GradMuPlusKSigma(m *delay.Model, S []float64, k float64) (float64, []float6
 // the gate's mean-delay adjoint under the (d muTmax, d varTmax) =
 // (1, 0) seed, which the adjoint sweep records as a byproduct.
 func Criticality(m *delay.Model, S []float64) []float64 {
-	_, dmu := Analyze(m, S, true).backward(m, S, 1, 0)
+	dmu := make([]float64, len(S))
+	Analyze(m, S, true).backward(m, S, 1, 0, dmu)
 	return dmu
 }
 

@@ -149,8 +149,22 @@ func sameJac(x, y *Jac2x4) bool {
 	return true
 }
 
-// checkMax2Kernels compares Max2, Max2Jac, Max2JacInto and
-// Max2SigmaJac on the operand pair (a, b) with the frozen bodies.
+// sameStep reports whether the compact step s holds the frozen
+// Jacobian j bit for bit: each stored entry, and both sums the
+// adjoints rebuild (written out as the sweeps' DVarA/DVarB and as
+// the literal additions), so the tape's readers see j exactly.
+func sameStep(s *Step, j *Jac2x4) bool {
+	jac := s.Jac()
+	return sameFloat(s[0], j[0][0]) && sameFloat(s[1], j[0][2]) &&
+		sameFloat(s[2], j[0][1]) && sameFloat(s[2], j[0][3]) &&
+		sameFloat(s[3], j[1][0]) && sameFloat(s[4], j[1][2]) &&
+		sameFloat(s.DVarA(), j[1][1]) && sameFloat(s.DVarB(), j[1][3]) &&
+		sameFloat(s[0]+s[5], j[1][1]) && sameFloat(s[1]+s[5], j[1][3]) &&
+		sameJac(&jac, j)
+}
+
+// checkMax2Kernels compares Max2, Max2Jac, Max2JacInto, Max2StepInto
+// and Max2SigmaJac on the operand pair (a, b) with the frozen bodies.
 func checkMax2Kernels(t *testing.T, a, b MV) {
 	t.Helper()
 	want := frozenMax2(a, b)
@@ -165,6 +179,11 @@ func checkMax2Kernels(t *testing.T, a, b MV) {
 	j := Jac2x4{{7, 7, 7, 7}, {7, 7, 7, 7}}
 	if c := Max2JacInto(a, b, &j); !sameMV(c, wantC) || !sameJac(&j, &wantJ) {
 		t.Fatalf("Max2JacInto(%v, %v) = %v %v, want %v %v", a, b, c, j, wantC, wantJ)
+	}
+	// The compact step, over a stale slot as well.
+	st := Step{7, 7, 7, 7, 7, 7}
+	if c := Max2StepInto(a, b, &st); !sameMV(c, wantC) || !sameStep(&st, &wantJ) {
+		t.Fatalf("Max2StepInto(%v, %v) = %v %v, want %v %v", a, b, c, st, wantC, wantJ)
 	}
 	// The sigma form takes any four floats; reuse the pair's fields.
 	mu, sigma, sj := Max2SigmaJac(a.Mu, a.Var, b.Mu, b.Var)
@@ -262,6 +281,13 @@ func max2KernelEdges() [][2]MV {
 		}
 	}
 	nan, inf := math.NaN(), math.Inf(1)
+	// The degenerate selector with NaN in play: a NaN mean falls
+	// through both comparisons to the tie, a NaN variance clamps to 0.
+	for _, other := range []MV{{1, 0}, {nan, 0}, {-inf, 0}, {1, 1e-30}} {
+		add(MV{nan, 0}, other)
+		add(MV{1, nan}, other)
+		add(MV{nan, nan}, other)
+	}
 	specials := []float64{nan, inf, -inf, 0, 1, -1, math.MaxFloat64}
 	for _, mu := range specials {
 		for _, v := range specials {
@@ -290,9 +316,9 @@ func randomMax2Pair(rng *rand.Rand) (MV, MV) {
 	return MV{Mu: base + alpha*math.Sqrt(va+vb), Var: va}, MV{Mu: base, Var: vb}
 }
 
-// TestMax2KernelsBitwise pins Max2, Max2Jac, Max2JacInto and
-// Max2SigmaJac to the frozen kernel bodies bit for bit on every edge
-// pair and on 10^6 random pairs.
+// TestMax2KernelsBitwise pins Max2, Max2Jac, Max2JacInto,
+// Max2StepInto and Max2SigmaJac to the frozen kernel bodies bit for
+// bit on every edge pair and on 10^6 random pairs.
 func TestMax2KernelsBitwise(t *testing.T) {
 	skipArchErfc(t)
 	for _, p := range max2KernelEdges() {

@@ -68,7 +68,7 @@ func Max2(a, b MV) MV {
 	if theta2 <= thetaEps*thetaEps {
 		// Degenerate: both operands are (numerically) deterministic.
 		// On an exact mean tie the larger residual variance wins —
-		// the same choice Max2JacInto makes, so taped and untaped sweeps
+		// the same choice Max2StepInto makes, so taped and untaped sweeps
 		// agree on every input.
 		switch {
 		case a.Mu > b.Mu:
@@ -121,10 +121,41 @@ func MaxN(ms []MV) MV {
 // (muA, varA, muB, varB), row-major: row 0 is d muC, row 1 is d varC.
 type Jac2x4 [2][4]float64
 
+// Step is the compact form of one Clark max Jacobian, the unit of
+// every sweep's adjoint tape: 48 bytes where Jac2x4 takes 64. Two of
+// the Jacobian's eight entries repeat (d muC/d varA and d muC/d varB
+// are both phi(alpha)/(2 theta)) and two share a term (d varC/d varA
+// and d varC/d varB are Phi(±alpha) plus the same phi-term), so six
+// values rebuild all eight:
+//
+//	s[0] = Phi(alpha)            = j[0][0]
+//	s[1] = Phi(-alpha)           = j[0][2]
+//	s[2] = phi(alpha)/(2 theta)  = j[0][1] = j[0][3]
+//	s[3] = d varC/d muA          = j[1][0]
+//	s[4] = d varC/d muB          = j[1][2]
+//	s[5] = the shared phi-term:  j[1][1] = s[0]+s[5], j[1][3] = s[1]+s[5]
+//
+// The two sums are the very additions Max2StepInto's Jacobian form
+// performs, so a rebuilt entry is bit for bit the Jac2x4 one.
+type Step [6]float64
+
+// DVarA returns d varC/d varA, j[1][1]: s[0] + s[5].
+func (s *Step) DVarA() float64 { return s[0] + s[5] }
+
+// DVarB returns d varC/d varB, j[1][3]: s[1] + s[5].
+func (s *Step) DVarB() float64 { return s[1] + s[5] }
+
+// Jac expands the step into the full Jacobian.
+func (s *Step) Jac() Jac2x4 {
+	return Jac2x4{
+		{s[0], s[2], s[1], s[2]},
+		{s[3], s.DVarA(), s[4], s.DVarB()},
+	}
+}
+
 // Max2Jac returns the moments of C = max(A, B) together with the exact
 // analytic Jacobian of (muC, varC) with respect to the four operand
-// moments. It is Max2JacInto with the Jacobian returned by value; the
-// sweeps that keep a tape call Max2JacInto and write each step in place.
+// moments. It is Max2JacInto with the Jacobian returned by value.
 func Max2Jac(a, b MV) (c MV, j Jac2x4) {
 	c = Max2JacInto(a, b, &j)
 	return c, j
@@ -132,31 +163,45 @@ func Max2Jac(a, b MV) (c MV, j Jac2x4) {
 
 // Max2JacInto returns the moments of C = max(A, B) and writes the exact
 // analytic Jacobian of (muC, varC) with respect to the four operand
-// moments through j, overwriting all eight entries. The closed forms
-// follow by differentiating Clark's formulas; each entry is written in
-// a shift-invariant arrangement (differences of means rather than raw
-// means) for numerical stability. At the degenerate point theta -> 0
-// the operator becomes the deterministic max and the Jacobian its
-// (one-sided) selector; on an exact tie the derivative is split evenly
-// between the operands, the standard subgradient choice.
+// moments through j, overwriting all eight entries: Max2StepInto with
+// the step expanded.
 func Max2JacInto(a, b MV, j *Jac2x4) MV {
+	var s Step
+	c := Max2StepInto(a, b, &s)
+	*j = s.Jac()
+	return c
+}
+
+// Max2StepInto returns the moments of C = max(A, B) and writes the
+// exact analytic Jacobian of (muC, varC) with respect to the four
+// operand moments through s in compact form (see Step), overwriting
+// all six entries; the taped sweeps call it once per max, in place on
+// their tape. The closed forms follow by differentiating Clark's
+// formulas; each entry is written in a shift-invariant arrangement
+// (differences of means rather than raw means) for numerical
+// stability. At the degenerate point theta -> 0 the operator becomes
+// the deterministic max and the Jacobian its (one-sided) selector; on
+// an exact tie the derivative is split evenly between the operands,
+// the standard subgradient choice.
+func Max2StepInto(a, b MV, s *Step) MV {
 	// Same entry clamp as Max2, so taped and untaped sweeps keep
 	// agreeing on every input including invalid ones.
 	a.Var = nnegVar(a.Var)
 	b.Var = nnegVar(b.Var)
 	theta2 := a.Var + b.Var
 	if theta2 <= thetaEps*thetaEps {
-		*j = Jac2x4{}
+		// The selector: s[5] = 0, so d varC/d varA and d varC/d varB
+		// equal d muC/d muA and d muC/d muB.
+		*s = Step{}
 		switch {
 		case a.Mu > b.Mu:
-			j[0][0], j[1][1] = 1, 1
+			s[0] = 1
 			return MV{a.Mu, a.Var}
 		case b.Mu > a.Mu:
-			j[0][2], j[1][3] = 1, 1
+			s[1] = 1
 			return MV{b.Mu, b.Var}
 		default:
-			j[0][0], j[0][2] = 0.5, 0.5
-			j[1][1], j[1][3] = 0.5, 0.5
+			s[0], s[1] = 0.5, 0.5
 			return MV{a.Mu, math.Max(a.Var, b.Var)}
 		}
 	}
@@ -187,10 +232,9 @@ func Max2JacInto(a, b MV, j *Jac2x4) MV {
 	if !(pdfOverTheta >= 0x1p-1021) {
 		pdfOver2Theta = pdf / (2 * theta)
 	}
-	j[0][0] = cdfP
-	j[0][1] = pdfOver2Theta
-	j[0][2] = cdfN
-	j[0][3] = pdfOver2Theta
+	s[0] = cdfP
+	s[1] = cdfN
+	s[2] = pdfOver2Theta
 
 	// d varC, shift-invariant forms (da = muA - muC, db = muB - muC):
 	//   d/dmuA = 2 Phi(alpha) da + 2 varA phi(alpha)/theta
@@ -199,11 +243,9 @@ func Max2JacInto(a, b MV, j *Jac2x4) MV {
 	//   d/dvarB = Phi(-alpha) + the same phi-term.
 	da := am - muS
 	db := bm - muS
-	j[1][0] = 2*cdfP*da + 2*a.Var*pdfOverTheta
-	j[1][2] = 2*cdfN*db + 2*b.Var*pdfOverTheta
-	varTerm := pdf * (theta*(da+db) - alpha*(a.Var-b.Var)) / (2 * theta2)
-	j[1][1] = cdfP + varTerm
-	j[1][3] = cdfN + varTerm
+	s[3] = 2*cdfP*da + 2*a.Var*pdfOverTheta
+	s[4] = 2*cdfN*db + 2*b.Var*pdfOverTheta
+	s[5] = pdf * (theta*(da+db) - alpha*(a.Var-b.Var)) / (2 * theta2)
 	return MV{Mu: muS + shift, Var: v}
 }
 
