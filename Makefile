@@ -80,7 +80,11 @@ bench-batch:
 # gen100k preset): one full forward+adjoint evaluation each, and the
 # warm single-gate sizing step where the engine re-evaluates only the
 # dirty cone. Both paths are serial; the W1 suffixes are kept from the
-# former worker-count series so the ledger rows stay comparable.
+# former worker-count series so the ledger rows stay comparable. The
+# engine's adjoint pass alone (HierAdjoint: sweep order, as the greedy
+# sizer reads it; HierBackward: with the NodeID translation) and one
+# warm greedy sizing step (GreedyStep, internal/sizing) are ledgered
+# next to them.
 # HierFullSpeedup sets the engine's full evaluation against the flat
 # one. The suite runs in 3 rounds, each one `go test -count 1`
 # process, so a round's flat and engine benchmarks run back to back.
@@ -95,15 +99,15 @@ bench-batch:
 # when a round fails (pipefail keeps go test's exit status through
 # tee), when the median HierStepSpeedup is below 3 (the warm step must
 # be at least 3x faster than the flat full resweep) or when a warm
-# engine row (BenchmarkHier*) reports allocs/op above 0; the ledger is
-# still written and printed first.
+# engine row (BenchmarkHier*, BenchmarkGreedy*) reports allocs/op
+# above 0; the ledger is still written and printed first.
 bench-hier: SHELL := /bin/bash
 bench-hier:
 	mkdir -p .bench_build && rm -f .bench_build/bench-hier.txt
 	set -o pipefail; for r in 1 2 3; do \
 		echo "round $$r" >> .bench_build/bench-hier.txt; \
 		$(GO) test -run NONE -bench 'Gen100k' -benchmem -count 1 -timeout 30m \
-			./internal/ssta/ | tee -a .bench_build/bench-hier.txt || exit 1; \
+			./internal/ssta/ ./internal/sizing/ | tee -a .bench_build/bench-hier.txt || exit 1; \
 	done
 	awk 'function emit(name) { \
 			printf "%s  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", \
@@ -125,11 +129,11 @@ bench-hier:
 			return med } \
 		BEGIN { print "["; n = 0; m = 0; r = 0; bad = "" } \
 		/^round / { r = $$2 } \
-		/^Benchmark(Flat|Hier)(Grad|Step)Gen100k/ { \
+		/^Benchmark((Flat|Hier)(Grad|Step)|Hier(Adjoint|Backward)|GreedyStep)Gen100k/ { \
 			name = $$1; sub(/-[0-9]+$$/, "", name); \
 			rns[r, name] = $$3; \
 			for (i = 4; i <= NF; i++) \
-				if ($$i == "allocs/op" && name ~ /^BenchmarkHier/ && $$(i-1) + 0 > 0) \
+				if ($$i == "allocs/op" && name ~ /^Benchmark(Hier|Greedy)/ && $$(i-1) + 0 > 0) \
 					bad = bad sprintf("bench-hier: round %d %s reports %s allocs/op, want 0\n", r, name, $$(i-1)); \
 			if (!(name in ns)) order[n++] = name; \
 			else if ($$3 + 0 >= ns[name] + 0) next; \

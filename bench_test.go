@@ -101,6 +101,20 @@ func BenchmarkStochMax2Jac(b *testing.B) {
 	}
 }
 
+var sinkStep stats.Step
+
+// BenchmarkStochMax2StepInto times the kernel the taped sweeps run:
+// one Clark max writing its compact 48-byte tape step in place, on
+// BenchmarkStochMax2Jac's operands, without the expansion into a
+// Jac2x4 that Max2Jac adds.
+func BenchmarkStochMax2StepInto(b *testing.B) {
+	a := stats.MV{Mu: 5, Var: 1.2}
+	c := stats.MV{Mu: 5.5, Var: 0.8}
+	for i := 0; i < b.N; i++ {
+		sinkMV = stats.Max2StepInto(a, c, &sinkStep)
+	}
+}
+
 // max2MixShares is the share of Clark maxes whose |α|/√2 falls in each
 // branch of the erfc core — [0, 0.84375), [0.84375, 1.25),
 // [1.25, 1/0.35), [1/0.35, 6), [6, 28) — measured over a table1 pass,

@@ -47,6 +47,9 @@ func ReadCKT(r io.Reader) (*Circuit, error) {
 	var toks [][]byte
 	lineNo := 0
 	read := 0 // bytes scanned so far, up to the end of the current line
+	// Input lines and their nodes, kept apart for growNodes: a dense
+	// input block would skew the bytes per gate it estimates from.
+	inRead, inNodes := 0, 0
 	for sc.Scan() {
 		lineNo++
 		line := sc.Bytes()
@@ -68,11 +71,13 @@ func ReadCKT(r io.Reader) (*Circuit, error) {
 			if len(toks) < 2 {
 				return nil, fmt.Errorf("ckt line %d: input needs names", lineNo)
 			}
+			inRead += len(line) + 1
 			for _, n := range toks[1:] {
-				c.growNodes(read, total)
+				c.growNodes(read, total, inRead, inNodes)
 				if _, err := c.add(Node{Name: names.copy(n), Kind: KindInput}); err != nil {
 					return nil, fmt.Errorf("ckt line %d: %w", lineNo, err)
 				}
+				inNodes++
 			}
 		case "gate":
 			if len(toks) < 4 {
@@ -91,7 +96,7 @@ func ReadCKT(r io.Reader) (*Circuit, error) {
 				}
 				ids[i] = id
 			}
-			c.growNodes(read, total)
+			c.growNodes(read, total, inRead, inNodes)
 			if _, err := c.add(Node{Name: names.copy(toks[1]), Kind: KindGate, Type: typ, Fanin: ids}); err != nil {
 				return nil, fmt.Errorf("ckt line %d: %w", lineNo, err)
 			}
@@ -142,21 +147,29 @@ func ReadCKT(r io.Reader) (*Circuit, error) {
 const bytesPerNode = 30
 
 // growNodes makes room for one more node when Nodes is full and the
-// reader's length total is known: it re-estimates the node count as
-// the nodes held over the read bytes, scaled to total, plus a
-// sixteenth, so a netlist denser than bytesPerNode (gen1200, k2 and
-// the 10k-gate session netlists among the generated ones) is sized
-// once more instead of doubled and copied back to size. The new
-// capacity is at most double the old,
-// which is what add's doubling would have reserved, so the
-// reservation bound of bytesPerNode still holds; a later overflow
-// re-estimates again. Without a known length add doubles.
-func (c *Circuit) growNodes(read, total int) {
+// reader's length total is known. It re-estimates the node count as
+// the nodes held plus the unread bytes at the bytes per gate read so
+// far, plus a sixteenth: the input lines (inRead of the read bytes,
+// holding inNodes nodes) are left out of that density, since a dense
+// input block at the top of the text (apex2's 39 inputs take about 4
+// bytes each, its gates 22) would inflate it. Before any gate line has
+// been read it falls back to the bytes per node of everything read.
+// So a netlist denser than bytesPerNode (apex2, gen1200, k2 and the
+// 10k-gate session netlists among the generated ones) is sized once
+// more instead of doubled and copied back to size. The new capacity
+// is at most double the old, which is what add's doubling would have
+// reserved, so the reservation bound of bytesPerNode still holds; a
+// later overflow re-estimates again. Without a known length add
+// doubles.
+func (c *Circuit) growNodes(read, total, inRead, inNodes int) {
 	n := len(c.Nodes)
 	if n < cap(c.Nodes) || total <= 0 || read <= 0 {
 		return
 	}
 	est := int(int64(n) * int64(total) / int64(read))
+	if gates, gateRead := n-inNodes, read-inRead; gates > 0 && gateRead > 0 {
+		est = n + int(int64(gates)*int64(max(total-read, 0))/int64(gateRead))
+	}
 	want := min(max(est+est/16, n+1), 2*n+1)
 	c.Nodes = append(make([]Node, 0, want), c.Nodes...)
 }

@@ -166,7 +166,8 @@ func TestArenaListsDoNotAlias(t *testing.T) {
 // Nodes is re-sized once from the bytes per node read so far, so it
 // is allocated twice, not three times, and the circuit keeps at most
 // an eighth of it unused (218 bytes per node when the pin was last
-// tightened, 323 before the re-estimate). Generate, which sizes Nodes
+// tightened, 323 before the re-estimate). apex2 text, whose input
+// block is denser than its gate lines, stays under apex2BytesPerNode. Generate, which sizes Nodes
 // and the index once and adds nodes by id, stays under
 // genBytesPerNode (156 when last tightened) and genAllocs (1,015
 // allocations, the level and cone lists), and AddGate from names,
@@ -202,6 +203,26 @@ func TestIngestAllocs(t *testing.T) {
 		const readBytesPerNode = 240
 		if b := (bytesPerRun(10, read) - indexBytes(c, len(text)/bytesPerNode)) / nodes; b > readBytesPerNode {
 			t.Errorf("ReadCKT: %.1f bytes per node beyond the name index, want at most %d", b, readBytesPerNode)
+		}
+
+		// apex2's 39 inputs take about 4 bytes of text each and its
+		// gates 22, so an estimate from all bytes read overshoots the
+		// doubling cap at the first overflow and Nodes was allocated
+		// three times (652 bytes per node); from the gate lines alone
+		// it is re-sized once and kept (569).
+		const apex2BytesPerNode = 600
+		apex2 := cktBytes(t, Apex2Like())
+		ac, err := ReadCKT(bytes.NewReader(apex2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		readApex2 := func() {
+			if _, err := ReadCKT(bytes.NewReader(apex2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if b := (bytesPerRun(10, readApex2) - indexBytes(ac, len(apex2)/bytesPerNode)) / float64(len(ac.Nodes)); b > apex2BytesPerNode {
+			t.Errorf("ReadCKT(apex2): %.1f bytes per node beyond the name index, want at most %d", b, apex2BytesPerNode)
 		}
 
 		const genBytesPerNode = 175

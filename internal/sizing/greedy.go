@@ -139,6 +139,96 @@ func cancelled(done <-chan struct{}) bool {
 	}
 }
 
+// greedyRun is one greedy sizing run: the persistent engine, which
+// holds the run's speed factors, and its sweep-order views, which the
+// pick scans.
+type greedyRun struct {
+	m     *delay.Model
+	opt   *GreedyOptions
+	inc   *ssta.Hier
+	order []int32   // NodeID at each sweep position
+	gate0 int       // first gate position
+	sp    []float64 // speed factors by sweep position
+	stack *telemetry.Stack
+}
+
+// newGreedyRun starts a run at unit sizes.
+func newGreedyRun(m *delay.Model, opt *GreedyOptions, stack *telemetry.Stack) *greedyRun {
+	r := &greedyRun{m: m, opt: opt, stack: stack}
+	r.inc = ssta.NewHier(m, m.UnitSizes(), ssta.HierOptions{Recorder: opt.Recorder})
+	r.order, r.gate0 = r.inc.SweepOrder()
+	r.sp = r.inc.SweepSizes()
+	return r
+}
+
+// step runs sensitivity step i: the quantile and its gradient, then,
+// while the quantile misses the deadline, a bump of the gate with the
+// best score. It returns the bumped gate, or -1 when the run is over:
+// met reports whether the quantile met the deadline, and is false when
+// no gate with headroom has a negative sensitivity, so no bump can
+// lower the quantile (every gate at the limit included).
+func (r *greedyRun) step(i int) (bumped netlist.NodeID, met bool) {
+	r.stack.PopTo(1) // close the previous step's scope
+	r.stack.Push("greedy.step")
+	r.stack.Push("greedy.grad")
+	phi, grad := r.inc.SweepGradMuPlusKSigma(r.opt.K)
+	r.stack.Pop()
+	if rec := r.opt.Recorder; rec != nil {
+		rec.Event("greedy", "step",
+			telemetry.I("step", i),
+			telemetry.F("phi", phi),
+		)
+	}
+	if phi <= r.opt.Deadline {
+		return -1, true
+	}
+	p := r.pick(grad)
+	if p < 0 {
+		return -1, false
+	}
+	id := netlist.NodeID(r.order[p])
+	s := r.sp[p] * r.opt.Step
+	if s > r.m.Limit {
+		s = r.m.Limit
+	}
+	r.inc.SetSize(id, s)
+	return id, false
+}
+
+// pick returns the sweep position of the gate with the best quantile
+// gain per unit of (weighted) area among those with headroom, or -1
+// when no such gate has a negative score. A relative bump
+// dS = S*(Step-1) changes the quantile by about grad*S*(Step-1) and
+// costs w*S*(Step-1) of weighted area, so the per-unit-area score is
+// grad/w, which reduces to the raw gradient only when the weights are
+// uniform. The scan runs in sweep order over the positional gradient
+// and sizes; equal scores go to the lowest NodeID, the gate a scan in
+// NodeID order picks first.
+func (r *greedyRun) pick(grad []float64) int {
+	order, sp, wts := r.order, r.sp, r.opt.Weights
+	lim := r.m.Limit - 1e-12
+	best := -1
+	var bestScore float64
+	for p := r.gate0; p < len(grad); p++ {
+		if sp[p] >= lim {
+			continue
+		}
+		score := grad[p] // d phi / d S; negative helps
+		if wts != nil {
+			w := wts[order[p]]
+			if w < weightFloor {
+				w = weightFloor
+			}
+			score /= w
+		}
+		if score < bestScore || score == bestScore && best >= 0 && order[p] < order[best] {
+			bestScore = score
+			best = p
+		}
+	}
+	return best
+}
+
 // SizeGreedyCtx runs the sensitivity heuristic under a cancellation
 // context. Cancellation is polled once per sensitivity step: a
 // cancelled run stops bumping gates but still clamps and analyzes the
@@ -152,13 +242,11 @@ func SizeGreedyCtx(ctx context.Context, m *delay.Model, opt GreedyOptions) (*Gre
 	if err := opt.validate(m); err != nil {
 		return nil, err
 	}
-	gates := m.G.C.GateIDs()
 	if opt.MaxSteps == 0 {
-		opt.MaxSteps = 200 * len(gates)
+		opt.MaxSteps = 200 * m.G.C.NumGates()
 	}
 
 	done := ctx.Done()
-	S := m.UnitSizes()
 	res := &GreedyResult{}
 	rec := opt.Recorder
 	stack := telemetry.NewStack(rec)
@@ -168,62 +256,15 @@ func SizeGreedyCtx(ctx context.Context, m *delay.Model, opt GreedyOptions) (*Gre
 	// the changed cone, and the adjoint pass reuses the refreshed tape
 	// slabs — per-step allocations are zero instead of a fresh O(V)
 	// slab set per sweep.
-	inc := ssta.NewHier(m, S, ssta.HierOptions{Recorder: rec})
+	run := newGreedyRun(m, &opt, stack)
 	for ; res.Steps < opt.MaxSteps; res.Steps++ {
 		if cancelled(done) {
 			break
 		}
-		stack.PopTo(1) // close the previous step's scope
-		stack.Push("greedy.step")
-		stack.Push("greedy.grad")
-		phi, grad := inc.GradMuPlusKSigma(opt.K)
-		stack.Pop()
-		if rec != nil {
-			rec.Event("greedy", "step",
-				telemetry.I("step", res.Steps),
-				telemetry.F("phi", phi),
-			)
-		}
-		if phi <= opt.Deadline {
-			res.Met = true
+		if id, met := run.step(res.Steps); id < 0 {
+			res.Met = met
 			break
 		}
-		// Pick the gate with the best quantile gain per unit of
-		// (weighted) area among those with headroom. A relative bump
-		// dS = S*(Step-1) changes the quantile by about grad*S*(Step-1)
-		// and costs w*S*(Step-1) of weighted area, so the
-		// per-unit-area score is grad/w — which reduces to the raw
-		// gradient only when the weights are uniform.
-		best := -1
-		var bestScore float64
-		for _, id := range gates {
-			if S[id] >= m.Limit-1e-12 {
-				continue
-			}
-			score := grad[id] // d phi / d S; negative helps
-			if opt.Weights != nil {
-				w := opt.Weights[id]
-				if w < weightFloor {
-					w = weightFloor
-				}
-				score /= w
-			}
-			if score < bestScore {
-				bestScore = score
-				best = int(id)
-			}
-		}
-		if best < 0 {
-			// No gate with headroom has a negative sensitivity: no
-			// bump can lower the quantile (every gate at the limit
-			// included).
-			break
-		}
-		S[best] *= opt.Step
-		if S[best] > m.Limit {
-			S[best] = m.Limit
-		}
-		inc.SetSize(netlist.NodeID(best), S[best])
 	}
 	stack.PopTo(1)
 	stack.Push("greedy.finalize")
@@ -231,12 +272,12 @@ func SizeGreedyCtx(ctx context.Context, m *delay.Model, opt GreedyOptions) (*Gre
 	// a bump multiplies by Step > 1 and is capped at Limit >= 1. The
 	// report is the warm engine's flushed moments, bit-identical to a
 	// fresh Analyze at S.
-	tmax := inc.Update()
+	tmax := run.inc.Update()
 	stack.PopTo(0)
-	res.S = S
+	res.S = append([]float64(nil), run.inc.Sizes()...)
 	res.MuTmax = tmax.Mu
 	res.SigmaTmax = tmax.Sigma()
-	res.SumS = m.SumSizes(S)
+	res.SumS = m.SumSizes(res.S)
 	res.Met = res.Met || res.MuTmax+opt.K*res.SigmaTmax <= opt.Deadline
 	if rec != nil {
 		met := 0.0

@@ -2,6 +2,10 @@ package sizing
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/delay"
@@ -107,45 +111,166 @@ func TestGreedyFromSpecThreadsWeights(t *testing.T) {
 	}
 }
 
-// TestGreedyStepAllocFree replicates one greedy sensitivity step — the
-// incremental gradient, the rank scan, the bump, SetSize — and asserts
-// the warm steady state allocates nothing per step.
+// TestGreedyStepAllocFree drives the sizer's own sensitivity step —
+// the positional gradient, the rank scan, the bump, SetSize — and
+// asserts the warm steady state allocates nothing per step.
 func TestGreedyStepAllocFree(t *testing.T) {
 	m := genModel(t, 300)
-	gates := m.G.C.GateIDs()
-	inc := ssta.NewHier(m, m.UnitSizes(), ssta.HierOptions{Workers: 1})
+	opt := GreedyOptions{K: 3, Deadline: 0.01, Step: 1.05}
+	run := newGreedyRun(m, &opt, nil)
+	i := 0
 	doStep := func() {
-		_, grad := inc.GradMuPlusKSigma(3)
-		S := inc.Sizes()
-		best := -1
-		var bestScore float64
-		for _, id := range gates {
-			if S[id] >= m.Limit-1e-12 {
-				continue
-			}
-			if grad[id] < bestScore {
-				bestScore = grad[id]
-				best = int(id)
-			}
-		}
-		if best < 0 {
-			return
-		}
-		s := S[best] * 1.05
-		if s > m.Limit {
-			s = m.Limit
-		}
-		inc.SetSize(netlist.NodeID(best), s)
+		run.step(i)
+		i++
 	}
 	// Warm well past the transient: the per-level dirty buckets and the
 	// undo-free slabs stop growing once the engine has seen the widest
 	// cones the trajectory visits.
-	for i := 0; i < 400; i++ {
+	for i < 400 {
 		doStep()
 	}
 	allocs := testing.AllocsPerRun(100, doStep)
 	if allocs != 0 {
 		t.Fatalf("greedy step allocates %.2f per step in steady state, want 0", allocs)
+	}
+}
+
+// gen1200Model is the 1200-gate generated netlist internal/ssta's
+// tests call gen1200.
+func gen1200Model(t testing.TB) *delay.Model {
+	t.Helper()
+	c, err := netlist.Generate(netlist.GenSpec{
+		Name: "par1200", Gates: 1200, Inputs: 48, Outputs: 12,
+		Depth: 18, MaxFanin: 4, Seed: 1234,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return delay.MustBind(netlist.MustCompile(c), delay.Default())
+}
+
+// TestGreedyChoicesPinned pins the gates a 300-step greedy run on
+// gen1200 bumps, unweighted and with power weights: an FNV-1a hash of
+// the chosen NodeIDs (little-endian uint32 each) and the bits of the
+// final SumS, recorded from the NodeID-order scan the positional pick
+// replaced. The deadline is out of reach, so every step bumps a gate;
+// the driven steps and SizeGreedy must end at the same sizes.
+func TestGreedyChoicesPinned(t *testing.T) {
+	m := gen1200Model(t)
+	pw, err := power.Weights(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		w          []float64
+		hash, sumS uint64
+	}{
+		{"unweighted", nil, 0xcda1fee68b9e7281, 0x4093026592c98bfd},
+		{"power", pw, 0xbd9dee466183488a, 0x40931ae6a4434ef4},
+	} {
+		opt := GreedyOptions{K: 3, Deadline: 0.01, Step: 1.05, MaxSteps: 300, Weights: tc.w}
+		run := newGreedyRun(m, &opt, nil)
+		h := fnv.New64a()
+		var buf [4]byte
+		for i := 0; i < opt.MaxSteps; i++ {
+			id, _ := run.step(i)
+			if id < 0 {
+				t.Fatalf("%s: step %d bumped nothing", tc.name, i)
+			}
+			binary.LittleEndian.PutUint32(buf[:], uint32(id))
+			h.Write(buf[:])
+		}
+		res, err := SizeGreedy(m, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, s := range run.inc.Sizes() {
+			if math.Float64bits(res.S[id]) != math.Float64bits(s) {
+				t.Fatalf("%s: SizeGreedy S[%d] = %v, driven steps %v", tc.name, id, res.S[id], s)
+			}
+		}
+		if got := h.Sum64(); got != tc.hash {
+			t.Errorf("%s: chosen-gate hash %#x, want %#x", tc.name, got, tc.hash)
+		}
+		if got := math.Float64bits(res.SumS); got != tc.sumS {
+			t.Errorf("%s: SumS bits %#x (%v), want %#x", tc.name, got, res.SumS, tc.sumS)
+		}
+	}
+}
+
+// twinChainsModel builds two inverter chains whose tail gates tie
+// exactly: chain h (declared first) is b -> h0 -> h1 -> h2 and chain g
+// is a -> g0 -> g1, and input a arrives exactly when h0's output does,
+// so g0 and g1 repeat h1's and h2's float program operand for operand.
+// The twins sit a level apart, so sweep position order and NodeID
+// order disagree on each pair: g0 and g1 precede h1 and h2 in the
+// sweep but follow them in NodeID order.
+func twinChainsModel(t *testing.T) *delay.Model {
+	t.Helper()
+	c := netlist.New("twins")
+	for _, in := range []string{"a", "b"} {
+		if _, err := c.AddInput(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, g := range [][2]string{{"h0", "b"}, {"h1", "h0"}, {"h2", "h1"}, {"g0", "a"}, {"g1", "g0"}} {
+		if _, err := c.AddGate(g[0], "inv", g[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, o := range []string{"h2", "g1"} {
+		if err := c.MarkOutput(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := delay.MustBind(netlist.MustCompile(c), delay.Default())
+	a, _ := c.Lookup("a")
+	h0, _ := c.Lookup("h0")
+	m.Arrival[a] = ssta.Analyze(m, m.UnitSizes(), false).Arrival[h0]
+	return m
+}
+
+// TestGreedyTieGoesToLowestNodeID pins the pick's tie-break where
+// sweep position order and NodeID order disagree: h2 and g1 score
+// exactly the same (asserted), and the weights price every other gate
+// out, so the first bump must go to h2, the lower NodeID, although g1
+// comes first in the sweep.
+func TestGreedyTieGoesToLowestNodeID(t *testing.T) {
+	m := twinChainsModel(t)
+	id := func(name string) netlist.NodeID {
+		n, ok := m.G.C.Lookup(name)
+		if !ok {
+			t.Fatalf("no node %q", name)
+		}
+		return n
+	}
+	h2, g1 := id("h2"), id("g1")
+	h := ssta.NewHier(m, m.UnitSizes(), ssta.HierOptions{})
+	order, _ := h.SweepOrder()
+	pos := func(n netlist.NodeID) int { return slices.Index(order, int32(n)) }
+	if !(h2 < g1 && pos(g1) < pos(h2)) {
+		t.Fatalf("fixture: h2 (id %d, position %d) and g1 (id %d, position %d) do not disagree", h2, pos(h2), g1, pos(g1))
+	}
+	_, grad := h.GradMuPlusKSigma(0)
+	if grad[h2] >= 0 || math.Float64bits(grad[h2]) != math.Float64bits(grad[g1]) {
+		t.Fatalf("fixture: grad[h2] = %v and grad[g1] = %v, want one negative tie", grad[h2], grad[g1])
+	}
+	w := make([]float64, len(m.G.C.Nodes))
+	for i := range w {
+		w[i] = 1e9
+	}
+	w[h2], w[g1] = 1, 1
+	opt := GreedyOptions{K: 0, Deadline: 0.01, Step: 1.05, MaxSteps: 1, Weights: w}
+	if got, _ := newGreedyRun(m, &opt, nil).step(0); got != h2 {
+		t.Fatalf("step bumped node %d, want h2 (%d)", got, h2)
+	}
+	res, err := SizeGreedy(m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.S[h2] != 1.05 || res.S[g1] != 1 {
+		t.Fatalf("SizeGreedy sizes h2 %v, g1 %v; want 1.05 and 1", res.S[h2], res.S[g1])
 	}
 }
 

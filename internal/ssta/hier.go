@@ -49,23 +49,26 @@ import (
 // recompute.
 //
 // Every pass is serial. The full forward pass is the levelized sweep
-// and the adjoint the flat recursion over an interleaved slab, in the
-// flat sweeps' own node order, so the gradient is the same float
-// program as Result.Backward. Parallel passes measured slower than
+// and the adjoint the flat recursion over a slab of (mu, var) pairs,
+// in the flat sweeps' own node order, so the gradient is the same
+// float program as Result.Backward. Parallel passes measured slower than
 // these at every circuit size tried (EXPERIMENTS.md, "Serial
 // persistent engine"). The tape holds 48-byte stats.Step values,
 // whose two rebuilt Jacobian entries the adjoint recomputes with the
 // kernel's own additions, and the model's sigma is resolved once at
 // NewHier into a delay.ResolvedSigma whose Var and DVar inline, so
 // under the paper's Proportional model the loops call no interface
-// method. The adjoint records the per-gate
-// criticality only on Criticality's pass (EXPERIMENTS.md, "Compact
-// tape steps and a resolved σ-model").
+// method (EXPERIMENTS.md, "Compact tape steps and a resolved
+// σ-model"). The adjoint is one loop that clears no O(V) slab: it
+// zeroes each adjoint pair as it consumes it and assigns each gate's
+// first gradient term, and on Criticality's pass it stores the
+// per-gate criticality in the gradient slab instead (see backward;
+// EXPERIMENTS.md, "One lean sweep-order adjoint").
 //
 // Slab layout: the slabs a pass walks are indexed by schedule
 // position (sched.go), not by NodeID — arrivals, gate delays, speed
-// factors, cached loads, the adjoint, the criticality accumulator and
-// the trial stamps and undo log, next to the schedule's own
+// factors, cached loads, the adjoint, the gradient (or criticality)
+// and the trial stamps and undo log, next to the schedule's own
 // position-ordered pins and model parameters (TInt, CLoad, per-pin
 // offsets and C_in, input arrivals). A pass therefore reads its
 // slabs forward instead of jumping through NodeID space at every
@@ -74,15 +77,14 @@ import (
 // translates at the boundary: SetSize, Arrival and GateDelay through
 // the schedule's pos map in O(1), Sizes from a NodeID-ordered copy
 // of the speed factors kept in step with the positional one, and
-// Criticality by one pass over the schedule order. The gradient is
-// the exception: the adjoint adds its terms straight into the
-// NodeID-indexed slab Backward returns, because every sizing step
-// and every solver gradient reads it, and a per-pass translation
-// measured slower than those scattered adds (EXPERIMENTS.md,
-// "Sweep-order slabs"). Positions renumber nothing the flat sweeps
-// see: folds keep pin order, loads and gradient fan-outs keep
-// Graph.Fanout order and the adjoint keeps the flat level order, so
-// every float is added in the flat sweeps' order.
+// Backward, GradMuPlusKSigma and Criticality by one pass through the
+// pos map. Callers that scan every gate per pass read the positional
+// slabs directly (SweepGradMuPlusKSigma, SweepOrder, SweepSizes): the
+// greedy sizer picks its gate from them without the translation.
+// Positions renumber nothing the flat sweeps see: folds keep pin
+// order, loads and gradient fan-outs keep Graph.Fanout order and the
+// adjoint keeps the flat level order, so every float is added in the
+// flat sweeps' order.
 
 // HierOptions configures a persistent engine.
 type HierOptions struct {
@@ -156,12 +158,13 @@ type Hier struct {
 	// recompute.
 	load []float64
 
-	// adj is the interleaved adjoint slab: adj[2p] / adj[2p+1] hold
-	// position p's (mu, var) arrival adjoint, so a node's pair shares
-	// a cache line; dmu receives the criticality, on Criticality's
-	// pass only. grad, the gradient Backward returns, is indexed by
-	// NodeID (see the file comment).
-	adj, dmu, grad []float64
+	// adj is the adjoint slab: adj[p] holds position p's (mu, var)
+	// arrival adjoint as one pair, so a node's pair shares a cache
+	// line. gp receives each pass's result by position: the gradient,
+	// or the criticality on Criticality's pass. grad is the
+	// NodeID-indexed copy the NodeID API returns.
+	adj      []stats.MV
+	gp, grad []float64
 
 	// Dirty tracking: bit p of pend is set while the node at schedule
 	// position p awaits re-evaluation; [loW, hiW] spans the words that
@@ -219,8 +222,8 @@ func NewHier(m *delay.Model, S []float64, opt HierOptions) *Hier {
 		arr:     make([]stats.MV, n),
 		gd:      make([]stats.MV, n),
 		load:    make([]float64, n),
-		adj:     make([]float64, 2*n),
-		dmu:     make([]float64, n),
+		adj:     make([]stats.MV, n),
+		gp:      make([]float64, n),
 		grad:    make([]float64, n),
 		pend:    make([]uint64, (n+63)/64),
 		nodeGen: make([]uint32, n),
@@ -258,23 +261,6 @@ func (h *Hier) markDirty(p int) {
 	if w > h.hiW {
 		h.hiW = w
 	}
-}
-
-// nextDirty returns the lowest pending position at or after p, or -1.
-func (h *Hier) nextDirty(p int) int {
-	w := p >> 6
-	if w > h.hiW {
-		return -1
-	}
-	if word := h.pend[w] >> (p & 63); word != 0 {
-		return p + bits.TrailingZeros64(word)
-	}
-	for w++; w <= h.hiW; w++ {
-		if word := h.pend[w]; word != 0 {
-			return w<<6 | bits.TrailingZeros64(word)
-		}
-	}
-	return -1
 }
 
 // discardPending drops every pending dirty mark.
@@ -433,9 +419,15 @@ func (h *Hier) tape(p int) []stats.Step {
 // the load cache. Inputs are never dirty; resweep copies theirs.
 func (h *Hier) forward(p int) {
 	sc := &h.sc
+	a, b := sc.finOff[p], sc.finOff[p+1]
+	var steps []stats.Step
+	if k := int(b-a) - 1; k > 0 {
+		o := int(sc.tape[p])
+		steps = h.tapeArena[o : o+k : o+k]
+	}
 	mu := h.m.MuAt(sc.tint[p], h.load[p], h.sp[p])
 	t := stats.MV{Mu: mu, Var: h.sig.Var(mu)}
-	forwardGate(h.arr, h.gd, int32(p), sc.fanin(p), sc.pinOff(p), h.tape(p), t)
+	forwardGate(h.arr, h.gd, int32(p), sc.fin[a:b], sc.poff[a:b], steps, t)
 }
 
 // Update re-evaluates the dirty cone in schedule order and returns the
@@ -470,11 +462,30 @@ func (h *Hier) Update() stats.MV {
 // returns the re-evaluated and changed node counts. A changed node's
 // fanouts sit at higher levels, hence at higher positions, so the
 // bits it sets lie ahead of the scan and each node is evaluated at
-// most once, after all of its fanins. Bits are not cleared one by
-// one: nextDirty only looks ahead, and Update clears the span after.
+// most once, after all of its fanins. A mark ahead of the scan can
+// raise hiW but never lower loW, so the scan keeps the span's upper
+// end in a local and stores it once at the end. Bits are not cleared
+// one by one: the scan only looks ahead, and Update clears the span
+// after.
 func (h *Hier) updateCone() (dirtyN, frontierN int) {
-	arr := h.arr
-	for p := h.nextDirty(h.loW << 6); p >= 0; p = h.nextDirty(p + 1) {
+	arr, pend, fout, foutOff := h.arr, h.pend, h.sc.fout, h.sc.foutOff
+	hiW := h.hiW
+	for p := h.loW << 6; ; p++ {
+		// Advance p to the lowest pending position at or after it.
+		w := p >> 6
+		if w > hiW {
+			break
+		}
+		if word := pend[w] >> (p & 63); word != 0 {
+			p += bits.TrailingZeros64(word)
+		} else {
+			for w++; w <= hiW && pend[w] == 0; w++ {
+			}
+			if w > hiW {
+				break
+			}
+			p = w<<6 | bits.TrailingZeros64(pend[w])
+		}
 		if h.inTrial {
 			h.saveNode(p)
 		}
@@ -485,11 +496,15 @@ func (h *Hier) updateCone() (dirtyN, frontierN int) {
 			continue
 		}
 		frontierN++
-		a, b := h.sc.fanout(p)
-		for _, f := range h.sc.fout[a:b] {
-			h.markDirty(int(f))
+		for _, f := range fout[foutOff[p]:foutOff[p+1]] {
+			w := int(f) >> 6
+			pend[w] |= 1 << (f & 63)
+			if w > hiW {
+				hiW = w
+			}
 		}
 	}
+	h.hiW = hiW
 	return dirtyN, frontierN
 }
 
@@ -532,71 +547,105 @@ func (h *Hier) resweep() {
 }
 
 // seed unfolds the output max in reverse, exactly like the flat
-// sweep's seedAdjoint, into the outputs' interleaved adjoint slots —
-// the values the recursion starts from. The slab must be clear.
+// sweep's seedAdjoint, into the outputs' adjoint pairs — the values
+// the recursion starts from. The slab must be clear.
 func (h *Hier) seed(seedMu, seedVar float64) {
 	outs := h.sc.outs
 	aMu, aVar := seedMu, seedVar
 	for i := len(outs) - 1; i >= 1; i-- {
 		s := &h.outFold[i-1]
-		o := outs[i]
-		h.adj[2*o] += aMu*s[1] + aVar*s[4]
-		h.adj[2*o+1] += aMu*s[2] + aVar*s.DVarB()
+		a := &h.adj[outs[i]]
+		a.Mu += aMu*s[1] + aVar*s[4]
+		a.Var += aMu*s[2] + aVar*s.DVarB()
 		aMu, aVar = aMu*s[0]+aVar*s[3], aMu*s[2]+aVar*s.DVarA()
 	}
-	h.adj[2*outs[0]] += aMu
-	h.adj[2*outs[0]+1] += aVar
+	a := &h.adj[outs[0]]
+	a.Mu += aMu
+	a.Var += aVar
 }
 
 // backward flushes pending updates and runs one adjoint sweep into
-// the grad slab and, when dmu is non-nil, records each visited gate's
-// mean-delay adjoint there (Criticality passes h.dmu, cleared first):
-// the flat canonical recursion in place — levels descending, in-level
+// the positional slab gp: d phi/d S of the gate at each position or,
+// on a criticality pass (crit set, seed (1, 0)), each gate's
+// mean-delay adjoint, skipping the gradient arithmetic. It is the
+// flat canonical recursion in place — levels descending, in-level
 // nodes in bucket order, exactly the flat sweep's node order — so it
 // is the same float program as Result.Backward, bit-identical by
 // construction.
-func (h *Hier) backward(seedMu, seedVar float64, dmu []float64) {
+//
+// No pass clears a slab. Every gate position is visited once, after
+// all of its fanouts: the walk zeroes its adjoint pair as it reads it
+// and assigns its gp entry before any of its drivers, which sit at
+// lower levels, add their load terms there. The assignment is
+// self + 0, the sum the flat sweep forms on a cleared slot, so a -0
+// self still reads +0. Only the inputs' adjoint slots, which no walk
+// consumes, are cleared at the end, so the slab is all zero between
+// passes.
+func (h *Hier) backward(seedMu, seedVar float64, crit bool) {
 	h.Update()
-	clear(h.adj)
-	clear(h.grad)
 	h.seed(seedMu, seedVar)
 	sc := &h.sc
-	adj, grad := h.adj, h.grad
+	m, sig := h.m, h.sig
+	adj, gp, gd, load, sp, tape := h.adj, h.gp, h.gd, h.load, h.sp, h.tapeArena
+	fin, finOff, fout, foutOff, cin := sc.fin, sc.finOff, sc.fout, sc.foutOff, sc.pinCIn
 	// Levels descending, positions inside a level ascending: the flat
-	// adjoint's accumulation order (see schedule).
+	// adjoint's accumulation order (see schedule). Inside a level the
+	// fanin, fanout and tape offsets run forward with the position.
 	for l := len(sc.lvl) - 2; l >= 1; l-- {
-		for p := int(sc.lvl[l]); p < int(sc.lvl[l+1]); p++ {
-			am, av := adj[2*p], adj[2*p+1]
+		p, end := int(sc.lvl[l]), int(sc.lvl[l+1])
+		a, o, t := int(finOff[p]), int(foutOff[p]), int(sc.tape[p])
+		for ; p < end; p++ {
+			b, ob := int(finOff[p+1]), int(foutOff[p+1])
+			am, av := adj[p].Mu, adj[p].Var
+			adj[p] = stats.MV{}
 			if am == 0 && av == 0 {
-				continue
+				gp[p] = 0
+			} else {
+				// The body of Result.backwardNode over the positional
+				// slabs: the same float ops in the same order.
+				d := am + av*sig.DVar(gd[p].Mu)
+				if crit {
+					gp[p] = d
+				} else {
+					self, pin := m.MuGradAt(load[p], sp[p], d)
+					gp[p] = self + 0
+					c := cin[o:ob]
+					for i, f := range fout[o:ob] {
+						gp[f] += pin * c[i]
+					}
+				}
+				fanin := fin[a:b]
+				uMu, uVar := am, av
+				for k := len(fanin) - 1; k >= 1; k-- {
+					s := &tape[t+k-1]
+					f := &adj[fanin[k]]
+					f.Mu += uMu*s[1] + uVar*s[4]
+					f.Var += uMu*s[2] + uVar*s.DVarB()
+					uMu, uVar = uMu*s[0]+uVar*s[3], uMu*s[2]+uVar*s.DVarA()
+				}
+				f := &adj[fanin[0]]
+				f.Mu += uMu
+				f.Var += uVar
 			}
-			// The body of Result.backwardNode over the positional
-			// slabs: the same float ops in the same order.
-			d := am + av*h.sig.DVar(h.gd[p].Mu)
-			if dmu != nil {
-				dmu[p] = d
+			if b-a > 1 {
+				t += b - a - 1
 			}
-			self, pin := h.m.MuGradAt(h.load[p], h.sp[p], d)
-			grad[sc.order[p]] += self
-			a, b := sc.fanout(p)
-			cin := sc.pinCIn[a:b]
-			for i, f := range sc.foutID[a:b] {
-				grad[f] += pin * cin[i]
-			}
-			fanin := sc.fanin(p)
-			uMu, uVar := am, av
-			steps := h.tape(p)
-			for k := len(fanin) - 1; k >= 1; k-- {
-				s := &steps[k-1]
-				f := fanin[k]
-				adj[2*f] += uMu*s[1] + uVar*s[4]
-				adj[2*f+1] += uMu*s[2] + uVar*s.DVarB()
-				uMu, uVar = uMu*s[0]+uVar*s[3], uMu*s[2]+uVar*s.DVarA()
-			}
-			adj[2*fanin[0]] += uMu
-			adj[2*fanin[0]+1] += uVar
+			a, o = b, ob
 		}
 	}
+	clear(adj[:sc.nIn])
+}
+
+// byID translates the positional slab gp into the NodeID-indexed grad
+// slab the NodeID API returns, in one pass in NodeID order: it reads
+// gp, which the pass just wrote, through the pos map and writes grad
+// forward. No pass writes the inputs' gp entries, so theirs copy zero.
+func (h *Hier) byID() []float64 {
+	gp, grad := h.gp, h.grad
+	for id, p := range h.sc.pos {
+		grad[id] = gp[p]
+	}
+	return grad
 }
 
 // Backward flushes pending updates and runs the adjoint sweep with
@@ -605,8 +654,8 @@ func (h *Hier) backward(seedMu, seedVar float64, dmu []float64) {
 // — copy it to keep it. Bit-identical to Result.Backward;
 // allocation-free in the steady state.
 func (h *Hier) Backward(seedMu, seedVar float64) []float64 {
-	h.backward(seedMu, seedVar, nil)
-	return h.grad
+	h.backward(seedMu, seedVar, false)
+	return h.byID()
 }
 
 // GradMuPlusKSigma flushes pending updates and returns phi =
@@ -618,6 +667,27 @@ func (h *Hier) GradMuPlusKSigma(k float64) (float64, []float64) {
 	return phi, h.Backward(sMu, sVar)
 }
 
+// SweepGradMuPlusKSigma is GradMuPlusKSigma with the gradient left in
+// sweep order: grad[p] is d phi/d S of the node at position p (see
+// SweepOrder), the same floats GradMuPlusKSigma returns by NodeID,
+// without the translation pass. For callers that scan every gate per
+// pass, such as the greedy sizer's pick. The slice is engine-owned
+// scratch, overwritten by the next adjoint pass.
+func (h *Hier) SweepGradMuPlusKSigma(k float64) (float64, []float64) {
+	phi, sMu, sVar := ObjectiveMuPlusKSigma(h.Update(), k)
+	h.backward(sMu, sVar, false)
+	return phi, h.gp
+}
+
+// SweepOrder returns the NodeID at each sweep position and the first
+// gate position: positions [0, gate0) hold the primary inputs, whose
+// SweepGradMuPlusKSigma entries are zero. Read-only.
+func (h *Hier) SweepOrder() (order []int32, gate0 int) { return h.sc.order, h.sc.nIn }
+
+// SweepSizes returns the engine's current speed factors by sweep
+// position, a read-only view. Mutate through SetSize or SetSizes only.
+func (h *Hier) SweepSizes() []float64 { return h.sp }
+
 // Criticality flushes pending updates and returns each gate's
 // statistical criticality d muTmax / d mu_t, indexed by NodeID — the
 // adjoint sweep over the engine's warm tape under a (1, 0) seed,
@@ -627,15 +697,8 @@ func (h *Hier) GradMuPlusKSigma(k float64) (float64, []float64) {
 // by the next adjoint pass (Backward/GradMuPlusKSigma included) — copy
 // it to keep it.
 func (h *Hier) Criticality() []float64 {
-	clear(h.dmu)
-	h.backward(1, 0, h.dmu)
-	// The gradient slab is scratch until the next pass: the
-	// criticality goes there by NodeID, one pass over the schedule
-	// order.
-	for p, id := range h.sc.order {
-		h.grad[id] = h.dmu[p]
-	}
-	return h.grad
+	h.backward(1, 0, true)
+	return h.byID()
 }
 
 // Trial opens a what-if scope (pending updates are flushed first so
@@ -723,7 +786,7 @@ func (h *Hier) MemoryBytes() int64 {
 		stepSize = 48 // stats.Step: 6 float64
 	)
 	n := int64(len(h.s))
-	b := 7 * n * 8      // s, sp, load, dmu, grad, adj (2 per node)
+	b := 7 * n * 8      // s, sp, load, gp, grad, adj (2 per node)
 	b += 2 * n * mvSize // arr, gd
 	b += 2 * n * 4      // nodeGen, sGen
 	b += int64(len(h.pend)) * 8

@@ -156,3 +156,29 @@ func BenchmarkHierStepGen100k(b *testing.B) {
 	b.StopTimer()
 	reportReevals(b, m, warm, step)
 }
+
+// BenchmarkHierAdjointGen100k is the engine's adjoint pass alone: a
+// warm engine with nothing dirty, one mu+3sigma gradient pass per op,
+// left in sweep order as the greedy sizer reads it.
+func BenchmarkHierAdjointGen100k(b *testing.B) {
+	m := gen100kModel(b)
+	h := NewHier(m, m.UnitSizes(), HierOptions{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.SweepGradMuPlusKSigma(3)
+	}
+}
+
+// BenchmarkHierBackwardGen100k is the same adjoint pass with the
+// translation to NodeID order that Backward, GradMuPlusKSigma and
+// Criticality callers pay.
+func BenchmarkHierBackwardGen100k(b *testing.B) {
+	m := gen100kModel(b)
+	h := NewHier(m, m.UnitSizes(), HierOptions{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.GradMuPlusKSigma(3)
+	}
+}

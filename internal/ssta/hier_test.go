@@ -62,12 +62,12 @@ func checkMatchesFresh(t *testing.T, h *Hier, m *delay.Model, k float64) {
 		}
 	}
 	phiF, sMu, sVar := ObjectiveMuPlusKSigma(fresh.Tmax, k)
-	if phiH != phiF {
+	if math.Float64bits(phiH) != math.Float64bits(phiF) {
 		t.Fatalf("phi diverged: engine %v fresh %v", phiH, phiF)
 	}
 	gradF := fresh.Backward(m, S, sMu, sVar)
 	for id := range gradF {
-		if gradH[id] != gradF[id] {
+		if math.Float64bits(gradH[id]) != math.Float64bits(gradF[id]) {
 			t.Fatalf("grad[%d] diverged: engine %v fresh %v", id, gradH[id], gradF[id])
 		}
 	}
@@ -139,7 +139,7 @@ func TestHierCriticalityMatches(t *testing.T) {
 		want := Criticality(m, S)
 		got := NewHier(m, S, HierOptions{}).Criticality()
 		for id := range want {
-			if got[id] != want[id] {
+			if math.Float64bits(got[id]) != math.Float64bits(want[id]) {
 				t.Fatalf("%s: criticality[%d] = %v, want %v", name, id, got[id], want[id])
 			}
 		}
@@ -158,11 +158,119 @@ func TestHierBackwardSeeds(t *testing.T) {
 			want := r.Backward(m, S, sd[0], sd[1])
 			got := h.Backward(sd[0], sd[1])
 			for id := range want {
-				if got[id] != want[id] {
+				if math.Float64bits(got[id]) != math.Float64bits(want[id]) {
 					t.Fatalf("%s seed=%v: grad[%d] = %v, want %v", name, sd, id, got[id], want[id])
 				}
 			}
 		}
+	}
+}
+
+// dominatedModel is a hand-built circuit whose adjoint is exactly zero
+// on part of the graph: the input "late" arrives so far behind every
+// other signal that each max it enters leaves its other operand
+// Phi(-alpha) = 0 and a zero pdf term, so those gates' adjoint pairs
+// stay +0 and the sweep skips them. The input "pass" is wired straight
+// to a primary output, the level-1 gate g6, so the first level the
+// sweep walks pushes adjoint into an input's slot, which no walk
+// consumes.
+func dominatedModel(t *testing.T) *delay.Model {
+	t.Helper()
+	c := netlist.New("dominated")
+	for _, in := range []string{"a", "b", "late", "pass"} {
+		if _, err := c.AddInput(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, g := range [][]string{
+		{"g0", "inv", "a"},
+		{"g1", "inv", "b"},
+		{"g2", "nand2", "late", "g1"},
+		{"g3", "nand2", "g0", "g2"},
+		{"g4", "inv", "g0"},
+		{"g5", "nand2", "g4", "pass"},
+		{"g6", "inv", "pass"},
+	} {
+		if _, err := c.AddGate(g[0], g[1], g[2:]...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, o := range []string{"g3", "g5", "g6"} {
+		if err := c.MarkOutput(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := delay.MustBind(netlist.MustCompile(c), delay.Default())
+	late, _ := c.Lookup("late")
+	m.Arrival[late] = stats.MV{Mu: 1000, Var: 1}
+	return m
+}
+
+// TestHierConsecutivePassesBitwise runs two gradient passes with
+// different seeds, a size change, and a criticality pass on one
+// engine, checking each bit for bit against a fresh flat pass. The
+// engine clears no slab between passes, so an adjoint or gradient
+// entry one pass left behind — a -0 included — would show in the
+// next. Two fixtures have exactly-zero adjoints: the dominated circuit
+// and gen1200 under the zero sigma model, where every max selects one
+// operand and leaves the other a zero adjoint, so gates the sweep
+// skips have live drivers that add load terms to their gradient
+// slots. Both must yield exactly-zero criticalities next to non-zero
+// ones, or they would not exercise the skipped gates.
+func TestHierConsecutivePassesBitwise(t *testing.T) {
+	models := parallelTestModels(t)
+	models["dominated"] = dominatedModel(t)
+	det := delay.MustBind(models["gen1200"].G, delay.Default())
+	det.Sigma = delay.Zero{}
+	models["gen1200/zero-sigma"] = det
+	zeros := map[string]bool{"dominated": true, "gen1200/zero-sigma": true}
+	var h *Hier
+	same := func(name, what string, got, want []float64) {
+		t.Helper()
+		for id := range want {
+			if math.Float64bits(got[id]) != math.Float64bits(want[id]) {
+				t.Fatalf("%s %s: [%d] = %v, want %v", name, what, id, got[id], want[id])
+			}
+		}
+		// Between passes the adjoint slab is all +0: consumed pairs
+		// are zeroed by the walk, the inputs' cleared after it.
+		for p, a := range h.adj {
+			if math.Float64bits(a.Mu)|math.Float64bits(a.Var) != 0 {
+				t.Fatalf("%s %s: adjoint slot %d left %+v", name, what, p, a)
+			}
+		}
+	}
+	for name, m := range models {
+		S := rampSizes(m)
+		h = NewHier(m, S, HierOptions{})
+		r := Analyze(m, S, true)
+		same(name, "seed (1, 0.35)", h.Backward(1, 0.35), r.Backward(m, S, 1, 0.35))
+		// A pure variance seed: under the zero sigma model every live
+		// gate then has d = +0 and a -0 own term, which must read +0.
+		same(name, "seed (0, 1)", h.Backward(0, 1), r.Backward(m, S, 0, 1))
+		same(name, "seed (-0.5, 2)", h.Backward(-0.5, 2), r.Backward(m, S, -0.5, 2))
+		g := m.G.C.GateIDs()[len(S)%len(m.G.C.GateIDs())]
+		S[g] = 1.5
+		h.SetSize(g, S[g])
+		r = Analyze(m, S, true)
+		same(name, "seed (1, -0.2) after SetSize", h.Backward(1, -0.2), r.Backward(m, S, 1, -0.2))
+		crit := h.Criticality()
+		want := Criticality(m, S)
+		same(name, "criticality", crit, want)
+		if zeros[name] {
+			var zero, live int
+			for _, id := range m.G.C.GateIDs() {
+				if want[id] == 0 {
+					zero++
+				} else {
+					live++
+				}
+			}
+			if zero == 0 || live == 0 {
+				t.Fatalf("%s: %d zero and %d non-zero criticalities, want both", name, zero, live)
+			}
+		}
+		same(name, "seed (1, 0.35) after criticality", h.Backward(1, 0.35), r.Backward(m, S, 1, 0.35))
 	}
 }
 

@@ -313,7 +313,7 @@ func TestIncCriticalityMatchesWorkers(t *testing.T) {
 					warm := inc.Criticality()
 					fresh := Criticality(m, inc.Sizes())
 					for id := range fresh {
-						if warm[id] != fresh[id] {
+						if math.Float64bits(warm[id]) != math.Float64bits(fresh[id]) {
 							t.Fatalf("step %d: criticality[%d] diverged: warm %v fresh %v",
 								step, id, warm[id], fresh[id])
 						}

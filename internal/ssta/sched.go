@@ -52,11 +52,8 @@ type schedule struct {
 	poff []float64
 	// pinCIn[i] is the C_in of fanout pin fout[i] — the model's CIn
 	// copied per pin, so the load and gradient fan-outs read it
-	// sequentially next to the pin instead of at the pin's position —
-	// and foutID[i] the pin's NodeID, where the adjoint adds the pin's
-	// gradient term.
+	// sequentially next to the pin instead of at the pin's position.
 	pinCIn []float64
-	foutID []int32
 	// outs lists the primary outputs' positions in output order.
 	outs []int32
 	// tape[p] is the arena offset of position p's len(fanin)-1 fold
@@ -88,7 +85,6 @@ func compileSchedule(m *delay.Model) schedule {
 		poff:    make([]float64, 0, g.Edges),
 		fout:    make([]int32, 0, g.Edges),
 		pinCIn:  make([]float64, 0, g.Edges),
-		foutID:  make([]int32, 0, g.Edges),
 		outs:    make([]int32, len(g.C.Outputs)),
 		tape:    make([]int32, n),
 		tint:    make([]float64, n),
@@ -116,7 +112,6 @@ func compileSchedule(m *delay.Model) schedule {
 			for _, f := range g.Fanout[id] {
 				sc.fout = append(sc.fout, sc.pos[f])
 				sc.pinCIn = append(sc.pinCIn, m.CIn[f])
-				sc.foutID = append(sc.foutID, int32(f))
 			}
 			sc.finOff[p+1] = int32(len(sc.fin))
 			sc.foutOff[p+1] = int32(len(sc.fout))
@@ -143,18 +138,14 @@ func compileSchedule(m *delay.Model) schedule {
 func (sc *schedule) fanin(p int) []int32 { return sc.fin[sc.finOff[p]:sc.finOff[p+1]] }
 
 // fanout returns the span [a, b) of position p's fanout pins, in
-// Graph.Fanout order, in the pin-aligned slabs fout, foutID and
-// pinCIn.
+// Graph.Fanout order, in the pin-aligned slabs fout and pinCIn.
 func (sc *schedule) fanout(p int) (a, b int32) { return sc.foutOff[p], sc.foutOff[p+1] }
-
-// pinOff returns position p's fanin pin offsets in pin order.
-func (sc *schedule) pinOff(p int) []float64 { return sc.poff[sc.finOff[p]:sc.finOff[p+1]] }
 
 // memoryBytes is the schedule's resident footprint.
 func (sc *schedule) memoryBytes() int64 {
 	const mvSize = 16 // stats.MV: 2 float64
 	b := int64(cap(sc.order)+len(sc.lvl)+len(sc.pos)+len(sc.finOff)+len(sc.foutOff)+len(sc.tape)) * 4
-	b += int64(cap(sc.fin)+cap(sc.fout)+cap(sc.foutID)+len(sc.outs)) * 4
+	b += int64(cap(sc.fin)+cap(sc.fout)+len(sc.outs)) * 4
 	b += int64(cap(sc.poff)+cap(sc.pinCIn)+len(sc.tint)+len(sc.cload)) * 8
 	b += int64(len(sc.inArr)) * mvSize
 	return b

@@ -60,6 +60,9 @@ func scheduleTestModels(t *testing.T) map[string]*delay.Model {
 // node returns the NodeID at schedule position p.
 func (sc *schedule) node(p int) netlist.NodeID { return netlist.NodeID(sc.order[p]) }
 
+// pinOff returns position p's fanin pin offsets in pin order.
+func (sc *schedule) pinOff(p int) []float64 { return sc.poff[sc.finOff[p]:sc.finOff[p+1]] }
+
 // TestScheduleInvariants checks the engine's compiled sweep schedule
 // against the model it was compiled from: the order is the level
 // buckets concatenated, every position's fanin and fanout positions
@@ -97,9 +100,9 @@ func TestScheduleInvariants(t *testing.T) {
 			}
 		}
 		if len(sc.fin) != g.Edges || cap(sc.fin) != g.Edges || len(sc.fout) != g.Edges || cap(sc.fout) != g.Edges ||
-			len(sc.foutID) != g.Edges || cap(sc.foutID) != g.Edges || len(sc.pinCIn) != g.Edges || cap(sc.pinCIn) != g.Edges {
-			fail("pin slabs len/cap %d/%d, %d/%d, %d/%d and %d/%d, want %d", len(sc.fin), cap(sc.fin),
-				len(sc.fout), cap(sc.fout), len(sc.foutID), cap(sc.foutID), len(sc.pinCIn), cap(sc.pinCIn), g.Edges)
+			len(sc.pinCIn) != g.Edges || cap(sc.pinCIn) != g.Edges {
+			fail("pin slabs len/cap %d/%d, %d/%d and %d/%d, want %d", len(sc.fin), cap(sc.fin),
+				len(sc.fout), cap(sc.fout), len(sc.pinCIn), cap(sc.pinCIn), g.Edges)
 		}
 		if len(sc.poff) != g.Edges || cap(sc.poff) != g.Edges {
 			fail("pin offset slab len/cap %d/%d, want %d", len(sc.poff), cap(sc.poff), g.Edges)
@@ -121,9 +124,8 @@ func TestScheduleInvariants(t *testing.T) {
 				fail("node %d fanout %v, want %v", id, got, g.Fanout[id])
 			}
 			for i, f := range g.Fanout[id] {
-				if sc.foutID[int(a)+i] != int32(f) || sc.pinCIn[int(a)+i] != m.CIn[f] {
-					fail("node %d fanout pin %d: id %d C_in %v, want %d and %v", id, i,
-						sc.foutID[int(a)+i], sc.pinCIn[int(a)+i], f, m.CIn[f])
+				if sc.pinCIn[int(a)+i] != m.CIn[f] {
+					fail("node %d fanout pin %d: C_in %v, want %v", id, i, sc.pinCIn[int(a)+i], m.CIn[f])
 				}
 			}
 			if sc.tint[p] != m.TInt[id] || sc.cload[p] != m.CLoad[id] {
