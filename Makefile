@@ -84,7 +84,10 @@ bench-batch:
 # engine's adjoint pass alone (HierAdjoint: sweep order, as the greedy
 # sizer reads it; HierBackward: with the NodeID translation) and one
 # warm greedy sizing step (GreedyStep, internal/sizing) are ledgered
-# next to them.
+# next to them, as is the reduced solver's step on k2-like
+# (HierResweepK2: a warm whole-vector SetSizes alternating between two
+# points, one full forward pass over the engine's lane program, with
+# the Clark maxes it runs in lockstep as paired-maxes/op).
 # HierFullSpeedup sets the engine's full evaluation against the flat
 # one. The suite runs in 3 rounds, each one `go test -count 1`
 # process, so a round's flat and engine benchmarks run back to back.
@@ -95,7 +98,8 @@ bench-batch:
 # between rounds cancels out of it. The raw output stays in
 # .bench_build/bench-hier.txt; the results land in BENCH_hier.json,
 # with the warm step's nodes re-evaluated per step (nodes/op, a fixed
-# 100-step replay; columns are read by their unit). The target fails
+# 100-step replay) and HierResweepK2's paired-maxes/op (columns are
+# read by their unit). The target fails
 # when a round fails (pipefail keeps go test's exit status through
 # tee), when the median HierStepSpeedup is below 3 (the warm step must
 # be at least 3x faster than the flat full resweep) or when a warm
@@ -106,13 +110,14 @@ bench-hier:
 	mkdir -p .bench_build && rm -f .bench_build/bench-hier.txt
 	set -o pipefail; for r in 1 2 3; do \
 		echo "round $$r" >> .bench_build/bench-hier.txt; \
-		$(GO) test -run NONE -bench 'Gen100k' -benchmem -count 1 -timeout 30m \
+		$(GO) test -run NONE -bench 'Gen100k|HierResweepK2' -benchmem -count 1 -timeout 30m \
 			./internal/ssta/ ./internal/sizing/ | tee -a .bench_build/bench-hier.txt || exit 1; \
 	done
 	awk 'function emit(name) { \
 			printf "%s  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", \
 				(m++ ? ",\n" : ""), name, ns[name], by[name], al[name]; \
 			if (nodes[name] != "") printf ", \"reeval_nodes_per_op\": %s", nodes[name]; \
+			if (pairs[name] != "") printf ", \"paired_maxes_per_op\": %s", pairs[name]; \
 			printf "}" } \
 		function speedup(label, flat, eng,    k, i, j, t, q, list, med) { \
 			k = 0; list = ""; \
@@ -129,7 +134,7 @@ bench-hier:
 			return med } \
 		BEGIN { print "["; n = 0; m = 0; r = 0; bad = "" } \
 		/^round / { r = $$2 } \
-		/^Benchmark((Flat|Hier)(Grad|Step)|Hier(Adjoint|Backward)|GreedyStep)Gen100k/ { \
+		/^Benchmark(((Flat|Hier)(Grad|Step)|Hier(Adjoint|Backward)|GreedyStep)Gen100k|HierResweepK2)/ { \
 			name = $$1; sub(/-[0-9]+$$/, "", name); \
 			rns[r, name] = $$3; \
 			for (i = 4; i <= NF; i++) \
@@ -141,7 +146,8 @@ bench-hier:
 			for (i = 4; i <= NF; i++) { \
 				if ($$i == "B/op") by[name] = $$(i-1); \
 				if ($$i == "allocs/op") al[name] = $$(i-1); \
-				if ($$i == "nodes/op") nodes[name] = $$(i-1) } } \
+				if ($$i == "nodes/op") nodes[name] = $$(i-1); \
+				if ($$i == "paired-maxes/op") pairs[name] = $$(i-1) } } \
 		END { \
 			for (i = 0; i < n; i++) emit(order[i]); \
 			speedup("HierFullSpeedup", "BenchmarkFlatGradGen100kW1", "BenchmarkHierGradGen100kW1"); \
@@ -287,18 +293,22 @@ bench-session:
 	$(GO) run ./cmd/sizingd -sessionbench -out BENCH_session.json
 	cat BENCH_session.json
 
-# fuzz-kernels runs the two native fuzzers behind every Clark max, each
-# for a fixed 15 s (the CI kernels job). FuzzCDFPair holds the erfc
+# fuzz-kernels runs the three native fuzzers behind every Clark max,
+# each for a fixed 15 s (the CI kernels job). FuzzCDFPair holds the erfc
 # core behind dist.CDFPair bit for bit equal to 0.5*math.Erfc(∓x/Sqrt2);
 # its seeds are every branch boundary of the core with its Nextafter
 # neighbours. FuzzMax2Kernels holds stats.Max2, Max2Jac, Max2JacInto
 # and Max2SigmaJac bit for bit equal to a frozen copy of the kernels
 # before the in-place Jacobian; its seeds put |α|/√2 on each core
 # branch boundary and cover ties, the θ floor, the pdf/θ halving guard,
-# ±0 and NaN/±Inf operands.
+# ±0 and NaN/±Inf operands. FuzzMax2StepPair holds each lane of the
+# two-lane kernel Max2StepPair bit for bit equal to Max2StepInto; its
+# seeds put every FuzzMax2Kernels seed on either lane and a θ-floor
+# pair on one lane with an ordinary or edge pair on the other.
 fuzz-kernels:
 	$(GO) test -run '^$$' -fuzz '^FuzzCDFPair$$' -fuzztime 15s ./internal/dist/
 	$(GO) test -run '^$$' -fuzz '^FuzzMax2Kernels$$' -fuzztime 15s ./internal/stats/
+	$(GO) test -run '^$$' -fuzz '^FuzzMax2StepPair$$' -fuzztime 15s ./internal/stats/
 
 # fuzz-netlist runs FuzzReadCKT for a fixed 15 s (the CI kernels job):
 # the one-pass .ckt reader must accept and reject exactly what the

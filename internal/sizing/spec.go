@@ -274,7 +274,8 @@ type Outcome struct {
 func perturbStart(x0 []float64, limit float64) {
 	span := 0.05 * (limit - 1)
 	for i := range x0 {
-		x0[i] += span * float64((i*2654435761)%97) / 97.0
+		// An int64 product: the multiplier overflows a 32-bit int.
+		x0[i] += span * float64((int64(i)*2654435761)%97) / 97.0
 	}
 }
 

@@ -53,11 +53,18 @@ import (
 // in the flat sweeps' own node order, so the gradient is the same
 // float program as Result.Backward. Parallel passes measured slower than
 // these at every circuit size tried (EXPERIMENTS.md, "Serial
-// persistent engine"). The tape holds 48-byte stats.Step values,
-// whose two rebuilt Jacobian entries the adjoint recomputes with the
-// kernel's own additions, and the model's sigma is resolved once at
-// NewHier into a delay.ResolvedSigma whose Var and DVar inline, so
-// under the paper's Proportional model the loops call no interface
+// persistent engine"). The forward passes overlap work inside one
+// thread instead: the gates of a level read only lower levels, so the
+// full pass walks the schedule's lane program, which pairs same-level
+// gates, and Update pairs each pending gate with the next pending one
+// of its level; forwardPair runs a pair's Clark maxes through the
+// two-lane kernel stats.Max2StepPair, whose lanes are bit for bit
+// Max2StepInto, so each fold's serial chain overlaps its partner's
+// (EXPERIMENTS.md, "Two-lane forward folds"). The tape holds 48-byte
+// stats.Step values, whose two rebuilt Jacobian entries the adjoint
+// recomputes with the kernel's own additions, and the model's sigma
+// is resolved once at NewHier into a delay.ResolvedSigma whose Var
+// and DVar inline, so under the paper's Proportional model the loops call no interface
 // method (EXPERIMENTS.md, "Compact tape steps and a resolved
 // σ-model"). The adjoint is one loop that clears no O(V) slab: it
 // zeroes each adjoint pair as it consumes it and assigns each gate's
@@ -73,8 +80,11 @@ import (
 // offsets and C_in, input arrivals). A pass therefore reads its
 // slabs forward instead of jumping through NodeID space at every
 // node, and the adjoint tape is one arena carved in the same order,
-// so a level's tape span is contiguous. The NodeID-indexed API
-// translates at the boundary: SetSize, Arrival and GateDelay through
+// so a level's tape span is contiguous. The forward pass's lane
+// program reorders gates only inside a level, so it still walks each
+// level's span of every slab and of the tape before the next level's;
+// the adjoint walks positions. The NodeID-indexed API translates at
+// the boundary: SetSize, Arrival and GateDelay through
 // the schedule's pos map in O(1), Sizes from a NodeID-ordered copy
 // of the speed factors kept in step with the positional one, and
 // Backward, GradMuPlusKSigma and Criticality by one pass through the
@@ -430,6 +440,43 @@ func (h *Hier) forward(p int) {
 	forwardGate(h.arr, h.gd, int32(p), sc.fin[a:b], sc.poff[a:b], steps, t)
 }
 
+// forwardPair re-runs the forward folds of the gates at schedule
+// positions p and q, which lie in one level: bit for bit forward(p)
+// and forward(q), with the Clark maxes the two folds have in common
+// run through the two-lane kernel stats.Max2StepPair and the longer
+// fold's remaining maxes alone. Neither gate reads the other's
+// arrival, since both read only lower levels.
+func (h *Hier) forwardPair(p, q int) {
+	sc, arr, tape := &h.sc, h.arr, h.tapeArena
+	a0, b0 := sc.finOff[p], sc.finOff[p+1]
+	a1, b1 := sc.finOff[q], sc.finOff[q+1]
+	fin0, off0 := sc.fin[a0:b0], sc.poff[a0:b0]
+	fin1, off1 := sc.fin[a1:b1], sc.poff[a1:b1]
+	// Fanin k's fold step sits at tape offset + k-1.
+	t0, t1 := int(sc.tape[p])-1, int(sc.tape[q])-1
+	// The fold of forwardGate, lane by lane (off is never nil here).
+	u0 := shiftMV(arr[fin0[0]], off0[0])
+	u1 := shiftMV(arr[fin1[0]], off1[0])
+	k := 1
+	for ; k < len(fin0) && k < len(fin1); k++ {
+		u0, u1 = stats.Max2StepPair(
+			u0, shiftMV(arr[fin0[k]], off0[k]), &tape[t0+k],
+			u1, shiftMV(arr[fin1[k]], off1[k]), &tape[t1+k])
+	}
+	for j := k; j < len(fin0); j++ {
+		u0 = stats.Max2StepInto(u0, shiftMV(arr[fin0[j]], off0[j]), &tape[t0+j])
+	}
+	for j := k; j < len(fin1); j++ {
+		u1 = stats.Max2StepInto(u1, shiftMV(arr[fin1[j]], off1[j]), &tape[t1+j])
+	}
+	mu0 := h.m.MuAt(sc.tint[p], h.load[p], h.sp[p])
+	mu1 := h.m.MuAt(sc.tint[q], h.load[q], h.sp[q])
+	g0 := stats.MV{Mu: mu0, Var: h.sig.Var(mu0)}
+	g1 := stats.MV{Mu: mu1, Var: h.sig.Var(mu1)}
+	h.gd[p], h.gd[q] = g0, g1
+	arr[p], arr[q] = stats.Add(u0, g0), stats.Add(u1, g1)
+}
+
 // Update re-evaluates the dirty cone in schedule order and returns the
 // circuit delay moments. Nodes whose recomputed arrival is
 // bit-identical to before stop propagating (early cutoff). The
@@ -462,50 +509,91 @@ func (h *Hier) Update() stats.MV {
 // returns the re-evaluated and changed node counts. A changed node's
 // fanouts sit at higher levels, hence at higher positions, so the
 // bits it sets lie ahead of the scan and each node is evaluated at
-// most once, after all of its fanins. A mark ahead of the scan can
-// raise hiW but never lower loW, so the scan keeps the span's upper
-// end in a local and stores it once at the end. Bits are not cleared
-// one by one: the scan only looks ahead, and Update clears the span
-// after.
+// most once, after all of its fanins. For the same reason a level's
+// pending set is final once the scan reaches the level, so each
+// pending position is folded together with the next pending position
+// of its level through forwardPair, and a level's odd one out alone.
+// A mark ahead of the scan can raise hiW but never lower loW, so the
+// scan keeps the span's upper end in a local and stores it once at
+// the end. Bits are not cleared one by one: the scan only looks
+// ahead, and Update clears the span after.
 func (h *Hier) updateCone() (dirtyN, frontierN int) {
-	arr, pend, fout, foutOff := h.arr, h.pend, h.sc.fout, h.sc.foutOff
-	hiW := h.hiW
-	for p := h.loW << 6; ; p++ {
-		// Advance p to the lowest pending position at or after it.
-		w := p >> 6
-		if w > hiW {
-			break
+	arr, lvl := h.arr, h.sc.lvl
+	hiW, l := h.hiW, 0
+	for p := h.nextPending(h.loW<<6, hiW); p >= 0; {
+		for int(lvl[l+1]) <= p {
+			l++
 		}
-		if word := pend[w] >> (p & 63); word != 0 {
-			p += bits.TrailingZeros64(word)
-		} else {
-			for w++; w <= hiW && pend[w] == 0; w++ {
+		end := int(lvl[l+1])
+		q := h.nextPending(p+1, hiW)
+		if q < 0 || q >= end {
+			// Nothing else pending in p's level; whatever p marks
+			// lies past it.
+			if h.inTrial {
+				h.saveNode(p)
 			}
-			if w > hiW {
-				break
+			old := arr[p]
+			h.forward(p)
+			dirtyN++
+			if arr[p] != old {
+				frontierN++
+				hiW = h.markFanout(p, hiW)
 			}
-			p = w<<6 | bits.TrailingZeros64(pend[w])
+			p = h.nextPending(end, hiW)
+			continue
 		}
 		if h.inTrial {
 			h.saveNode(p)
+			h.saveNode(q)
 		}
-		old := arr[p]
-		h.forward(p)
-		dirtyN++
-		if arr[p] == old {
-			continue
+		oldP, oldQ := arr[p], arr[q]
+		h.forwardPair(p, q)
+		dirtyN += 2
+		if arr[p] != oldP {
+			frontierN++
+			hiW = h.markFanout(p, hiW)
 		}
-		frontierN++
-		for _, f := range fout[foutOff[p]:foutOff[p+1]] {
-			w := int(f) >> 6
-			pend[w] |= 1 << (f & 63)
-			if w > hiW {
-				hiW = w
-			}
+		if arr[q] != oldQ {
+			frontierN++
+			hiW = h.markFanout(q, hiW)
 		}
+		p = h.nextPending(q+1, hiW)
 	}
 	h.hiW = hiW
 	return dirtyN, frontierN
+}
+
+// nextPending returns the lowest pending position at or after p in
+// the pending words up to hiW, or -1 when there is none.
+func (h *Hier) nextPending(p, hiW int) int {
+	pend := h.pend
+	w := p >> 6
+	if w > hiW {
+		return -1
+	}
+	if word := pend[w] >> (p & 63); word != 0 {
+		return p + bits.TrailingZeros64(word)
+	}
+	for w++; w <= hiW && pend[w] == 0; w++ {
+	}
+	if w > hiW {
+		return -1
+	}
+	return w<<6 | bits.TrailingZeros64(pend[w])
+}
+
+// markFanout marks the fanouts of the node at position p pending and
+// returns the pending span's upper word, raised to cover them.
+func (h *Hier) markFanout(p, hiW int) int {
+	pend, sc := h.pend, &h.sc
+	for _, f := range sc.fout[sc.foutOff[p]:sc.foutOff[p+1]] {
+		w := int(f) >> 6
+		pend[w] |= 1 << (f & 63)
+		if w > hiW {
+			hiW = w
+		}
+	}
+	return hiW
 }
 
 // Resweep unconditionally re-evaluates every node and returns the
@@ -537,11 +625,18 @@ func (h *Hier) sweepEvent() {
 
 // resweep is Resweep's full forward pass, without the event.
 func (h *Hier) resweep() {
-	// Positions ascending are levels ascending: the flat sweep's order
-	// over dense schedule slabs. The inputs occupy the first nIn.
+	// The lane program walks the levels ascending, the flat sweep's
+	// level order, over dense schedule slabs; inside a level its order
+	// moves no bit. The inputs occupy the first nIn positions.
 	copy(h.arr, h.sc.inArr)
-	for p := h.sc.nIn; p < len(h.arr); p++ {
-		h.forward(p)
+	lanes := h.sc.lanes
+	for i := 0; i < len(lanes); i++ {
+		if p := lanes[i]; p >= 0 {
+			h.forward(int(p))
+		} else {
+			i++
+			h.forwardPair(int(^p), int(lanes[i]))
+		}
 	}
 	h.tmax = foldOutputs(h.arr, h.sc.outs, h.outFold)
 }

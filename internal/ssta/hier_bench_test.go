@@ -182,3 +182,33 @@ func BenchmarkHierBackwardGen100k(b *testing.B) {
 		h.GradMuPlusKSigma(3)
 	}
 }
+
+// BenchmarkHierResweepK2 is the reduced NLP solver's step on the
+// k2-like circuit: a warm whole-vector SetSizes that alternates
+// between two size points, so every op moves every gate and runs the
+// engine's full forward pass over its lane program. It reports the
+// Clark maxes each pass runs in lockstep (paired-maxes/op), a count
+// fixed by the lane program.
+func BenchmarkHierResweepK2(b *testing.B) {
+	m := delay.MustBind(netlist.MustCompile(netlist.K2Like()), delay.Default())
+	ids := m.G.C.GateIDs()
+	x0, x1 := make([]float64, len(ids)), make([]float64, len(ids))
+	for i := range ids {
+		x0[i] = 1 + 0.7*float64(i%5)/4
+		x1[i] = 1.05 * x0[i]
+	}
+	h := NewHier(m, m.UnitSizes(), HierOptions{})
+	h.SetSizes(ids, x1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			h.SetSizes(ids, x0)
+		} else {
+			h.SetSizes(ids, x1)
+		}
+	}
+	b.StopTimer()
+	paired, _ := h.sc.laneCounts()
+	b.ReportMetric(float64(paired), "paired-maxes/op")
+}

@@ -712,3 +712,84 @@ func TestHierConeMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// checkBitsMatchFresh asserts with math.Float64bits that the engine's
+// arrivals, gate delays, Tmax and Backward under seed (1, 0.5) equal a
+// fresh taped Analyze and Result.Backward at the engine's sizes.
+func checkBitsMatchFresh(t *testing.T, where string, h *Hier, m *delay.Model) {
+	t.Helper()
+	same := func(x, y stats.MV) bool {
+		return math.Float64bits(x.Mu) == math.Float64bits(y.Mu) &&
+			math.Float64bits(x.Var) == math.Float64bits(y.Var)
+	}
+	fresh := Analyze(m, h.Sizes(), true)
+	if !same(h.Tmax(), fresh.Tmax) {
+		t.Fatalf("%s: Tmax %+v, fresh %+v", where, h.Tmax(), fresh.Tmax)
+	}
+	for id := range fresh.Arrival {
+		nid := netlist.NodeID(id)
+		if !same(h.Arrival(nid), fresh.Arrival[id]) || !same(h.GateDelay(nid), fresh.GateDelay[id]) {
+			t.Fatalf("%s: node %d arrival/delay %+v %+v, fresh %+v %+v", where, id,
+				h.Arrival(nid), h.GateDelay(nid), fresh.Arrival[id], fresh.GateDelay[id])
+		}
+	}
+	want := fresh.Backward(m, h.Sizes(), 1, 0.5)
+	got := h.Backward(1, 0.5)
+	for id := range want {
+		if math.Float64bits(got[id]) != math.Float64bits(want[id]) {
+			t.Fatalf("%s: Backward[%d] = %v, fresh %v", where, id, got[id], want[id])
+		}
+	}
+}
+
+// TestHierSameLevelBatchUpdate dirties several gates of one level —
+// of equal and of unequal fan-in, so Update folds them through
+// forwardPair in every combination — before a single Update, outside
+// any trial and inside trials that commit or roll back, and pins the
+// engine bitwise against fresh flat sweeps after each Update, after
+// each Rollback and after each Commit.
+func TestHierSameLevelBatchUpdate(t *testing.T) {
+	models := parallelTestModels(t)
+	for _, name := range []string{"k2", "gen1200", "apex1"} {
+		m := models[name]
+		g := m.G
+		rng := rand.New(rand.NewSource(31))
+		h := NewHier(m, rampSizes(m), HierOptions{})
+		// Levels with at least four gates, the widest first.
+		var levels [][]netlist.NodeID
+		for _, b := range g.Levels[1:] {
+			if len(b) >= 4 {
+				levels = append(levels, b)
+			}
+		}
+		if len(levels) == 0 {
+			t.Fatalf("%s: no level with four gates", name)
+		}
+		for round := 0; round < 24; round++ {
+			bucket := levels[rng.Intn(len(levels))]
+			mode := round % 3 // 0 plain, 1 trial+commit, 2 trial+rollback
+			var before *Result
+			if mode > 0 {
+				before = Analyze(m, h.Sizes(), true)
+				h.Trial()
+			}
+			for k := 2 + rng.Intn(6); k > 0; k-- {
+				h.SetSize(bucket[rng.Intn(len(bucket))], 1+rng.Float64()*(m.Limit-1))
+			}
+			h.Update()
+			where := fmt.Sprintf("%s/round %d mode %d", name, round, mode)
+			checkBitsMatchFresh(t, where+" update", h, m)
+			switch mode {
+			case 1:
+				h.Commit()
+				checkBitsMatchFresh(t, where+" commit", h, m)
+			case 2:
+				h.Rollback()
+				checkBitsMatchFresh(t, where+" rollback", h, m)
+				if h.Tmax() != before.Tmax {
+					t.Fatalf("%s: rollback Tmax %+v, pre-trial %+v", where, h.Tmax(), before.Tmax)
+				}
+			}
+		}
+	}
+}

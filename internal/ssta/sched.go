@@ -64,6 +64,15 @@ type schedule struct {
 	// for every node, inArr for the inputs (positions [0, nIn)).
 	tint, cload []float64
 	inArr       []stats.MV
+	// lanes is the full forward pass's lane program: every gate
+	// position once, level by level, with gates of one level paired
+	// so their Clark folds run through one two-lane kernel (see
+	// compileLanes). An entry p >= 0 is a gate folded alone; a
+	// negative entry ^p is the first gate of a pair whose second gate
+	// is the next entry. Inside a level the entries follow the pairing
+	// scan, not position order: every gate of a level reads only
+	// lower levels, so the forward order inside a level moves no bit.
+	lanes []int32
 }
 
 // compileSchedule builds the schedule for m's graph, with the tape
@@ -131,7 +140,56 @@ func compileSchedule(m *delay.Model) schedule {
 	for i, o := range g.C.Outputs {
 		sc.outs[i] = sc.pos[o]
 	}
+	sc.compileLanes()
 	return sc
+}
+
+// compileLanes builds the lane program. Within each level it pairs
+// every gate of fan-in k >= 2 with the next unpaired gate of the same
+// level and the same fan-in, so the pair's folds run in lockstep from
+// the first Clark max to the last. What that leaves of a level — at
+// most one gate per fan-in — is paired in descending fan-in, so the
+// folds share their first maxes and the longer one finishes alone; an
+// odd gate out, and every gate with one fanin (no max to overlap),
+// runs alone. On k2-like the pairs run 1,970 of the 1,998 maxes in
+// lockstep.
+func (sc *schedule) compileLanes() {
+	sc.lanes = make([]int32, 0, len(sc.order)-sc.nIn)
+	// open[k] is the level's waiting gate of fan-in k, or -1.
+	var open, rest []int32
+	fanin := func(p int32) int { return int(sc.finOff[p+1] - sc.finOff[p]) }
+	for l := 1; l+1 < len(sc.lvl); l++ {
+		for p := sc.lvl[l]; p < sc.lvl[l+1]; p++ {
+			k := fanin(p)
+			if k < 2 {
+				sc.lanes = append(sc.lanes, p)
+				continue
+			}
+			for len(open) <= k {
+				open = append(open, -1)
+			}
+			if q := open[k]; q >= 0 {
+				sc.lanes = append(sc.lanes, ^q, p)
+				open[k] = -1
+			} else {
+				open[k] = p
+			}
+		}
+		// The leftovers in descending fan-in.
+		rest = rest[:0]
+		for k := len(open) - 1; k >= 2; k-- {
+			if q := open[k]; q >= 0 {
+				rest = append(rest, q)
+				open[k] = -1
+			}
+		}
+		for i := 0; i+1 < len(rest); i += 2 {
+			sc.lanes = append(sc.lanes, ^rest[i], rest[i+1])
+		}
+		if len(rest)%2 == 1 {
+			sc.lanes = append(sc.lanes, rest[len(rest)-1])
+		}
+	}
 }
 
 // fanin returns position p's fanin pins in pin order.
@@ -145,7 +203,7 @@ func (sc *schedule) fanout(p int) (a, b int32) { return sc.foutOff[p], sc.foutOf
 func (sc *schedule) memoryBytes() int64 {
 	const mvSize = 16 // stats.MV: 2 float64
 	b := int64(cap(sc.order)+len(sc.lvl)+len(sc.pos)+len(sc.finOff)+len(sc.foutOff)+len(sc.tape)) * 4
-	b += int64(cap(sc.fin)+cap(sc.fout)+len(sc.outs)) * 4
+	b += int64(cap(sc.fin)+cap(sc.fout)+len(sc.outs)+cap(sc.lanes)) * 4
 	b += int64(cap(sc.poff)+cap(sc.pinCIn)+len(sc.tint)+len(sc.cload)) * 8
 	b += int64(len(sc.inArr)) * mvSize
 	return b

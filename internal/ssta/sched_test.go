@@ -190,3 +190,119 @@ func TestScheduleInvariants(t *testing.T) {
 		}
 	}
 }
+
+// laneCounts returns the Clark maxes the lane program's full forward
+// pass runs in lockstep (both lanes, over the maxes a pair's folds
+// have in common) and all the maxes of the gates' folds.
+func (sc *schedule) laneCounts() (paired, total int) {
+	maxes := func(p int32) int { return max(int(sc.finOff[p+1]-sc.finOff[p])-1, 0) }
+	for i := 0; i < len(sc.lanes); i++ {
+		p := sc.lanes[i]
+		total += maxes(max(p, ^p))
+		if p < 0 {
+			i++
+			q := sc.lanes[i]
+			total += maxes(q)
+			paired += 2 * min(maxes(^p), maxes(q))
+		}
+	}
+	return paired, total
+}
+
+// TestLaneProgram checks the forward pass's lane program on every
+// test circuit: it lists every gate exactly once and no input, it
+// visits the levels in ascending order (a level's entries are
+// contiguous), and both gates of a pair lie in one level and have
+// two fanins or more. The pairing rule leaves, per level and fan-in
+// k >= 2, at most one gate of fan-in k alone or in a pair of unequal
+// fan-ins, and per level at most one gate with two fanins or more
+// alone. On k2-like the pairs must run at least 98% of the folds'
+// Clark maxes in lockstep; the count is deterministic.
+func TestLaneProgram(t *testing.T) {
+	for name, m := range scheduleTestModels(t) {
+		sc := compileSchedule(m)
+		n := len(sc.order)
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("%s: "+format, append([]any{name}, args...)...)
+		}
+		level := func(p int32) int {
+			l := 0
+			for int(sc.lvl[l+1]) <= int(p) {
+				l++
+			}
+			return l
+		}
+		fanin := func(p int32) int { return int(sc.finOff[p+1] - sc.finOff[p]) }
+		seen := make([]bool, n)
+		last := 1
+		visit := func(p int32) int {
+			if int(p) < sc.nIn || int(p) >= n {
+				fail("lane entry %d is not a gate position (inputs end at %d, %d nodes)", p, sc.nIn, n)
+			}
+			if seen[p] {
+				fail("position %d listed twice", p)
+			}
+			seen[p] = true
+			l := level(p)
+			if l < last {
+				fail("gate %d of level %d after level %d", p, l, last)
+			}
+			last = l
+			return l
+		}
+		type key struct{ l, k int }
+		odd := map[key]int{}   // gates alone or in an unequal pair
+		alone := map[int]int{} // gates with two fanins or more alone
+		for i := 0; i < len(sc.lanes); i++ {
+			p := sc.lanes[i]
+			if p >= 0 {
+				l := visit(p)
+				if k := fanin(p); k >= 2 {
+					odd[key{l, k}]++
+					alone[l]++
+				}
+				continue
+			}
+			if i+1 == len(sc.lanes) {
+				fail("pair opened by %d has no second gate", ^p)
+			}
+			i++
+			p, q := ^p, sc.lanes[i]
+			if q < 0 {
+				fail("pair (%d, %d): second entry opens a pair", p, ^q)
+			}
+			lp, lq := visit(p), visit(q)
+			if lp != lq {
+				fail("pair (%d, %d) spans levels %d and %d", p, q, lp, lq)
+			}
+			if fanin(p) < 2 || fanin(q) < 2 {
+				fail("pair (%d, %d) has fan-ins %d and %d", p, q, fanin(p), fanin(q))
+			}
+			if fanin(p) != fanin(q) {
+				odd[key{lp, fanin(p)}]++
+				odd[key{lp, fanin(q)}]++
+			}
+		}
+		for p := sc.nIn; p < n; p++ {
+			if !seen[p] {
+				fail("gate position %d missing from the lane program", p)
+			}
+		}
+		for k, c := range odd {
+			if c > 1 {
+				fail("level %d leaves %d gates of fan-in %d without an equal partner", k.l, c, k.k)
+			}
+		}
+		for l, c := range alone {
+			if c > 1 {
+				fail("level %d folds %d gates with several fanins alone", l, c)
+			}
+		}
+		paired, total := sc.laneCounts()
+		t.Logf("%s: %d of %d Clark maxes paired", name, paired, total)
+		if name == "k2" && (total == 0 || paired*100 < total*98) {
+			fail("%d of %d Clark maxes paired, want at least 98%%", paired, total)
+		}
+	}
+}

@@ -343,3 +343,106 @@ func FuzzMax2Kernels(f *testing.F) {
 		checkMax2Kernels(t, MV{muA, varA}, MV{muB, varB})
 	})
 }
+
+// checkMax2StepPair compares each lane of Max2StepPair with
+// Max2StepInto on the same operands: the returned moments and all six
+// step entries, written over stale slots as on a reused tape.
+func checkMax2StepPair(t *testing.T, a0, b0, a1, b1 MV) {
+	t.Helper()
+	var w0, w1 Step
+	want0 := Max2StepInto(a0, b0, &w0)
+	want1 := Max2StepInto(a1, b1, &w1)
+	s0 := Step{7, 7, 7, 7, 7, 7}
+	s1 := Step{-7, -7, -7, -7, -7, -7}
+	c0, c1 := Max2StepPair(a0, b0, &s0, a1, b1, &s1)
+	for i := range s0 {
+		if !sameFloat(s0[i], w0[i]) || !sameFloat(s1[i], w1[i]) {
+			t.Fatalf("Max2StepPair(%v, %v | %v, %v) steps %v | %v, want %v | %v",
+				a0, b0, a1, b1, s0, s1, w0, w1)
+		}
+	}
+	if !sameMV(c0, want0) || !sameMV(c1, want1) {
+		t.Fatalf("Max2StepPair(%v, %v | %v, %v) = %v | %v, want %v | %v",
+			a0, b0, a1, b1, c0, c1, want0, want1)
+	}
+}
+
+// floorPairs returns operand pairs on the θ floor and its
+// neighbourhood: the lanes that send Max2StepPair to the scalar
+// kernel, and those just above them.
+func floorPairs() [][2]MV {
+	floor := thetaEps * thetaEps
+	var ps [][2]MV
+	for _, v := range neighbours(floor, 2) {
+		ps = append(ps,
+			[2]MV{{Mu: 1, Var: v}, {Mu: 1, Var: 0}},
+			[2]MV{{Mu: 1, Var: v}, {Mu: 1 + 1e-13, Var: 0}},
+			[2]MV{{Mu: 2 - 3e-12, Var: v / 2}, {Mu: 2, Var: v / 2}})
+	}
+	return append(ps, [2]MV{{Mu: 0, Var: 0}, {Mu: 0, Var: 0}}, [2]MV{{Mu: -1, Var: -1}, {Mu: 3, Var: 0}})
+}
+
+// max2PairSeeds pairs every kernel edge with an ordinary operand pair
+// on the other lane, in both lane orders, each edge with the next one,
+// and every θ-floor pair with an ordinary pair and with an edge, so
+// mixed lanes (one on the floor, one not) are covered both ways.
+func max2PairSeeds() [][4]MV {
+	edges := max2KernelEdges()
+	plain := [2]MV{{Mu: 1.5, Var: 0.3}, {Mu: 1.2, Var: 0.5}}
+	var ss [][4]MV
+	for i, e := range edges {
+		next := edges[(i+1)%len(edges)]
+		ss = append(ss,
+			[4]MV{e[0], e[1], plain[0], plain[1]},
+			[4]MV{plain[0], plain[1], e[0], e[1]},
+			[4]MV{e[0], e[1], next[0], next[1]})
+	}
+	for i, f := range floorPairs() {
+		e := edges[(7*i)%len(edges)]
+		ss = append(ss,
+			[4]MV{f[0], f[1], plain[0], plain[1]},
+			[4]MV{plain[0], plain[1], f[0], f[1]},
+			[4]MV{f[0], f[1], e[0], e[1]},
+			[4]MV{e[0], e[1], f[0], f[1]},
+			[4]MV{f[0], f[1], f[1], f[0]})
+	}
+	return ss
+}
+
+// TestMax2StepPairBitwise pins each lane of the two-lane kernel to
+// Max2StepInto bit for bit on every seed of max2PairSeeds and on 10^6
+// random lane pairs, one in 16 of them with a lane on the θ floor.
+func TestMax2StepPairBitwise(t *testing.T) {
+	skipArchErfc(t)
+	for _, s := range max2PairSeeds() {
+		checkMax2StepPair(t, s[0], s[1], s[2], s[3])
+	}
+	rng := rand.New(rand.NewSource(2))
+	floors := floorPairs()
+	for i := 0; i < 1_000_000; i++ {
+		a0, b0 := randomMax2Pair(rng)
+		a1, b1 := randomMax2Pair(rng)
+		switch rng.Intn(32) {
+		case 0:
+			f := floors[rng.Intn(len(floors))]
+			a0, b0 = f[0], f[1]
+		case 1:
+			f := floors[rng.Intn(len(floors))]
+			a1, b1 = f[0], f[1]
+		}
+		checkMax2StepPair(t, a0, b0, a1, b1)
+	}
+}
+
+// FuzzMax2StepPair searches for operand quadruples where a lane of
+// Max2StepPair departs from Max2StepInto by even one bit. `make
+// fuzz-kernels` runs it.
+func FuzzMax2StepPair(f *testing.F) {
+	for _, s := range max2PairSeeds() {
+		f.Add(s[0].Mu, s[0].Var, s[1].Mu, s[1].Var, s[2].Mu, s[2].Var, s[3].Mu, s[3].Var)
+	}
+	f.Fuzz(func(t *testing.T, muA0, varA0, muB0, varB0, muA1, varA1, muB1, varB1 float64) {
+		skipArchErfc(t)
+		checkMax2StepPair(t, MV{muA0, varA0}, MV{muB0, varB0}, MV{muA1, varA1}, MV{muB1, varB1})
+	})
+}

@@ -249,6 +249,84 @@ func Max2StepInto(a, b MV, s *Step) MV {
 	return MV{Mu: muS + shift, Var: v}
 }
 
+// Max2StepPair runs two independent Clark maxes in one call: lane 0
+// is Max2StepInto(a0, b0, s0) and lane 1 Max2StepInto(a1, b1, s1),
+// and each lane returns and writes exactly those bits. Each Clark max
+// is one serial chain — sqrt, divide, exp, the erfc core, the moment
+// and Jacobian arithmetic — so a lone max leaves most of the CPU's
+// out-of-order window idle. Here every statement of Max2StepInto is
+// written once per lane, lane 0 then lane 1, so the two chains sit
+// side by side in the instruction stream and overlap. Each lane's
+// expressions are Max2StepInto's own, in the same association, and the
+// lanes share no value, so no bit of either lane can move. A lane on
+// the θ floor sends both lanes to the scalar kernel.
+func Max2StepPair(a0, b0 MV, s0 *Step, a1, b1 MV, s1 *Step) (MV, MV) {
+	a0.Var = nnegVar(a0.Var)
+	b0.Var = nnegVar(b0.Var)
+	a1.Var = nnegVar(a1.Var)
+	b1.Var = nnegVar(b1.Var)
+	theta20 := a0.Var + b0.Var
+	theta21 := a1.Var + b1.Var
+	if theta20 <= thetaEps*thetaEps || theta21 <= thetaEps*thetaEps {
+		return Max2StepInto(a0, b0, s0), Max2StepInto(a1, b1, s1)
+	}
+	theta0 := math.Sqrt(theta20)
+	theta1 := math.Sqrt(theta21)
+	shift0 := max(a0.Mu, b0.Mu)
+	shift1 := max(a1.Mu, b1.Mu)
+	am0 := a0.Mu - shift0
+	am1 := a1.Mu - shift1
+	bm0 := b0.Mu - shift0
+	bm1 := b1.Mu - shift1
+	alpha0 := (am0 - bm0) / theta0
+	alpha1 := (am1 - bm1) / theta1
+
+	pdf0 := dist.PDF(alpha0)
+	pdf1 := dist.PDF(alpha1)
+	cdfP0, cdfN0 := dist.CDFPair(alpha0)
+	cdfP1, cdfN1 := dist.CDFPair(alpha1)
+
+	muS0 := am0*cdfP0 + bm0*cdfN0 + theta0*pdf0
+	muS1 := am1*cdfP1 + bm1*cdfN1 + theta1*pdf1
+	ex20 := (a0.Var+am0*am0)*cdfP0 + (b0.Var+bm0*bm0)*cdfN0 + (am0+bm0)*theta0*pdf0
+	ex21 := (a1.Var+am1*am1)*cdfP1 + (b1.Var+bm1*bm1)*cdfN1 + (am1+bm1)*theta1*pdf1
+	v0 := ex20 - muS0*muS0
+	v1 := ex21 - muS1*muS1
+	if v0 < 0 {
+		v0 = 0
+	}
+	if v1 < 0 {
+		v1 = 0
+	}
+
+	// The halving guard of Max2StepInto, per lane.
+	pdfOverTheta0 := pdf0 / theta0
+	pdfOverTheta1 := pdf1 / theta1
+	pdfOver2Theta0 := 0.5 * pdfOverTheta0
+	pdfOver2Theta1 := 0.5 * pdfOverTheta1
+	if !(pdfOverTheta0 >= 0x1p-1021) {
+		pdfOver2Theta0 = pdf0 / (2 * theta0)
+	}
+	if !(pdfOverTheta1 >= 0x1p-1021) {
+		pdfOver2Theta1 = pdf1 / (2 * theta1)
+	}
+	s0[0], s1[0] = cdfP0, cdfP1
+	s0[1], s1[1] = cdfN0, cdfN1
+	s0[2], s1[2] = pdfOver2Theta0, pdfOver2Theta1
+
+	da0 := am0 - muS0
+	da1 := am1 - muS1
+	db0 := bm0 - muS0
+	db1 := bm1 - muS1
+	s0[3] = 2*cdfP0*da0 + 2*a0.Var*pdfOverTheta0
+	s1[3] = 2*cdfP1*da1 + 2*a1.Var*pdfOverTheta1
+	s0[4] = 2*cdfN0*db0 + 2*b0.Var*pdfOverTheta0
+	s1[4] = 2*cdfN1*db1 + 2*b1.Var*pdfOverTheta1
+	s0[5] = pdf0 * (theta0*(da0+db0) - alpha0*(a0.Var-b0.Var)) / (2 * theta20)
+	s1[5] = pdf1 * (theta1*(da1+db1) - alpha1*(a1.Var-b1.Var)) / (2 * theta21)
+	return MV{Mu: muS0 + shift0, Var: v0}, MV{Mu: muS1 + shift1, Var: v1}
+}
+
 // max2HD evaluates the shifted Clark formulas on hyper-dual inputs
 // ordered (muA, varA, muB, varB); sel selects the output component:
 // 0 for muC, 1 for varC.
