@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-inc bench-batch bench-hier bench-obsv bench-service bench-session test-batch loc test-engine test-obsv test-service test-session smoke-service check trace faults fuzz-kernels fuzz-netlist
+.PHONY: build test vet race bench bench-inc bench-batch bench-hier bench-obsv bench-service bench-session test-batch loc test-engine test-obsv test-service test-session smoke-service check trace baseline faults fuzz-kernels fuzz-netlist
 
 build:
 	$(GO) build ./...
@@ -344,3 +344,14 @@ trace:
 		-constraint "mu+3sigma<=8" -trace /tmp/statsize-run2.jsonl >/dev/null
 	cmp /tmp/statsize-run1.jsonl /tmp/statsize-run2.jsonl
 	$(GO) run ./cmd/tables -checktrace /tmp/statsize-run1.jsonl
+
+# baseline regenerates the deterministic-vs-statistical comparison
+# (tree7 and the three Table 1 circuits) twice at 20k Monte Carlo
+# samples and compares the two outputs. Monte Carlo is bit-identical
+# for every worker count and the solves are deterministic, so the two
+# tables must be byte-identical.
+baseline:
+	$(GO) run ./cmd/tables -table baseline -samples 20000 > /tmp/baseline-run1.txt
+	cat /tmp/baseline-run1.txt
+	$(GO) run ./cmd/tables -table baseline -samples 20000 > /tmp/baseline-run2.txt
+	cmp /tmp/baseline-run1.txt /tmp/baseline-run2.txt

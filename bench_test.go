@@ -181,16 +181,6 @@ func BenchmarkStochMax2JacIntoMix(b *testing.B) {
 	}
 }
 
-var sinkHess [4][4]float64
-
-func BenchmarkStochMax2Hessians(b *testing.B) {
-	a := stats.MV{Mu: 5, Var: 1.2}
-	c := stats.MV{Mu: 5.5, Var: 0.8}
-	for i := 0; i < b.N; i++ {
-		sinkHess, _ = stats.Max2Hessians(a, c)
-	}
-}
-
 func sstaModel(b *testing.B, mk func() *netlist.Circuit) *delay.Model {
 	b.Helper()
 	g, err := netlist.Compile(mk())

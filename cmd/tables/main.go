@@ -1,13 +1,14 @@
 // Command tables regenerates the paper's evaluation artifacts: Table 1
 // (benchmark sizing formulations), Table 2 (tree objectives), Table 3
-// (tree speed factors) and the section 4 timing-yield experiment. It
-// also validates JSONL telemetry traces written by statsize/ssta.
+// (tree speed factors), the section 4 timing-yield experiment and the
+// deterministic-vs-statistical sizing comparison. It also validates
+// JSONL telemetry traces written by statsize/ssta.
 //
 // Usage:
 //
-//	tables                 # everything (Table 1 takes ~30 s)
+//	tables                 # everything (~40 s, most of it the baseline's Monte Carlo)
 //	tables -table 2        # just Table 2
-//	tables -table baseline # LP vs statistical sizing; tree scale only
+//	tables -table baseline # deterministic vs statistical sizing, tree7 and Table 1 circuits
 //	tables -table yield -samples 500000
 //	tables -checktrace trace.jsonl
 package main
@@ -25,7 +26,7 @@ import (
 func main() {
 	var (
 		table      = flag.String("table", "all", "1 | 2 | 3 | yield | baseline | ksweep | hier | all")
-		samples    = flag.Int("samples", 200000, "Monte Carlo samples for the yield table")
+		samples    = flag.Int("samples", 200000, "Monte Carlo samples for the yield and baseline tables")
 		hierGates  = flag.Int("gates", 100000, "netlist size for the hier engine-vs-flat table")
 		verbose    = flag.Bool("v", false, "log per-run solver progress for Table 1")
 		checkTrace = flag.String("checktrace", "", "validate a JSONL telemetry trace and print an event census instead of running tables")
@@ -78,11 +79,13 @@ func main() {
 		y.Format(os.Stdout)
 	}
 	runBaseline := func() {
-		b, err := bench.RunBaseline(*samples)
+		res, err := bench.RunBaseline(bench.Table1Circuits(), *samples)
 		if err != nil {
 			fatal(err)
 		}
-		b.Format(os.Stdout)
+		for _, b := range res {
+			b.Format(os.Stdout)
+		}
 	}
 	runKSweep := func() {
 		t, err := bench.RunKSweep()

@@ -77,6 +77,26 @@ func Table1Circuits() []CircuitCase {
 	}
 }
 
+// bind compiles the case's circuit onto its library.
+func (cc CircuitCase) bind() (*delay.Model, error) {
+	g, err := netlist.Compile(cc.Make())
+	if err != nil {
+		return nil, err
+	}
+	return delay.Bind(g, cc.Lib)
+}
+
+// midpointDeadline is the deadline halfway between the best achievable
+// mu+3sigma and the unsized mean delay. With round set it is rounded
+// to one decimal for readable constraint strings; the midpoint has
+// ample feasibility margin on both sides.
+func midpointDeadline(best3, unitMu float64, round bool) float64 {
+	if round {
+		return math.Round(5*(best3+unitMu)) / 10
+	}
+	return 0.5 * (best3 + unitMu)
+}
+
 // solverOpts returns the NLP options used by the table runs.
 func solverOpts() nlp.Options {
 	return nlp.Options{TolGrad: 1e-5, TolCon: 1e-5, MaxInner: 1500}
@@ -95,16 +115,11 @@ func RunTable1(cases []CircuitCase, logf func(string, ...any)) (*Table, error) {
 		Note:  "synthetic MCNC stand-ins (same cell counts); sigma = 0.25*mu, limit = 3",
 	}
 	for _, cc := range cases {
-		circ := cc.Make()
-		g, err := netlist.Compile(circ)
+		m, err := cc.bind()
 		if err != nil {
 			return nil, err
 		}
-		m, err := delay.Bind(g, cc.Lib)
-		if err != nil {
-			return nil, err
-		}
-		cells := circ.NumGates()
+		cells := m.G.C.NumGates()
 		unit := ssta.Analyze(m, m.UnitSizes(), false).Tmax
 		t.Rows = append(t.Rows, Row{
 			Circuit: cc.Name, Cells: cells,
@@ -137,9 +152,7 @@ func RunTable1(cases []CircuitCase, logf func(string, ...any)) (*Table, error) {
 			}
 		}
 
-		// Round the deadline for readable constraint strings; the
-		// midpoint has ample feasibility margin on both sides.
-		deadline := math.Round(5*(best3+unit.Mu)) / 10
+		deadline := midpointDeadline(best3, unit.Mu, true)
 		for _, k := range []float64{0, 1, 3} {
 			con := sizing.DelayLE(k, deadline)
 			out, err := sizing.Size(m, sizing.Spec{

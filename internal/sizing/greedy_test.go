@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/delay"
 	"repro/internal/ssta"
 )
 
@@ -80,6 +81,90 @@ func TestGreedyInfeasibleDeadline(t *testing.T) {
 	// Everything should be driven to the limit trying.
 	if out.SumS < 20.9 {
 		t.Errorf("greedy gave up early: area %v", out.SumS)
+	}
+}
+
+// zeroSigmaGreedy is the deterministic baseline: TILOS-style greedy
+// sizing on mean delays, the model's sigma set to zero.
+func zeroSigmaGreedy(t *testing.T, m *delay.Model, d float64) *GreedyResult {
+	t.Helper()
+	det := *m
+	det.Sigma = delay.Zero{}
+	out, err := SizeGreedy(&det, GreedyOptions{K: 0, Step: 1.01, Deadline: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestGreedyZeroSigmaTree(t *testing.T) {
+	// The tree's fastest deterministic delay is 4.853: every deadline
+	// down to 4.9 is met, at an area that grows as D tightens and
+	// within 1% of the exact area-min NLP on the same sigma = 0 model,
+	// and 4.8 is not.
+	m := treeModel(t)
+	det := *m
+	det.Sigma = delay.Zero{}
+	prev := 0.0
+	for _, d := range []float64{6.5, 6.0, 5.5, 5.0, 4.9} {
+		out := zeroSigmaGreedy(t, m, d)
+		if !out.Met {
+			t.Fatalf("D = %v: missed, reached %v", d, out.MuTmax)
+		}
+		if delay := ssta.DetAnalyze(m, out.S).Tmax; delay > d {
+			t.Errorf("D = %v: deterministic delay %v", d, delay)
+		}
+		if out.SumS <= prev {
+			t.Errorf("D = %v: area %v not above the looser deadline's %v", d, out.SumS, prev)
+		}
+		prev = out.SumS
+		exact, err := Size(&det, Spec{
+			Objective:   MinArea(),
+			Constraints: []Constraint{DelayLE(0, d)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact.SumS > out.SumS+1e-6 || out.SumS > 1.01*exact.SumS {
+			t.Errorf("D = %v: greedy area %v vs exact %v", d, out.SumS, exact.SumS)
+		}
+	}
+	if out := zeroSigmaGreedy(t, m, 4.8); out.Met {
+		t.Errorf("D = 4.8 below the fastest delay reported met at %v", out.MuTmax)
+	}
+}
+
+func TestStatisticalBeatsDeterministicOnYieldMetric(t *testing.T) {
+	// The paper's core claim: at a deadline D, deterministic sizing
+	// meets D in the mean but ignores sigma; statistical sizing under
+	// mu + 3*sigma <= D actually guarantees the 99.8% quantile. The
+	// deterministic result's own mu+3sigma must overshoot D.
+	m := treeModel(t)
+	unit := ssta.Analyze(m, m.UnitSizes(), false).Tmax
+	fast, err := Size(m, Spec{Objective: MinMuPlusKSigma(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := 0.5 * (fast.MuTmax + 3*fast.SigmaTmax + unit.Mu)
+
+	// Statistical: guarantee the 99.8% quantile.
+	stat, err := Size(m, Spec{
+		Objective:   MinArea(),
+		Constraints: []Constraint{DelayLE(3, d)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := stat.MuTmax + 3*stat.SigmaTmax; q > d+1e-3 {
+		t.Fatalf("statistical sizing missed its quantile target: %v > %v", q, d)
+	}
+
+	// Deterministic baseline at the same deadline on mean delay.
+	det := zeroSigmaGreedy(t, m, d)
+	r := ssta.Analyze(m, det.S, false).Tmax
+	if q := r.Mu + 3*r.Sigma(); q <= d {
+		t.Errorf("deterministic sizing accidentally met the quantile: %v <= %v "+
+			"(expected overshoot: it has no sigma handle)", q, d)
 	}
 }
 

@@ -350,29 +350,6 @@ func max2HD(x []ad.HyperDual, sel int) ad.HyperDual {
 	return ex2.Sub(mu.Sqr())
 }
 
-// Max2Hessians returns the exact 4x4 Hessians of muC and varC with
-// respect to (muA, varA, muB, varB), computed with hyper-dual forward
-// AD over the closed-form expressions (machine precision, no finite
-// differences). It is used by the full-space sizing formulation to
-// supply exact second derivatives to the Newton inner solver, playing
-// the role of LANCELOT's exact element Hessians.
-//
-// The point must be non-degenerate (varA + varB above the internal
-// floor); degenerate maxima have no curvature and callers should pass
-// a zero Hessian there.
-func Max2Hessians(a, b MV) (hMu, hVar [4][4]float64) {
-	x := []float64{a.Mu, a.Var, b.Mu, b.Var}
-	_, _, hm := ad.Hessian(func(v []ad.HyperDual) ad.HyperDual { return max2HD(v, 0) }, x)
-	_, _, hv := ad.Hessian(func(v []ad.HyperDual) ad.HyperDual { return max2HD(v, 1) }, x)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			hMu[i][j] = hm[i][j]
-			hVar[i][j] = hv[i][j]
-		}
-	}
-	return hMu, hVar
-}
-
 // Degenerate reports whether the pair of operands falls below the
 // variance floor at which Max2 switches to the deterministic max.
 func Degenerate(a, b MV) bool { return a.Var+b.Var <= thetaEps*thetaEps }

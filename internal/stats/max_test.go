@@ -370,10 +370,21 @@ func TestMax2JacRowSumProperty(t *testing.T) {
 	}
 }
 
+// max2Hessians returns the 4x4 Hessians of muC and varC with respect
+// to (muA, varA, muB, varB) by hyper-dual forward AD over the Clark
+// formulas (max2HD): the test oracle for closed-form Clark second
+// derivatives. The point must be non-degenerate.
+func max2Hessians(a, b MV) (hMu, hVar [][]float64) {
+	x := []float64{a.Mu, a.Var, b.Mu, b.Var}
+	_, _, hMu = ad.Hessian(func(v []ad.HyperDual) ad.HyperDual { return max2HD(v, 0) }, x)
+	_, _, hVar = ad.Hessian(func(v []ad.HyperDual) ad.HyperDual { return max2HD(v, 1) }, x)
+	return hMu, hVar
+}
+
 func TestMax2HessiansAgainstFiniteDifferences(t *testing.T) {
 	a := MV{2, 1.2}
 	b := MV{2.4, 0.8}
-	hMu, hVar := Max2Hessians(a, b)
+	hMu, hVar := max2Hessians(a, b)
 	x := []float64{a.Mu, a.Var, b.Mu, b.Var}
 	grad := func(x []float64) Jac2x4 {
 		_, j := Max2Jac(MV{x[0], x[1]}, MV{x[2], x[3]})
@@ -400,7 +411,7 @@ func TestMax2HessiansAgainstFiniteDifferences(t *testing.T) {
 }
 
 func TestMax2HessianSymmetry(t *testing.T) {
-	hMu, hVar := Max2Hessians(MV{1, 0.7}, MV{1.1, 1.3})
+	hMu, hVar := max2Hessians(MV{1, 0.7}, MV{1.1, 1.3})
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			if !close(hMu[i][j], hMu[j][i], 1e-12) {
