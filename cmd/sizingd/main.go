@@ -28,24 +28,26 @@
 //	curl -s -X POST localhost:8080/v1/sessions/s1/whatif -d '{"sizes":{"g1":2.0}}'
 //	curl -s 'localhost:8080/v1/sessions/s1/timing?k=3&top=5'
 //
-// Auxiliary modes support CI:
+// Three auxiliary modes drive an in-process daemon over loopback HTTP
+// for CI, booting it with the flags above and a temporary state
+// directory:
 //
-//	sizingd -loadtest -out BENCH_service.json        chaos load harness
-//	sizingd -sessionbench -out BENCH_session.json    warm vs cold latency
-//	sizingd -smoke                                   boot, solve one job, drain
+//	sizingd -smoke                                  boot, solve one job, drain
+//	sizingd -loadtest -out BENCH_service.json       16 jobs, 4 clients, 3 kills
+//	sizingd -sessionbench -out BENCH_session.json   warm vs cold latency on k2
+//
+// Each exits non-zero when its acceptance gate fails; the two benches
+// still write their report.
 package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -67,31 +69,11 @@ func main() {
 		sessionBytes  = flag.Int64("session-bytes", 256<<20, "warm session engine memory budget (bytes)")
 		sessionIdle   = flag.Duration("session-idle-timeout", 0, "evict warm session engines idle this long (0 = never)")
 		loadtest      = flag.Bool("loadtest", false, "run the chaos load harness instead of serving")
-		out           = flag.String("out", "", "report path (default BENCH_service.json / BENCH_session.json)")
-		jobs          = flag.Int("jobs", 12, "loadtest: total jobs")
-		clients       = flag.Int("clients", 3, "loadtest: concurrent clients")
-		kills         = flag.Int("kills", 2, "loadtest: kill/restart cycles")
 		sessionbench  = flag.Bool("sessionbench", false, "run the warm-session vs cold-job latency harness")
-		benchCircuit  = flag.String("bench-circuit", "k2", "sessionbench: circuit")
-		benchNudges   = flag.Int("bench-nudges", 300, "sessionbench: warm nudges")
 		smoke         = flag.Bool("smoke", false, "boot, run one job end to end, drain, exit")
+		out           = flag.String("out", "", "report path (default BENCH_service.json / BENCH_session.json)")
 	)
 	flag.Parse()
-
-	if *loadtest {
-		path := *out
-		if path == "" {
-			path = "BENCH_service.json"
-		}
-		os.Exit(runLoadTest(path, *jobs, *clients, *kills, *pool, *queue))
-	}
-	if *sessionbench {
-		path := *out
-		if path == "" {
-			path = "BENCH_session.json"
-		}
-		os.Exit(runSessionBench(path, *benchCircuit, *benchNudges))
-	}
 
 	opts := service.Options{
 		StateDir:           *state,
@@ -106,8 +88,17 @@ func main() {
 		SessionBytes:       *sessionBytes,
 		SessionIdleTimeout: *sessionIdle,
 	}
-	if *smoke {
-		os.Exit(runSmoke(opts))
+	switch {
+	case *smoke:
+		_, err := service.RunLoadTest(opts, false)
+		if err == nil {
+			fmt.Println("sizingd: smoke ok")
+		}
+		os.Exit(exitStatus("smoke", err))
+	case *loadtest:
+		os.Exit(runLoadTest(opts, orDefault(*out, "BENCH_service.json")))
+	case *sessionbench:
+		os.Exit(runSessionBench(opts, orDefault(*out, "BENCH_session.json")))
 	}
 	os.Exit(runDaemon(*addr, opts))
 }
@@ -165,134 +156,47 @@ func runDaemon(addr string, opts service.Options) int {
 	return 0
 }
 
-// runLoadTest runs the chaos load harness and writes the report.
-func runLoadTest(out string, jobs, clients, kills, pool, queue int) int {
-	rep, err := service.RunLoadTest(service.LoadTestOptions{
-		Jobs:       jobs,
-		Clients:    clients,
-		Kills:      kills,
-		Pool:       pool,
-		QueueDepth: queue,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sizingd: loadtest:", err)
-		return 1
-	}
-	if err := service.WriteReport(out, rep); err != nil {
-		fmt.Fprintln(os.Stderr, "sizingd: loadtest:", err)
-		return 1
-	}
-	fmt.Printf("sizingd: loadtest %d jobs, %d restarts, p50 %.0fms p99 %.0fms, %.1f jobs/s → %s\n",
-		rep.Config.Jobs, rep.Restarts, rep.LatencyMS.P50, rep.LatencyMS.P99, rep.Throughput, out)
-	return 0
-}
-
-// runSessionBench runs the warm-session vs cold-job harness and
-// writes the report. The harness itself enforces the >= 10x warm
-// speedup acceptance and fails the exit code when it does not hold.
-func runSessionBench(out, circuit string, nudges int) int {
-	rep, err := service.RunSessionBench(service.SessionBenchOptions{
-		Circuit:    circuit,
-		WarmNudges: nudges,
-	})
+// runLoadTest runs the chaos load test and writes its report, also
+// when a gate fails, so the failing run can be read.
+func runLoadTest(opts service.Options, out string) int {
+	rep, err := service.RunLoadTest(opts, true)
 	if rep != nil {
-		if werr := service.WriteSessionBench(out, rep); werr != nil {
-			fmt.Fprintln(os.Stderr, "sizingd: sessionbench:", werr)
-			return 1
+		if werr := service.WriteReport(out, rep); werr != nil {
+			return exitStatus("loadtest", werr)
 		}
+		fmt.Printf("sizingd: loadtest %d jobs, %d restarts, p50 %.1fms p99 %.1fms, %.1f jobs/s → %s\n",
+			rep.Config.Jobs, rep.Restarts, rep.LatencyMS.P50, rep.LatencyMS.P99, rep.Throughput, out)
 	}
+	return exitStatus("loadtest", err)
+}
+
+// runSessionBench runs the warm-session vs cold-job latency harness
+// and writes its report, also when the >= 10x gate fails.
+func runSessionBench(opts service.Options, out string) int {
+	rep, err := service.RunSessionBench(opts)
+	if rep != nil {
+		if werr := service.WriteReport(out, rep); werr != nil {
+			return exitStatus("sessionbench", werr)
+		}
+		fmt.Printf("sizingd: sessionbench %s (%d gates): warm p50 %.3fms, cold session p50 %.1fms, cold job p50 %.1fms, speedup %.0fx → %s\n",
+			rep.Config.Circuit, rep.Config.Gates, rep.WarmNudgeMS.P50, rep.ColdSessionMS.P50, rep.ColdJobMS.P50, rep.SpeedupP50, out)
+	}
+	return exitStatus("sessionbench", err)
+}
+
+// exitStatus reports a mode's error on stderr and returns its exit
+// code.
+func exitStatus(mode string, err error) int {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sizingd: sessionbench:", err)
+		fmt.Fprintf(os.Stderr, "sizingd: %s: %v\n", mode, err)
 		return 1
 	}
-	fmt.Printf("sizingd: sessionbench %s (%d gates): warm p50 %.3fms, cold session p50 %.1fms, cold job p50 %.1fms, speedup %.0fx → %s\n",
-		rep.Config.Circuit, rep.Config.Gates, rep.WarmNudgeMS.P50, rep.ColdSessionMS.P50, rep.ColdJobMS.P50, rep.SpeedupP50, out)
 	return 0
 }
 
-// runSmoke boots the daemon on a loopback port, pushes one job end to
-// end through the HTTP API, drains and exits — the CI health check.
-func runSmoke(opts service.Options) int {
-	dir, err := os.MkdirTemp("", "sizingd-smoke-*")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sizingd: smoke:", err)
-		return 1
+func orDefault(s, def string) string {
+	if s == "" {
+		return def
 	}
-	defer os.RemoveAll(dir)
-	opts.StateDir = dir
-
-	srv, err := service.New(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sizingd: smoke:", err)
-		return 1
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sizingd: smoke:", err)
-		return 1
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go httpSrv.Serve(ln)
-	srv.Start()
-	base := "http://" + ln.Addr().String()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := smokeJob(ctx, base); err != nil {
-		fmt.Fprintln(os.Stderr, "sizingd: smoke:", err)
-		return 1
-	}
-	httpSrv.Shutdown(ctx)
-	if err := srv.Drain(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "sizingd: smoke: drain:", err)
-		return 1
-	}
-	fmt.Println("sizingd: smoke ok")
-	return 0
-}
-
-// smokeJob submits one tree7 job and polls it to completion.
-func smokeJob(ctx context.Context, base string) error {
-	body := `{"id":"smoke","circuit":"tree7","objective":"mu+3sigma","max_outer":12}`
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/jobs", strings.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("submit: HTTP %d", resp.StatusCode)
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/smoke", nil)
-		if err != nil {
-			return err
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return err
-		}
-		var st struct {
-			State string `json:"state"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		switch st.State {
-		case "done":
-			return nil
-		case "failed", "cancelled":
-			return errors.New("smoke job ended " + st.State)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
+	return s
 }

@@ -1,11 +1,7 @@
 package main
 
 import (
-	"context"
-	"net"
-	"net/http"
 	"testing"
-	"time"
 
 	"repro/internal/service"
 )
@@ -13,25 +9,11 @@ import (
 // TestSmokeJobEndToEnd drives the -smoke flow against an in-process
 // daemon: boot, submit over HTTP, poll to done, drain.
 func TestSmokeJobEndToEnd(t *testing.T) {
-	srv, err := service.New(service.Options{StateDir: t.TempDir(), Pool: 1})
+	rep, err := service.RunLoadTest(service.Options{Pool: 1}, false)
 	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go httpSrv.Serve(ln)
-	srv.Start()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := smokeJob(ctx, "http://"+ln.Addr().String()); err != nil {
 		t.Fatalf("smoke job: %v", err)
 	}
-	httpSrv.Shutdown(ctx)
-	if err := srv.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
+	if rep.Done != 1 || rep.Config.Jobs != 1 || rep.Restarts != 0 {
+		t.Fatalf("smoke run: %+v", rep)
 	}
 }

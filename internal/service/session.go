@@ -452,7 +452,10 @@ func (s *Server) ensureEngine(ss *session) (*ssta.Hier, bool, error) {
 // every key must name a gate and every size must be finite and
 // positive (the engine itself panics on non-finite sizes — the guard
 // at its API boundary — so the service rejects them with a 400 here,
-// before they reach the PATCH path). The batch returns in sorted gate
+// before they reach the PATCH path). Sizes outside the model's
+// [1, limit] are accepted on purpose: a what-if session explores
+// sizings the solver's bounds would not reach, and the engine times
+// any positive finite size exactly. The batch returns in sorted gate
 // order, making the application order deterministic.
 func resolveNudges(eng *ssta.Hier, sizes map[string]float64) ([]nudge, error) {
 	if len(sizes) == 0 {

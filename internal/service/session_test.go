@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/ssta"
+	"repro/internal/stats"
 )
 
 // sessionReq issues one JSON request against the session endpoints.
@@ -567,5 +571,81 @@ func TestSessionNonFiniteNudgeRejected(t *testing.T) {
 	}
 	if after := timingKey(decodeBody[TimingReply](t, resp)); after != before {
 		t.Fatalf("timing after the rejected nudge differs from before it:\n%s\n%s", after, before)
+	}
+}
+
+// TestSessionSizePolicy pins which sizes a PATCH accepts. Zero and
+// negative sizes answer 400 over HTTP, and NaN and ±Inf, which JSON
+// cannot carry, are rejected by SessionNudge; either way the session's
+// Tmax stays bit for bit. Sizes outside the model's [1, limit] are
+// accepted on purpose: after 0.5 or a size above the limit, Tmax is bit
+// for bit a fresh ssta.Analyze at the session's sizes.
+func TestSessionSizePolicy(t *testing.T) {
+	srv, ts := testServer(t, Options{Pool: 1})
+	srv.Start()
+	resp := sessionReq(t, ts, http.MethodPost, "/v1/sessions", SessionSpec{ID: "s", Circuit: "tree7"})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: HTTP %d", resp.StatusCode)
+	}
+	resp.Body.Close()
+	ref, err := buildModel(&JobSpec{Circuit: "tree7"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := ref.UnitSizes()
+	gate, ok := ref.G.C.Lookup("A")
+	if !ok {
+		t.Fatal("tree7 has no gate A")
+	}
+	tmax := func() stats.MV {
+		ss, err := srv.lookupSession("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.sessMu.Lock()
+		defer srv.sessMu.Unlock()
+		return ss.eng.Tmax()
+	}
+	bits := func(mv stats.MV) [2]uint64 { return [2]uint64{math.Float64bits(mv.Mu), math.Float64bits(mv.Var)} }
+
+	for _, tc := range []struct {
+		name string
+		size float64
+		http bool // over HTTP; else through SessionNudge
+		ok   bool
+	}{
+		{"zero", 0, true, false},
+		{"negative", -1, true, false},
+		{"NaN", math.NaN(), false, false},
+		{"+Inf", math.Inf(1), false, false},
+		{"-Inf", math.Inf(-1), false, false},
+		{"below one", 0.5, true, true},
+		{"above limit", 2 * ref.Limit, true, true},
+	} {
+		before := tmax()
+		batch := map[string]float64{"A": tc.size}
+		if tc.http {
+			resp := sessionReq(t, ts, http.MethodPatch, "/v1/sessions/s/sizes", sizesBody{Sizes: batch})
+			resp.Body.Close()
+			want := http.StatusBadRequest
+			if tc.ok {
+				want = http.StatusOK
+			}
+			if resp.StatusCode != want {
+				t.Fatalf("%s: PATCH size %v: HTTP %d, want %d", tc.name, tc.size, resp.StatusCode, want)
+			}
+		} else if _, err := srv.SessionNudge("s", batch); err == nil {
+			t.Fatalf("%s: SessionNudge accepted size %v", tc.name, tc.size)
+		}
+		if !tc.ok {
+			if bits(tmax()) != bits(before) {
+				t.Fatalf("%s: rejected size %v moved Tmax from %+v to %+v", tc.name, tc.size, before, tmax())
+			}
+			continue
+		}
+		sizes[gate] = tc.size
+		if got, want := tmax(), ssta.Analyze(ref, sizes, false).Tmax; bits(got) != bits(want) {
+			t.Fatalf("%s: Tmax %+v after size %v, fresh Analyze %+v", tc.name, got, tc.size, want)
+		}
 	}
 }
