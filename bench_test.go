@@ -45,7 +45,7 @@ func benchTable1(b *testing.B, idx int) {
 	cases := []bench.CircuitCase{bench.Table1Circuits()[idx]}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunTable1(cases, nil); err != nil {
+		if _, err := bench.RunTable1(cases, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,8 +50,14 @@ func main() {
 		}
 	}
 
+	// With every table, the baseline comparison and Table 1 share
+	// their common solves.
+	var solves *bench.Solves
+	if *table == "all" {
+		solves = bench.NewSolves()
+	}
 	run1 := func() {
-		t, err := bench.RunTable1(bench.Table1Circuits(), logf)
+		t, err := bench.RunTable1(bench.Table1Circuits(), logf, solves)
 		if err != nil {
 			fatal(err)
 		}
@@ -79,7 +85,7 @@ func main() {
 		y.Format(os.Stdout)
 	}
 	runBaseline := func() {
-		res, err := bench.RunBaseline(bench.Table1Circuits(), *samples)
+		res, err := bench.RunBaseline(bench.Table1Circuits(), *samples, solves)
 		if err != nil {
 			fatal(err)
 		}

@@ -58,10 +58,11 @@ func (b *BaselineResult) Format(w io.Writer) {
 // area-min with mu <= D, and statistical area-min with
 // mu + 3*sigma <= D — and Monte Carlo-measures the yield each
 // actually achieves at D. D is Table 1's midpoint deadline, left
-// unrounded on tree7.
-func RunBaseline(cases []CircuitCase, samples int) ([]*BaselineResult, error) {
+// unrounded on tree7. The NLP solves of the cases, which Table 1
+// makes too, come from solves.
+func RunBaseline(cases []CircuitCase, samples int, solves *Solves) ([]*BaselineResult, error) {
 	tree := delay.MustBind(netlist.MustCompile(netlist.Tree7()), delay.PaperTree())
-	res, err := runBaseline("tree7", tree, samples, false)
+	res, err := runBaseline("tree7", tree, samples, false, nil)
 	if err != nil {
 		return nil, fmt.Errorf("tree7 baseline: %w", err)
 	}
@@ -71,7 +72,7 @@ func RunBaseline(cases []CircuitCase, samples int) ([]*BaselineResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := runBaseline(cc.Name, m, samples, true)
+		res, err := runBaseline(cc.Name, m, samples, true, solves)
 		if err != nil {
 			return nil, fmt.Errorf("%s baseline: %w", cc.Name, err)
 		}
@@ -83,11 +84,9 @@ func RunBaseline(cases []CircuitCase, samples int) ([]*BaselineResult, error) {
 // runBaseline is RunBaseline on one circuit. The deterministic row is
 // TILOS-style greedy sizing of the model with sigma = 0, where
 // mu + 0*sigma is the mean-delay circuit delay.
-func runBaseline(name string, m *delay.Model, samples int, round bool) (*BaselineResult, error) {
+func runBaseline(name string, m *delay.Model, samples int, round bool, solves *Solves) (*BaselineResult, error) {
 	unit := ssta.Analyze(m, m.UnitSizes(), false).Tmax
-	fast, err := sizing.Size(m, sizing.Spec{
-		Objective: sizing.MinMuPlusKSigma(3), Solver: solverOpts(),
-	})
+	fast, err := solves.size(name, m, sizing.MinMuPlusKSigma(3), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -131,11 +130,8 @@ func runBaseline(name string, m *delay.Model, samples int, round bool) (*Baselin
 		method string
 		k      float64
 	}{{"statistical, mu <= D", 0}, {"statistical, mu+3sigma <= D", 3}} {
-		stat, err := sizing.Size(m, sizing.Spec{
-			Objective:   sizing.MinArea(),
-			Constraints: []sizing.Constraint{sizing.DelayLE(row.k, deadline)},
-			Solver:      solverOpts(),
-		})
+		con := sizing.DelayLE(row.k, deadline)
+		stat, err := solves.size(name, m, sizing.MinArea(), &con)
 		if err != nil {
 			return nil, err
 		}

@@ -141,7 +141,7 @@ func TestRunTable1SmallCircuit(t *testing.T) {
 	// Full Table 1 takes a while; exercise the runner end-to-end on
 	// the smallest circuit and check the paper's qualitative shape.
 	cases := []CircuitCase{Table1Circuits()[1]} // apex2-like
-	tbl, err := RunTable1(cases, nil)
+	tbl, err := RunTable1(cases, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestRunYield(t *testing.T) {
 }
 
 func TestRunBaseline(t *testing.T) {
-	res, err := RunBaseline(nil, 50000)
+	res, err := RunBaseline(nil, 50000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestRunBaseline(t *testing.T) {
 			t.Skip("sizes three Table 1 circuits three ways")
 		}
 		cases := Table1Circuits()
-		res, err := RunBaseline(cases, 20000)
+		res, err := RunBaseline(cases, 20000, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,5 +344,56 @@ func TestTable1CircuitsMatchPaperScale(t *testing.T) {
 		if _, err := netlist.Compile(c); err != nil {
 			t.Errorf("%s: %v", cc.Name, err)
 		}
+	}
+}
+
+// TestSharedSolves runs Table 1 and the baseline comparison on the
+// apex2-like circuit through one Solves: the three solves they share
+// are made once, and each table reads exactly as it does alone, apart
+// from the CPU column.
+func TestSharedSolves(t *testing.T) {
+	cases := []CircuitCase{Table1Circuits()[1]} // apex2-like
+	alone1, err := RunTable1(cases, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aloneB, err := RunBaseline(cases, 2000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solves := NewSolves()
+	shared1, err := RunTable1(cases, nil, solves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharedB, err := RunBaseline(cases, 2000, solves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Table 1 makes six NLP solves; the baseline's three are among them.
+	if n := len(solves.done); n != 6 {
+		t.Fatalf("%d distinct solves, want 6", n)
+	}
+	withoutCPU := func(tbl *Table) string {
+		rows := append([]Row(nil), tbl.Rows...)
+		for i := range rows {
+			rows[i].CPU = 0
+		}
+		var buf bytes.Buffer
+		(&Table{Title: tbl.Title, Note: tbl.Note, Rows: rows}).Format(&buf)
+		return buf.String()
+	}
+	if a, b := withoutCPU(alone1), withoutCPU(shared1); a != b {
+		t.Fatalf("Table 1 alone:\n%s\nshared:\n%s", a, b)
+	}
+	format := func(res []*BaselineResult) string {
+		var buf bytes.Buffer
+		for _, r := range res {
+			r.Format(&buf)
+		}
+		return buf.String()
+	}
+	if a, b := format(aloneB), format(sharedB); a != b {
+		t.Fatalf("baseline alone:\n%s\nshared:\n%s", a, b)
 	}
 }

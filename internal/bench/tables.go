@@ -102,14 +102,64 @@ func solverOpts() nlp.Options {
 	return nlp.Options{TolGrad: 1e-5, TolCon: 1e-5, MaxInner: 1500}
 }
 
+// Solves remembers the outcome of each table solve by circuit and
+// spec. Table 1 and the baseline comparison size every Table 1
+// circuit under three identical specs: min mu+3sigma, then min area
+// under mu <= D and under mu+3sigma <= D, at the same midpoint
+// deadline D. A run of both that shares one Solves makes each of
+// those solves once. Solves are deterministic, so a remembered
+// outcome is bit for bit the one a fresh solve returns; only its
+// Runtime, the CPU column, is that of the first solve. A nil *Solves
+// solves every time.
+type Solves struct {
+	done map[solveKey]*sizing.Outcome
+}
+
+// solveKey names a table solve: every one runs solverOpts under at
+// most one constraint.
+type solveKey struct {
+	circuit string
+	obj     sizing.Objective
+	con     sizing.Constraint
+	hasCon  bool
+}
+
+// NewSolves returns an empty Solves.
+func NewSolves() *Solves {
+	return &Solves{done: map[solveKey]*sizing.Outcome{}}
+}
+
+// size minimizes obj on the named circuit's model with solverOpts,
+// under con when it is non-nil.
+func (s *Solves) size(circuit string, m *delay.Model, obj sizing.Objective, con *sizing.Constraint) (*sizing.Outcome, error) {
+	spec := sizing.Spec{Objective: obj, Solver: solverOpts()}
+	key := solveKey{circuit: circuit, obj: obj}
+	if con != nil {
+		spec.Constraints = []sizing.Constraint{*con}
+		key.con, key.hasCon = *con, true
+	}
+	if s == nil {
+		return sizing.Size(m, spec)
+	}
+	if out, ok := s.done[key]; ok {
+		return out, nil
+	}
+	out, err := sizing.Size(m, spec)
+	if err != nil {
+		return nil, err
+	}
+	s.done[key] = out
+	return out, nil
+}
+
 // RunTable1 reproduces the paper's Table 1 on the given circuits: the
 // unsized baseline, the three delay objectives, and three area
 // minimizations under mu + k*sigma deadlines. The deadline is the
 // midpoint between the best achievable mu+3sigma and the unsized mean
 // delay, mirroring the paper's choice of a deadline that binds every
 // formulation (their 120 for apex1 sits at a comparable fraction of
-// the unsized 173.7).
-func RunTable1(cases []CircuitCase, logf func(string, ...any)) (*Table, error) {
+// the unsized 173.7). Solves shared with RunBaseline come from solves.
+func RunTable1(cases []CircuitCase, logf func(string, ...any), solves *Solves) (*Table, error) {
 	t := &Table{
 		Title: "Table 1: statistical sizing of benchmark circuits",
 		Note:  "synthetic MCNC stand-ins (same cell counts); sigma = 0.25*mu, limit = 3",
@@ -129,10 +179,7 @@ func RunTable1(cases []CircuitCase, logf func(string, ...any)) (*Table, error) {
 
 		var best3 float64
 		for _, k := range []float64{0, 1, 3} {
-			out, err := sizing.Size(m, sizing.Spec{
-				Objective: sizing.MinMuPlusKSigma(k),
-				Solver:    solverOpts(),
-			})
+			out, err := solves.size(cc.Name, m, sizing.MinMuPlusKSigma(k), nil)
 			if err != nil {
 				return nil, fmt.Errorf("%s min mu+%gsigma: %w", cc.Name, k, err)
 			}
@@ -155,11 +202,7 @@ func RunTable1(cases []CircuitCase, logf func(string, ...any)) (*Table, error) {
 		deadline := midpointDeadline(best3, unit.Mu, true)
 		for _, k := range []float64{0, 1, 3} {
 			con := sizing.DelayLE(k, deadline)
-			out, err := sizing.Size(m, sizing.Spec{
-				Objective:   sizing.MinArea(),
-				Constraints: []sizing.Constraint{con},
-				Solver:      solverOpts(),
-			})
+			out, err := solves.size(cc.Name, m, sizing.MinArea(), &con)
 			if err != nil {
 				return nil, fmt.Errorf("%s area under %v: %w", cc.Name, con, err)
 			}

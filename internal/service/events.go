@@ -102,11 +102,14 @@ func streamedScope(scope string) bool {
 }
 
 // jobRecorder is the telemetry.Recorder attached to a job's solve: it
-// forwards everything to the server's metrics chain and renders the
-// outer-loop events ("alm.outer" and friends) into the job's SSE hub.
+// forwards everything to the server's metrics chain, renders the
+// outer-loop events ("alm.outer" and friends) into the job's SSE hub,
+// and, once it has let go of both, gives the job's pacer its chance
+// to park.
 type jobRecorder struct {
 	next telemetry.Recorder
 	hub  *eventHub
+	pace *pacer
 }
 
 func (r *jobRecorder) Event(scope, name string, fields ...telemetry.KV) {
@@ -116,24 +119,28 @@ func (r *jobRecorder) Event(scope, name string, fields ...telemetry.KV) {
 	if streamedScope(scope) {
 		r.hub.publish(renderEvent(scope, name, fields))
 	}
+	r.pace.tick()
 }
 
 func (r *jobRecorder) Count(name string, delta int64) {
 	if r.next != nil {
 		r.next.Count(name, delta)
 	}
+	r.pace.tick()
 }
 
 func (r *jobRecorder) Gauge(name string, v float64) {
 	if r.next != nil {
 		r.next.Gauge(name, v)
 	}
+	r.pace.tick()
 }
 
 func (r *jobRecorder) Span(name string, d time.Duration) {
 	if r.next != nil {
 		r.next.Span(name, d)
 	}
+	r.pace.tick()
 }
 
 // renderEvent formats one event as a JSON object with ordered fields,

@@ -308,6 +308,7 @@ type job struct {
 	errMsg    string
 
 	cancel    func() // non-nil while running; user/stall cancellation
+	pace      *pacer // the running job's own pacer (nil when unpaced)
 	cancelled bool   // the cancel endpoint fired (vs drain/kill)
 
 	submitted, started, finished time.Time

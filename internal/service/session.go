@@ -683,9 +683,9 @@ func (s *Server) sessionTiming(id string, kq *float64, top int) (TimingReply, er
 		rows[i] = GateTiming{Gate: c.Nodes[g].Name, Criticality: crit[g], Size: sizes[g]}
 	}
 	// crit is engine-owned scratch; the adjoint pass below overwrites
-	// it, so the criticalities were copied into rows first. Each pass
-	// clears and recomputes its slabs, so running criticality first
-	// changes no bit of phi or the gradient.
+	// it, so the criticalities were copied into rows first. No pass
+	// clears a slab: each leaves it all zero for the next, so running
+	// criticality first changes no bit of phi or the gradient.
 	phi, grad := eng.GradMuPlusKSigma(k)
 	for i, g := range ids {
 		rows[i].Sensitivity = grad[g]

@@ -44,6 +44,15 @@ func (s *Server) runJob(jb *job) {
 	}
 	defer cancel()
 
+	// Every attempt's telemetry reaches the metrics sink plus the
+	// caller's recorder, and goes through the job's own pacer.
+	base := telemetry.Recorder(s.metrics)
+	if s.opt.Recorder != nil {
+		base = telemetry.Multi(s.metrics, s.opt.Recorder)
+	}
+	pace := newPacer(base)
+	defer pace.close()
+
 	s.mu.Lock()
 	if jb.cancelled {
 		// The cancel endpoint won the race while the job sat queued.
@@ -51,11 +60,11 @@ func (s *Server) runJob(jb *job) {
 		s.mu.Unlock()
 		return
 	}
-	jb.cancel = cancel
+	jb.cancel, jb.pace = cancel, pace
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
-		jb.cancel = nil
+		jb.cancel, jb.pace = nil, nil
 		s.mu.Unlock()
 	}()
 
@@ -86,15 +95,11 @@ func (s *Server) runJob(jb *job) {
 			return
 		}
 
-		// Telemetry chain: watchdog → SSE/stream splitter → metrics +
-		// the caller's recorder. The watchdog is per-attempt so a
-		// retried job starts with a clean progress history.
+		// Telemetry chain: watchdog → SSE/stream splitter and pacer →
+		// base. The watchdog is per-attempt so a retried job starts
+		// with a clean progress history.
 		var stallCancelled bool
-		base := telemetry.Recorder(s.metrics)
-		if s.opt.Recorder != nil {
-			base = telemetry.Multi(s.metrics, s.opt.Recorder)
-		}
-		stream := &jobRecorder{next: base, hub: jb.hub}
+		stream := &jobRecorder{next: base, hub: jb.hub, pace: pace}
 		wd := telemetry.NewWatchdog(stream, telemetry.WatchdogOptions{
 			OnStall: func(st telemetry.Stall) {
 				s.metrics.Count("service.jobs.stalled", 1)
