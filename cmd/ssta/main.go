@@ -166,9 +166,9 @@ func main() {
 	}
 	fmt.Printf("quantiles: 50%% = %.4f  84.1%% = %.4f  99.8%% = %.4f\n",
 		r.Tmax.Mu, r.Tmax.Mu+r.Tmax.Sigma(), r.Tmax.Mu+3*r.Tmax.Sigma())
-	// The three sigma-level corner sweeps run as lanes of one batched
-	// traversal (ssta.DetBatch); each lane is bit-identical to its
-	// scalar corner sweep.
+	// The three sigma-level corner sweeps run as lanes of one
+	// ssta.KSweep; each lane is bit-identical to its scalar corner
+	// sweep.
 	ck := ssta.KSweep(m, S, []float64{0, 1, 3})
 	fmt.Printf("corner sweep (batched): k=0 %.4f  k=1 %.4f  k=3 %.4f\n", ck[0], ck[1], ck[2])
 

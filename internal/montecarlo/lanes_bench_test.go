@@ -7,12 +7,13 @@ import (
 	"repro/internal/netlist"
 )
 
-// The MCLane benchmarks measure the batched shard runner against the
-// scalar per-sample loop on the 1200-gate netlist; both draw the same
-// 4096-sample shard, so ns/op is directly comparable and the scalar/
-// lane ratio is the batching speedup collected by `make bench-batch`.
+// The MCRun/MCScalarOracle pair measures Run's lane-strided blocks
+// against the scalar per-sample oracle on the 1200-gate netlist; both
+// draw the same 4096-sample shard, so ns/op is directly comparable
+// (the oracle also keeps and sorts its samples, a small share of its
+// time). `make bench-batch` collects both into BENCH_batch.json.
 
-func benchMCLanes(b *testing.B, laneWidth int) {
+func gen1200(b *testing.B) *delay.Model {
 	gen, err := netlist.Generate(netlist.GenSpec{
 		Name: "par1200", Gates: 1200, Inputs: 48, Outputs: 12,
 		Depth: 18, MaxFanin: 4, Seed: 1234,
@@ -20,9 +21,13 @@ func benchMCLanes(b *testing.B, laneWidth int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := delay.MustBind(netlist.MustCompile(gen), delay.Default())
+	return delay.MustBind(netlist.MustCompile(gen), delay.Default())
+}
+
+func BenchmarkMCRunGen1200(b *testing.B) {
+	m := gen1200(b)
 	S := m.UnitSizes()
-	opt := Options{Samples: 4096, Seed: 7, Workers: 1, LaneWidth: laneWidth}
+	opt := Options{Samples: 4096, Seed: 7, Workers: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -32,6 +37,12 @@ func benchMCLanes(b *testing.B, laneWidth int) {
 	}
 }
 
-func BenchmarkMCLanes1Gen1200(b *testing.B) { benchMCLanes(b, 1) }
-func BenchmarkMCLanes4Gen1200(b *testing.B) { benchMCLanes(b, 4) }
-func BenchmarkMCLanes8Gen1200(b *testing.B) { benchMCLanes(b, 8) }
+func BenchmarkMCScalarOracleGen1200(b *testing.B) {
+	m := gen1200(b)
+	S := m.UnitSizes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scalarOracle(m, S, 4096, 7)
+	}
+}

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/delay"
 	"repro/internal/dist"
-	"repro/internal/netlist"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
@@ -41,14 +40,6 @@ type Options struct {
 	// substream generators derived from Seed, so the result is
 	// bit-identical for every worker count.
 	Workers int
-	// LaneWidth sets how many samples a shard propagates per node
-	// visit (the batched structure-of-arrays path): <= 0 uses the
-	// default width, 1 forces the scalar per-sample loop. Per-sample
-	// values are drawn in the scalar order and propagated over
-	// K-strided lanes, so the result is bit-identical for every
-	// (LaneWidth, Workers) pair — the lane width is purely a
-	// performance knob.
-	LaneWidth int
 	// Recorder, when non-nil, receives aggregate run telemetry: the
 	// "mc.run" span, one "mc.shard" span per sample block (count and
 	// busy time, exposing shard balance), the sample counter and the
@@ -126,10 +117,6 @@ func RunCtx(ctx context.Context, m *delay.Model, S []float64, opt Options) (*Res
 	tRun := telemetry.StartSpan(rec)
 	nShards := (opt.Samples + shardSamples - 1) / shardSamples
 	shards := make([]shardMoments, nShards)
-	K := opt.LaneWidth
-	if K <= 0 {
-		K = defaultLaneWidth
-	}
 	// runShard draws shard i's block of samples into shards[i] using
 	// the caller's per-worker scratch slabs. With a recorder attached
 	// each block's busy time folds into the "mc.shard" span (workers
@@ -147,41 +134,7 @@ func RunCtx(ctx context.Context, m *delay.Model, S []float64, opt Options) (*Res
 		if opt.KeepSamples {
 			sm.keep = make([]float64, 0, count)
 		}
-		if K > 1 {
-			runShardLanes(m, gateMu, gateSigma, opt, K, sc, count, sm, rng)
-			return
-		}
-		arr := sc.arr
-		for s := 0; s < count; s++ {
-			for _, id := range g.Topo {
-				nd := &g.C.Nodes[id]
-				if nd.Kind == netlist.KindInput {
-					a := m.Arrival[id]
-					arr[id] = a.Mu + a.Sigma()*rng.NormFloat64()
-					continue
-				}
-				u := arr[nd.Fanin[0]] + m.PinOff(id, 0)
-				for k, f := range nd.Fanin[1:] {
-					if a := arr[f] + m.PinOff(id, k+1); a > u {
-						u = a
-					}
-				}
-				d := gateMu[id] + gateSigma[id]*rng.NormFloat64()
-				arr[id] = u + d
-			}
-			tmax := arr[g.C.Outputs[0]]
-			for _, o := range g.C.Outputs[1:] {
-				if a := arr[o]; a > tmax {
-					tmax = a
-				}
-			}
-			d := tmax - sm.mean
-			sm.mean += d / float64(s+1)
-			sm.m2 += d * (tmax - sm.mean)
-			if opt.KeepSamples {
-				sm.keep = append(sm.keep, tmax)
-			}
-		}
+		runShardLanes(m, gateMu, gateSigma, opt, sc, count, sm, rng)
 	}
 
 	workers := opt.Workers
@@ -192,7 +145,7 @@ func RunCtx(ctx context.Context, m *delay.Model, S []float64, opt Options) (*Res
 		workers = nShards
 	}
 	if workers == 1 {
-		sc := newMCScratch(n, K)
+		sc := newMCScratch(n)
 		st := telemetry.StackAt(rec, "mc.run")
 		for i := range shards {
 			if cancelled(done) {
@@ -207,7 +160,7 @@ func RunCtx(ctx context.Context, m *delay.Model, S []float64, opt Options) (*Res
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sc := newMCScratch(n, K)
+				sc := newMCScratch(n)
 				st := telemetry.StackAt(rec, "mc.run")
 				for {
 					if cancelled(done) {
@@ -256,7 +209,7 @@ func RunCtx(ctx context.Context, m *delay.Model, S []float64, opt Options) (*Res
 	if rec != nil {
 		rec.Count("mc.samples", int64(opt.Samples))
 		rec.Gauge("mc.shards", float64(nShards))
-		rec.Gauge("mc.lanes", float64(K))
+		rec.Gauge("mc.lanes", laneWidth)
 		telemetry.EndSpan(rec, "mc.run", tRun)
 	}
 	r := &Result{Mu: mean, Sigma: sigma}

@@ -27,17 +27,15 @@ type CornerResult struct {
 // (see checkRiskFactor); the sign of k is ignored — corners are
 // symmetric by construction, so Corners(m, S, -3) is Corners(m, S, 3),
 // keeping the Best <= Worst invariant instead of silently swapping
-// the corners' meanings. The three deterministic corners are lanes of
-// one batched sweep (DetBatch) — one traversal computing each gate's
-// delay distribution once for all three risk levels — bit-identical
-// to three scalar corner sweeps.
+// the corners' meanings. The three deterministic corners are the
+// lanes of one KSweep at -k, 0 and k.
 func Corners(m *delay.Model, S []float64, k float64) *CornerResult {
 	checkRiskFactor(k, "Corners")
 	if k < 0 {
 		k = -k
 	}
 	res := &CornerResult{K: k}
-	t := NewDetBatch(m, []float64{-k, 0, k}).Sweep(S)
+	t := KSweep(m, S, []float64{-k, 0, k})
 	res.Best, res.Typical, res.Worst = t[0], t[1], t[2]
 	r := Analyze(m, S, false)
 	res.StatQuantile = r.Tmax.Mu + k*r.Tmax.Sigma()

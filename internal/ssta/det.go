@@ -20,31 +20,23 @@ type DetResult struct {
 // delays of the model (sigma ignored). Note that the statistical mean
 // circuit delay is always at least the deterministic one, because the
 // stochastic max inflates means at every path merge — the effect the
-// paper's references [1], [2] emphasize.
+// paper's references [1], [2] emphasize. Unlike the corner sweeps
+// (KSweep), it takes the input arrival means as they are: a negative
+// mean arrival is not clamped at zero.
 func DetAnalyze(m *delay.Model, S []float64) *DetResult {
 	g := m.G
 	n := len(g.C.Nodes)
-	r := &DetResult{Arrival: make([]float64, n), CriticalOutput: -1}
-	for _, id := range g.Topo {
-		nd := &g.C.Nodes[id]
-		if nd.Kind == netlist.KindInput {
-			r.Arrival[id] = m.Arrival[id].Mu
-			continue
-		}
-		u := r.Arrival[nd.Fanin[0]] + m.PinOff(id, 0)
-		for k, f := range nd.Fanin[1:] {
-			if a := r.Arrival[f] + m.PinOff(id, k+1); a > u {
-				u = a
-			}
-		}
-		r.Arrival[id] = u + m.GateMu(id, S)
-	}
-	for _, o := range g.C.Outputs {
-		if r.CriticalOutput < 0 || r.Arrival[o] > r.Tmax {
-			r.Tmax = r.Arrival[o]
-			r.CriticalOutput = o
+	add := make([]float64, n)
+	for id := range add {
+		if g.C.Nodes[id].Kind == netlist.KindInput {
+			add[id] = m.Arrival[id].Mu
+		} else {
+			add[id] = m.GateMu(netlist.NodeID(id), S)
 		}
 	}
+	r := &DetResult{Arrival: make([]float64, n)}
+	m.MaxPlus(r.Arrival, add, 1, 1)
+	r.Tmax, r.CriticalOutput = m.OutputMax(r.Arrival, 1, 0)
 	return r
 }
 

@@ -9,7 +9,7 @@ import (
 	"repro/internal/stats"
 )
 
-func TestDetBatchBitIdenticalToCornerSweeps(t *testing.T) {
+func TestKSweepBitIdenticalToCornerSweeps(t *testing.T) {
 	ks := []float64{-3, -1, 0, 1, 2.5, 3}
 	for name, m := range parallelTestModels(t) {
 		S := rampSizes(m)
@@ -20,7 +20,7 @@ func TestDetBatchBitIdenticalToCornerSweeps(t *testing.T) {
 		got := KSweep(m, S, ks)
 		for i := range ks {
 			if got[i] != want[i] {
-				t.Fatalf("%s k=%v: batched %v != scalar %v",
+				t.Fatalf("%s k=%v: KSweep lane %v != scalar %v",
 					name, ks[i], got[i], want[i])
 			}
 		}
@@ -53,7 +53,7 @@ func TestNonFiniteRiskFactorPanics(t *testing.T) {
 		{"Corners-NaN", func() { Corners(m, S, nan) }},
 		{"Corners-Inf", func() { Corners(m, S, inf) }},
 		{"KSweep-NaN", func() { KSweep(m, S, []float64{0, nan}) }},
-		{"NewDetBatch-negInf", func() { NewDetBatch(m, []float64{math.Inf(-1)}) }},
+		{"KSweep-negInf", func() { KSweep(m, S, []float64{math.Inf(-1)}) }},
 		{"Objective-NaN", func() { ObjectiveMuPlusKSigma(stats.MV{Mu: 1, Var: 1}, nan) }},
 		{"GradMuPlusKSigma-Inf", func() { GradMuPlusKSigma(m, S, inf) }},
 		{"GradWorkers-NaN", func() { GradMuPlusKSigmaWorkers(m, S, nan, 2) }},
@@ -70,22 +70,9 @@ func TestNonFiniteRiskFactorPanics(t *testing.T) {
 	}
 }
 
-// TestBatchWarmSweepsAllocFree pins the steady-state serial DetBatch
-// sweep at zero allocations: all slabs are arena-allocated at
-// construction, so an evaluation loop never touches the heap.
-func TestBatchWarmSweepsAllocFree(t *testing.T) {
-	m := parallelTestModels(t)["gen1200"]
-	S := rampSizes(m)
-	db := NewDetBatch(m, []float64{-3, 0, 3})
-	db.Sweep(S)
-	if n := testing.AllocsPerRun(10, func() { db.Sweep(S) }); n != 0 {
-		t.Errorf("warm DetBatch.Sweep allocates %v/op, want 0", n)
-	}
-}
-
-// cornerSweep is the scalar oracle for DetBatch: one deterministic
+// cornerSweep is the scalar oracle for KSweep: one deterministic
 // sweep with every gate delay set to mu + k*sigma, clamped at zero
-// like the input arrival quantiles (the corner convention DetBatch
+// like the input arrival quantiles (the corner convention KSweep
 // documents).
 func cornerSweep(m *delay.Model, S []float64, k float64) float64 {
 	g := m.G
